@@ -25,17 +25,14 @@ import os
 import sys
 import time
 
-from . import congruences as cg
 from . import io as sio
 from .algebra import FiniteAlgebra
-from .commutator import tc_commutator
 from .corpus import generate
 from .errors import InputError, InvalidParameters, PropertyViolation, SimalError
 from .galois import classify_extension, em_factorization, ml_factorization
 from .groupoid import InternalGroupoid
 from .reflection import (
     commutator_chain_check,
-    homotopy_congruence_level1,
     is_internal_groupoid,
     is_two_coskeletal_at_top,
     pi1,
@@ -257,8 +254,10 @@ def _cmd_classify(args, inputs, out_lines):
 def _cmd_factorize(args, inputs, out_lines):
     _, obj = _load(args.file, inputs)
     F = _need(obj, SimplicialMorphism, "a simplicial morphism")
-    factor = em_factorization if args.mode == "em" else ml_factorization
-    Z, e, m = factor(F, budget=args.budget)
+    if args.mode == "em":
+        Z, e, m = em_factorization(F, budget=args.budget)
+    else:
+        Z, e, m = ml_factorization(F)
     results = {
         "mode": args.mode,
         "middle_levels": _level_sizes(Z),
@@ -349,24 +348,17 @@ def _cmd_commutators(args, inputs, out_lines):
     _, obj = _load(args.file, inputs)
     X = _need(obj, TruncatedSimplicialAlgebra, "a truncated simplicial object")
     report = commutator_chain_check(X)
-    d0, d1 = X.faces[1]
-    E0, E1 = cg.kernel_pair(d0), cg.kernel_pair(d1)
-    low = tc_commutator(E0, E1)
-    h1 = homotopy_congruence_level1(X)
-    high = cg.meet(E0, E1)
+    classes = report["classes"]
     out_lines.append(
-        f"{X.name}: [ker d0, ker d1] ({low.class_count()} classes) "
-        f"<= H1 ({h1.class_count()}) <= ker d0 /\\ ker d1 "
-        f"({high.class_count()})"
+        f"{X.name}: [ker d0, ker d1] ({classes['commutator']} classes) "
+        f"<= H1 ({classes['homotopy']}) <= ker d0 /\\ ker d1 "
+        f"({classes['meet']})"
     )
     out_lines.append(
         f"  lower end tight: {report['commutator_equal']}; "
         f"upper end tight: {report['meet_equal']}"
     )
-    return {"object": X.name, **report,
-            "classes": {"commutator": low.class_count(),
-                        "homotopy": h1.class_count(),
-                        "meet": high.class_count()}}
+    return {"object": X.name, **report}
 
 
 def _cmd_suite(args, inputs, out_lines):

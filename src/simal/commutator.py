@@ -53,8 +53,8 @@ def tc_commutator(theta, psi):
         raise PropertyViolation(
             "commutator relation was not already an equivalence relation"
         )
-    assert cg.leq(result, cg.meet(theta, psi)), \
-        "commutator exceeded the meet of its arguments"
+    if not cg.leq(result, cg.meet(theta, psi)):
+        raise PropertyViolation("commutator exceeded the meet of its arguments")
     return result
 
 

@@ -1,14 +1,13 @@
 """Budget handling.
 
-Enumerative constructions (limits, kernels, horns, lattice walks) refuse
-to grow past a budget.  The default can be overridden per call, or
-globally through the SIMAL_BUDGET environment variable.
+Enumerative constructions (limits, kernels, horns) refuse to grow past
+a budget.  The default can be overridden per call, or globally through
+the SIMAL_BUDGET environment variable.
 """
 
 import os
 
 DEFAULT_BUDGET = 1_000_000
-DEFAULT_LATTICE_BUDGET = 20_000
 
 
 def resolve_budget(budget=None):

@@ -98,10 +98,6 @@ class CrossRouteMismatch(PropertyViolation):
     """Two independent routes to the same answer disagree."""
 
 
-class NoCentralQuotient(PropertyViolation):
-    pass
-
-
 # -- budget ----------------------------------------------------------------
 
 class BudgetExceeded(BudgetError):

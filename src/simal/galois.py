@@ -9,13 +9,10 @@ a side.
 
 import numpy as np
 
-from .config import DEFAULT_LATTICE_BUDGET
 from .errors import (
-    BudgetExceeded,
     CrossRouteMismatch,
     HomotopyMismatch,
     InvalidParameters,
-    NoCentralQuotient,
     NotLevelwiseSurjective,
     PreconditionUnmet,
     PropertyViolation,
@@ -29,7 +26,6 @@ from .simplicial import (
     simplicial_congruence_generated,
     simplicial_kernel,
     simplicial_pullback,
-    is_simplicial_congruence,
 )
 from .reflection import (
     face_kernels,
@@ -304,39 +300,16 @@ def em_factorization(F, budget=None):
         )
     e = SimplicialMorphism(X, P, comps, check=True)
     for n in range(X.truncation + 1):
-        assert np.array_equal(
-            m.components[n].map[e.components[n].map], F.components[n].map
-        )
-        assert np.array_equal(
-            to_nx.components[n].map[e.components[n].map],
-            RX.unit.components[n].map,
-        )
+        en = e.components[n].map
+        if not (np.array_equal(m.components[n].map[en], F.components[n].map)
+                and np.array_equal(to_nx.components[n].map[en],
+                                   RX.unit.components[n].map)):
+            raise PropertyViolation("pullback factors do not recover F")
     RP = pi1(P, budget=budget)
     _check_reflection_iso(RX, RP, e)
     if not _kernel_meets_homotopy_trivially(m):
         raise PropertyViolation("projection from the pullback is not trivial")
     return P, e, m
-
-
-def _join_families(X, fam_a, fam_b):
-    merged = [cg.join(fam_a[n], fam_b[n]) for n in range(X.truncation + 1)]
-    return simplicial_congruence_generated(
-        X, {n: _family_pairs(merged[n]) for n in range(X.truncation + 1)}
-    )
-
-
-def _family_pairs(cong):
-    src = np.arange(len(cong.part))
-    mask = src != cong.part
-    return list(zip(src[mask].tolist(), cong.part[mask].tolist()))
-
-
-def _family_key(fam):
-    return tuple(c.key() for c in fam)
-
-
-def _family_leq(fam_a, fam_b):
-    return all(cg.leq(a, b) for a, b in zip(fam_a, fam_b))
 
 
 def _quotient_cofactor(X, F, fam):
@@ -354,90 +327,54 @@ def _quotient_cofactor(X, F, fam):
     return Z, e, m
 
 
-def ml_factorization(F, budget=None):
-    """Smallest simplicial congruence below the kernel whose cofactor is
-    central; found by a join-closure walk from single-pair closures.
+def _obstruction_seeds(X, kernels, fam):
+    """Pairs of ker F_n /\\ d_i^-1(fam[n-1]) /\\ d_j^-1(fam[n-1]) for all
+    n >= 2 and i < j: the cofactor's triple meets, pulled back to X."""
+    seeds = {}
+    for n in range(2, X.truncation + 1):
+        pulled = [cg.preimage(d, fam[n - 1]) for d in X.faces[n]]
+        seeds[n] = []
+        for j in range(1, n + 1):
+            for i in range(j):
+                part = cg.meet_all([kernels[n], pulled[i], pulled[j]]).part
+                src = np.nonzero(part != np.arange(len(part)))[0]
+                seeds[n] += zip(src.tolist(), part[src].tolist())
+    return seeds
+
+
+def ml_factorization(F):
+    """Least simplicial congruence below the kernel whose cofactor is
+    central, computed as a monotone fixpoint on X = F.dom.
+
+    From the diagonal, each round closes the pulled-back triple meets
+    under faces and degeneracies.  The rounds grow (each meet contains
+    fam[n], and closing level 2 recovers levels 0 and 1) and stay below
+    the kernel family, so they stop; at the limit every triple meet of
+    the cofactor is diagonal, and the d1-image condition follows from
+    the level-2 (0, 2) meet.  Any central family G below the kernel
+    contains its own pulled-back triple meets, hence by induction every
+    stage: the limit is the least central family.
 
     Returns (middle object, e, m) with m central.
     """
     _require_extension(F)
     X = F.dom
-    limit = budget if budget is not None else DEFAULT_LATTICE_BUDGET
     kernels = [cg.kernel_pair(c) for c in F.components]
-    atoms = []
-    seen_atoms = set()
-    for n in range(1, X.truncation + 1):
-        P = kernels[n].pairs()
-        P = P[P[:, 0] < P[:, 1]]
-        for a, b in P.tolist():
-            fam = simplicial_congruence_generated(X, {n: [(a, b)]})
-            if not _family_leq(fam, kernels):
-                raise PropertyViolation(
-                    "kernel family is not closed under the structure maps"
-                )
-            key = _family_key(fam)
-            if key not in seen_atoms:
-                seen_atoms.add(key)
-                atoms.append(fam)
-
-    def central_cofactor(fam):
-        Z, e, m = _quotient_cofactor(X, F, fam)
-        if not m.is_levelwise_surjective():
-            raise PropertyViolation("cofactor lost surjectivity")
-        return _central_by_lattice(m), (Z, e, m)
-
-    bottom = [cg.diagonal(lvl) for lvl in X.levels]
-    ok, _ = central_cofactor(bottom)
-    if ok:
-        Z, e, m = _quotient_cofactor(X, F, bottom)
-        return Z, e, m
-
-    visited = {_family_key(bottom)}
-    frontier = [bottom]
-    successes = []
-    spent = 0
-    while frontier:
-        fam = frontier.pop(0)
-        for atom in atoms:
-            new = _join_families(X, fam, atom)
-            key = _family_key(new)
-            if key in visited:
-                continue
-            visited.add(key)
-            spent += 1
-            if spent > limit:
-                raise BudgetExceeded(
-                    f"congruence walk exceeded {limit} nodes"
-                )
-            ok, triple = central_cofactor(new)
-            if ok:
-                successes.append((new, triple))
-            else:
-                frontier.append(new)
-    if not successes:
-        raise NoCentralQuotient(
-            "no quotient below the kernel has a central cofactor"
+    fam, new = None, [cg.diagonal(lvl) for lvl in X.levels]
+    while new != fam:
+        fam = new
+        new = simplicial_congruence_generated(
+            X, _obstruction_seeds(X, kernels, fam)
         )
-    minimal = []
-    for fam, triple in successes:
-        if not any(
-            _family_leq(other, fam) and _family_key(other) != _family_key(fam)
-            for other, _ in successes
-        ):
-            minimal.append((fam, triple))
-    meet_fam = [
-        cg.meet_all([fam[n] for fam, _ in minimal])
-        for n in range(X.truncation + 1)
-    ]
-    if not is_simplicial_congruence(X, meet_fam):
-        raise PropertyViolation("meet of minimal successes is not simplicial")
-    ok, triple = central_cofactor(meet_fam)
-    if not ok:
-        raise PropertyViolation("minimal central quotient is not unique")
-    for fam, _ in minimal:
-        if _family_key(fam) != _family_key(meet_fam):
-            raise PropertyViolation("minimal central quotient is not unique")
-    Z, e, m = triple
+        if not all(cg.leq(a, b) for a, b in zip(new, kernels)):
+            raise PropertyViolation(
+                "kernel family is not closed under the structure maps"
+            )
+    Z, e, m = _quotient_cofactor(X, F, fam)
+    if not m.is_levelwise_surjective():
+        raise PropertyViolation("cofactor lost surjectivity")
+    if not _central_by_lattice(m):
+        raise PropertyViolation("fixpoint cofactor is not central")
     return Z, e, m
 
 

@@ -39,7 +39,8 @@ def spine_maps(X, n):
         for _ in range(i - 1):
             m = X.faces[level][0].map[m]
             level -= 1
-        assert level == 1
+        if level != 1:
+            raise PropertyViolation(f"spine edge {i} ends at level {level}")
         maps.append(m)
     return maps
 
@@ -283,7 +284,7 @@ def is_two_coskeletal_at_top(X):
 
 def commutator_chain_check(X):
     """Sandwich the level-1 homotopy congruence between the commutator
-    of the face kernels and their meet."""
+    of the face kernels and their meet; reports the three class counts."""
     d0, d1 = X.faces[1]
     E0, E1 = cg.kernel_pair(d0), cg.kernel_pair(d1)
     low = tc_commutator(E0, E1)
@@ -294,6 +295,9 @@ def commutator_chain_check(X):
         "meet_above": cg.leq(h1, high),
         "meet_equal": h1 == high,
         "commutator_equal": h1 == low,
+        "classes": {"commutator": low.class_count(),
+                    "homotopy": h1.class_count(),
+                    "meet": high.class_count()},
     }
     if not (report["commutator_below"] and report["meet_above"]):
         raise PropertyViolation("homotopy congruence escapes its sandwich")

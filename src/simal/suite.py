@@ -211,11 +211,13 @@ def _subalgebra_on(alg, sel, name):
         t = alg.table(opname)
         if arity == 0:
             v = int(pos[t[0]])
-            assert v >= 0, "subset misses a constant"
+            if v < 0:
+                raise PropertyViolation("subset misses a constant")
             tables[opname] = np.array([v])
         else:
             vals = pos[t[np.ix_(*([sel] * arity))] if arity > 1 else t[sel]]
-            assert (vals >= 0).all(), "subset is not closed"
+            if (vals < 0).any():
+                raise PropertyViolation("subset is not closed")
             tables[opname] = vals
     return make_algebra(name, alg.signature, tables, alg.maltsev_term)
 
@@ -604,7 +606,7 @@ def _factorization_suite(ctx):
     ][:10]
     ml_runs = []
     for name, F in small:
-        Z, e, m = ml_factorization(F, budget=budget)
+        Z, e, m = ml_factorization(F)
         light = classify_extension(m, budget=budget)
         if not light.central:
             raise PropertyViolation(

@@ -2,13 +2,24 @@
 
 Everything here recomputes results by a different route than the
 library: set-based transitive closures, brute-force partition sweeps,
-and the matrix-closure description of the commutator.  Kept deliberately
-naive; only run on small carriers.
+the matrix-closure description of the commutator, and a search of the
+congruence lattice for the monotone-light factorization.  Kept
+deliberately naive; only run on small carriers.
 """
 
 import itertools
 
 import numpy as np
+
+from simal import congruences as cg
+from simal.galois import _central_by_lattice, _quotient_cofactor
+from simal.simplicial import (
+    is_simplicial_congruence,
+    simplicial_congruence_generated,
+)
+
+# Families the lattice walk may visit before it gives up.
+WALK_NODE_LIMIT = 20_000
 
 
 def pairs_of_partition(part):
@@ -214,3 +225,75 @@ def matrix_closure_commutator(alg, theta_part, psi_part):
                 changed = True
         if not changed:
             return delta
+
+
+def _family_pairs(cong):
+    src = np.arange(len(cong.part))
+    mask = src != cong.part
+    return list(zip(src[mask].tolist(), cong.part[mask].tolist()))
+
+
+def _family_key(fam):
+    return tuple(c.key() for c in fam)
+
+
+def _family_leq(fam_a, fam_b):
+    return all(cg.leq(a, b) for a, b in zip(fam_a, fam_b))
+
+
+def ml_walk(F):
+    """Monotone-light factorization by search: walk the join lattice of
+    the single-pair closures below the kernel breadth-first, stop each
+    branch at its first central cofactor, and require the minimal
+    successes to be one family.  Returns (middle object, e, m)."""
+    X = F.dom
+    N = X.truncation
+    kernels = [cg.kernel_pair(c) for c in F.components]
+    atoms = {}
+    for n in range(1, N + 1):
+        P = kernels[n].pairs()
+        for a, b in P[P[:, 0] < P[:, 1]].tolist():
+            fam = simplicial_congruence_generated(X, {n: [(a, b)]})
+            assert _family_leq(fam, kernels)
+            atoms.setdefault(_family_key(fam), fam)
+
+    def central(fam):
+        Z, e, m = _quotient_cofactor(X, F, fam)
+        assert m.is_levelwise_surjective()
+        return _central_by_lattice(m)
+
+    bottom = [cg.diagonal(lvl) for lvl in X.levels]
+    if central(bottom):
+        return _quotient_cofactor(X, F, bottom)
+    visited = {_family_key(bottom)}
+    frontier = [bottom]
+    successes = []
+    while frontier:
+        fam = frontier.pop(0)
+        for atom in atoms.values():
+            merged = [cg.join(fam[n], atom[n]) for n in range(N + 1)]
+            new = simplicial_congruence_generated(
+                X, {n: _family_pairs(merged[n]) for n in range(N + 1)}
+            )
+            key = _family_key(new)
+            if key in visited:
+                continue
+            visited.add(key)
+            if len(visited) > WALK_NODE_LIMIT:
+                raise RuntimeError(
+                    f"lattice walk exceeded {WALK_NODE_LIMIT} nodes"
+                )
+            (successes if central(new) else frontier).append(new)
+    assert successes, "no quotient below the kernel has a central cofactor"
+    minimal = [
+        fam for fam in successes
+        if not any(_family_leq(other, fam) and
+                   _family_key(other) != _family_key(fam)
+                   for other in successes)
+    ]
+    meet_fam = [cg.meet_all([fam[n] for fam in minimal]) for n in range(N + 1)]
+    assert is_simplicial_congruence(X, meet_fam)
+    assert central(meet_fam), "meet of minimal successes is not central"
+    assert all(_family_key(fam) == _family_key(meet_fam) for fam in minimal), \
+        "minimal central quotient is not unique"
+    return _quotient_cofactor(X, F, meet_fam)

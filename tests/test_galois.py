@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from simal import congruences as cg
 from simal.corpus import (
     cyclic_group,
@@ -29,6 +30,7 @@ from simal.simplicial import (
     coskeleton,
     nerve,
     simplicial_congruence_generated,
+    simplicial_product,
     simplicial_pullback,
     quotient_simplicial,
 )
@@ -163,9 +165,17 @@ def test_ml_factorization_of_central_extension_is_lazy():
 
 
 def test_ml_factorization_makes_the_second_part_central():
-    for name in ("pairC4-pairC2", "unit-cosk-loops"):
+    # The lattice walk in tests/oracles.py never finishes on
+    # augment-cosk-loops, so its frozen middle sizes come from the
+    # fixpoint itself and are checked only by the centrality of m.
+    for name, middle in (
+        ("pairC4-pairC2", [4, 16, 64]),
+        ("unit-cosk-loops", [2, 2, 2]),
+        ("augment-cosk-loops", [2, 2, 2, 2]),
+    ):
         F = EXTS[name]
         Z, e, m = ml_factorization(F)
+        assert [lvl.size for lvl in Z.levels] == middle, name
         assert e.is_levelwise_surjective(), name
         assert m.is_levelwise_surjective(), name
         for n in range(F.dom.truncation + 1):
@@ -174,6 +184,34 @@ def test_ml_factorization_makes_the_second_part_central():
                 F.components[n].map,
             ), (name, n)
         assert classify_extension(m).central, name
+
+
+def _ml_cross_check_cases():
+    cases = [
+        (name, F) for name, F in CORPUS["extensions"]
+        if sum(lvl.size for lvl in F.dom.levels) <= 64
+    ]
+    # pulled back along a product projection, unit-cosk-loops stays
+    # non-central, so the fixpoint has to take a real step
+    F = EXTS["unit-cosk-loops"]
+    _, first, _ = simplicial_product(F.cod, F.cod)
+    _, _, pulled = simplicial_pullback(F, first)
+    cases.append(("unit-cosk-loops-pulled", pulled))
+    return cases
+
+
+def test_ml_fixpoint_matches_lattice_walk():
+    cases = _ml_cross_check_cases()
+    assert len(cases) == 13
+    for name, F in cases:
+        _, e, _ = ml_factorization(F)
+        _, e_walk, _ = oracles.ml_walk(F)
+        for a, b in zip(e.components, e_walk.components):
+            assert np.array_equal(a.map, b.map), name
+    _, pulled = cases[-1]
+    assert not classify_extension(pulled).central
+    Z, _, _ = ml_factorization(pulled)
+    assert [lvl.size for lvl in Z.levels] == [4, 4, 4]
 
 
 def test_homotopy_relation_matches_level1_congruence():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -231,3 +233,18 @@ def test_cli_suite_prints_one_line_per_criterion(capsys):
     marks = [ln for ln in out_lines if ln.startswith("criterion")]
     assert len(marks) == 10
     assert all("PASS" in ln for ln in marks)
+
+
+def test_cli_suite_passes_with_asserts_stripped():
+    # python -O drops every assert statement; no check may depend on one
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "simal.cli", "suite", "--profile", "desk"],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "10/10 criteria passed" in proc.stdout

@@ -199,6 +199,7 @@ def test_commutator_chain_patterns():
     assert rep["commutator_equal"] and not rep["meet_equal"]
     rep = commutator_chain_check(cosk_loops())
     assert rep["meet_equal"] and not rep["commutator_equal"]
+    assert rep["classes"] == {"commutator": 4, "homotopy": 2, "meet": 2}
     rep = commutator_chain_check(nerve(pair_groupoid(C2), 2))
     assert rep["meet_equal"] and rep["commutator_equal"]
 
