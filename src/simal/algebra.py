@@ -159,20 +159,34 @@ def check_maltsev(alg):
         )
 
 
+def int_array(raw, what):
+    """raw (a JSON number or nested list) as an int64 array; any entry that
+    is not an integer raises InvalidParameters."""
+    try:
+        arr = np.asarray(raw)
+    except ValueError as exc:
+        raise InvalidParameters(f"{what} is not a rectangular array") from exc
+    if arr.size == 0 or arr.dtype.kind in "iu":
+        return arr.astype(np.int64)
+    flat = np.asarray(raw, dtype=object).ravel()
+    bad = next((x for x in flat if type(x) is not int), flat[0])
+    raise InvalidParameters(f"{what}: entry {bad!r} is not an integer")
+
+
 def validate_algebra(raw):
     """Build and fully check an algebra from its raw dict description."""
     try:
         name = raw["name"]
-        size = int(raw["size"])
+        size = int(int_array(raw["size"], "algebra size"))
         ops = raw["operations"]
         term = raw["maltsev"]["term"]
+        arities = [int(int_array(o["arity"], "arity")) for o in ops]
+        sig = Signature([(o["name"], a) for o, a in zip(ops, arities)])
+        flats = [int_array(o["table"], f"table {o['name']!r}") for o in ops]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"algebra description missing field: {exc}") from exc
-    sig = Signature([(o["name"], int(o["arity"])) for o in ops])
     tables = {}
-    for o in ops:
-        arity = int(o["arity"])
-        flat = np.asarray(o["table"], dtype=np.int64)
+    for o, arity, flat in zip(ops, arities, flats):
         want = (1,) if arity == 0 else (size,) * arity
         try:
             tables[o["name"]] = flat.reshape(want)

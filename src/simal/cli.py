@@ -60,8 +60,6 @@ def build_parser():
         p.add_argument("--budget", type=int, default=None,
                        help="size limit for enumerative constructions "
                        "(default from SIMAL_BUDGET or built-in)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for randomized generators")
         p.add_argument("--out", default=None,
                        help="output path: the artifact file for gen, a "
                        "directory of artifacts for reflect and factorize, "
@@ -74,6 +72,8 @@ def build_parser():
     p.add_argument("files", nargs="+")
 
     p = common(sub.add_parser("gen", help="generate an artifact"))
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed for randomized generators, recorded in the spec")
     p.add_argument("kind")
     p.add_argument("params", nargs="*",
                    help="KEY=VALUE pairs; values parsed as JSON when possible")
@@ -157,7 +157,7 @@ def _cmd_validate(args, inputs, out_lines):
         elif isinstance(obj, InternalGroupoid):
             summary = f"{obj.objects.size} objects, {obj.arrows.size} arrows"
         else:
-            summary = f"{obj.class_count()} classes"
+            summary = f"size {obj.dom.size} -> {obj.cod.size}"
         entries.append({"path": path, "kind": kind, "summary": summary})
         out_lines.append(f"{path}: {kind} ok ({summary})")
     return {"files": entries}

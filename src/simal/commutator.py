@@ -7,7 +7,10 @@ A x A, generate the congruence Delta on it from the doubled psi-pairs
     [theta, psi] = {(a, b) : (a, b) and (b, b) lie in one Delta class}.
 
 This is the standard term-condition commutator for congruence modular
-varieties, computed without enumerating matrices.
+varieties, computed without enumerating matrices.  The partition comes
+from congruences.merge over the pairs read off; their distinct count
+must equal the partition's pair count, which certifies that the
+relation was already an equivalence.
 """
 
 import numpy as np
@@ -24,30 +27,21 @@ def tc_commutator(theta, psi):
     n = alg.size
     if n == 0:
         return cg.diagonal(alg)
-    rows = []
-    for blk in theta.blocks():
-        grid_a = np.repeat(blk, len(blk))
-        grid_b = np.tile(blk, len(blk))
-        rows.append(np.stack([grid_a, grid_b], axis=1))
-    rows = np.concatenate(rows, axis=0)
-    pairalg, _ = subproduct_algebra(f"pairs({alg.name})", [alg, alg], rows)
+    pairalg, _ = subproduct_algebra(
+        f"pairs({alg.name})", [alg, alg], theta.pairs()
+    )
     diag_idx = pairalg.carrier.index_of(
         np.stack([np.arange(n), np.arange(n)], axis=1)
     )
-    gens = []
-    for u in range(n):
-        v = int(psi.part[u])
-        if v != u:
-            gens.append((int(diag_idx[u]), int(diag_idx[v])))
+    moved = np.flatnonzero(psi.part != np.arange(n))
+    gens = np.stack([diag_idx[moved], diag_idx[psi.part[moved]]], axis=1)
     delta = cg.congruence_generated(pairalg, gens)
-    uf = cg.UnionFind(n)
     a_col = pairalg.carrier.rows[:, 0]
     b_col = pairalg.carrier.rows[:, 1]
-    same = delta.part == delta.part[diag_idx[b_col]]
-    hits = np.nonzero(same)[0]
-    for idx in hits:
-        uf.union(int(a_col[idx]), int(b_col[idx]))
-    result = cg.Congruence(alg, uf.labels())
+    hits = np.flatnonzero(delta.part == delta.part[diag_idx[b_col]])
+    result = cg.Congruence(
+        alg, cg.merge(np.arange(n), a_col[hits], b_col[hits])
+    )
     raw_pairs = len(np.unique(a_col[hits] * np.int64(n) + b_col[hits]))
     if raw_pairs != result.pair_count():
         raise PropertyViolation(

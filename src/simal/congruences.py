@@ -4,11 +4,20 @@ A congruence is stored as a partition array: part[i] is the least
 element of the block containing i.  Meets, joins, images, preimages and
 quotients all work on these label arrays.
 
-The join of two congruences is computed as the transitive closure of
-their union and then certified: in a Mal'tsev algebra the closure must
-already equal the single relational composite, and the composite must
-commute.  A failed certificate raises JoinNotComposite rather than
-silently returning the closure.
+Every closure goes through one primitive, merge(part, a, b): it hooks
+the larger root of each pair onto the smaller and pointer-jumps to a
+fixpoint, so the roots stay the least members.  join, image,
+congruence_generated and the commutator all take their partitions from
+it.  The closures of join and image are certified, not trusted:
+
+  join   in a Mal'tsev algebra the closure of theta u psi must already
+         be the one-step composite theta o psi, so the composite's pair
+         count must equal the closure's; a gap raises JoinNotComposite
+         naming a joined pair outside the composite.
+  image  the relation {(f a, f b) : a theta b} must already be
+         transitive, so its distinct pair count must equal the
+         closure's; a gap raises NotTransitive naming a pair that only
+         the closure has.
 """
 
 import numpy as np
@@ -23,31 +32,6 @@ from .errors import (
 from .algebra import FiniteAlgebra, Homomorphism, same_signature
 
 
-class UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if ra > rb:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
-
-    def labels(self):
-        return np.asarray([self.find(i) for i in range(len(self.parent))],
-                          dtype=np.int64)
-
-
 def canonical_partition(labels):
     """Relabel an arbitrary label array so each class is named by its least member."""
     labels = np.asarray(labels)
@@ -58,6 +42,43 @@ def canonical_partition(labels):
     firsts = np.full(inverse.max() + 1, n, dtype=np.int64)
     np.minimum.at(firsts, inverse, np.arange(n))
     return firsts[inverse]
+
+
+def merge(part, a, b):
+    """Least-member labels of the equivalence generated by the least-member
+    partition array part and the pairs (a[k], b[k])."""
+    labels = np.array(part, dtype=np.int64)
+    a = np.asarray(a, dtype=np.int64)
+    b = np.asarray(b, dtype=np.int64)
+    while True:
+        ra, rb = labels[a], labels[b]
+        split = ra != rb
+        if not split.any():
+            return labels
+        a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+
+
+def _pairs_within(groups, values):
+    """Every (values[i], values[j]) with groups[i] == groups[j], as a (k, 2)
+    array ordered by group, then i, then j."""
+    order = np.argsort(groups, kind="stable")
+    g, v = groups[order], values[order]
+    n = len(g)
+    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+    sizes = np.diff(np.r_[starts, n])
+    size_of = np.repeat(sizes, sizes)
+    first_row = np.cumsum(size_of) - size_of
+    left = np.repeat(np.arange(n), size_of)
+    right = np.arange(len(left)) + np.repeat(
+        np.repeat(starts, sizes) - first_row, size_of
+    )
+    return np.stack([v[left], v[right]], axis=1)
 
 
 class Congruence:
@@ -102,12 +123,8 @@ class Congruence:
         return out
 
     def pairs(self):
-        """All ordered related pairs as a (k, 2) array."""
-        out = []
-        for blk in self.blocks():
-            grid = np.array(np.meshgrid(blk, blk)).T.reshape(-1, 2)
-            out.append(grid)
-        return np.concatenate(out) if out else np.empty((0, 2), dtype=np.int64)
+        """All ordered related pairs as a (k, 2) array, block by block."""
+        return _pairs_within(self.part, np.arange(self.on.size))
 
     def key(self):
         return self.part.tobytes()
@@ -204,33 +221,19 @@ def join(theta, psi):
     """Join; certified equal to the one-step relational composite."""
     _same_carrier(theta, psi)
     n = theta.on.size
-    uf = UnionFind(n)
-    for i in range(n):
-        uf.union(i, int(theta.part[i]))
-        uf.union(i, int(psi.part[i]))
-    result = Congruence(theta.on, uf.labels(), check=False)
+    result = Congruence(
+        theta.on, merge(theta.part, np.arange(n), psi.part), check=False
+    )
     if _composite_pair_count(theta, psi) != result.pair_count():
-        a, c = _composite_gap_witness(theta, psi, result)
+        joined = result.pairs()
+        codes = theta.part[joined[:, 0]] * (n + 1) + psi.part[joined[:, 1]]
+        composite = theta.part * (n + 1) + psi.part
+        a, c = joined[~np.isin(codes, composite)][0]
         raise JoinNotComposite(
             f"on {theta.on.name}: ({a},{c}) in the join but not in the "
             f"one-step composite"
         )
     return result
-
-
-def _composite_gap_witness(theta, psi, joined):
-    n = theta.on.size
-    for blk in joined.blocks():
-        for a in blk:
-            reach = set()
-            tb = theta.part[a]
-            members = np.nonzero(theta.part == tb)[0]
-            for b in members:
-                reach.update(np.nonzero(psi.part == psi.part[b])[0].tolist())
-            for c in blk:
-                if int(c) not in reach:
-                    return int(a), int(c)
-    raise AssertionError("no witness found for composite gap")
 
 
 def join_all(congs):
@@ -260,38 +263,20 @@ def image(f, theta):
     if not f.is_surjective():
         raise NotSurjective(f"{f!r} is not surjective")
     m = f.cod.size
-    uf = UnionFind(m)
-    for i in range(f.dom.size):
-        uf.union(int(f.map[i]), int(f.map[theta.part[i]]))
-    closure = Congruence(f.cod, uf.labels(), check=False)
-    codes = []
-    for blk in theta.blocks():
-        imgs = np.unique(f.map[blk])
-        grid = imgs[:, None] * m + imgs[None, :]
-        codes.append(grid.ravel())
-    distinct = len(np.unique(np.concatenate(codes))) if codes else 0
-    if distinct != closure.pair_count():
-        a, b = _image_gap_witness(f, theta, closure)
+    closure = Congruence(
+        f.cod, merge(np.arange(m), f.map, f.map[theta.part]), check=False
+    )
+    items = np.unique(theta.part * m + f.map)
+    imaged = _pairs_within(items // m, items % m)
+    relation = np.unique(imaged[:, 0] * m + imaged[:, 1])
+    if len(relation) != closure.pair_count():
+        closed = closure.pairs()
+        a, b = closed[~np.isin(closed[:, 0] * m + closed[:, 1], relation)][0]
         raise NotTransitive(
             f"image of congruence under {f!r} is not transitive; "
             f"pair ({a},{b}) is in the closure only"
         )
     return closure
-
-
-def _image_gap_witness(f, theta, closure):
-    pair_set = set()
-    for blk in theta.blocks():
-        imgs = np.unique(f.map[blk])
-        for a in imgs:
-            for b in imgs:
-                pair_set.add((int(a), int(b)))
-    for blk in closure.blocks():
-        for a in blk:
-            for b in blk:
-                if (int(a), int(b)) not in pair_set:
-                    return int(a), int(b)
-    raise AssertionError("no witness found for transitivity gap")
 
 
 def quotient(alg, theta):
@@ -321,56 +306,35 @@ def quotient(alg, theta):
 
 
 def congruence_generated(alg, pairs, initial=None):
-    """Smallest congruence containing the given pairs.
+    """Smallest congruence containing the given pairs and initial, if any.
 
-    Fixpoint of: close under the equivalence operations, then merge any
-    two operation results whose argument classes agree.
+    Fixpoint of: merge any two operation results whose argument classes
+    agree, every such pair of a round in one call to merge.
     """
     n = alg.size
-    uf = UnionFind(n)
-    if initial is not None:
-        for i in range(n):
-            uf.union(i, int(initial.part[i]))
-    for a, b in pairs:
-        uf.union(int(a), int(b))
-    if n == 0:
-        return Congruence(alg, np.zeros(0, dtype=np.int64), check=False)
-    labels = canonical_partition(uf.labels())
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    start = np.arange(n) if initial is None else initial.part
+    labels = merge(start, pairs[:, 0], pairs[:, 1])
+    base = np.int64(n + 1)
     while True:
-        changed = False
+        a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for opname, arity in alg.signature.ops:
             if arity == 0:
                 continue
-            t = alg.table(opname)
             grids = np.ix_(*([labels] * arity)) if arity > 1 else (labels,)
             keys = np.zeros((n,) * arity, dtype=np.int64)
-            base = np.int64(n + 1)
             for g in np.broadcast_arrays(*grids):
                 keys = keys * base + g
-            keys = keys.ravel()
-            vals = labels[t].ravel()
-            order = np.argsort(keys, kind="stable")
-            ks, vs = keys[order], vals[order]
-            newrun = np.empty(len(ks), dtype=bool)
-            if len(ks):
-                newrun[0] = True
-                newrun[1:] = ks[1:] != ks[:-1]
-            run_start = np.maximum.accumulate(
-                np.where(newrun, np.arange(len(ks)), 0)
-            )
-            leaders = vs[run_start]
-            mism = vs != leaders
-            if mism.any():
-                to_merge = np.unique(
-                    vs[mism].astype(np.int64) * (n + 1) + leaders[mism]
-                )
-                for code in to_merge:
-                    va, vb = int(code // (n + 1)), int(code % (n + 1))
-                    uf.union(va, vb)
-                changed = True
-        if not changed:
+            order = np.argsort(keys, axis=None)
+            ks = keys.ravel()[order]
+            vs = labels[alg.table(opname)].ravel()[order]
+            link = (ks[1:] == ks[:-1]) & (vs[1:] != vs[:-1])
+            a.append(vs[:-1][link])
+            b.append(vs[1:][link])
+        a, b = np.concatenate(a), np.concatenate(b)
+        if not len(a):
             return Congruence(alg, labels, check=False)
-        labels = canonical_partition(uf.labels())
+        labels = merge(labels, a, b)
 
 
 def principal_congruence(alg, a, b):

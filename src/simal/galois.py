@@ -168,7 +168,8 @@ def homotopy_relation(X):
     n1 = X.levels[1].size
     collected = _code_set(d0m[thin], d1m[thin], n1)
     lattice = homotopy_congruence_level1(X)
-    expected = np.unique(lattice.pairs()[:, 0] * n1 + lattice.pairs()[:, 1])
+    pairs = lattice.pairs()
+    expected = np.unique(pairs[:, 0] * n1 + pairs[:, 1])
     if not np.array_equal(collected, expected):
         raise HomotopyMismatch(
             "thin-simplex relation differs from the kernel-meet image"
@@ -192,7 +193,8 @@ def relative_homotopy_relation(F):
     D2 = face_kernels(X, 2)
     F2 = cg.kernel_pair(F.components[2])
     lattice = cg.image(X.faces[2][1], cg.meet_all([F2, D2[0], D2[2]]))
-    expected = np.unique(lattice.pairs()[:, 0] * n1 + lattice.pairs()[:, 1])
+    pairs = lattice.pairs()
+    expected = np.unique(pairs[:, 0] * n1 + pairs[:, 1])
     if not np.array_equal(collected, expected):
         raise HomotopyMismatch(
             "relative thin-simplex relation differs from the lattice value"
@@ -212,7 +214,8 @@ def fiber_connectivity_relation(F):
     D1 = cg.kernel_pair(X.faces[1][1])
     F1 = cg.kernel_pair(F.components[1])
     lattice = cg.image(X.faces[1][0], cg.meet(D1, F1))
-    expected = np.unique(lattice.pairs()[:, 0] * n0 + lattice.pairs()[:, 1])
+    pairs = lattice.pairs()
+    expected = np.unique(pairs[:, 0] * n0 + pairs[:, 1])
     if not np.array_equal(collected, expected):
         raise HomotopyMismatch(
             "kernel-arrow connectivity differs from the lattice value"

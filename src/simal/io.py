@@ -28,9 +28,7 @@ import hashlib
 import json
 import os
 
-import numpy as np
-
-from .algebra import Homomorphism, validate_algebra
+from .algebra import Homomorphism, int_array, validate_algebra
 from .congruences import Congruence
 from .errors import InvalidParameters
 from .groupoid import InternalGroupoid, validate_groupoid
@@ -112,6 +110,15 @@ def hom_to_json(h, dom_ref=None, cod_ref=None):
     }
 
 
+def _read(data, base_dir):
+    """A JSON tree, or a path resolved against base_dir, with the directory
+    that the tree's own file references resolve against."""
+    if not isinstance(data, str):
+        return data, base_dir
+    path = data if base_dir is None else os.path.join(base_dir, data)
+    return load_json(path), os.path.dirname(path)
+
+
 def _resolve_algebra(ref, algebras, base_dir):
     if isinstance(ref, dict):
         return load_algebra(ref)
@@ -124,14 +131,11 @@ def _resolve_algebra(ref, algebras, base_dir):
 
 
 def load_homomorphism(data, algebras=None, base_dir=None, check=True):
-    if isinstance(data, str):
-        path = data if base_dir is None else os.path.join(base_dir, data)
-        base_dir = os.path.dirname(path)
-        data = load_json(path)
+    data, base_dir = _read(data, base_dir)
     try:
         dom = _resolve_algebra(data["dom"], algebras, base_dir)
         cod = _resolve_algebra(data["cod"], algebras, base_dir)
-        fmap = data["map"]
+        fmap = int_array(data["map"], "homomorphism map")
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"homomorphism file missing field: {exc}") from exc
     return Homomorphism(dom, cod, fmap, check=check)
@@ -186,12 +190,9 @@ def simplicial_to_json(X):
 
 
 def load_simplicial(data, base_dir=None, check=True):
-    if isinstance(data, str):
-        path = data if base_dir is None else os.path.join(base_dir, data)
-        base_dir = os.path.dirname(path)
-        data = load_json(path)
+    data, base_dir = _read(data, base_dir)
     try:
-        trunc = int(data["truncation"])
+        trunc = int(int_array(data["truncation"], "truncation"))
         level_names = list(data["levels"])
         raw_faces = data["faces"]
         raw_degens = data["degeneracies"]
@@ -245,10 +246,7 @@ def morphism_to_json(F):
 
 
 def load_morphism(data, base_dir=None, check=True):
-    if isinstance(data, str):
-        path = data if base_dir is None else os.path.join(base_dir, data)
-        base_dir = os.path.dirname(path)
-        data = load_json(path)
+    data, base_dir = _read(data, base_dir)
     try:
         dom = load_simplicial(data["dom"], base_dir=base_dir, check=check)
         cod = load_simplicial(data["cod"], base_dir=base_dir, check=check)
@@ -258,7 +256,8 @@ def load_morphism(data, base_dir=None, check=True):
     if len(raw_comps) != dom.truncation + 1:
         raise InvalidParameters("morphism needs one component per level")
     comps = [
-        Homomorphism(dom.levels[n], cod.levels[n], raw_comps[n], check=False)
+        Homomorphism(dom.levels[n], cod.levels[n],
+                     int_array(raw_comps[n], f"component {n}"), check=False)
         for n in range(dom.truncation + 1)
     ]
     F = SimplicialMorphism(dom, cod, comps, check=check)
@@ -290,10 +289,7 @@ def groupoid_to_json(G):
 
 
 def load_groupoid(data, base_dir=None, check=True):
-    if isinstance(data, str):
-        path = data if base_dir is None else os.path.join(base_dir, data)
-        base_dir = os.path.dirname(path)
-        data = load_json(path)
+    data, base_dir = _read(data, base_dir)
     try:
         algebras = {
             name: _resolve_algebra(raw, None, base_dir)
@@ -301,10 +297,11 @@ def load_groupoid(data, base_dir=None, check=True):
         }
         objects = algebras[data["objects"]]
         arrows = algebras[data["arrows"]]
-        d0 = Homomorphism(arrows, objects, data["d0"], check=False)
-        d1 = Homomorphism(arrows, objects, data["d1"], check=False)
-        s0 = Homomorphism(objects, arrows, data["s0"], check=False)
-        comp = np.asarray(data["comp"], dtype=np.int64)
+        d0, d1, s0, comp = (int_array(data[key], f"groupoid {key}")
+                            for key in ("d0", "d1", "s0", "comp"))
+        d0 = Homomorphism(arrows, objects, d0, check=False)
+        d1 = Homomorphism(arrows, objects, d1, check=False)
+        s0 = Homomorphism(objects, arrows, s0, check=False)
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"groupoid file missing field: {exc}") from exc
     G = InternalGroupoid(objects, arrows, d0, d1, s0, comp)
@@ -326,10 +323,11 @@ def load_congruence(data, on, check=True):
     if isinstance(data, str):
         data = load_json(data)
     try:
-        blocks = data["blocks"]
+        blocks = int_array(data["blocks"], "congruence blocks")
+        size = int(int_array(data.get("size", on.size), "congruence size"))
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"congruence file missing field: {exc}") from exc
-    if int(data.get("size", on.size)) != on.size:
+    if size != on.size:
         raise InvalidParameters("congruence size does not match the algebra")
     return Congruence(on, blocks, check=check)
 

@@ -497,16 +497,6 @@ def nerve(G, M, budget=None, name=None):
 
 # -- products, pullbacks, quotients ---------------------------------------
 
-def _paired_levels(levelsA, levelsB, row_sets, name):
-    out_levels = []
-    for n, rows in enumerate(row_sets):
-        alg, _ = subproduct_algebra(
-            f"{name}_{n}", [levelsA[n], levelsB[n]], rows
-        )
-        out_levels.append(alg)
-    return out_levels
-
-
 def _componentwise_map(level_dom, level_cod, mapA, mapB):
     rows = level_dom.carrier.rows
     new = np.stack([mapA[rows[:, 0]], mapB[rows[:, 1]]], axis=1)
@@ -515,56 +505,49 @@ def _componentwise_map(level_dom, level_cod, mapA, mapB):
     )
 
 
+def _levelwise_limit(X, Y, constraints_per_level, budget, name):
+    """Levelwise subproduct of X and Y cut out by the fiber constraints of
+    each level, with componentwise structure maps and both projections."""
+    N = X.truncation
+    levels = []
+    for n in range(N + 1):
+        factors = [X.levels[n], Y.levels[n]]
+        rows = compatible_tuples(factors, constraints_per_level[n], budget=budget)
+        levels.append(subproduct_algebra(f"{name}_{n}", factors, rows)[0])
+    faces = [[]] + [
+        [_componentwise_map(levels[n], levels[n - 1],
+                            X.faces[n][i].map, Y.faces[n][i].map)
+         for i in range(n + 1)]
+        for n in range(1, N + 1)
+    ]
+    degeneracies = [
+        [_componentwise_map(levels[n], levels[n + 1],
+                            X.degeneracies[n][i].map, Y.degeneracies[n][i].map)
+         for i in range(n + 1)]
+        for n in range(N)
+    ] + [[]]
+    P = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
+    validate_simplicial(P)
+    proj1, proj2 = (
+        SimplicialMorphism(
+            P, Z,
+            [Homomorphism(levels[n], Z.levels[n],
+                          levels[n].carrier.rows[:, c].copy(), check=False)
+             for n in range(N + 1)],
+            check=True,
+        )
+        for c, Z in enumerate((X, Y))
+    )
+    return P, proj1, proj2
+
+
 def simplicial_product(X, Y, budget=None, name=None):
     if X.truncation != Y.truncation:
         raise InvalidParameters("product needs equal truncations")
-    name = name or f"({X.name}x{Y.name})"
-    N = X.truncation
-    row_sets = [
-        compatible_tuples([X.levels[n], Y.levels[n]], [], budget=budget)
-        for n in range(N + 1)
-    ]
-    levels = _paired_levels(X.levels, Y.levels, row_sets, name)
-    faces = [[]]
-    degeneracies = []
-    for n in range(1, N + 1):
-        faces.append(
-            [
-                _componentwise_map(
-                    levels[n], levels[n - 1],
-                    X.faces[n][i].map, Y.faces[n][i].map,
-                )
-                for i in range(n + 1)
-            ]
-        )
-    for n in range(N):
-        degeneracies.append(
-            [
-                _componentwise_map(
-                    levels[n], levels[n + 1],
-                    X.degeneracies[n][i].map, Y.degeneracies[n][i].map,
-                )
-                for i in range(n + 1)
-            ]
-        )
-    degeneracies.append([])
-    P = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
-    validate_simplicial(P)
-    proj1 = SimplicialMorphism(
-        P, X,
-        [Homomorphism(levels[n], X.levels[n],
-                      levels[n].carrier.rows[:, 0].copy(), check=False)
-         for n in range(N + 1)],
-        check=False,
+    return _levelwise_limit(
+        X, Y, [[]] * (X.truncation + 1), budget,
+        name or f"({X.name}x{Y.name})",
     )
-    proj2 = SimplicialMorphism(
-        P, Y,
-        [Homomorphism(levels[n], Y.levels[n],
-                      levels[n].carrier.rows[:, 1].copy(), check=False)
-         for n in range(N + 1)],
-        check=False,
-    )
-    return P, proj1, proj2
 
 
 def simplicial_pullback(F, G, budget=None, name=None):
@@ -572,57 +555,11 @@ def simplicial_pullback(F, G, budget=None, name=None):
     X, Y = F.dom, G.dom
     if F.cod is not G.cod:
         raise InvalidParameters("pullback needs a shared codomain")
-    N = X.truncation
-    name = name or f"pb({X.name},{Y.name})"
-    row_sets = [
-        compatible_tuples(
-            [X.levels[n], Y.levels[n]],
-            [(0, F.components[n].map, 1, G.components[n].map)],
-            budget=budget,
-        )
-        for n in range(N + 1)
-    ]
-    levels = _paired_levels(X.levels, Y.levels, row_sets, name)
-    faces = [[]]
-    degeneracies = []
-    for n in range(1, N + 1):
-        faces.append(
-            [
-                _componentwise_map(
-                    levels[n], levels[n - 1],
-                    X.faces[n][i].map, Y.faces[n][i].map,
-                )
-                for i in range(n + 1)
-            ]
-        )
-    for n in range(N):
-        degeneracies.append(
-            [
-                _componentwise_map(
-                    levels[n], levels[n + 1],
-                    X.degeneracies[n][i].map, Y.degeneracies[n][i].map,
-                )
-                for i in range(n + 1)
-            ]
-        )
-    degeneracies.append([])
-    P = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
-    validate_simplicial(P)
-    proj1 = SimplicialMorphism(
-        P, X,
-        [Homomorphism(levels[n], X.levels[n],
-                      levels[n].carrier.rows[:, 0].copy(), check=False)
-         for n in range(N + 1)],
-        check=True,
+    constraints = [[(0, F.components[n].map, 1, G.components[n].map)]
+                   for n in range(X.truncation + 1)]
+    return _levelwise_limit(
+        X, Y, constraints, budget, name or f"pb({X.name},{Y.name})"
     )
-    proj2 = SimplicialMorphism(
-        P, Y,
-        [Homomorphism(levels[n], Y.levels[n],
-                      levels[n].carrier.rows[:, 1].copy(), check=False)
-         for n in range(N + 1)],
-        check=True,
-    )
-    return P, proj1, proj2
 
 
 def levelwise_kernel_pairs(F):
@@ -660,10 +597,9 @@ def simplicial_congruence_generated(X, seeds):
 
 
 def _push_pairs(cong, fmap):
-    src = np.arange(len(cong.part))
-    a, b = fmap[src], fmap[cong.part]
-    mask = a != b
-    return list(zip(a[mask].tolist(), b[mask].tolist()))
+    b = fmap[cong.part]
+    mask = fmap != b
+    return np.stack([fmap[mask], b[mask]], axis=1)
 
 
 def is_simplicial_congruence(X, parts):

@@ -1,10 +1,24 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
-from simal.algebra import Homomorphism, all_homomorphisms
+from simal.algebra import (
+    FiniteAlgebra,
+    Homomorphism,
+    Signature,
+    all_homomorphisms,
+)
 from simal import congruences as cg
-from simal.errors import BudgetExceeded, InvalidParameters, NotSurjective
+from simal.errors import (
+    BudgetExceeded,
+    InvalidParameters,
+    JoinNotComposite,
+    NotSurjective,
+    NotTransitive,
+)
 from simal.corpus import (
     cyclic_group,
     dihedral_group,
@@ -24,6 +38,20 @@ SMALL = [
     heyting_from_poset({"kind": "chain", "n": 3}),
     heyting_from_poset({"kind": "grid", "rows": 2, "cols": 2}),
 ]
+
+# Bare sets, built directly so that no Mal'tsev check runs: their
+# congruence lattices are not permutable, so the join and image
+# certificates can fail on them.
+SET3 = FiniteAlgebra("set3", 3, Signature([("id", 1)]), {"id": [0, 1, 2]}, "x")
+SET4 = FiniteAlgebra(
+    "set4", 4, Signature([("id", 1)]), {"id": [0, 1, 2, 3]}, "x"
+)
+EMPTY = FiniteAlgebra("empty", 0, Signature([("mul", 2)]),
+                      {"mul": np.zeros((0, 0))}, "x")
+
+PROPERTY_SETTINGS = settings(
+    max_examples=150, derandomize=True, database=None, deadline=None
+)
 
 EXPECTED_COUNTS = {
     "C4": 3,
@@ -165,3 +193,75 @@ def test_canonical_partition_least_member():
     labels = np.asarray([7, 3, 7, 3, 9])
     part = cg.canonical_partition(labels)
     assert list(part) == [0, 1, 0, 1, 4]
+
+
+def test_join_certificate_names_a_pair_outside_the_composite():
+    theta = cg.Congruence(SET3, [0, 0, 2])
+    psi = cg.Congruence(SET3, [0, 1, 1])
+    with pytest.raises(JoinNotComposite, match=r"\(2,0\) in the join"):
+        cg.join(theta, psi)
+
+
+def test_image_certificate_names_a_pair_only_the_closure_has():
+    f = Homomorphism(SET4, SET3, [0, 1, 1, 2])
+    theta = cg.Congruence(SET4, [0, 0, 2, 2])
+    with pytest.raises(NotTransitive, match=r"pair \(0,2\) is in the closure"):
+        cg.image(f, theta)
+
+
+@st.composite
+def partition_and_pairs(draw):
+    n = draw(st.integers(0, 12))
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)),
+                           min_size=n, max_size=n))
+    element = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(element, element),
+                          max_size=15 if n else 0))
+    return labels, pairs
+
+
+@PROPERTY_SETTINGS
+@given(partition_and_pairs())
+@example(([], []))
+@example(([0, 1, 1, 0, 4], []))
+def test_merge_matches_closure_oracle(case):
+    labels, pairs = case
+    n = len(labels)
+    part = cg.canonical_partition(np.asarray(labels, dtype=np.int64))
+    rows = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    got = cg.merge(part, rows[:, 0], rows[:, 1])
+    want = oracles.closure_of_pairs(
+        n, oracles.pairs_of_partition(part) | set(pairs)
+    )
+    assert oracles.pairs_of_partition(got) == want
+    assert np.array_equal(got, cg.canonical_partition(got))
+
+
+@functools.lru_cache(maxsize=None)
+def _congruences_of(index):
+    return cg.enumerate_congruences(SMALL[index])
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_generated_from_initial_matches_pure_closure(data):
+    index = data.draw(st.integers(0, len(SMALL) - 1))
+    alg = SMALL[index]
+    congs = _congruences_of(index)
+    theta = congs[data.draw(st.integers(0, len(congs) - 1))]
+    element = st.integers(0, alg.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3))
+    got = cg.congruence_generated(alg, pairs, initial=theta)
+    theta_pairs = [tuple(p) for p in theta.pairs().tolist()]
+    assert list(got.part) == oracles.cg_closure_pure(alg, pairs + theta_pairs)
+
+
+def test_generated_on_the_empty_carrier_and_from_no_pairs():
+    assert cg.congruence_generated(EMPTY, []).part.shape == (0,)
+    assert cg.congruence_generated(
+        EMPTY, [], initial=cg.diagonal(EMPTY)
+    ).part.shape == (0,)
+    for index, alg in enumerate(SMALL):
+        assert cg.congruence_generated(alg, []).is_diagonal()
+        for theta in _congruences_of(index):
+            assert cg.congruence_generated(alg, [], initial=theta) == theta

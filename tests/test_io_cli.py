@@ -16,7 +16,7 @@ from simal.corpus import (
     pair_groupoid,
     symmetric_group,
 )
-from simal.errors import InputError
+from simal.errors import InputError, InvalidParameters
 from simal.simplicial import nerve, simplicial_congruence_generated, \
     quotient_simplicial
 
@@ -130,6 +130,48 @@ def test_cli_validate_ok_and_missing(tmp_path):
     code, report, _ = run(["validate", str(tmp_path / "absent.json")])
     assert code == 1
     assert report["violations"]
+
+
+def _write_hom(tmp_path, fmap):
+    data = sio.hom_to_json(Homomorphism(C4, cyclic_group(2), [0, 1, 0, 1]))
+    data["map"] = fmap
+    path = str(tmp_path / "hom.json")
+    sio.save_json(data, path)
+    return path
+
+
+def test_cli_validate_summarizes_a_homomorphism(tmp_path):
+    code, report, lines = run(["validate", _write_hom(tmp_path, [0, 1, 0, 1])])
+    assert code == 0
+    assert report["results"]["files"][0]["summary"] == "size 4 -> 2"
+    assert lines[0].endswith("homomorphism ok (size 4 -> 2)")
+
+
+@pytest.mark.parametrize("entry", [0.5, "a"])
+def test_cli_validate_rejects_a_non_integer_map_entry(tmp_path, entry):
+    path = _write_hom(tmp_path, [0, 1, entry, 1])
+    code, report, _ = run(["validate", path])
+    assert code == 1
+    assert report["violations"][0]["property"] == "InvalidParameters"
+    assert "is not an integer" in report["violations"][0]["witness"]
+
+
+def test_non_integer_entries_are_rejected_in_every_kind():
+    table = sio.algebra_to_json(C4)
+    table["operations"][0]["table"][1][2] = 2.5
+    groupoid = sio.groupoid_to_json(pair_groupoid(C4))
+    groupoid["comp"][0][0] = "x"
+    X = nerve(pair_groupoid(C4), 2)
+    parts = simplicial_congruence_generated(X, {0: [(0, 2)]})
+    morphism = sio.morphism_to_json(quotient_simplicial(X, parts)[1])
+    morphism["components"][0][0] = 0.5
+    for load, data in ((sio.load_algebra, table),
+                       (sio.load_groupoid, groupoid),
+                       (sio.load_morphism, morphism)):
+        with pytest.raises(InvalidParameters, match="is not an integer"):
+            load(data)
+    with pytest.raises(InvalidParameters, match="is not an integer"):
+        sio.load_congruence({"size": 4, "blocks": [0, 0, 2, 2.0]}, C4)
 
 
 def test_cli_gen_writes_a_loadable_artifact(tmp_path):
