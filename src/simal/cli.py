@@ -14,9 +14,11 @@ Subcommands operate on the JSON artifact formats and emit a run report:
 
 Every invocation produces a RunReport with the command, the input paths
 and their content hashes, a results tree, and any property violations.
-The report hash covers everything except the elapsed-time sidecar, so
-identical inputs give an identical hash.  Exit codes: 0 success, 1 bad
-input, 2 property violation, 3 budget exhausted.
+The report hash covers everything except the elapsed-time sidecar and,
+after an internal error, the traceback sidecar, so identical inputs give
+an identical hash.  Exit codes: 0 success, 1 bad input, 2 property
+violation, 3 budget exhausted, 4 internal error (any other exception; it
+is reported, not raised).
 """
 
 import argparse
@@ -24,11 +26,18 @@ import json
 import os
 import sys
 import time
+import traceback
 
 from . import io as sio
 from .algebra import FiniteAlgebra
 from .corpus import generate
-from .errors import InputError, InvalidParameters, PropertyViolation, SimalError
+from .errors import (
+    InputError,
+    InternalError,
+    InvalidParameters,
+    PropertyViolation,
+    SimalError,
+)
 from .galois import classify_extension, em_factorization, ml_factorization
 from .groupoid import InternalGroupoid
 from .reflection import (
@@ -390,13 +399,18 @@ _ARTIFACT_OUT = {"gen", "reflect", "factorize"}
 
 
 def run(argv):
-    """Dispatch a parsed command line; returns (exit code, report, lines)."""
-    args = build_parser().parse_args(argv)
+    """Parse and dispatch a command line; returns (exit code, report, lines)."""
+    return execute(build_parser().parse_args(argv))
+
+
+def execute(args):
+    """Dispatch parsed arguments; returns (exit code, report, lines)."""
     inputs = []
     out_lines = []
     results = {}
     violations = []
     code = 0
+    trace = None
     start = time.perf_counter()
     try:
         outcome = _COMMANDS[args.command](args, inputs, out_lines)
@@ -411,7 +425,10 @@ def run(argv):
                 ]
         else:
             results = outcome
-    except SimalError as exc:
+    except Exception as exc:
+        if not isinstance(exc, SimalError):
+            trace = traceback.format_exc()
+            exc = InternalError(f"{type(exc).__name__}: {exc}")
         code = exc.exit_code
         violations.append(
             {"property": type(exc).__name__, "witness": str(exc)}
@@ -427,6 +444,8 @@ def run(argv):
     report = dict(core)
     report["report_hash"] = sio.content_hash(core)
     report["elapsed"] = elapsed
+    if trace is not None:
+        report["traceback"] = trace
     if code == 0 and args.out and args.command not in _ARTIFACT_OUT:
         sio.save_json(report, args.out)
         out_lines.append(f"wrote report to {args.out}")
@@ -434,9 +453,9 @@ def run(argv):
 
 
 def main(argv=None):
-    argv = sys.argv[1:] if argv is None else argv
-    code, report, out_lines = run(argv)
-    if "--json" in argv:
+    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
+    code, report, out_lines = execute(args)
+    if args.json:
         print(sio.canonical_json(report))
     else:
         for line in out_lines:

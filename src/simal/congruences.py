@@ -8,7 +8,18 @@ Every closure goes through one primitive, merge(part, a, b): it hooks
 the larger root of each pair onto the smaller and pointer-jumps to a
 fixpoint, so the roots stay the least members.  join, image,
 congruence_generated and the commutator all take their partitions from
-it.  The closures of join and image are certified, not trusted:
+it.
+
+congruence_generated closes by gathers alone.  Labels name each class
+by its least member, so labels[x] is the representative tuple of an
+argument tuple x, and one gather per operation gives the class of f(x)
+and of f(labels[x]); each round merges the pairs that differ.  That
+links the same classes as linking every two results whose argument
+classes agree, and each merged pair is forced by compatibility, so the
+fixpoint is the least congruence.  check_compatibility runs the same
+gather and demands that nothing differs.
+
+The closures of join and image are certified, not trusted:
 
   join   in a Mal'tsev algebra the closure of theta u psi must already
          be the one-step composite theta o psi, so the composite's pair
@@ -161,18 +172,27 @@ def from_blocks(alg, blocks):
     return Congruence(alg, part)
 
 
-def check_compatibility(cong):
-    """Exhaustively verify the partition respects every operation."""
-    alg, part = cong.on, cong.part
+def _result_classes(alg, labels):
+    """For each operation of positive arity, yield (opname, vs, ref):
+    vs = labels[table] is the class of every result, and ref the class of
+    the result at the representatives of the argument classes.  labels
+    must be least-member labels, so representatives map to themselves.
+    Classes are gathered as int32, like the tables, to halve the
+    temporaries."""
+    classes = labels.astype(np.int32)
     for opname, arity in alg.signature.ops:
         if arity == 0:
             continue
-        t = alg.table(opname)
-        result_class = part[t]
-        grids = np.ix_(*([part] * arity)) if arity > 1 else (part,)
-        on_reps = result_class[grids]
-        if not np.array_equal(result_class, on_reps):
-            where = np.argwhere(result_class != on_reps)[0]
+        vs = classes[alg.table(opname)]
+        grids = np.ix_(*([labels] * arity)) if arity > 1 else (labels,)
+        yield opname, vs, vs[grids]
+
+
+def check_compatibility(cong):
+    """Exhaustively verify the partition respects every operation."""
+    for opname, vs, ref in _result_classes(cong.on, cong.part):
+        if not np.array_equal(vs, ref):
+            where = np.argwhere(vs != ref)[0]
             raise InvalidParameters(
                 f"partition not compatible with {opname!r} at {tuple(where)}"
             )
@@ -308,29 +328,25 @@ def quotient(alg, theta):
 def congruence_generated(alg, pairs, initial=None):
     """Smallest congruence containing the given pairs and initial, if any.
 
-    Fixpoint of: merge any two operation results whose argument classes
-    agree, every such pair of a round in one call to merge.
+    Each round gathers, for every operation, the class of each result and
+    the class of the result at the representatives of its argument
+    classes, and merges every pair that differs, all in one call to
+    merge.  It stops when no pair differs, so the partition is
+    compatible.  It is the least one: x and its representative tuple are
+    related componentwise in any congruence containing the current
+    partition, so each merged pair (f(x), f(rep x)) lies in every such
+    congruence.
     """
     n = alg.size
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     start = np.arange(n) if initial is None else initial.part
     labels = merge(start, pairs[:, 0], pairs[:, 1])
-    base = np.int64(n + 1)
     while True:
         a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for opname, arity in alg.signature.ops:
-            if arity == 0:
-                continue
-            grids = np.ix_(*([labels] * arity)) if arity > 1 else (labels,)
-            keys = np.zeros((n,) * arity, dtype=np.int64)
-            for g in np.broadcast_arrays(*grids):
-                keys = keys * base + g
-            order = np.argsort(keys, axis=None)
-            ks = keys.ravel()[order]
-            vs = labels[alg.table(opname)].ravel()[order]
-            link = (ks[1:] == ks[:-1]) & (vs[1:] != vs[:-1])
-            a.append(vs[:-1][link])
-            b.append(vs[1:][link])
+        for _, vs, ref in _result_classes(alg, labels):
+            split = vs != ref
+            a.append(vs[split])
+            b.append(ref[split])
         a, b = np.concatenate(a), np.concatenate(b)
         if not len(a):
             return Congruence(alg, labels, check=False)

@@ -17,6 +17,7 @@ from .algebra import (
     Signature,
     check_maltsev,
     check_tables,
+    int_array,
     make_algebra,
 )
 from . import congruences as cg
@@ -206,10 +207,12 @@ def heyting_from_poset(poset):
     """
     if isinstance(poset, dict):
         if poset.get("kind") == "chain":
-            leq_mat = _poset_chain(int(poset["n"]))
+            leq_mat = _poset_chain(_int_param(poset, "n"))
             name = f"H-chain{poset['n']}"
         elif poset.get("kind") == "grid":
-            leq_mat = _poset_grid(int(poset["rows"]), int(poset["cols"]))
+            leq_mat = _poset_grid(
+                _int_param(poset, "rows"), _int_param(poset, "cols")
+            )
             name = f"H-grid{poset['rows']}x{poset['cols']}"
         else:
             raise InvalidParameters(f"unknown poset kind {poset.get('kind')!r}")
@@ -448,6 +451,8 @@ def translation_graph(base, fiber, delta):
         raise InvalidParameters(
             "delta must list one base step per fiber element"
         )
+    if any(not 0 <= d < base.size for d in delta):
+        raise InvalidParameters(f"delta must list elements of {base.name}")
     ops = dict(base.signature.ops)
     plus = "add" if "add" in ops else "mul"
     e_f = _neutral_index(fiber)
@@ -674,6 +679,22 @@ def named_algebra(name):
     raise InvalidParameters(f"unknown algebra name {name!r}")
 
 
+def _int_params(spec, key, default=None):
+    """spec[key], or the default when it is absent, as an int64 array; a
+    missing required field or a non-integer entry raises InvalidParameters."""
+    if key not in spec and default is None:
+        raise InvalidParameters(f"generator spec needs a {key!r} field")
+    return int_array(spec.get(key, default), f"parameter {key!r}")
+
+
+def _int_param(spec, key, default=None):
+    """spec[key], or the default when it is absent, as one Python int."""
+    value = _int_params(spec, key, default)
+    if value.ndim:
+        raise InvalidParameters(f"parameter {key!r} must be a single integer")
+    return int(value)
+
+
 def generate(spec):
     """Build an artifact from a JSON-style description.
 
@@ -692,16 +713,16 @@ def generate(spec):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParameters("generator spec needs a 'kind' field")
     kind = spec["kind"]
-    M = int(spec.get("truncation", 2))
+    M = _int_param(spec, "truncation", 2)
 
     if kind == "cyclic_group":
-        return cyclic_group(int(spec["n"]))
+        return cyclic_group(_int_param(spec, "n"))
     if kind == "dihedral_group":
-        return dihedral_group(int(spec["n"]))
+        return dihedral_group(_int_param(spec, "n"))
     if kind == "symmetric_group_3":
         return symmetric_group(3)
     if kind == "zk_module":
-        return zk_module(int(spec["k"]), int(spec.get("copies", 1)))
+        return zk_module(_int_param(spec, "k"), _int_param(spec, "copies", 1))
     if kind == "heyting_from_poset":
         return heyting_from_poset(spec["poset"])
 
@@ -720,12 +741,19 @@ def generate(spec):
         )
     if kind in ("congruence", "congruence_nerve"):
         alg = named_algebra(spec["algebra"])
-        pairs = [(int(a), int(b)) for a, b in spec["generators"]]
+        pairs = _int_params(spec, "generators")
+        if pairs.size and (
+            pairs.ndim != 2 or pairs.shape[1] != 2
+            or pairs.min() < 0 or pairs.max() >= alg.size
+        ):
+            raise InvalidParameters(
+                f"generators must be pairs of elements of {alg.name}"
+            )
         theta = cg.congruence_generated(alg, pairs)
         return congruence_nerve(alg, theta, M)
     if kind == "random_congruence":
         alg = named_algebra(spec["algebra"])
-        rng = SplitMix(int(spec.get("seed", 0)))
+        rng = SplitMix(_int_param(spec, "seed", 0))
         a = rng.randrange(alg.size)
         b = rng.randrange(alg.size)
         theta = cg.congruence_generated(alg, [(a, b)])
@@ -747,7 +775,7 @@ def generate(spec):
             translation_graph(
                 named_algebra(spec["base"]),
                 named_algebra(spec["fiber"]),
-                [int(x) for x in spec["delta"]],
+                _int_params(spec, "delta").tolist(),
             )
         )
     if kind in ("cosk_loops", "coskeleton_of_graph"):

@@ -1,8 +1,9 @@
 """Exception hierarchy.
 
-Three families, matching the CLI exit codes: bad input (1), a checked
-mathematical property failing to hold (2), and search/size budgets
-running out (3).
+Four families, matching the CLI exit codes: bad input (1), a checked
+mathematical property failing to hold (2), search/size budgets running
+out (3), and an internal error (4), which the CLI reports for any
+exception that is not a SimalError.
 """
 
 
@@ -24,6 +25,12 @@ class PropertyViolation(SimalError):
 
 class BudgetError(SimalError):
     exit_code = 3
+
+
+class InternalError(SimalError):
+    """Wraps an unexpected exception, so the CLI still writes a report."""
+
+    exit_code = 4
 
 
 # -- input / precondition errors ------------------------------------------

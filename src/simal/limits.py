@@ -3,8 +3,9 @@
 A limit carrier is a set of tuples over factor algebras, stored as an
 (m, k) row array.  Rows are ordered by their mixed-radix code, so every
 such algebra has a canonical element order and lookups are binary
-searches.  Operation tables are built lazily and in row chunks to bound
-peak memory.
+searches.  Operation tables are built lazily, as int32, in slabs of
+about TABLE_CHUNK_CELLS cells over the first argument, so the build's
+peak memory is the table plus a few slab-sized temporaries.
 
 Enumeration is an incremental fiber join: slots are filled left to
 right, and each new slot only ranges over the fibers selected by the
@@ -24,6 +25,10 @@ from .errors import (
 )
 from .algebra import FiniteAlgebra, Homomorphism, same_signature
 from . import congruences as cg
+
+# Cells of one slab of a subproduct table build: its int64 temporaries
+# stay near 8 MB each, and the table itself is written as int32.
+TABLE_CHUNK_CELLS = 1_000_000
 
 
 def _weights(sizes):
@@ -87,41 +92,25 @@ def subproduct_algebra(name, factors, rows, check_closed=True):
                 row = np.asarray(
                     [int(f.table(opname)[0]) for f in factors], dtype=np.int64
                 )
-                tables[opname] = carrier.index_of(row[None, :]).astype(np.int64)
-            elif arity == 1:
-                codes = np.zeros(m, dtype=np.int64)
+                tables[opname] = carrier.index_of(row[None, :])
+                continue
+            out = np.empty((m,) * arity, dtype=np.int32)
+            rest = [np.arange(m)] * (arity - 1)
+            chunk = max(1, TABLE_CHUNK_CELLS // max(m ** (arity - 1), 1))
+            for s in range(0, m, chunk):
+                first = np.arange(s, min(s + chunk, m))
+                grids = np.ix_(first, *rest)
+                codes = np.zeros((len(first),) + (m,) * (arity - 1), np.int64)
                 for c in range(k):
-                    t = factors[c].table(opname)
-                    codes += t[carrier.rows[:, c]].astype(np.int64) * carrier.weights[c]
-                tables[opname] = carrier.index_of_codes(codes)
-            elif arity == 2:
-                out = np.empty((m, m), dtype=np.int64)
-                chunk = max(1, 10_000_000 // max(m, 1))
-                col = carrier.rows
-                for s in range(0, m, chunk):
-                    e = min(s + chunk, m)
-                    codes = np.zeros((e - s, m), dtype=np.int64)
-                    for c in range(k):
-                        t = factors[c].table(opname)
-                        codes += (
-                            t[col[s:e, c][:, None], col[:, c][None, :]].astype(np.int64)
-                            * carrier.weights[c]
-                        )
-                    out[s:e] = carrier.index_of_codes(codes.ravel()).reshape(e - s, m)
-                tables[opname] = out
-            else:
-                grids = np.meshgrid(
-                    *([np.arange(m)] * arity), indexing="ij", sparse=True
-                )
-                codes = np.zeros((m,) * arity, dtype=np.int64)
-                for c in range(k):
-                    t = factors[c].table(opname)
-                    colc = carrier.rows[:, c]
-                    codes += t[tuple(colc[g] for g in grids)].astype(np.int64) \
-                        * carrier.weights[c]
-                tables[opname] = carrier.index_of_codes(codes.ravel()).reshape(
-                    (m,) * arity
-                )
+                    col = carrier.rows[:, c]
+                    codes += np.multiply(
+                        factors[c].table(opname)[tuple(col[g] for g in grids)],
+                        carrier.weights[c], dtype=np.int64,
+                    )
+                out[first] = carrier.index_of_codes(
+                    codes.ravel()
+                ).reshape(codes.shape)
+            tables[opname] = out
         return tables
 
     term = factors[0].maltsev_term

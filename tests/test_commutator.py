@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 import oracles
@@ -98,3 +100,18 @@ def test_commutator_with_diagonal_is_diagonal():
 def test_commutator_rejects_mixed_carriers():
     with pytest.raises(InvalidParameters):
         tc_commutator(cg.full(cyclic_group(2)), cg.full(cyclic_group(3)))
+
+
+def test_full_commutator_on_c32_stays_under_48_mb_traced():
+    # the pair algebra has 1024 elements; its table build and closure
+    # rounds must not hold more than a few table-sized temporaries
+    alg = cyclic_group(32)
+    alg.tables
+    tracemalloc.start()
+    try:
+        result = tc_commutator(cg.full(alg), cg.full(alg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.is_diagonal()
+    assert peak < 48e6, peak

@@ -9,6 +9,7 @@ import pytest
 from simal import io as sio
 from simal.algebra import Homomorphism, identity_hom
 from simal import congruences as cg
+from simal import cli
 from simal.cli import main, run
 from simal.corpus import (
     cyclic_group,
@@ -239,6 +240,64 @@ def test_cli_wrong_kind_exit_code(tmp_path):
     alg_path, _, _ = _write_artifacts(tmp_path)
     code, report, _ = run(["reflect", alg_path])
     assert code == 1
+
+
+@pytest.mark.parametrize("value, entry", [("abc", "'abc'"), ("2.5", "2.5")])
+def test_cli_gen_rejects_a_non_integer_parameter(value, entry, capsys):
+    code, report, lines = run(["gen", "cyclic_group", f"n={value}"])
+    assert code == 1
+    assert report["violations"] == [{
+        "property": "InvalidParameters",
+        "witness": f"parameter 'n': entry {entry} is not an integer",
+    }]
+    assert "report_hash" in report
+    assert main(["gen", "cyclic_group", f"n={value}"]) == 1
+    assert capsys.readouterr().out.startswith("error: parameter 'n'")
+
+
+@pytest.mark.parametrize("params, witness", [
+    (["cyclic_group"], "generator spec needs a 'n' field"),
+    (["cyclic_group", "n=[4,4]"], "parameter 'n' must be a single integer"),
+    (["congruence", "algebra=C4", "generators=[[0,4]]"],
+     "generators must be pairs of elements of C4"),
+    (["sk1_translation", "base=C4", "fiber=C2", "delta=[1,-1]"],
+     "delta must list elements of C4"),
+])
+def test_cli_gen_rejects_malformed_parameters(params, witness):
+    code, report, _ = run(["gen"] + params)
+    assert code == 1
+    assert report["violations"] == [
+        {"property": "InvalidParameters", "witness": witness}
+    ]
+
+
+def test_cli_maps_an_unexpected_exception_to_exit_code_4(
+    tmp_path, monkeypatch, capsys
+):
+    alg_path, _, _ = _write_artifacts(tmp_path)
+
+    def broken(args, inputs, out_lines):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "validate", broken)
+    code, report, lines = run(["validate", alg_path])
+    assert code == 4
+    assert report["violations"] == [
+        {"property": "InternalError", "witness": "RuntimeError: boom"}
+    ]
+    assert "report_hash" in report
+    assert report["traceback"].rstrip().endswith("RuntimeError: boom")
+    assert lines == ["error: RuntimeError: boom"]
+    assert main(["validate", alg_path, "--json"]) == 4
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["violations"][0]["property"] == "InternalError"
+
+
+def test_cli_main_reads_the_parsed_json_flag(capsys):
+    # "--json" after "--" is a positional parameter, not the flag
+    assert main(["gen", "cyclic_group", "--", "--json"]) == 1
+    out = capsys.readouterr().out
+    assert out == "error: parameter '--json' is not KEY=VALUE\n"
 
 
 def test_cli_report_hash_ignores_elapsed(tmp_path):

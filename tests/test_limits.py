@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 import oracles
-from simal.algebra import Homomorphism, all_homomorphisms, check_maltsev, identity_hom
+from simal import limits
+from simal.algebra import (
+    Homomorphism,
+    Signature,
+    all_homomorphisms,
+    check_maltsev,
+    identity_hom,
+    make_algebra,
+)
 from simal import congruences as cg
 from simal.errors import (
     CrossRouteMismatch,
@@ -138,3 +146,43 @@ def test_lazy_tables_only_built_on_demand():
     assert alg._tables is None
     alg.table("mul")
     assert alg._tables is not None
+
+
+def test_subproduct_table_is_int32_and_componentwise_across_chunks():
+    c32 = cyclic_group(32)
+    alg, _ = subproduct_algebra("pairs(C32)", [c32, c32], cg.full(c32).pairs())
+    m = alg.size
+    assert m == 1024 and m * m > limits.TABLE_CHUNK_CELLS
+    mul = alg.table("mul")
+    assert mul.dtype == np.int32
+    rows, t = alg.carrier.rows, c32.table("mul")
+    want = np.stack(
+        [t[rows[:, c][:, None], rows[:, c][None, :]] for c in range(2)], axis=-1
+    )
+    assert np.array_equal(mul, alg.carrier.index_of(want.reshape(-1, 2)).reshape(m, m))
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 100])
+def test_subproduct_ternary_table_is_componentwise(monkeypatch, chunk_cells):
+    # a slab smaller than one first-argument row (27 * 27 cells) still
+    # writes the table one row at a time
+    if chunk_cells is not None:
+        monkeypatch.setattr(limits, "TABLE_CHUNK_CELLS", chunk_cells)
+    x, y, z = np.ix_(range(3), range(3), range(3))
+    z3 = make_algebra(
+        "Z3p", Signature([("p", 3)]), {"p": (x - y + z) % 3}, "p(x, y, z)"
+    )
+    alg, _ = product("Z3p^3", [z3, z3, z3])
+    m = alg.size
+    assert m == 27
+    rows, t = alg.carrier.rows, z3.table("p")
+    want = np.stack(
+        [t[np.ix_(rows[:, c], rows[:, c], rows[:, c])] for c in range(3)],
+        axis=-1,
+    )
+    table = alg.table("p")
+    assert table.dtype == np.int32
+    assert np.array_equal(
+        table, alg.carrier.index_of(want.reshape(-1, 3)).reshape(m, m, m)
+    )
+    check_maltsev(alg)
