@@ -16,9 +16,9 @@ Every invocation produces a RunReport with the command, the input paths
 and their content hashes, a results tree, and any property violations.
 The report hash covers everything except the elapsed-time sidecar and,
 after an internal error, the traceback sidecar, so identical inputs give
-an identical hash.  Exit codes: 0 success, 1 bad input, 2 property
-violation, 3 budget exhausted, 4 internal error (any other exception; it
-is reported, not raised).
+an identical hash.  Exit codes: 0 success, 1 bad input (a usage error
+included), 2 property violation, 3 budget exhausted, 4 internal error
+(any other exception; it is reported, not raised).
 """
 
 import argparse
@@ -57,8 +57,16 @@ from .simplicial import (
 from .suite import format_lines, run_suite
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as InvalidParameters, so it ends like any
+    other bad input: exit code 1 and a run report."""
+
+    def error(self, message):
+        raise InvalidParameters(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="simal",
         description="Finite Mal'tsev algebras, simplicial objects and "
         "their groupoid reflection.",
@@ -400,11 +408,13 @@ _ARTIFACT_OUT = {"gen", "reflect", "factorize"}
 
 def run(argv):
     """Parse and dispatch a command line; returns (exit code, report, lines)."""
-    return execute(build_parser().parse_args(argv))
+    return execute(argv)[:3]
 
 
-def execute(args):
-    """Dispatch parsed arguments; returns (exit code, report, lines)."""
+def execute(argv):
+    """Parse and dispatch a command line; returns (exit code, report, lines,
+    parsed arguments), the last None after a usage error."""
+    args = None
     inputs = []
     out_lines = []
     results = {}
@@ -413,6 +423,7 @@ def execute(args):
     trace = None
     start = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         outcome = _COMMANDS[args.command](args, inputs, out_lines)
         if args.command == "suite":
             results, failed = outcome
@@ -436,7 +447,7 @@ def execute(args):
         out_lines.append(f"error: {exc}")
     elapsed = time.perf_counter() - start
     core = {
-        "command": args.command,
+        "command": args.command if args else None,
         "inputs": inputs,
         "results": results,
         "violations": violations,
@@ -449,13 +460,14 @@ def execute(args):
     if code == 0 and args.out and args.command not in _ARTIFACT_OUT:
         sio.save_json(report, args.out)
         out_lines.append(f"wrote report to {args.out}")
-    return code, report, out_lines
+    return code, report, out_lines, args
 
 
 def main(argv=None):
-    args = build_parser().parse_args(sys.argv[1:] if argv is None else argv)
-    code, report, out_lines = execute(args)
-    if args.json:
+    code, report, out_lines, args = execute(
+        sys.argv[1:] if argv is None else argv
+    )
+    if args is not None and args.json:
         print(sio.canonical_json(report))
     else:
         for line in out_lines:

@@ -40,7 +40,7 @@ from .errors import (
     NotSurjective,
     NotTransitive,
 )
-from .algebra import FiniteAlgebra, Homomorphism, same_signature
+from .algebra import FiniteAlgebra, Homomorphism
 
 
 def canonical_partition(labels):

@@ -10,7 +10,6 @@ import itertools
 import numpy as np
 
 from .errors import InvalidParameters, UnsupportedVariety
-from .terms import parse_term
 from .algebra import (
     FiniteAlgebra,
     Homomorphism,
@@ -695,6 +694,38 @@ def _int_param(spec, key, default=None):
     return int(value)
 
 
+def _elements(spec, key, alg, what, pairs=False):
+    """spec[key] as elements of alg: a flat int64 array, or with pairs=True
+    a (k, 2) one; a wrong shape or an entry outside alg raises
+    InvalidParameters."""
+    arr = _int_params(spec, key)
+    shape_ok = arr.ndim == 2 and arr.shape[1] == 2 if pairs else arr.ndim == 1
+    if arr.size and (not shape_ok or arr.min() < 0 or arr.max() >= alg.size):
+        kind = "be pairs of" if pairs else "list"
+        raise InvalidParameters(f"{what} must {kind} elements of {alg.name}")
+    return arr.reshape(-1, 2) if pairs else arr.reshape(-1)
+
+
+def _level_seeds(X, raw):
+    """The seeds {level: pairs} of a quotient_extension spec; levels may
+    be given as strings, since JSON object keys are strings."""
+    if not isinstance(raw, dict):
+        raise InvalidParameters("parameter 'pairs' must map levels to pairs")
+    seeds = {}
+    for key in raw:
+        text = str(key)
+        if not (text.isascii() and text.isdigit()) or int(text) > X.truncation:
+            raise InvalidParameters(
+                f"pairs level {key!r} is not a level of {X.name} "
+                f"(0..{X.truncation})"
+            )
+        level = int(text)
+        seeds[level] = _elements(
+            raw, key, X.levels[level], f"pairs at level {level}", pairs=True
+        )
+    return seeds
+
+
 def generate(spec):
     """Build an artifact from a JSON-style description.
 
@@ -708,6 +739,7 @@ def generate(spec):
         simplicial_product,
         simplicial_congruence_generated,
         quotient_simplicial,
+        TruncatedSimplicialAlgebra,
     )
 
     if not isinstance(spec, dict) or "kind" not in spec:
@@ -741,14 +773,7 @@ def generate(spec):
         )
     if kind in ("congruence", "congruence_nerve"):
         alg = named_algebra(spec["algebra"])
-        pairs = _int_params(spec, "generators")
-        if pairs.size and (
-            pairs.ndim != 2 or pairs.shape[1] != 2
-            or pairs.min() < 0 or pairs.max() >= alg.size
-        ):
-            raise InvalidParameters(
-                f"generators must be pairs of elements of {alg.name}"
-            )
+        pairs = _elements(spec, "generators", alg, "generators", pairs=True)
         theta = cg.congruence_generated(alg, pairs)
         return congruence_nerve(alg, theta, M)
     if kind == "random_congruence":
@@ -760,9 +785,10 @@ def generate(spec):
         return congruence_nerve(alg, theta, M)
     if kind in ("coset", "crossed_module_groupoid"):
         grp = named_algebra(spec["group"])
-        sub = spec.get("subgroup")
-        if sub is None:
+        if spec.get("subgroup") is None:
             sub = alternating_indices(grp)
+        else:
+            sub = _elements(spec, "subgroup", grp, "subgroup")
         return nerve(inner_coset_groupoid(grp, sub), M)
     if kind == "sk1_loops":
         return sk1_two_truncation(
@@ -790,10 +816,9 @@ def generate(spec):
         return decalage(generate(spec["of"]))[0]
     if kind == "quotient_extension":
         X = generate(spec["of"])
-        seeds = {
-            int(level): [(int(a), int(b)) for a, b in pairs]
-            for level, pairs in spec["pairs"].items()
-        }
+        if not isinstance(X, TruncatedSimplicialAlgebra):
+            raise InvalidParameters("parameter 'of' must give a simplicial object")
+        seeds = _level_seeds(X, spec.get("pairs"))
         parts = simplicial_congruence_generated(X, seeds)
         return quotient_simplicial(X, parts)[1]
     if kind == "product_projection":

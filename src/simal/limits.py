@@ -7,10 +7,14 @@ searches.  Operation tables are built lazily, as int32, in slabs of
 about TABLE_CHUNK_CELLS cells over the first argument, so the build's
 peak memory is the table plus a few slab-sized temporaries.
 
-Enumeration is an incremental fiber join: slots are filled left to
-right, and each new slot only ranges over the fibers selected by the
-constraints against already-filled slots.  The full product is never
-enumerated unless it is the requested object.
+Enumeration fills the slots left to right, each by one vectorized
+sort-based equi-join: the rows so far and the new slot's elements are
+keyed by the values their constraints read, the elements are sorted
+stably by key, and each row is extended by its run of equal keys, found
+with searchsorted.  Rows stay in lexicographic order, a slot without
+constraints is the same join on a constant key, and the budget is
+checked before a slot's rows are allocated, so the full product is
+never enumerated unless it is the requested object.
 """
 
 import numpy as np
@@ -70,7 +74,7 @@ class TupleCarrier:
         return pos_clipped
 
 
-def subproduct_algebra(name, factors, rows, check_closed=True):
+def subproduct_algebra(name, factors, rows):
     """Algebra on a set of tuples, with componentwise operations.
 
     Returns (algebra, projections).  The carrier attribute .carrier on
@@ -85,14 +89,19 @@ def subproduct_algebra(name, factors, rows, check_closed=True):
     m = len(carrier.rows)
     k = len(factors)
 
+    # every constant's tuple must be in the carrier; index_of raises if not
+    constants = {
+        opname: carrier.index_of(
+            np.asarray([[int(f.table(opname)[0]) for f in factors]])
+        )
+        for opname, arity in sig.ops
+        if arity == 0
+    }
+
     def build():
-        tables = {}
+        tables = dict(constants)
         for opname, arity in sig.ops:
             if arity == 0:
-                row = np.asarray(
-                    [int(f.table(opname)[0]) for f in factors], dtype=np.int64
-                )
-                tables[opname] = carrier.index_of(row[None, :])
                 continue
             out = np.empty((m,) * arity, dtype=np.int32)
             rest = [np.arange(m)] * (arity - 1)
@@ -120,82 +129,50 @@ def subproduct_algebra(name, factors, rows, check_closed=True):
         Homomorphism(alg, factors[c], carrier.rows[:, c].copy(), check=False)
         for c in range(k)
     ]
-    if check_closed and m and sig.has_constants:
-        # touching the constant tables verifies the constants are present
-        for opname, arity in sig.ops:
-            if arity == 0:
-                row = [int(f.table(opname)[0]) for f in factors]
-                carrier.index_of(np.asarray(row)[None, :])
     return alg, projections
 
 
-def compatible_tuples(slots, constraints, budget=None, on_overflow=None):
-    """Rows (x_0..x_{k-1}) with m_i(x_i) = m_j(x_j) for each constraint.
+def compatible_tuples(slots, constraints, budget=None):
+    """Rows (x_0..x_{k-1}) with map_i(x_i) = map_j(x_j) for each constraint,
+    in lexicographic order.
 
-    Constraints are (i, map_i, j, map_j) with numpy map arrays.  Filled
-    left to right through precomputed fibers.
+    Constraints are (i, map_i, j, map_j); each map has one entry per
+    element of its slot.  Slot j is one equi-join of the rows so far with
+    range(slots[j].size), keyed by the values the constraints between j
+    and earlier slots read.  Raises LevelTooLarge, before allocating, when
+    a slot's rows would pass the budget.
     """
     budget = resolve_budget(budget)
-    k = len(slots)
-    by_slot = [[] for _ in range(k)]
+    by_slot = [[] for _ in slots]
     for (i, mi, j, mj) in constraints:
-        mi = np.asarray(mi)
-        mj = np.asarray(mj)
         if i == j:
             raise InvalidParameters("constraint on a single slot")
         if i > j:
             i, j, mi, mj = j, i, mj, mi
-        by_slot[j].append((i, mi, mj))
-
-    def fibers_of(maparr, size):
-        buckets = [[] for _ in range(size)]
-        for idx, v in enumerate(maparr):
-            buckets[int(v)].append(idx)
-        return [np.asarray(b, dtype=np.int64) for b in buckets]
-
+        by_slot[j].append((i, np.asarray(mi), np.asarray(mj)))
     rows = np.zeros((1, 0), dtype=np.int64)
-    for j in range(k):
-        nj = slots[j].size
-        cons = by_slot[j]
-        if not cons:
-            if rows.shape[0] * nj > budget:
-                raise LevelTooLarge(
-                    f"tuple enumeration exceeds budget {budget}"
-                )
-            left = np.repeat(rows, nj, axis=0)
-            right = np.tile(np.arange(nj, dtype=np.int64), rows.shape[0])
-            rows = np.hstack([left, right[:, None]])
-            continue
-        fiber_tables = []
-        for (i, mi, mj) in cons:
-            values = int(mj.max()) + 1 if len(mj) else 1
-            fiber_tables.append((i, mi, fibers_of(mj, values)))
-        out_rows = []
-        total = 0
-        for r in rows:
-            cand = None
-            ok = True
-            for (i, mi, fibers) in fiber_tables:
-                v = int(mi[r[i]])
-                fib = fibers[v] if v < len(fibers) else np.zeros(0, dtype=np.int64)
-                cand = fib if cand is None else np.intersect1d(cand, fib)
-                if len(cand) == 0:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            total += len(cand)
-            if total > budget:
-                raise LevelTooLarge(f"tuple enumeration exceeds budget {budget}")
-            block = np.empty((len(cand), j + 1), dtype=np.int64)
-            block[:, :j] = r
-            block[:, j] = cand
-            out_rows.append(block)
-        rows = (
-            np.concatenate(out_rows, axis=0)
-            if out_rows
-            else np.zeros((0, j + 1), dtype=np.int64)
-        )
+    for j, slot in enumerate(slots):
+        r = len(rows)
+        # one key over the rows, then the slot's elements (all 0 without
+        # constraints); np.unique keeps it below r + size after each
+        # constraint, so key * span cannot overflow
+        key = np.zeros(r + slot.size, dtype=np.int64)
+        for (i, mi, mj) in by_slot[j]:
+            vals = np.concatenate([mi[rows[:, i]], mj]).astype(np.int64)
+            low = vals.min(initial=0)
+            span = vals.max(initial=0) - low + 1
+            key = np.unique(key * span + (vals - low), return_inverse=True)[1]
+        order = np.argsort(key[r:], kind="stable")
+        cand_keys = key[r:][order]
+        lo = np.searchsorted(cand_keys, key[:r], "left")
+        counts = np.searchsorted(cand_keys, key[:r], "right") - lo
+        total = int(counts.sum())
+        if total > budget:
+            raise LevelTooLarge(f"tuple enumeration exceeds budget {budget}")
+        # each row takes its run order[lo : lo + count], in ascending order
+        first = np.repeat(lo - np.cumsum(counts) + counts, counts)
+        cand = order[first + np.arange(total)]
+        rows = np.hstack([np.repeat(rows, counts, axis=0), cand[:, None]])
     return rows
 
 
@@ -244,14 +221,6 @@ def finite_limit(diagram, legs=None, name="limit", budget=None):
     if legs is None:
         legs = list(range(k))
     return alg, {leg: projections[leg] for leg in legs}
-
-
-def graph_of(f, name=None):
-    """The graph of f as a subalgebra of dom x cod."""
-    rows = np.stack(
-        [np.arange(f.dom.size, dtype=np.int64), f.map.astype(np.int64)], axis=1
-    )
-    return subproduct_algebra(name or f"graph({f.dom.name})", [f.dom, f.cod], rows)
 
 
 def is_double_extension(f, g, h, j, require_epi=True):

@@ -131,7 +131,7 @@ def pi1(X, budget=None):
 
     G = InternalGroupoid(X0, Q, d0b, d1b, s0b, comp)
     validate_groupoid(G)
-    NG = nerve(G, N, name=f"N(Pi1 {X.name})")
+    NG = nerve(G, N, budget=budget, name=f"N(Pi1 {X.name})")
 
     comps = [identity_hom(X0), Homomorphism(X1, Q, eta1.map, check=False)]
     for n in range(2, N + 1):

@@ -13,20 +13,14 @@ d1(g) = d0(f).
 
 import numpy as np
 
-from .config import resolve_budget
 from .errors import (
     IdentityViolated,
     InvalidParameters,
     PreconditionUnmet,
 )
-from .algebra import (
-    Homomorphism,
-    check_homomorphism,
-    same_signature,
-)
+from .algebra import Homomorphism, check_homomorphism
 from . import congruences as cg
 from .limits import compatible_tuples, subproduct_algebra
-from .groupoid import InternalGroupoid
 
 
 class TruncatedSimplicialAlgebra:

@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 
 from . import congruences as cg
-from .algebra import Homomorphism, identity_hom, make_algebra
+from .algebra import Homomorphism, make_algebra
 from .commutator import tc_commutator
 from .corpus import (
     congruence_nerve,

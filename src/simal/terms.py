@@ -8,8 +8,6 @@ can be checked against an identity on a whole grid of arguments at once.
 
 import re
 
-import numpy as np
-
 from .errors import InvalidParameters
 
 VARIABLES = ("x", "y", "z")

@@ -35,6 +35,15 @@ def pairs_of_partition(part):
     return out
 
 
+def brute_tuples(sizes, constraints):
+    """Tuples of the product of range(n) over sizes, in lexicographic order,
+    that satisfy map_i(x_i) == map_j(x_j) for every (i, map_i, j, map_j)."""
+    return [
+        t for t in itertools.product(*(range(n) for n in sizes))
+        if all(mi[t[i]] == mj[t[j]] for i, mi, j, mj in constraints)
+    ]
+
+
 def closure_of_pairs(n, pairs):
     """Reflexive-symmetric-transitive closure, as a set of ordered pairs."""
     adj = {i: {i} for i in range(n)}

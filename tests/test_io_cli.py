@@ -262,6 +262,18 @@ def test_cli_gen_rejects_a_non_integer_parameter(value, entry, capsys):
      "generators must be pairs of elements of C4"),
     (["sk1_translation", "base=C4", "fiber=C2", "delta=[1,-1]"],
      "delta must list elements of C4"),
+    (["quotient_extension", 'of={"kind":"delooping","algebra":"C4"}',
+      'pairs={"x":[[0,1]]}'],
+     "pairs level 'x' is not a level of nerve(C4) (0..2)"),
+    (["quotient_extension", 'of={"kind":"delooping","algebra":"C4"}',
+      'pairs={"1":[[0,99]]}'],
+     "pairs at level 1 must be pairs of elements of C4"),
+    (["quotient_extension", 'of={"kind":"cyclic_group","n":4}', "pairs={}"],
+     "parameter 'of' must give a simplicial object"),
+    (["coset", "group=S3", 'subgroup=["a"]'],
+     "parameter 'subgroup': entry 'a' is not an integer"),
+    (["coset", "group=S3", "subgroup=[0, 99]"],
+     "subgroup must list elements of S3"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)
@@ -269,6 +281,23 @@ def test_cli_gen_rejects_malformed_parameters(params, witness):
     assert report["violations"] == [
         {"property": "InvalidParameters", "witness": witness}
     ]
+
+
+@pytest.mark.parametrize("argv, witness", [
+    (["bogus"], "simal: argument command: invalid choice: 'bogus'"),
+    (["suite", "--budget", "abc"],
+     "simal suite: argument --budget: invalid int value: 'abc'"),
+])
+def test_cli_usage_error_is_bad_input_with_a_report(argv, witness, capsys):
+    code, report, lines = run(argv)
+    assert code == 1
+    assert report["command"] is None
+    [violation] = report["violations"]
+    assert violation["property"] == "InvalidParameters"
+    assert violation["witness"].startswith(witness)
+    assert "report_hash" in report
+    assert main(argv) == 1
+    assert capsys.readouterr().out.startswith(f"error: {witness}")
 
 
 def test_cli_maps_an_unexpected_exception_to_exit_code_4(

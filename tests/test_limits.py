@@ -1,7 +1,9 @@
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from simal import limits
@@ -75,6 +77,57 @@ def test_compatible_tuples_against_brute_filter():
     assert sorted(tuple(int(v) for v in r) for r in rows) == brute
 
 
+JOIN_SETTINGS = settings(
+    max_examples=200, derandomize=True, database=None, deadline=None
+)
+
+
+@st.composite
+def tuple_joins(draw):
+    """Up to 4 slot sizes and constraints between them; each side of a
+    constraint maps into its own value range, so the values one side
+    reads may be missing on the other, and either side may come first."""
+    sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    k = len(sizes)
+
+    def side(slot):
+        top = draw(st.integers(0, 6))
+        values = st.integers(0, top)
+        return np.asarray(
+            draw(st.lists(values, min_size=sizes[slot], max_size=sizes[slot])),
+            dtype=np.int64,
+        )
+
+    constraints = []
+    for _ in range(draw(st.integers(0, 6)) if k > 1 else 0):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
+                             unique=True))
+        constraints.append((i, side(i), j, side(j)))
+    return sizes, constraints
+
+
+@JOIN_SETTINGS
+@given(tuple_joins())
+def test_compatible_tuples_matches_the_product_filter(problem):
+    sizes, constraints = problem
+    slots = [SimpleNamespace(size=n) for n in sizes]
+    want = oracles.brute_tuples(sizes, constraints)
+    rows = compatible_tuples(slots, constraints)
+    assert rows.dtype == np.int64 and rows.shape == (len(want), len(sizes))
+    assert [tuple(int(v) for v in r) for r in rows] == want
+    # the budget bounds every slot's rows: the join of each prefix
+    peak = max(
+        len(oracles.brute_tuples(
+            sizes[:j + 1], [c for c in constraints if max(c[0], c[2]) <= j]
+        ))
+        for j in range(len(sizes))
+    )
+    assert np.array_equal(compatible_tuples(slots, constraints, budget=peak), rows)
+    for budget in {peak - 1, len(want) - 1} - {-1}:
+        with pytest.raises(LevelTooLarge):
+            compatible_tuples(slots, constraints, budget=budget)
+
+
 def test_finite_limit_cospan_equals_pullback():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     f = Homomorphism(z4, z2, [0, 1, 0, 1])
@@ -92,6 +145,12 @@ def test_budget_guard():
     z8 = cyclic_group(8)
     with pytest.raises(LevelTooLarge):
         compatible_tuples([z8, z8, z8], [], budget=100)
+
+
+def test_subproduct_rejects_rows_without_the_constants():
+    z2 = cyclic_group(2)
+    with pytest.raises(InvalidParameters, match="outside the carrier"):
+        subproduct_algebra("no-e", [z2, z2], [[1, 1]])
 
 
 def test_subproduct_rejects_duplicate_rows():

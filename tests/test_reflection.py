@@ -13,7 +13,7 @@ from simal.corpus import (
     translation_graph,
     zk_module,
 )
-from simal.errors import PreconditionUnmet, PropertyViolation
+from simal.errors import LevelTooLarge, PreconditionUnmet, PropertyViolation
 from simal.groupoid import groupoid_isomorphism, validate_groupoid
 from simal.reflection import (
     commutator_chain_check,
@@ -124,6 +124,13 @@ def test_reflection_requires_two_levels():
     X = nerve(pair_groupoid(C2), 1)
     with pytest.raises(PreconditionUnmet):
         pi1(X)
+
+
+def test_reflection_bounds_its_nerve_by_the_budget():
+    # the reflected nerve has levels of 4, 16, 64 and 256 elements
+    X = nerve(pair_groupoid(C4), 3)
+    with pytest.raises(LevelTooLarge):
+        pi1(X, budget=10)
 
 
 def test_universal_property_factors_through_unit():
