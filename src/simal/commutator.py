@@ -50,7 +50,3 @@ def tc_commutator(theta, psi):
     if not cg.leq(result, cg.meet(theta, psi)):
         raise PropertyViolation("commutator exceeded the meet of its arguments")
     return result
-
-
-def centralizes(theta, psi):
-    return tc_commutator(theta, psi).is_diagonal()

@@ -4,11 +4,12 @@ A congruence is stored as a partition array: part[i] is the least
 element of the block containing i.  Meets, joins, images, preimages and
 quotients all work on these label arrays.
 
-Every closure goes through one primitive, merge(part, a, b): it hooks
-the larger root of each pair onto the smaller and pointer-jumps to a
-fixpoint, so the roots stay the least members.  join, image,
-congruence_generated and the commutator all take their partitions from
-it.
+merge(part, a, b) is the only closure primitive: it hooks the larger
+root of each pair onto the smaller and pointer-jumps to a fixpoint, so
+the roots stay the least members.  join, image, congruence_generated,
+the commutator and the simplicial closure over every level at once
+(simplicial.simplicial_congruence_generated) all take their partitions
+from it.
 
 congruence_generated closes by gathers alone.  Labels name each class
 by its least member, so labels[x] is the representative tuple of an
@@ -17,7 +18,8 @@ and of f(labels[x]); each round merges the pairs that differ.  That
 links the same classes as linking every two results whose argument
 classes agree, and each merged pair is forced by compatibility, so the
 fixpoint is the least congruence.  check_compatibility runs the same
-gather and demands that nothing differs.
+gather and demands that nothing differs, and the simplicial closure runs
+it at every level.
 
 The closures of join and image are certified, not trusted:
 
@@ -160,16 +162,6 @@ def diagonal(alg):
 
 def full(alg):
     return Congruence(alg, np.zeros(alg.size, dtype=np.int64), check=False)
-
-
-def from_blocks(alg, blocks):
-    part = np.full(alg.size, -1, dtype=np.int64)
-    for blk in blocks:
-        for x in blk:
-            part[x] = min(blk)
-    if (part < 0).any():
-        raise InvalidParameters("blocks do not cover the carrier")
-    return Congruence(alg, part)
 
 
 def _result_classes(alg, labels):

@@ -216,11 +216,20 @@ def heyting_from_poset(poset):
         else:
             raise InvalidParameters(f"unknown poset kind {poset.get('kind')!r}")
     else:
-        leq_mat = np.asarray(poset, dtype=bool)
-        name = f"H-poset{leq_mat.shape[0]}"
-    n = leq_mat.shape[0]
-    if n == 0 or leq_mat.shape != (n, n):
-        raise InvalidParameters("order matrix must be square and non-empty")
+        try:
+            leq_mat = np.asarray(poset)
+        except ValueError:
+            leq_mat = np.zeros(0)
+        name = None
+    n = len(leq_mat) if leq_mat.ndim else 0
+    if (n == 0 or leq_mat.shape != (n, n) or leq_mat.dtype.kind not in "biu"
+            or not np.isin(leq_mat, (0, 1)).all()):
+        raise InvalidParameters(
+            "poset must be a chain or grid kind, or a square, non-empty "
+            "0/1 order matrix"
+        )
+    leq_mat = leq_mat.astype(bool)
+    name = name or f"H-poset{n}"
 
     def glb(i, j):
         lower = [z for z in range(n) if leq_mat[z, i] and leq_mat[z, j]]
@@ -659,6 +668,8 @@ def sign_homomorphism(sym):
 def named_algebra(name):
     import re
 
+    if not isinstance(name, str):
+        raise InvalidParameters(f"algebra name {name!r} is not a string")
     if m := re.fullmatch(r"C(\d+)", name):
         return cyclic_group(int(m.group(1)))
     if m := re.fullmatch(r"D(\d+)", name):
@@ -678,12 +689,23 @@ def named_algebra(name):
     raise InvalidParameters(f"unknown algebra name {name!r}")
 
 
+def _field(spec, key, default=None):
+    """spec[key], or the default when it is absent; a missing required
+    field raises InvalidParameters."""
+    if key not in spec and default is None:
+        raise InvalidParameters(f"generator spec needs a {key!r} field")
+    return spec.get(key, default)
+
+
+def _named(spec, key):
+    """The algebra named by the required field spec[key]."""
+    return named_algebra(_field(spec, key))
+
+
 def _int_params(spec, key, default=None):
     """spec[key], or the default when it is absent, as an int64 array; a
     missing required field or a non-integer entry raises InvalidParameters."""
-    if key not in spec and default is None:
-        raise InvalidParameters(f"generator spec needs a {key!r} field")
-    return int_array(spec.get(key, default), f"parameter {key!r}")
+    return int_array(_field(spec, key, default), f"parameter {key!r}")
 
 
 def _int_param(spec, key, default=None):
@@ -756,35 +778,35 @@ def generate(spec):
     if kind == "zk_module":
         return zk_module(_int_param(spec, "k"), _int_param(spec, "copies", 1))
     if kind == "heyting_from_poset":
-        return heyting_from_poset(spec["poset"])
+        return heyting_from_poset(_field(spec, "poset"))
 
     if kind in ("pair", "pair_groupoid"):
-        return nerve(pair_groupoid(named_algebra(spec["algebra"])), M)
+        return nerve(pair_groupoid(_named(spec, "algebra")), M)
     if kind in ("discrete", "discrete_groupoid"):
-        return nerve(discrete_groupoid(named_algebra(spec["algebra"])), M)
+        return nerve(discrete_groupoid(_named(spec, "algebra")), M)
     if kind == "delooping":
-        return nerve(one_object_groupoid(named_algebra(spec["algebra"])), M)
+        return nerve(one_object_groupoid(_named(spec, "algebra")), M)
     if kind == "bundle":
         return nerve(
             bundle_groupoid(
-                named_algebra(spec["fiber"]), named_algebra(spec["base"])
+                _named(spec, "fiber"), _named(spec, "base")
             ),
             M,
         )
     if kind in ("congruence", "congruence_nerve"):
-        alg = named_algebra(spec["algebra"])
+        alg = _named(spec, "algebra")
         pairs = _elements(spec, "generators", alg, "generators", pairs=True)
         theta = cg.congruence_generated(alg, pairs)
         return congruence_nerve(alg, theta, M)
     if kind == "random_congruence":
-        alg = named_algebra(spec["algebra"])
+        alg = _named(spec, "algebra")
         rng = SplitMix(_int_param(spec, "seed", 0))
         a = rng.randrange(alg.size)
         b = rng.randrange(alg.size)
         theta = cg.congruence_generated(alg, [(a, b)])
         return congruence_nerve(alg, theta, M)
     if kind in ("coset", "crossed_module_groupoid"):
-        grp = named_algebra(spec["group"])
+        grp = _named(spec, "group")
         if spec.get("subgroup") is None:
             sub = alternating_indices(grp)
         else:
@@ -793,37 +815,37 @@ def generate(spec):
     if kind == "sk1_loops":
         return sk1_two_truncation(
             loops_graph(
-                named_algebra(spec["base"]), named_algebra(spec["fiber"])
+                _named(spec, "base"), _named(spec, "fiber")
             )
         )
     if kind == "sk1_translation":
         return sk1_two_truncation(
             translation_graph(
-                named_algebra(spec["base"]),
-                named_algebra(spec["fiber"]),
+                _named(spec, "base"),
+                _named(spec, "fiber"),
                 _int_params(spec, "delta").tolist(),
             )
         )
     if kind in ("cosk_loops", "coskeleton_of_graph"):
         return coskeleton(
             loops_graph(
-                named_algebra(spec["base"]), named_algebra(spec["fiber"])
+                _named(spec, "base"), _named(spec, "fiber")
             ),
             M,
         )
 
     if kind == "decalage_of":
-        return decalage(generate(spec["of"]))[0]
+        return decalage(generate(_field(spec, "of")))[0]
     if kind == "quotient_extension":
-        X = generate(spec["of"])
+        X = generate(_field(spec, "of"))
         if not isinstance(X, TruncatedSimplicialAlgebra):
             raise InvalidParameters("parameter 'of' must give a simplicial object")
         seeds = _level_seeds(X, spec.get("pairs"))
         parts = simplicial_congruence_generated(X, seeds)
         return quotient_simplicial(X, parts)[1]
     if kind == "product_projection":
-        X = generate(spec["left"])
-        Y = generate(spec["right"])
+        X = generate(_field(spec, "left"))
+        Y = generate(_field(spec, "right"))
         return simplicial_product(X, Y)[1]
     raise InvalidParameters(f"unknown generator kind {kind!r}")
 

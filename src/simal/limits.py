@@ -194,35 +194,6 @@ def pullback(f, g, name=None, budget=None):
     return subproduct_algebra(name, [f.dom, g.dom], rows)
 
 
-class FiniteDiagram:
-    """Nodes are algebras, arrows are homomorphisms between them."""
-
-    def __init__(self, nodes, arrows):
-        self.nodes = list(nodes)
-        self.arrows = []
-        for (i, j, h) in arrows:
-            if h.dom is not self.nodes[i] or h.cod is not self.nodes[j]:
-                raise InvalidParameters("diagram arrow endpoints disagree")
-            self.arrows.append((i, j, h))
-
-
-def finite_limit(diagram, legs=None, name="limit", budget=None):
-    """Limit of a finite diagram; returns (algebra, projections for legs).
-
-    legs selects which projection legs of the cone are returned
-    (default: all nodes).
-    """
-    k = len(diagram.nodes)
-    cons = []
-    for (i, j, h) in diagram.arrows:
-        cons.append((i, h.map, j, np.arange(diagram.nodes[j].size)))
-    rows = compatible_tuples(diagram.nodes, cons, budget=budget)
-    alg, projections = subproduct_algebra(name, diagram.nodes, rows)
-    if legs is None:
-        legs = list(range(k))
-    return alg, {leg: projections[leg] for leg in legs}
-
-
 def is_double_extension(f, g, h, j, require_epi=True):
     """Decide whether the commuting square with legs f, g and cospan h, j
     is a pushout of a strong kind along both routes.

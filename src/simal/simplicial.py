@@ -9,7 +9,15 @@ decalage) produce tuple-algebra levels through the fiber-join engine.
 Face conventions: d1 is the source and d0 the target of a 1-simplex,
 matching the nerve of a groupoid where composition g after f requires
 d1(g) = d0(f).
+
+One closure serves every level of a simplicial congruence at once: the
+faces and degeneracies are unary operations between the levels of one
+multi-sorted algebra, and each round gathers every level and every
+structure map and merges all that differ in one call.  Checking a family
+is the structure-map part of the same gather.
 """
+
+import itertools
 
 import numpy as np
 
@@ -179,14 +187,6 @@ def check_simplicial_morphism(F):
             rhs = Y.degeneracies[n][i].map[F.components[n].map]
             _expect(lhs, rhs, f"morphism must commute with s{i} at level {n}")
     return F
-
-
-def simplicial_identity(X):
-    from .algebra import identity_hom
-
-    return SimplicialMorphism(
-        X, X, [identity_hom(l) for l in X.levels], check=False
-    )
 
 
 def truncate(X, M):
@@ -556,64 +556,63 @@ def simplicial_pullback(F, G, budget=None, name=None):
     )
 
 
-def levelwise_kernel_pairs(F):
-    return [cg.kernel_pair(F.components[n]) for n in range(F.dom.truncation + 1)]
+def _structure_classes(X, parts):
+    """For every face and degeneracy f: X_n -> X_m, yield (m, vs, ref):
+    vs is the class of f(x) and ref the class of f(rep x) in X_m, for
+    each x in X_n.  parts[n] must be least-member labels of level n."""
+    for n in range(X.truncation + 1):
+        for m, maps in ((n - 1, X.faces[n]), (n + 1, X.degeneracies[n])):
+            for f in maps:
+                yield m, parts[m][f.map], parts[m][f.map[parts[n]]]
 
 
 def simplicial_congruence_generated(X, seeds):
     """Smallest levelwise family of congruences containing the seeds and
-    closed under faces and degeneracies (seeds: level -> pair list)."""
-    N = X.truncation
-    parts = [cg.congruence_generated(X.levels[n], seeds.get(n, []))
-             for n in range(N + 1)]
+    closed under faces and degeneracies (seeds: level -> pair list).
+
+    The levels are the sorts of one multi-sorted algebra whose unary
+    operations between sorts are the faces and degeneracies, and the
+    closure runs on one least-member label array over the disjoint union
+    of the levels, level n from offsets[n] on.  Each round gathers, at
+    every level, the class of each operation result and of the result at
+    the representatives of its argument classes, and for every structure
+    map f the classes of f(x) and f(rep x); every pair that differs goes
+    into one call to merge.  It stops when no pair differs, so each level
+    is a congruence and each structure map sends related elements to
+    related elements.  It is the least such family: x and rep x are
+    related in any such family containing the current labels, so every
+    merged pair lies in all of them.  No pair crosses two levels, so no
+    class does.
+    """
+    offsets = np.cumsum([0] + [lvl.size for lvl in X.levels])
+    pairs = np.concatenate([
+        np.asarray(seeds.get(n, []), dtype=np.int64).reshape(-1, 2)
+        + offsets[n] for n in range(X.truncation + 1)
+    ])
+    labels = cg.merge(np.arange(offsets[-1]), pairs[:, 0], pairs[:, 1])
     while True:
-        changed = False
-        for n in range(1, N + 1):
-            for d in X.faces[n]:
-                pushed = _push_pairs(parts[n], d.map)
-                merged = cg.congruence_generated(
-                    X.levels[n - 1], pushed, initial=parts[n - 1]
-                )
-                if merged != parts[n - 1]:
-                    parts[n - 1] = merged
-                    changed = True
-        for n in range(N):
-            for s in X.degeneracies[n]:
-                pushed = _push_pairs(parts[n], s.map)
-                merged = cg.congruence_generated(
-                    X.levels[n + 1], pushed, initial=parts[n + 1]
-                )
-                if merged != parts[n + 1]:
-                    parts[n + 1] = merged
-                    changed = True
-        if not changed:
-            return parts
-
-
-def _push_pairs(cong, fmap):
-    b = fmap[cong.part]
-    mask = fmap != b
-    return np.stack([fmap[mask], b[mask]], axis=1)
+        parts = [labels[offsets[n]:offsets[n + 1]] - offsets[n]
+                 for n in range(X.truncation + 1)]
+        gathers = itertools.chain(_structure_classes(X, parts), (
+            (n, vs, ref) for n, lvl in enumerate(X.levels)
+            for _, vs, ref in cg._result_classes(lvl, parts[n])
+        ))
+        a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for m, vs, ref in gathers:
+            split = vs != ref
+            a.append(vs[split] + offsets[m])
+            b.append(ref[split] + offsets[m])
+        a, b = np.concatenate(a), np.concatenate(b)
+        if not len(a):
+            return [cg.Congruence(lvl, parts[n], check=False)
+                    for n, lvl in enumerate(X.levels)]
+        labels = cg.merge(labels, a, b)
 
 
 def is_simplicial_congruence(X, parts):
     """Faces and degeneracies must send each level's relation into the next."""
-    N = X.truncation
-    for n in range(1, N + 1):
-        for d in X.faces[n]:
-            if _push_violation(parts[n], parts[n - 1], d.map):
-                return False
-    for n in range(N):
-        for s in X.degeneracies[n]:
-            if _push_violation(parts[n], parts[n + 1], s.map):
-                return False
-    return True
-
-
-def _push_violation(cong_dom, cong_cod, fmap):
-    lhs = cong_cod.part[fmap]
-    rhs = cong_cod.part[fmap[cong_dom.part]]
-    return not np.array_equal(lhs, rhs)
+    return all(np.array_equal(vs, ref) for _, vs, ref
+               in _structure_classes(X, [p.part for p in parts]))
 
 
 def quotient_simplicial(X, parts, name=None):

@@ -2,9 +2,10 @@
 
 Everything here recomputes results by a different route than the
 library: set-based transitive closures, brute-force partition sweeps,
-the matrix-closure description of the commutator, and a search of the
-congruence lattice for the monotone-light factorization.  Kept
-deliberately naive; only run on small carriers.
+the matrix-closure description of the commutator, the level-by-level
+closure of simplicial congruences, and a search of the congruence
+lattice for the monotone-light factorization.  Kept deliberately naive;
+only run on small carriers.
 """
 
 import itertools
@@ -13,10 +14,6 @@ import numpy as np
 
 from simal import congruences as cg
 from simal.galois import _central_by_lattice, _quotient_cofactor
-from simal.simplicial import (
-    is_simplicial_congruence,
-    simplicial_congruence_generated,
-)
 
 # Families the lattice walk may visit before it gives up.
 WALK_NODE_LIMIT = 20_000
@@ -236,6 +233,53 @@ def matrix_closure_commutator(alg, theta_part, psi_part):
             return delta
 
 
+def _structure_maps(X):
+    """(n, m, map) for every face and degeneracy X_n -> X_m."""
+    faces = [(n, n - 1, d.map) for n in range(1, X.truncation + 1)
+             for d in X.faces[n]]
+    degeneracies = [(n, n + 1, s.map) for n in range(X.truncation)
+                    for s in X.degeneracies[n]]
+    return faces + degeneracies
+
+
+def _pushed_pairs(cong, fmap):
+    """The pairs (f x, f r) with r the least member of the class of x,
+    wherever they differ; they generate the image of the relation."""
+    b = fmap[cong.part]
+    mask = fmap != b
+    return np.stack([fmap[mask], b[mask]], axis=1)
+
+
+def simplicial_closure_by_levels(X, seeds):
+    """Simplicial congruence generated by seeds {level: pairs}, level by
+    level: close each level on its own, then push each level's relation
+    along every face and degeneracy and close the target level again,
+    until no level changes."""
+    parts = [cg.congruence_generated(X.levels[n], seeds.get(n, []))
+             for n in range(X.truncation + 1)]
+    changed = True
+    while changed:
+        changed = False
+        for n, m, fmap in _structure_maps(X):
+            merged = cg.congruence_generated(
+                X.levels[m], _pushed_pairs(parts[n], fmap), initial=parts[m]
+            )
+            if merged != parts[m]:
+                parts[m] = merged
+                changed = True
+    return parts
+
+
+def is_closed_family(X, parts):
+    """Whether every face and degeneracy sends each level's relation into
+    its target level's, pair by pair."""
+    return all(
+        parts[m].related(a, b)
+        for n, m, fmap in _structure_maps(X)
+        for a, b in _pushed_pairs(parts[n], fmap).tolist()
+    )
+
+
 def _family_pairs(cong):
     src = np.arange(len(cong.part))
     mask = src != cong.part
@@ -262,7 +306,7 @@ def ml_walk(F):
     for n in range(1, N + 1):
         P = kernels[n].pairs()
         for a, b in P[P[:, 0] < P[:, 1]].tolist():
-            fam = simplicial_congruence_generated(X, {n: [(a, b)]})
+            fam = simplicial_closure_by_levels(X, {n: [(a, b)]})
             assert _family_leq(fam, kernels)
             atoms.setdefault(_family_key(fam), fam)
 
@@ -281,7 +325,7 @@ def ml_walk(F):
         fam = frontier.pop(0)
         for atom in atoms.values():
             merged = [cg.join(fam[n], atom[n]) for n in range(N + 1)]
-            new = simplicial_congruence_generated(
+            new = simplicial_closure_by_levels(
                 X, {n: _family_pairs(merged[n]) for n in range(N + 1)}
             )
             key = _family_key(new)
@@ -301,7 +345,7 @@ def ml_walk(F):
                    for other in successes)
     ]
     meet_fam = [cg.meet_all([fam[n] for fam in minimal]) for n in range(N + 1)]
-    assert is_simplicial_congruence(X, meet_fam)
+    assert is_closed_family(X, meet_fam)
     assert central(meet_fam), "meet of minimal successes is not central"
     assert all(_family_key(fam) == _family_key(meet_fam) for fam in minimal), \
         "minimal central quotient is not unique"

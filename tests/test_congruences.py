@@ -186,7 +186,7 @@ def test_compatibility_check_rejects_bad_partition():
     s3 = symmetric_group(3)
     # identity together with one transposition is not a congruence class
     with pytest.raises(InvalidParameters):
-        cg.from_blocks(s3, [[0, 1], [2], [3], [4], [5]])
+        cg.Congruence(s3, [0, 0, 2, 3, 4, 5])
 
 
 def test_canonical_partition_least_member():

@@ -255,6 +255,10 @@ def test_cli_gen_rejects_a_non_integer_parameter(value, entry, capsys):
     assert capsys.readouterr().out.startswith("error: parameter 'n'")
 
 
+POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
+                 "non-empty 0/1 order matrix")
+
+
 @pytest.mark.parametrize("params, witness", [
     (["cyclic_group"], "generator spec needs a 'n' field"),
     (["cyclic_group", "n=[4,4]"], "parameter 'n' must be a single integer"),
@@ -274,6 +278,18 @@ def test_cli_gen_rejects_a_non_integer_parameter(value, entry, capsys):
      "parameter 'subgroup': entry 'a' is not an integer"),
     (["coset", "group=S3", "subgroup=[0, 99]"],
      "subgroup must list elements of S3"),
+    (["pair"], "generator spec needs a 'algebra' field"),
+    (["pair", "algebra=3"], "algebra name 3 is not a string"),
+    (["bundle", "fiber=C2"], "generator spec needs a 'base' field"),
+    (["coset"], "generator spec needs a 'group' field"),
+    (["decalage_of"], "generator spec needs a 'of' field"),
+    (["product_projection"], "generator spec needs a 'left' field"),
+    (["product_projection", 'left={"kind":"pair","algebra":"C2"}'],
+     "generator spec needs a 'right' field"),
+    (["heyting_from_poset"], "generator spec needs a 'poset' field"),
+    (["heyting_from_poset", "poset=3"], POSET_WITNESS),
+    (["heyting_from_poset", "poset=[[1,0],[1]]"], POSET_WITNESS),
+    (["heyting_from_poset", "poset=[[1,2],[0,1]]"], POSET_WITNESS),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)

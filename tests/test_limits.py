@@ -24,9 +24,7 @@ from simal.errors import (
     NotRegularEpi,
 )
 from simal.limits import (
-    FiniteDiagram,
     compatible_tuples,
-    finite_limit,
     is_double_extension,
     product,
     pullback,
@@ -126,19 +124,6 @@ def test_compatible_tuples_matches_the_product_filter(problem):
     for budget in {peak - 1, len(want) - 1} - {-1}:
         with pytest.raises(LevelTooLarge):
             compatible_tuples(slots, constraints, budget=budget)
-
-
-def test_finite_limit_cospan_equals_pullback():
-    z4, z2 = cyclic_group(4), cyclic_group(2)
-    f = Homomorphism(z4, z2, [0, 1, 0, 1])
-    diagram = FiniteDiagram([z4, z4, z2], [(0, 2, f), (1, 2, f)])
-    lim, legs = finite_limit(diagram, legs=[0, 1])
-    pb, _ = pullback(f, f)
-    # limit rows carry the cospan vertex as an extra determined coordinate
-    assert lim.size == pb.size
-    got = sorted((int(r[0]), int(r[1])) for r in lim.carrier.rows)
-    want = sorted((int(r[0]), int(r[1])) for r in pb.carrier.rows)
-    assert got == want
 
 
 def test_budget_guard():

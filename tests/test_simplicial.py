@@ -1,12 +1,17 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracles
 from simal.algebra import Homomorphism, identity_hom
 from simal import congruences as cg
 from simal.corpus import (
     bundle_groupoid,
     congruence_groupoid,
     cyclic_group,
+    default_corpus,
     discrete_groupoid,
     inner_coset_groupoid,
     alternating_indices,
@@ -36,10 +41,10 @@ from simal.simplicial import (
     coskeleton,
     decalage,
     exactness_check,
+    is_simplicial_congruence,
     nerve,
     quotient_simplicial,
     simplicial_congruence_generated,
-    simplicial_identity,
     simplicial_kernel,
     simplicial_product,
     simplicial_pullback,
@@ -118,7 +123,6 @@ def test_nerve_levels_and_identities():
         composable = int((G.comp >= 0).sum())
         assert X.levels[2].size == composable
         validate_simplicial(X, check_homs=True)
-        assert simplicial_identity(X).is_levelwise_surjective()
 
 
 def test_nerve_middle_face_is_composition():
@@ -276,6 +280,33 @@ def test_simplicial_congruence_closure_is_stable():
     for n in range(2):
         for s in X.degeneracies[n]:
             assert factors_through(parts[n].part, parts[n + 1].part[s.map])
+
+
+@functools.lru_cache(maxsize=None)
+def small_desk_objects():
+    return [X for _, X in default_corpus("desk")["objects"]
+            if sum(lvl.size for lvl in X.levels) <= 200]
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_simplicial_closure_matches_level_by_level_oracle(data):
+    objects = small_desk_objects()
+    X = objects[data.draw(st.integers(0, len(objects) - 1))]
+    seeds = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(0, X.truncation))
+        element = st.integers(0, X.levels[n].size - 1)
+        seeds.setdefault(n, []).append(data.draw(st.tuples(element, element)))
+    got = simplicial_congruence_generated(X, seeds)
+    assert got == oracles.simplicial_closure_by_levels(X, seeds)
+    assert is_simplicial_congruence(X, got)
+    # the seeds closed at their own levels only are closed under the
+    # structure maps exactly when the oracle says so
+    levelwise = [cg.congruence_generated(lvl, seeds.get(n, []))
+                 for n, lvl in enumerate(X.levels)]
+    assert is_simplicial_congruence(X, levelwise) == \
+        oracles.is_closed_family(X, levelwise)
 
 
 def test_quotient_by_simplicial_congruence():

@@ -20,8 +20,41 @@ def unused_imports(path):
             for name, line in bound.items() if name not in read]
 
 
-def test_no_unused_module_level_imports():
+def library_modules():
     # __init__.py imports in order to re-export
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    return sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def test_no_unused_module_level_imports():
+    modules = library_modules()
     assert len(modules) > 10
     assert [u for p in modules for u in unused_imports(p)] == []
+
+
+def names_read(path):
+    """For every name that path reads, as a bare name or as an attribute,
+    the indices of the top-level statements that read it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    where = {}
+    for index, stmt in enumerate(tree.body):
+        for node in ast.walk(stmt):
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                name = node.id if isinstance(node, ast.Name) else node.attr
+                where.setdefault(name, set()).add((path, index))
+    return where
+
+
+def test_every_top_level_definition_is_read_elsewhere():
+    tests = pathlib.Path(__file__).resolve().parent
+    readers = {}
+    for path in [*SRC.glob("*.py"), *tests.rglob("*.py")]:
+        for name, where in names_read(path).items():
+            readers.setdefault(name, set()).update(where)
+    unread = []
+    for path in library_modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for index, stmt in enumerate(tree.body):
+            if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and not readers.get(stmt.name, set()) - {(path, index)}):
+                unread.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+    assert unread == []
