@@ -5,8 +5,9 @@ The modules group as follows: ``algebra``, ``terms`` and ``congruences``
 cover single algebras and their congruence lattices; ``commutator`` and
 ``limits`` add the binary commutator and finite limits; ``simplicial``
 and ``groupoid`` build truncated simplicial objects, internal groupoids,
-kernels, horns and Kan checks; ``reflection`` and ``galois`` compute the
-groupoid reflection, extension classification and factorizations;
+kernels, horns, Kan checks, nerves and the maps into them;
+``reflection`` and ``galois`` compute the groupoid reflection,
+extension classification and factorizations;
 ``corpus``, ``io``, ``suite`` and ``cli`` supply worked examples, JSON
 interchange, the property battery and the command line.
 """

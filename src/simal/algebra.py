@@ -85,9 +85,6 @@ class FiniteAlgebra:
     def table(self, op):
         return self.tables[op]
 
-    def elements(self):
-        return range(self.size)
-
     def p(self, a, b, c):
         """Apply the Mal'tsev term; arguments may be ints or index arrays."""
         return evaluate(self.maltsev_term, self.tables, {"x": a, "y": b, "z": c})

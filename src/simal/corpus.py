@@ -16,11 +16,27 @@ from .algebra import (
     Signature,
     check_maltsev,
     check_tables,
+    identity_hom,
     int_array,
     make_algebra,
 )
 from . import congruences as cg
 from . import limits
+from .groupoid import InternalGroupoid
+from .reflection import pi1
+from .simplicial import (
+    SimplicialMorphism,
+    TruncatedSimplicialAlgebra,
+    constant_simplicial,
+    coskeleton,
+    decalage,
+    nerve,
+    nerve_map,
+    quotient_simplicial,
+    simplicial_congruence_generated,
+    simplicial_product,
+    validate_simplicial,
+)
 
 GROUP_SIG = Signature([("mul", 2), ("inv", 1), ("e", 0)])
 MODULE_SIG = Signature([("add", 2), ("neg", 1), ("zero", 0)])
@@ -52,9 +68,6 @@ class SplitMix:
         if n <= 0:
             raise InvalidParameters("randrange over empty range")
         return self.next_u64() % n
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
 
 # -- group-like algebras ---------------------------------------------------
@@ -291,15 +304,12 @@ def congruence_groupoid(alg, theta, name=None):
         name or f"{alg.name}-cong-arrows", [alg, alg], rows
     )
     d1, d0 = projections[0], projections[1]
-    diag = np.stack([np.arange(alg.size)] * 2, axis=1)
-    s0 = Homomorphism(alg, arrows, arrows.carrier.index_of(diag), check=False)
+    s0 = limits.tuple_map(alg, arrows, [np.arange(alg.size)] * 2)
     R = arrows.carrier.rows
     comp = -np.ones((arrows.size, arrows.size), dtype=np.int64)
     gg, ff = np.nonzero(R[:, 0][:, None] == R[:, 1][None, :])
     codes = R[ff, 0].astype(np.int64) * alg.size + R[gg, 1]
     comp[gg, ff] = arrows.carrier.index_of_codes(codes)
-    from .groupoid import InternalGroupoid
-
     return InternalGroupoid(alg, arrows, d0, d1, s0, comp)
 
 
@@ -331,8 +341,6 @@ def one_object_groupoid(grp):
     e_idx = int(grp.table("e")[0])
     s0 = Homomorphism(obj, grp, np.array([e_idx]), check=False)
     comp = grp.table("mul").astype(np.int64)
-    from .groupoid import InternalGroupoid
-
     return InternalGroupoid(obj, grp, bang, bang, s0, comp)
 
 
@@ -350,15 +358,14 @@ def bundle_groupoid(fiber, base):
     pi_base = projections[1]
     e_f = int(fiber.table("e")[0])
     R = arrows.carrier.rows
-    sec = np.stack([np.full(base.size, e_f), np.arange(base.size)], axis=1)
-    s0 = Homomorphism(base, arrows, arrows.carrier.index_of(sec), check=False)
+    s0 = limits.tuple_map(
+        base, arrows, [np.full(base.size, e_f), np.arange(base.size)]
+    )
     mul_f = fiber.table("mul")
     comp = -np.ones((arrows.size, arrows.size), dtype=np.int64)
     gg, ff = np.nonzero(R[:, 1][:, None] == R[:, 1][None, :])
     codes = mul_f[R[gg, 0], R[ff, 0]].astype(np.int64) * base.size + R[gg, 1]
     comp[gg, ff] = arrows.carrier.index_of_codes(codes)
-    from .groupoid import InternalGroupoid
-
     return InternalGroupoid(base, arrows, pi_base, pi_base, s0, comp)
 
 
@@ -419,8 +426,6 @@ def inner_coset_groupoid(grp, subgroup):
         for b in range(n1):
             if d1.map[a] == d0.map[b]:
                 comp[a, b] = enc(pos[int(mul[tg[a, 0], tg[b, 0]])], int(tg[b, 1]))
-    from .groupoid import InternalGroupoid
-
     return InternalGroupoid(grp, arrows, d0, d1, s0, comp)
 
 
@@ -428,8 +433,6 @@ def inner_coset_groupoid(grp, subgroup):
 
 def graph_object(X0, X1, d0, d1, s0, name="graph"):
     """A reflexive graph packaged as a truncation-1 simplicial object."""
-    from .simplicial import TruncatedSimplicialAlgebra, validate_simplicial
-
     obj = TruncatedSimplicialAlgebra(
         [X0, X1], [[], [d0, d1]], [[s0], []], name=name
     )
@@ -444,10 +447,9 @@ def loops_graph(base, fiber):
         f"{base.name}*{fiber.name}", [base, fiber]
     )
     pi = projections[0]
-    sec = np.stack(
-        [np.arange(base.size), np.full(base.size, e_f)], axis=1
+    s0 = limits.tuple_map(
+        base, X1, [np.arange(base.size), np.full(base.size, e_f)]
     )
-    s0 = Homomorphism(base, X1, X1.carrier.index_of(sec), check=False)
     return graph_object(
         base, X1, pi, pi, s0, name=f"loops({base.name},{fiber.name})"
     )
@@ -471,8 +473,9 @@ def translation_graph(base, fiber, delta):
     R = X1.carrier.rows
     d1_map = base.table(plus)[R[:, 0], np.asarray(delta)[R[:, 1]]]
     d1 = Homomorphism(X1, base, d1_map, check=True)
-    sec = np.stack([np.arange(base.size), np.full(base.size, e_f)], axis=1)
-    s0 = Homomorphism(base, X1, X1.carrier.index_of(sec), check=False)
+    s0 = limits.tuple_map(
+        base, X1, [np.arange(base.size), np.full(base.size, e_f)]
+    )
     return graph_object(
         base, X1, pi, d1, s0,
         name=f"transl({base.name},{fiber.name})",
@@ -498,8 +501,6 @@ def sk1_two_truncation(graph, name=None):
     names = [op for op, _ in X1.signature.ops]
     if sorted(names) != ["add", "neg", "zero"]:
         raise UnsupportedVariety("level sums need the module signature")
-    from .simplicial import TruncatedSimplicialAlgebra, validate_simplicial
-
     d0m = graph.faces[1][0].map
     d1m = graph.faces[1][1].map
     s0m = graph.degeneracies[0][0].map
@@ -548,8 +549,6 @@ def sk1_two_truncation(graph, name=None):
 # -- nerves and extensions -------------------------------------------------
 
 def congruence_nerve(alg, theta, M):
-    from .simplicial import nerve
-
     return nerve(
         congruence_groupoid(alg, theta), M,
         name=f"N({alg.name},{theta.class_count()}cl)",
@@ -562,20 +561,9 @@ def groupoid_functor_nerve_map(GX, GY, f0, f1, M, name=None, target=None):
     A prebuilt nerve of the codomain groupoid may be passed as target so
     several morphisms can share one codomain instance.
     """
-    from .simplicial import nerve, SimplicialMorphism
-
     X = nerve(GX, M)
     Y = target if target is not None else nerve(GY, M)
-    comps = [f0, f1]
-    for n in range(2, M + 1):
-        cols = f1.map[X.levels[n].carrier.rows]
-        comps.append(
-            Homomorphism(
-                X.levels[n], Y.levels[n],
-                Y.levels[n].carrier.index_of(cols), check=False,
-            )
-        )
-    out = SimplicialMorphism(X, Y, comps, check=True)
+    out = nerve_map(X, Y, f0, f1)
     out.name = name or f"{X.name}->{Y.name}"
     return out
 
@@ -586,12 +574,16 @@ def congruence_nerve_extension(alg, theta, psi, M, name=None):
     phi = cg.image(q, cg.join(theta, psi))
     GX = congruence_groupoid(alg, theta)
     GY = congruence_groupoid(B, phi)
-    R = GX.arrows.carrier.rows
-    pairs = np.stack([q.map[R[:, 0]], q.map[R[:, 1]]], axis=1)
-    f1 = Homomorphism(
-        GX.arrows, GY.arrows, GY.arrows.carrier.index_of(pairs), check=False
-    )
+    f1 = _pairs_map(GX, GY, q.map)
     return groupoid_functor_nerve_map(GX, GY, q, f1, M, name=name)
+
+
+def _pairs_map(GX, GY, h):
+    """The arrow map into the congruence groupoid GY sending each arrow
+    of GX to the pair of h at its source and at its target."""
+    return limits.tuple_map(
+        GX.arrows, GY.arrows, [h[GX.d1.map], h[GX.d0.map]]
+    )
 
 
 def delooping_extension(hom, M, name=None):
@@ -607,20 +599,14 @@ def bundle_collapse_extension(fiber, base, M, name=None):
     """Forget the isotropy of a bundle groupoid onto the discrete base."""
     GX = bundle_groupoid(fiber, base)
     GY = discrete_groupoid(base)
-    R = GX.arrows.carrier.rows
-    diag = np.stack([R[:, 1], R[:, 1]], axis=1)
-    f1 = Homomorphism(
-        GX.arrows, GY.arrows, GY.arrows.carrier.index_of(diag), check=False
-    )
-    f0 = Homomorphism(base, base, np.arange(base.size), check=False)
-    return groupoid_functor_nerve_map(GX, GY, f0, f1, M, name=name)
+    f1 = _pairs_map(GX, GY, np.arange(base.size))
+    return groupoid_functor_nerve_map(GX, GY, identity_hom(base), f1, M,
+                                      name=name)
 
 
 def augmentation_extension(X, q, name=None):
     """Map a simplicial object onto a constant one along an augmentation
     q: X_0 -> A with q d0 = q d1."""
-    from .simplicial import constant_simplicial, SimplicialMorphism
-
     N = X.truncation
     C = constant_simplicial(q.cod, N)
     comps = [q]
@@ -655,8 +641,12 @@ def _perm_parity(perm):
 
 
 def alternating_indices(sym):
-    """Indices of even permutations in a symmetric group generator."""
-    return [i for i, p in enumerate(sym.elements) if _perm_parity(p) == 0]
+    """Indices of the even permutations of a permutation group (S_n, D_n),
+    read off the permutation list its generator keeps."""
+    perms = getattr(sym, "elements", None)
+    if perms is None:
+        raise InvalidParameters(f"{sym.name} is not a permutation group")
+    return [i for i, p in enumerate(perms) if _perm_parity(p) == 0]
 
 
 def sign_homomorphism(sym):
@@ -728,6 +718,15 @@ def _elements(spec, key, alg, what, pairs=False):
     return arr.reshape(-1, 2) if pairs else arr.reshape(-1)
 
 
+def _simplicial(spec, key):
+    """The simplicial object generated from the required spec field
+    spec[key]; any other artifact raises InvalidParameters."""
+    X = generate(_field(spec, key))
+    if not isinstance(X, TruncatedSimplicialAlgebra):
+        raise InvalidParameters(f"parameter {key!r} must give a simplicial object")
+    return X
+
+
 def _level_seeds(X, raw):
     """The seeds {level: pairs} of a quotient_extension spec; levels may
     be given as strings, since JSON object keys are strings."""
@@ -754,16 +753,6 @@ def generate(spec):
     Returns an algebra, a simplicial object, or a simplicial morphism
     depending on the kind. Identical spec and seed give identical output.
     """
-    from .simplicial import (
-        nerve,
-        coskeleton,
-        decalage,
-        simplicial_product,
-        simplicial_congruence_generated,
-        quotient_simplicial,
-        TruncatedSimplicialAlgebra,
-    )
-
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParameters("generator spec needs a 'kind' field")
     kind = spec["kind"]
@@ -819,13 +808,10 @@ def generate(spec):
             )
         )
     if kind == "sk1_translation":
-        return sk1_two_truncation(
-            translation_graph(
-                _named(spec, "base"),
-                _named(spec, "fiber"),
-                _int_params(spec, "delta").tolist(),
-            )
-        )
+        base, fiber = _named(spec, "base"), _named(spec, "fiber")
+        return sk1_two_truncation(translation_graph(
+            base, fiber, _elements(spec, "delta", base, "delta")
+        ))
     if kind in ("cosk_loops", "coskeleton_of_graph"):
         return coskeleton(
             loops_graph(
@@ -835,17 +821,15 @@ def generate(spec):
         )
 
     if kind == "decalage_of":
-        return decalage(generate(_field(spec, "of")))[0]
+        return decalage(_simplicial(spec, "of"))[0]
     if kind == "quotient_extension":
-        X = generate(_field(spec, "of"))
-        if not isinstance(X, TruncatedSimplicialAlgebra):
-            raise InvalidParameters("parameter 'of' must give a simplicial object")
+        X = _simplicial(spec, "of")
         seeds = _level_seeds(X, spec.get("pairs"))
         parts = simplicial_congruence_generated(X, seeds)
         return quotient_simplicial(X, parts)[1]
     if kind == "product_projection":
-        X = generate(_field(spec, "left"))
-        Y = generate(_field(spec, "right"))
+        X = _simplicial(spec, "left")
+        Y = _simplicial(spec, "right")
         return simplicial_product(X, Y)[1]
     raise InvalidParameters(f"unknown generator kind {kind!r}")
 
@@ -861,13 +845,6 @@ def default_corpus(profile="desk"):
     if profile not in ("desk", "deep"):
         raise InvalidParameters("profile must be desk or deep")
     deep = profile == "deep"
-    from .simplicial import (
-        nerve, decalage, coskeleton, simplicial_product,
-        simplicial_congruence_generated, quotient_simplicial,
-    )
-    from .reflection import pi1
-    from .algebra import identity_hom
-
     c2, c3, c4, c6 = (cyclic_group(k) for k in (2, 3, 4, 6))
     z2m, z4m, z22 = zk_module(2), zk_module(4), zk_module(2, 2)
     s3 = symmetric_group(3)
@@ -1100,19 +1077,13 @@ def probe_kit(alg, inclusion, companion, M=2):
     companion: an algebra whose product with alg supplies a collapsing
     extension over the target.
     """
-    from .simplicial import nerve, simplicial_product
-
     G = pair_groupoid(alg)
     target = nerve(G, M)
 
     GW = pair_groupoid(inclusion.dom)
-    rw = GW.arrows.carrier.rows
-    cols = np.stack([inclusion.map[rw[:, 0]], inclusion.map[rw[:, 1]]], axis=1)
-    f1 = Homomorphism(
-        GW.arrows, G.arrows, G.arrows.carrier.index_of(cols), check=False
-    )
     probed = groupoid_functor_nerve_map(
-        GW, G, inclusion, f1, M, name="probed", target=target
+        GW, G, inclusion, _pairs_map(GW, G, inclusion.map), M,
+        name="probed", target=target,
     )
 
     prod = product_group(alg, companion) if _is_group(alg) and _is_group(
@@ -1124,13 +1095,9 @@ def probe_kit(alg, inclusion, companion, M=2):
     pi0 = Homomorphism(
         prod, alg, prod.carrier.rows[:, 0].copy(), check=True
     )
-    rz = GZ.arrows.carrier.rows
-    zcols = np.stack([pi0.map[rz[:, 0]], pi0.map[rz[:, 1]]], axis=1)
-    g1 = Homomorphism(
-        GZ.arrows, G.arrows, G.arrows.carrier.index_of(zcols), check=False
-    )
     collapse = groupoid_functor_nerve_map(
-        GZ, G, pi0, g1, M, name="collapse", target=target
+        GZ, G, pi0, _pairs_map(GZ, G, pi0.map), M,
+        name="collapse", target=target,
     )
 
     other = nerve(pair_groupoid(companion), M)

@@ -19,9 +19,11 @@ from .errors import (
 )
 from .algebra import Homomorphism
 from . import congruences as cg
+from .limits import tuple_map
 from .simplicial import (
     SimplicialMorphism,
     kan_fibration_check,
+    nerve_map,
     quotient_simplicial,
     simplicial_congruence_generated,
     simplicial_kernel,
@@ -227,26 +229,14 @@ def fiber_connectivity_relation(F):
 
 def induced_groupoid_nerve_map(RX, RY, F):
     """Nerve of the functor between the two reflections induced by F."""
-    X, Y = F.dom, F.cod
     phi1 = RY.eta1.map[F.components[1].map]
     if not np.array_equal(phi1, phi1[RX.h[1].part]):
         raise PropertyViolation("morphism does not descend to arrow classes")
     reps = np.unique(RX.h[1].part)
-    f0 = F.components[0]
     f1 = Homomorphism(
         RX.groupoid.arrows, RY.groupoid.arrows, phi1[reps], check=True
     )
-    comps = [f0, f1]
-    for n in range(2, X.truncation + 1):
-        rows = RX.nerve.levels[n].carrier.rows
-        cols = f1.map[rows]
-        comps.append(
-            Homomorphism(
-                RX.nerve.levels[n], RY.nerve.levels[n],
-                RY.nerve.levels[n].carrier.index_of(cols), check=False,
-            )
-        )
-    return SimplicialMorphism(RX.nerve, RY.nerve, comps, check=True)
+    return nerve_map(RX.nerve, RY.nerve, F.components[0], f1)
 
 
 def _check_reflection_iso(RX, RP, e):
@@ -291,16 +281,11 @@ def em_factorization(F, budget=None):
     P, m, to_nx = simplicial_pullback(
         RY.unit, nf, budget=budget, name=f"em({X.name})"
     )
-    comps = []
-    for n in range(X.truncation + 1):
-        codes = F.components[n].map.astype(np.int64) \
-            * RX.nerve.levels[n].size + RX.unit.components[n].map
-        comps.append(
-            Homomorphism(
-                X.levels[n], P.levels[n],
-                P.levels[n].carrier.index_of_codes(codes), check=False,
-            )
-        )
+    comps = [
+        tuple_map(X.levels[n], P.levels[n],
+                  [F.components[n].map, RX.unit.components[n].map])
+        for n in range(X.truncation + 1)
+    ]
     e = SimplicialMorphism(X, P, comps, check=True)
     for n in range(X.truncation + 1):
         en = e.components[n].map

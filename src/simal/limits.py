@@ -5,7 +5,9 @@ A limit carrier is a set of tuples over factor algebras, stored as an
 such algebra has a canonical element order and lookups are binary
 searches.  Operation tables are built lazily, as int32, in slabs of
 about TABLE_CHUNK_CELLS cells over the first argument, so the build's
-peak memory is the table plus a few slab-sized temporaries.
+peak memory is the table plus a few slab-sized temporaries.  A map
+into a limit is given by its component columns, and tuple_map looks
+its tuples up in the carrier, so callers never address rows by hand.
 
 Enumeration fills the slots left to right, each by one vectorized
 sort-based equi-join: the rows so far and the new slot's elements are
@@ -130,6 +132,14 @@ def subproduct_algebra(name, factors, rows):
         for c in range(k)
     ]
     return alg, projections
+
+
+def tuple_map(dom, cod, cols):
+    """The homomorphism dom -> cod sending x to the carrier element of
+    cod with components cols[c][x], built unchecked; a tuple outside the
+    carrier raises InvalidParameters."""
+    fmap = cod.carrier.index_of(np.stack(cols, axis=1))
+    return Homomorphism(dom, cod, fmap, check=False)
 
 
 def compatible_tuples(slots, constraints, budget=None):

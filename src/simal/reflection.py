@@ -6,6 +6,8 @@ composition on representatives; the graph route quotients by the
 commutator of the two face kernels and composes through the Mal'tsev
 term.  The lattice formulas for the homotopy congruences at every level
 are computed separately from the unit map so the two can be compared.
+The unit is simplicial.nerve_map of the identity on objects and the
+quotient on arrows; spines and nerve maps live in simplicial.
 """
 
 import numpy as np
@@ -20,29 +22,17 @@ from .algebra import Homomorphism, identity_hom
 from . import congruences as cg
 from .commutator import tc_commutator
 from .groupoid import InternalGroupoid, validate_groupoid
-from .simplicial import nerve, SimplicialMorphism, simplicial_kernel
+from .simplicial import (
+    nerve,
+    nerve_map,
+    SimplicialMorphism,
+    simplicial_kernel,
+    spine_maps,
+)
 
 
 def face_kernels(X, n):
     return [cg.kernel_pair(d) for d in X.faces[n]]
-
-
-def spine_maps(X, n):
-    """Index arrays for the n spine edges of every n-simplex."""
-    maps = []
-    for i in range(1, n + 1):
-        m = np.arange(X.levels[n].size)
-        level = n
-        for j in range(n, i, -1):
-            m = X.faces[level][j].map[m]
-            level -= 1
-        for _ in range(i - 1):
-            m = X.faces[level][0].map[m]
-            level -= 1
-        if level != 1:
-            raise PropertyViolation(f"spine edge {i} ends at level {level}")
-        maps.append(m)
-    return maps
 
 
 def homotopy_congruence_level1(X):
@@ -88,7 +78,8 @@ class ReflectionResult:
 
 
 def pi1(X, budget=None):
-    """Reflect into internal groupoids; the unit is built from spines."""
+    """Reflect into internal groupoids; the unit is the nerve map with
+    the identity on objects and the quotient map on arrows."""
     N = X.truncation
     if N < 2:
         raise PreconditionUnmet("reflection needs truncation >= 2")
@@ -133,18 +124,7 @@ def pi1(X, budget=None):
     validate_groupoid(G)
     NG = nerve(G, N, budget=budget, name=f"N(Pi1 {X.name})")
 
-    comps = [identity_hom(X0), Homomorphism(X1, Q, eta1.map, check=False)]
-    for n in range(2, N + 1):
-        cols = np.stack(
-            [eta1.map[m] for m in spine_maps(X, n)], axis=1
-        )
-        comps.append(
-            Homomorphism(
-                X.levels[n], NG.levels[n],
-                NG.levels[n].carrier.index_of(cols), check=False,
-            )
-        )
-    unit = SimplicialMorphism(X, NG, comps, check=True)
+    unit = nerve_map(X, NG, identity_hom(X0), eta1)
 
     h = [cg.diagonal(X0), h1]
     for n in range(2, N + 1):

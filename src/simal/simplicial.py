@@ -6,6 +6,14 @@ simplicial identities are checked by composing the underlying index
 arrays; higher constructions (kernels, horns, coskeleta, nerves,
 decalage) produce tuple-algebra levels through the fiber-join engine.
 
+Each construction has one builder.  Simplicial kernels and horns are
+both tuples of compatible faces, the horn leaving one slot out.  A
+morphism into a groupoid nerve is fixed by its components at levels 0
+and 1, since the nerve is right adjoint to the reflection, and
+nerve_map reads every higher component off the spine edges.  Quotients
+and images carry the structure maps over to new levels through one
+transport.
+
 Face conventions: d1 is the source and d0 the target of a 1-simplex,
 matching the nerve of a groupoid where composition g after f requires
 d1(g) = d0(f).
@@ -25,10 +33,11 @@ from .errors import (
     IdentityViolated,
     InvalidParameters,
     PreconditionUnmet,
+    PropertyViolation,
 )
-from .algebra import Homomorphism, check_homomorphism
+from .algebra import Homomorphism, check_homomorphism, identity_hom
 from . import congruences as cg
-from .limits import compatible_tuples, subproduct_algebra
+from .limits import compatible_tuples, subproduct_algebra, tuple_map
 
 
 class TruncatedSimplicialAlgebra:
@@ -46,15 +55,6 @@ class TruncatedSimplicialAlgebra:
     @property
     def truncation(self):
         return len(self.levels) - 1
-
-    def level(self, n):
-        return self.levels[n]
-
-    def face(self, n, i):
-        return self.faces[n][i]
-
-    def degeneracy(self, n, i):
-        return self.degeneracies[n][i]
 
     def __repr__(self):
         sizes = ", ".join(str(l.size) for l in self.levels)
@@ -151,9 +151,6 @@ class SimplicialMorphism:
         if check:
             check_simplicial_morphism(self)
 
-    def component(self, n):
-        return self.components[n]
-
     def is_levelwise_surjective(self):
         return all(f.is_surjective() for f in self.components)
 
@@ -201,8 +198,6 @@ def truncate(X, M):
 
 
 def constant_simplicial(alg, N, name=None):
-    from .algebra import identity_hom
-
     levels = [alg] * (N + 1)
     faces = [[]] + [[identity_hom(alg) for _ in range(n + 1)] for n in range(1, N + 1)]
     degeneracies = [
@@ -215,33 +210,35 @@ def constant_simplicial(alg, N, name=None):
 
 # -- kernels and horns -----------------------------------------------------
 
+def _face_tuples(X, n, slots, name, budget):
+    """Tuples (x_i)_{i in slots} over X_{n-1} with d_i x_j = d_{j-1} x_i
+    for i < j, their projections, and the comparison sending each
+    n-simplex to its faces at the slots (None above the truncation).
+    At n = 1 nothing lies below X_0, so every tuple is compatible."""
+    faces = X.faces[n - 1]
+    pos = {i: t for t, i in enumerate(slots)}
+    cons = [(pos[i], faces[j - 1].map, pos[j], faces[i].map)
+            for j in slots for i in slots if i < j] if n > 1 else []
+    factors = [X.levels[n - 1]] * len(slots)
+    rows = compatible_tuples(factors, cons, budget=budget)
+    alg, projections = subproduct_algebra(name, factors, rows)
+    comparison = None
+    if n <= X.truncation:
+        comparison = tuple_map(
+            X.levels[n], alg, [X.faces[n][i].map for i in slots]
+        )
+    return alg, projections, comparison
+
+
 def simplicial_kernel(X, n, budget=None):
     """Tuples (x_0..x_n) over X_{n-1} with d_i x_j = d_{j-1} x_i for i < j.
 
-    Valid for 2 <= n <= truncation + 1; the comparison map kappa is
+    Valid for 1 <= n <= truncation + 1; the comparison map kappa is
     returned when X_n exists, else None.
     """
     if n < 1 or n > X.truncation + 1:
         raise PreconditionUnmet(f"simplicial kernel undefined at {n}")
-    lower = X.levels[n - 1]
-    cons = []
-    if n >= 2:
-        for j in range(1, n + 1):
-            for i in range(j):
-                cons.append(
-                    (i, X.faces[n - 1][j - 1].map, j, X.faces[n - 1][i].map)
-                )
-    rows = compatible_tuples([lower] * (n + 1), cons, budget=budget)
-    alg, projections = subproduct_algebra(
-        f"K{n}({X.name})", [lower] * (n + 1), rows
-    )
-    kappa = None
-    if n <= X.truncation:
-        cols = np.stack([X.faces[n][i].map for i in range(n + 1)], axis=1)
-        kappa = Homomorphism(
-            X.levels[n], alg, alg.carrier.index_of(cols), check=False
-        )
-    return alg, projections, kappa
+    return _face_tuples(X, n, range(n + 1), f"K{n}({X.name})", budget)
 
 
 def horn(X, n, k, budget=None):
@@ -251,25 +248,7 @@ def horn(X, n, k, budget=None):
     if not 0 <= k <= n:
         raise InvalidParameters("horn index out of range")
     slots = [i for i in range(n + 1) if i != k]
-    pos = {i: t for t, i in enumerate(slots)}
-    lower = X.levels[n - 1]
-    cons = []
-    for j in slots:
-        for i in slots:
-            if i < j:
-                cons.append(
-                    (pos[i], X.faces[n - 1][j - 1].map, pos[j], X.faces[n - 1][i].map)
-                )
-    rows = compatible_tuples([lower] * n, cons, budget=budget)
-    alg, projections = subproduct_algebra(
-        f"L{n}_{k}({X.name})", [lower] * n, rows
-    )
-    lam = None
-    if n <= X.truncation:
-        cols = np.stack([X.faces[n][i].map for i in slots], axis=1)
-        lam = Homomorphism(
-            X.levels[n], alg, alg.carrier.index_of(cols), check=False
-        )
+    alg, _, lam = _face_tuples(X, n, slots, f"L{n}_{k}({X.name})", budget)
     return alg, lam
 
 
@@ -408,10 +387,7 @@ def coskeleton(X, M, budget=None):
                             current.faces[n - 1][j - 1].map
                         ]
                     )
-            rows = np.stack(cols, axis=1)
-            new_degs.append(
-                Homomorphism(lower, alg, alg.carrier.index_of(rows), check=False)
-            )
+            new_degs.append(tuple_map(lower, alg, cols))
         levels = current.levels + [alg]
         faces = [list(fs) for fs in current.faces] + [projections]
         degeneracies = [list(ds) for ds in current.degeneracies]
@@ -428,57 +404,44 @@ def coskeleton(X, M, budget=None):
 # -- nerves ----------------------------------------------------------------
 
 def nerve(G, M, budget=None, name=None):
-    """Nerve of an internal groupoid, truncated at M >= 1."""
+    """Nerve of an internal groupoid, truncated at M >= 1.
+
+    An n-simplex is a composable path (a_1..a_n) with d0 a_t = d1 a_{t+1},
+    stored as the tuple of its spine edges."""
     if M < 1:
         raise InvalidParameters("nerve truncation must be at least 1")
     d0m, d1m, s0m = G.d0.map, G.d1.map, G.s0.map
     comp = G.comp
     levels = [G.objects, G.arrows]
-    carriers = {1: None}
     faces = [[], [G.d0, G.d1]]
     degeneracies = [[G.s0]]
     for n in range(2, M + 1):
         cons = [(t - 1, d0m, t, d1m) for t in range(1, n)]
         rows = compatible_tuples([G.arrows] * n, cons, budget=budget)
         alg, _ = subproduct_algebra(f"N{n}({G.arrows.name})", [G.arrows] * n, rows)
-        carriers[n] = alg.carrier
-        rows = alg.carrier.rows
         prev = levels[n - 1]
+        cols = list(alg.carrier.rows.T)
+        prev_cols = (
+            [np.arange(prev.size)] if n == 2 else list(prev.carrier.rows.T)
+        )
         fs = []
         for i in range(n + 1):
             if i == 0:
-                new = rows[:, 1:]
+                new = cols[1:]
             elif i == n:
-                new = rows[:, :-1]
+                new = cols[:-1]
             else:
-                new = np.hstack(
-                    [
-                        rows[:, : i - 1],
-                        comp[rows[:, i], rows[:, i - 1]][:, None],
-                        rows[:, i + 1:],
-                    ]
-                )
-            if n - 1 == 1:
-                fmap = new[:, 0]
-            else:
-                fmap = carriers[n - 1].index_of(new)
-            fs.append(Homomorphism(alg, prev, fmap, check=False))
+                new = cols[: i - 1] + [comp[cols[i], cols[i - 1]]] + cols[i + 1:]
+            fs.append(Homomorphism(alg, prev, new[0], check=False) if n == 2
+                      else tuple_map(alg, prev, new))
         faces.append(fs)
         ds = []
-        prev_rows = (
-            np.arange(prev.size)[:, None] if n - 1 == 1 else carriers[n - 1].rows
-        )
         for i in range(n):
             if i == 0:
-                ins = s0m[d1m[prev_rows[:, 0]]]
+                ins = s0m[d1m[prev_cols[0]]]
             else:
-                ins = s0m[d0m[prev_rows[:, i - 1]]]
-            new = np.hstack(
-                [prev_rows[:, :i], ins[:, None], prev_rows[:, i:]]
-            )
-            ds.append(
-                Homomorphism(prev, alg, alg.carrier.index_of(new), check=False)
-            )
+                ins = s0m[d0m[prev_cols[i - 1]]]
+            ds.append(tuple_map(prev, alg, prev_cols[:i] + [ins] + prev_cols[i:]))
         degeneracies.append(ds)
         levels.append(alg)
     degeneracies = degeneracies[: M] + [[]]
@@ -489,47 +452,64 @@ def nerve(G, M, budget=None, name=None):
     return out
 
 
+def spine_maps(X, n):
+    """Index arrays for the n spine edges of every n-simplex."""
+    maps = []
+    for i in range(1, n + 1):
+        m = np.arange(X.levels[n].size)
+        level = n
+        for j in range(n, i, -1):
+            m = X.faces[level][j].map[m]
+            level -= 1
+        for _ in range(i - 1):
+            m = X.faces[level][0].map[m]
+            level -= 1
+        if level != 1:
+            raise PropertyViolation(f"spine edge {i} ends at level {level}")
+        maps.append(m)
+    return maps
+
+
+def nerve_map(X, NY, f0, f1):
+    """The morphism X -> NY into a groupoid nerve with components f0 and
+    f1 at levels 0 and 1.  Such a morphism is fixed by them: it sends an
+    n-simplex to the tuple of f1 on its spine edges.  The result is
+    checked to commute with every face and degeneracy."""
+    comps = [f0, f1] + [
+        tuple_map(X.levels[n], NY.levels[n],
+                  [f1.map[m] for m in spine_maps(X, n)])
+        for n in range(2, X.truncation + 1)
+    ]
+    return SimplicialMorphism(X, NY, comps, check=True)
+
+
 # -- products, pullbacks, quotients ---------------------------------------
 
-def _componentwise_map(level_dom, level_cod, mapA, mapB):
-    rows = level_dom.carrier.rows
-    new = np.stack([mapA[rows[:, 0]], mapB[rows[:, 1]]], axis=1)
-    return Homomorphism(
-        level_dom, level_cod, level_cod.carrier.index_of(new), check=False
-    )
+def _componentwise_map(dom, cod, maps):
+    return tuple_map(dom, cod, [f.map[col] for f, col
+                                in zip(maps, dom.carrier.rows.T)])
 
 
 def _levelwise_limit(X, Y, constraints_per_level, budget, name):
     """Levelwise subproduct of X and Y cut out by the fiber constraints of
     each level, with componentwise structure maps and both projections."""
     N = X.truncation
-    levels = []
+    levels, projections = [], []
     for n in range(N + 1):
         factors = [X.levels[n], Y.levels[n]]
         rows = compatible_tuples(factors, constraints_per_level[n], budget=budget)
-        levels.append(subproduct_algebra(f"{name}_{n}", factors, rows)[0])
-    faces = [[]] + [
-        [_componentwise_map(levels[n], levels[n - 1],
-                            X.faces[n][i].map, Y.faces[n][i].map)
-         for i in range(n + 1)]
-        for n in range(1, N + 1)
-    ]
-    degeneracies = [
-        [_componentwise_map(levels[n], levels[n + 1],
-                            X.degeneracies[n][i].map, Y.degeneracies[n][i].map)
-         for i in range(n + 1)]
-        for n in range(N)
-    ] + [[]]
+        alg, projs = subproduct_algebra(f"{name}_{n}", factors, rows)
+        levels.append(alg)
+        projections.append(projs)
+    faces = [[_componentwise_map(levels[n], levels[n - 1], pair)
+              for pair in zip(X.faces[n], Y.faces[n])] for n in range(N + 1)]
+    degeneracies = [[_componentwise_map(levels[n], levels[n + 1], pair)
+                     for pair in zip(X.degeneracies[n], Y.degeneracies[n])]
+                    for n in range(N + 1)]
     P = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
     validate_simplicial(P)
     proj1, proj2 = (
-        SimplicialMorphism(
-            P, Z,
-            [Homomorphism(levels[n], Z.levels[n],
-                          levels[n].carrier.rows[:, c].copy(), check=False)
-             for n in range(N + 1)],
-            check=True,
-        )
+        SimplicialMorphism(P, Z, [projs[c] for projs in projections], check=True)
         for c, Z in enumerate((X, Y))
     )
     return P, proj1, proj2
@@ -615,47 +595,32 @@ def is_simplicial_congruence(X, parts):
                in _structure_classes(X, [p.part for p in parts]))
 
 
+def transport(X, levels, sels, poss, name):
+    """The simplicial object on new levels with X's structure carried over.
+
+    sels[n] picks one element of X_n for each element of levels[n], and
+    poss[m] sends X_m onto levels[m]; each face or degeneracy f: X_n ->
+    X_m becomes the map sending i to poss[m][f(sels[n][i])].  The
+    simplicial identities are checked; the maps are not.
+    """
+    def moved(n, m, f):
+        return Homomorphism(levels[n], levels[m], poss[m][f.map[sels[n]]],
+                            check=False)
+
+    N = X.truncation
+    faces = [[moved(n, n - 1, d) for d in X.faces[n]] for n in range(N + 1)]
+    degeneracies = [[moved(n, n + 1, s) for s in X.degeneracies[n]]
+                    for n in range(N + 1)]
+    return validate_simplicial(
+        TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
+    )
+
+
 def quotient_simplicial(X, parts, name=None):
     """Quotient by a simplicial congruence; returns (object, projection)."""
-    N = X.truncation
     if not is_simplicial_congruence(X, parts):
         raise InvalidParameters("family is not closed under the structure maps")
-    new_levels = []
-    projs = []
-    reps_list = []
-    for n in range(N + 1):
-        q, proj = cg.quotient(X.levels[n], parts[n])
-        new_levels.append(q)
-        projs.append(proj)
-        reps_list.append(np.unique(parts[n].part))
-    faces = [[]]
-    degeneracies = []
-    for n in range(1, N + 1):
-        faces.append(
-            [
-                Homomorphism(
-                    new_levels[n], new_levels[n - 1],
-                    projs[n - 1].map[X.faces[n][i].map[reps_list[n]]],
-                    check=False,
-                )
-                for i in range(n + 1)
-            ]
-        )
-    for n in range(N):
-        degeneracies.append(
-            [
-                Homomorphism(
-                    new_levels[n], new_levels[n + 1],
-                    projs[n + 1].map[X.degeneracies[n][i].map[reps_list[n]]],
-                    check=False,
-                )
-                for i in range(n + 1)
-            ]
-        )
-    degeneracies.append([])
-    Y = TruncatedSimplicialAlgebra(
-        new_levels, faces, degeneracies, name=name or f"{X.name}/~"
-    )
-    validate_simplicial(Y)
-    proj = SimplicialMorphism(X, Y, projs, check=True)
-    return Y, proj
+    levels, projs = zip(*(cg.quotient(lvl, p) for lvl, p in zip(X.levels, parts)))
+    Y = transport(X, list(levels), [np.unique(p.part) for p in parts],
+                  [q.map for q in projs], name or f"{X.name}/~")
+    return Y, SimplicialMorphism(X, Y, projs, check=True)

@@ -17,6 +17,7 @@ from .corpus import (
     congruence_nerve,
     default_corpus,
     discrete_groupoid,
+    groupoid_functor_nerve_map,
     heyting_from_poset,
     loops_graph,
     named_algebra,
@@ -47,12 +48,10 @@ from .reflection import (
     homotopy_congruence_level1,
     is_internal_groupoid,
     pi1,
-    spine_maps,
     universal_property_check,
 )
 from .simplicial import (
     SimplicialMorphism,
-    TruncatedSimplicialAlgebra,
     check_simplicial_morphism,
     decalage,
     exactness_check,
@@ -62,6 +61,8 @@ from .simplicial import (
     quotient_simplicial,
     simplicial_congruence_generated,
     simplicial_kernel,
+    spine_maps,
+    transport,
     truncate,
     validate_simplicial,
 )
@@ -234,28 +235,8 @@ def _image_subobject(F, name):
         sels.append(sel)
         poss.append(pos)
         levels.append(_subalgebra_on(Y.levels[n], sel, f"{name}{n}"))
-    faces = [[]]
-    degens = []
-    for n in range(1, Y.truncation + 1):
-        faces.append([
-            Homomorphism(
-                levels[n], levels[n - 1],
-                poss[n - 1][Y.faces[n][i].map[sels[n]]], check=True,
-            )
-            for i in range(n + 1)
-        ])
-    for n in range(Y.truncation):
-        degens.append([
-            Homomorphism(
-                levels[n], levels[n + 1],
-                poss[n + 1][Y.degeneracies[n][i].map[sels[n]]], check=True,
-            )
-            for i in range(n + 1)
-        ])
-    degens.append([])
-    S = TruncatedSimplicialAlgebra(levels, faces, degens, name=name)
-    validate_simplicial(S, check_homs=True)
-    return S
+    S = transport(Y, levels, sels, poss, name)
+    return validate_simplicial(S, check_homs=True)
 
 
 # -- criterion 1: congruence lattices --------------------------------------
@@ -487,16 +468,8 @@ def _characterization_suite(ctx):
     GX, GY = one_object_groupoid(c2), one_object_groupoid(c4)
     f0 = Homomorphism(GX.objects, GY.objects, [0], check=False)
     f1 = Homomorphism(GX.arrows, GY.arrows, incl.map, check=False)
-    NX, NY = nerve(GX, 3), nerve(GY, 3)
-    comps = [f0, f1]
-    for n in range(2, 4):
-        cols = f1.map[NX.levels[n].carrier.rows]
-        comps.append(Homomorphism(
-            NX.levels[n], NY.levels[n],
-            NY.levels[n].carrier.index_of(cols), check=False,
-        ))
     inclusions.append(
-        ("B-C2-in-B-C4", SimplicialMorphism(NX, NY, comps, check=True))
+        ("B-C2-in-B-C4", groupoid_functor_nerve_map(GX, GY, f0, f1, 3))
     )
     for label, F in inclusions:
         S = _image_subobject(F, f"im-{label}")

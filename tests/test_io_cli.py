@@ -185,6 +185,56 @@ def test_cli_gen_writes_a_loadable_artifact(tmp_path):
     assert [lvl.size for lvl in obj.levels] == [1, 4, 16]
 
 
+# The artifact sha256 of `gen` for every simplicial and morphism kind.  A
+# construction that changes a level's element order, a structure map or a
+# name changes these bytes.
+GEN_PINS = [
+    (['pair', 'algebra=C4', 'truncation=3'],
+     "c3df7433ddffc2091ab9f4e842e8bf55199f49d6075e5e73889672727fab3b04"),
+    (['discrete', 'algebra=S3', 'truncation=3'],
+     "5a916d116bc728fa46a6098b9d0801871927bdeef82504f5da6ac1bb984a6446"),
+    (['delooping', 'algebra=C4', 'truncation=3'],
+     "1bcf5820b514f344aba4b8cf11e3c3641b4cd2cce11e6e7b514bfaf30ada65c1"),
+    (['bundle', 'fiber=C2', 'base=C3', 'truncation=3'],
+     "81683b444c80e991e4f91bf4e544befdf03b2ed48811dca20ad64ed7c85b2bb3"),
+    (['congruence', 'algebra=C6', 'generators=[[0,3]]', 'truncation=3'],
+     "48d6d5529f8624b59ead73b9b151ee133f3c81b111880e24f7acc4aba15d4166"),
+    (['random_congruence', 'algebra=Z2^2', 'seed=5'],
+     "386218c97936d0b754b6db8f681fb8907b5cdbb952f99d4f504a576c88d7645a"),
+    (['coset', 'group=S3'],
+     "7fefc38e06fbcced23bec039e3d60cecdffe8d12bd4ddb4eaf33c6e96c072ac6"),
+    (['sk1_loops', 'base=Z2', 'fiber=Z2'],
+     "c8f7cda451bc5e0434188a28c84e8f89c952f17f9cf48ef022dc3a866e45a4e9"),
+    (['sk1_translation', 'base=Z4', 'fiber=Z2', 'delta=[0,2]'],
+     "b4fe92ad1fade4e9541ebb7ca0d4c4c92bce775bd3b6e2393d1d349f9dfe68ac"),
+    (['cosk_loops', 'base=C2', 'fiber=C2', 'truncation=3'],
+     "efa1e876a42cb3b733aad1b3ccd22d1148289fa0d3222ff2c9f112b4c79b6353"),
+    (['decalage_of', 'of={"kind":"pair","algebra":"C4","truncation":3}'],
+     "441d3e183ad7aabb1dd2330eb2292c94dd96403a9de4b16d4242f7d567df925c"),
+    (['quotient_extension', 'of={"kind":"cosk_loops","base":"C2",'
+      '"fiber":"C2","truncation":3}', 'pairs={"1":[[0,1]]}'],
+     "b226e369287a1ff93a64d4948a4edcf6057e81866b4e57e90222e1b27727bb02"),
+    (['quotient_extension', 'of={"kind":"pair","algebra":"C4",'
+      '"truncation":3}', 'pairs={"0":[[0,2]]}'],
+     "3f7337b20ed670c0d0ee04674b96636d4caaf553101a0c8cba6cf8534d5ee608"),
+    (['coset', 'group=C4', 'subgroup=[0,2]'],
+     "04010534543daeab6eb73dca9964fdb8f0c9313d22aea194a3979ea94904d5b4"),
+    (['pair', 'algebra=chain3'],
+     "f37a0f7945c454766ace29e1eef6d3d2d211dd1e3f48f7f9ba0991d98a67ad64"),
+    (['product_projection', 'left={"kind":"pair","algebra":"C2"}',
+      'right={"kind":"delooping","algebra":"C4"}'],
+     "8ed00187bc14f4bbc161f0cc80bcfd082800fa86cd522bd0f04c4528c45b4c38"),
+]
+
+
+@pytest.mark.parametrize("params, digest", GEN_PINS,
+                         ids=[params[0] for params, _ in GEN_PINS])
+def test_cli_gen_artifact_bytes_are_pinned(params, digest):
+    code, report, _ = run(["gen"] + params)
+    assert code == 0
+    assert report["results"]["artifact_sha256"] == digest
+
+
 def test_cli_reflect_emits_artifacts(tmp_path):
     _, obj_path, _ = _write_artifacts(tmp_path)
     outdir = str(tmp_path / "refl")
@@ -290,6 +340,17 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
     (["heyting_from_poset", "poset=3"], POSET_WITNESS),
     (["heyting_from_poset", "poset=[[1,0],[1]]"], POSET_WITNESS),
     (["heyting_from_poset", "poset=[[1,2],[0,1]]"], POSET_WITNESS),
+    (["decalage_of", 'of={"kind":"cyclic_group","n":2}'],
+     "parameter 'of' must give a simplicial object"),
+    (["product_projection", 'left={"kind":"cyclic_group","n":2}',
+      'right={"kind":"cyclic_group","n":2}'],
+     "parameter 'left' must give a simplicial object"),
+    (["product_projection", 'left={"kind":"pair","algebra":"C2"}',
+      'right={"kind":"cyclic_group","n":2}'],
+     "parameter 'right' must give a simplicial object"),
+    (["coset", "group=C4"], "C4 is not a permutation group"),
+    (["sk1_translation", "base=C4", "fiber=C2", "delta=3"],
+     "delta must list elements of C4"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)

@@ -29,6 +29,7 @@ from simal.limits import (
     product,
     pullback,
     subproduct_algebra,
+    tuple_map,
 )
 from simal.corpus import cyclic_group, symmetric_group, zk_module
 
@@ -58,6 +59,19 @@ def test_pullback_of_mod2_square():
     assert alg.size == 8
     for a, b in alg.carrier.rows:
         assert a % 2 == b % 2
+
+
+def test_tuple_map_looks_components_up_in_the_carrier():
+    z4 = cyclic_group(4)
+    f = Homomorphism(z4, cyclic_group(2), [0, 1, 0, 1])
+    alg, _ = pullback(f, f)
+    x = np.arange(4)
+    shifted = tuple_map(z4, alg, [x, (x + 2) % 4])
+    assert shifted.dom is z4 and shifted.cod is alg
+    assert np.array_equal(alg.carrier.rows[shifted.map],
+                          np.stack([x, (x + 2) % 4], axis=1))
+    with pytest.raises(InvalidParameters, match="tuple outside the carrier"):
+        tuple_map(z4, alg, [x, (x + 1) % 4])
 
 
 def test_compatible_tuples_against_brute_filter():

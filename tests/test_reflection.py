@@ -24,13 +24,13 @@ from simal.reflection import (
     is_internal_groupoid,
     is_two_coskeletal_at_top,
     pi1,
-    spine_maps,
     universal_property_check,
 )
 from simal.simplicial import (
     SimplicialMorphism,
     coskeleton,
     nerve,
+    spine_maps,
 )
 
 C2 = cyclic_group(2)

@@ -43,6 +43,7 @@ from simal.simplicial import (
     exactness_check,
     is_simplicial_congruence,
     nerve,
+    nerve_map,
     quotient_simplicial,
     simplicial_congruence_generated,
     simplicial_kernel,
@@ -180,6 +181,21 @@ def test_simplicial_kernel_bounds():
         simplicial_kernel(X, 4)
     with pytest.raises(BudgetError):
         simplicial_kernel(X, 3, budget=2)
+
+
+def test_nerve_map_reads_higher_components_off_the_spine():
+    GX, GY = one_object_groupoid(C2), one_object_groupoid(C4)
+    NX, NY = nerve(GX, 3), nerve(GY, 3)
+    f0 = Homomorphism(GX.objects, GY.objects, [0], check=False)
+    double = np.array([0, 2])
+    F = nerve_map(NX, NY, f0, Homomorphism(GX.arrows, GY.arrows, double))
+    for n in (2, 3):
+        assert np.array_equal(NY.levels[n].carrier.rows[F.components[n].map],
+                              double[NX.levels[n].carrier.rows])
+    # arrows sent off the identity do not compose, so no morphism exists
+    shifted = Homomorphism(GX.arrows, GY.arrows, [1, 3], check=False)
+    with pytest.raises(IdentityViolated, match="d1 at level 2"):
+        nerve_map(NX, NY, f0, shifted)
 
 
 def test_exactness_for_nerves():

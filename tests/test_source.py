@@ -2,6 +2,7 @@
 ast module, so they need no linter."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "simal"
@@ -57,4 +58,42 @@ def test_every_top_level_definition_is_read_elsewhere():
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not readers.get(stmt.name, set()) - {(path, index)}):
                 unread.append(f"{path.name}:{stmt.lineno} {stmt.name}")
+    assert unread == []
+
+
+def attribute_reads():
+    """For every attribute name read in src/simal or tests, the (path,
+    line) of each read."""
+    tests = pathlib.Path(__file__).resolve().parent
+    reads = {}
+    for path in [*SRC.glob("*.py"), *tests.rglob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                reads.setdefault(node.attr, []).append((path, node.lineno))
+    return reads
+
+
+def test_every_public_method_is_read_elsewhere():
+    """A public method of a library class must be read as an attribute
+    somewhere outside its own body.  Dunders, private methods and
+    overrides of a base-class method (called by the base) are exempt."""
+    reads = attribute_reads()
+    unread = []
+    for path in library_modules():
+        module = importlib.import_module(f"simal.{path.stem}")
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef):
+                continue
+            bases = getattr(module, stmt.name).__mro__[1:]
+            for item in stmt.body:
+                if (not isinstance(item, ast.FunctionDef)
+                        or item.name.startswith("_")
+                        or any(hasattr(b, item.name) for b in bases)):
+                    continue
+                own = range(item.lineno, item.end_lineno + 1)
+                if all(p == path and line in own
+                       for p, line in reads.get(item.name, [])):
+                    unread.append(f"{path.name}:{item.lineno} "
+                                  f"{stmt.name}.{item.name}")
     assert unread == []
