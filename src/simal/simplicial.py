@@ -359,9 +359,15 @@ def decalage(X):
 
 
 def coskeleton(X, M, budget=None):
-    """Extend by simplicial kernels up to truncation M."""
+    """Extend by simplicial kernels up to truncation M, which may not be
+    below X's truncation."""
     if X.truncation < 1:
         raise PreconditionUnmet("coskeleton extension needs truncation >= 1")
+    if M < X.truncation:
+        raise InvalidParameters(
+            f"coskeleton truncation {M} is below the truncation "
+            f"{X.truncation} of {X.name}"
+        )
     levels = list(X.levels)
     faces = [list(fs) for fs in X.faces]
     degeneracies = [list(ds) for ds in X.degeneracies]

@@ -41,6 +41,50 @@ def brute_tuples(sizes, constraints):
     ]
 
 
+def componentwise_tables(factors, rows):
+    """Every operation of the algebra on the tuples rows of a product of
+    factors, evaluated one argument tuple and one component at a time,
+    as {name: index table}; a result outside rows raises KeyError."""
+    rows = [tuple(int(v) for v in r) for r in rows]
+    index = {r: i for i, r in enumerate(rows)}
+    tables = {}
+    for opname, arity in factors[0].signature.ops:
+        out = np.zeros((len(rows),) * arity if arity else (1,), dtype=np.int64)
+        for args in itertools.product(range(len(rows)), repeat=arity):
+            result = tuple(
+                int(f.table(opname)[tuple(rows[a][c] for a in args)])
+                if arity else int(f.table(opname)[0])
+                for c, f in enumerate(factors)
+            )
+            out[args if arity else 0] = index[result]
+        tables[opname] = out
+    return tables
+
+
+def quotient_by_blocks(alg, part):
+    """(block of each element, {name: table}) for the quotient by the
+    least-member partition part, blocks numbered by least member; each
+    table entry is written from every argument tuple, and two tuples that
+    disagree raise ValueError."""
+    block_of = {r: i for i, r in enumerate(sorted(set(int(v) for v in part)))}
+    proj = [block_of[int(v)] for v in part]
+    tables = {}
+    for opname, arity in alg.signature.ops:
+        t = alg.table(opname)
+        if not arity:
+            tables[opname] = np.asarray([proj[int(t[0])]])
+            continue
+        out = np.full((len(block_of),) * arity, -1, dtype=np.int64)
+        for args in itertools.product(range(alg.size), repeat=arity):
+            cell = tuple(proj[a] for a in args)
+            value = proj[int(t[args])]
+            if out[cell] not in (-1, value):
+                raise ValueError(f"{opname} is not well defined at {cell}")
+            out[cell] = value
+        tables[opname] = out
+    return proj, tables
+
+
 def closure_of_pairs(n, pairs):
     """Reflexive-symmetric-transitive closure, as a set of ordered pairs."""
     adj = {i: {i} for i in range(n)}
@@ -173,49 +217,36 @@ def matrix_closure_commutator(alg, theta_part, psi_part):
     Matrices are 4-tuples (x, y, z, w) for [[x, y], [z, w]]; generated by
     (a, a, b, b) over theta-pairs and (u, v, u, v) over psi-pairs; the
     result is the least congruence delta with: x delta y implies
-    z delta w for every matrix.
+    z delta w for every matrix.  Each round applies every operation to
+    every tuple of the matrices found so far, of any arity.
     """
     n = alg.size
     if n == 0:
         return []
-    present = set()
-    frontier = []
-    for a, b in pairs_of_partition(theta_part):
-        frontier.append((a, a, b, b))
-    for u, v in pairs_of_partition(psi_part):
-        frontier.append((u, v, u, v))
-    rows = []
-    for q in frontier:
-        if q not in present:
-            present.add(q)
-            rows.append(q)
-    mat = np.asarray(rows, dtype=np.int64)
+
+    def encode(rows):
+        return ((rows[:, 0] * n + rows[:, 1]) * n + rows[:, 2]) * n + rows[:, 3]
+
+    def decode(codes):
+        return np.stack([codes // n ** (3 - c) % n for c in range(4)], axis=1)
+
+    seeds = [(a, a, b, b) for a, b in pairs_of_partition(theta_part)]
+    seeds += [(u, v, u, v) for u, v in pairs_of_partition(psi_part)]
+    mat = decode(np.unique(encode(np.asarray(seeds, dtype=np.int64))))
     while True:
         added = False
         for opname, arity in alg.signature.ops:
             t = alg.table(opname)
-            m = len(mat)
             if arity == 0:
                 cand = np.asarray([[int(t[0])] * 4])
-            elif arity == 1:
-                cand = t[mat]
-            elif arity == 2:
-                left = np.repeat(np.arange(m), m)
-                right = np.tile(np.arange(m), m)
-                cand = np.stack(
-                    [t[mat[left, c], mat[right, c]] for c in range(4)], axis=1
-                )
             else:
-                raise NotImplementedError("oracle handles arity <= 2")
-            codes = ((cand[:, 0] * n + cand[:, 1]) * n + cand[:, 2]) * n + cand[:, 3]
-            new = []
-            for row, code in zip(cand, codes):
-                key = tuple(int(v) for v in row)
-                if key not in present:
-                    present.add(key)
-                    new.append(key)
-            if new:
-                mat = np.concatenate([mat, np.asarray(new, dtype=np.int64)])
+                args = np.indices((len(mat),) * arity).reshape(arity, -1)
+                cand = np.stack(
+                    [t[tuple(mat[a, c] for a in args)] for c in range(4)], axis=1
+                ).astype(np.int64)
+            new = decode(np.setdiff1d(encode(cand), encode(mat)))
+            if len(new):
+                mat = np.concatenate([mat, new])
                 added = True
         if not added:
             break

@@ -1,9 +1,14 @@
+import functools
 import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from simal import commutator
 from simal import congruences as cg
+from simal.algebra import Signature, make_algebra
 from simal.commutator import tc_commutator
 from simal.errors import InvalidParameters
 from simal.corpus import (
@@ -13,6 +18,36 @@ from simal.corpus import (
     symmetric_group,
     zk_module,
 )
+
+
+def _ternary(name, n, rule):
+    """The algebra on range(n) with the one ternary operation rule(x, y, z),
+    which is also its Mal'tsev term."""
+    x, y, z = np.ix_(range(n), range(n), range(n))
+    return make_algebra(
+        name, Signature([("p", 3)]), {"p": rule(x, y, z)}, "p(x, y, z)"
+    )
+
+
+@functools.cache
+def _oracle_pool():
+    """Small groups, modules, Heyting algebras and ternary-signature
+    algebras, each with its congruence lattice."""
+    algs = [
+        cyclic_group(4),
+        cyclic_group(6),
+        symmetric_group(3),
+        dihedral_group(4),
+        zk_module(2, 2),
+        zk_module(3),
+        heyting_from_poset({"kind": "chain", "n": 3}),
+        heyting_from_poset({"kind": "grid", "rows": 2, "cols": 2}),
+        _ternary("Z3p", 3, lambda x, y, z: (x - y + z) % 3),
+        _ternary("Z4p", 4, lambda x, y, z: (x - y + z) % 4),
+        # the discriminator: simple, arithmetical, and not affine
+        _ternary("disc3", 3, lambda x, y, z: np.where(x == y, z, x)),
+    ]
+    return [(alg, cg.enumerate_congruences(alg)) for alg in algs]
 
 
 def test_commutator_matches_matrix_closure_oracle():
@@ -114,3 +149,51 @@ def test_full_commutator_on_c32_stays_under_48_mb_traced():
         tracemalloc.stop()
     assert result.is_diagonal()
     assert peak < 48e6, peak
+
+
+@settings(max_examples=120, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_commutator_matches_the_oracle_on_generated_pairs(data):
+    # slabs of a few cells split the work pairs and the constant tuples
+    pool = _oracle_pool()
+    alg, congs = pool[data.draw(st.integers(0, len(pool) - 1), label="alg")]
+    theta = congs[data.draw(st.integers(0, len(congs) - 1), label="theta")]
+    psi = congs[data.draw(st.integers(0, len(congs) - 1), label="psi")]
+    slab = data.draw(st.sampled_from([commutator.SLAB_CELLS, 100, 7]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(commutator, "SLAB_CELLS", slab)
+        ours = tc_commutator(theta, psi).part
+    want = oracles.matrix_closure_commutator(alg, theta.part, psi.part)
+    assert list(ours) == want, (alg.name, theta.part, psi.part)
+
+
+@pytest.mark.parametrize("slab", [None, 50])
+def test_s3_heap_derived_congruence(monkeypatch, slab):
+    # p(x, y, z) = x y^-1 z alone: its translations in the first slot are
+    # the right multiplications, and only the other slots add the left
+    # ones that [1, 1] needs
+    if slab is not None:
+        monkeypatch.setattr(commutator, "SLAB_CELLS", slab)
+    s3 = symmetric_group(3)
+    mul, inv = s3.table("mul"), s3.table("inv")
+    heap = _ternary("heap(S3)", 6, lambda x, y, z: mul[mul[x, inv[y]], z])
+    derived = tc_commutator(cg.full(heap), cg.full(heap))
+    assert derived == cg.Congruence(
+        heap, tc_commutator(cg.full(s3), cg.full(s3)).part
+    )
+    assert sorted(len(b) for b in derived.blocks()) == [3, 3]
+
+
+def test_full_commutator_on_d24_stays_under_24_mb_traced():
+    # the pair algebra has 2304 elements; no temporary may grow with its
+    # square, as one int32 table over it alone takes 21 MB
+    alg = dihedral_group(24)
+    alg.tables
+    tracemalloc.start()
+    try:
+        result = tc_commutator(cg.full(alg), cg.full(alg))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.class_count() == 4
+    assert peak < 24e6, peak

@@ -351,6 +351,10 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
     (["coset", "group=C4"], "C4 is not a permutation group"),
     (["sk1_translation", "base=C4", "fiber=C2", "delta=3"],
      "delta must list elements of C4"),
+    (["cosk_loops", "base=C2", "fiber=C2", "truncation=-1"],
+     "coskeleton truncation -1 is below the truncation 1 of loops(C2,C2)"),
+    (["cosk_loops", "base=C2", "fiber=C2", "truncation=0"],
+     "coskeleton truncation 0 is below the truncation 1 of loops(C2,C2)"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import oracles
 from simal import limits
@@ -31,7 +31,12 @@ from simal.limits import (
     subproduct_algebra,
     tuple_map,
 )
-from simal.corpus import cyclic_group, symmetric_group, zk_module
+from simal.corpus import (
+    cyclic_group,
+    heyting_from_poset,
+    symmetric_group,
+    zk_module,
+)
 
 
 def test_product_tables_componentwise():
@@ -244,3 +249,86 @@ def test_subproduct_ternary_table_is_componentwise(monkeypatch, chunk_cells):
         table, alg.carrier.index_of(want.reshape(-1, 3)).reshape(m, m, m)
     )
     check_maltsev(alg)
+
+
+def _ternary(name, n, rule):
+    x, y, z = np.ix_(range(n), range(n), range(n))
+    return make_algebra(
+        name, Signature([("p", 3)]), {"p": rule(x, y, z)}, "p(x, y, z)"
+    )
+
+
+# Families of algebras of one signature each, small enough that three
+# factors have at most 36 elements (27 for the ternary family).
+LIMIT_FAMILIES = [
+    [cyclic_group(1), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+     symmetric_group(3)],
+    [heyting_from_poset({"kind": "chain", "n": 2}),
+     heyting_from_poset({"kind": "chain", "n": 3})],
+    [_ternary("Z3p", 3, lambda x, y, z: (x - y + z) % 3),
+     _ternary("disc3", 3, lambda x, y, z: np.where(x == y, z, x)),
+     _ternary("Z2p", 2, lambda x, y, z: x ^ y ^ z)],
+]
+
+LIMIT_SETTINGS = settings(
+    max_examples=60, derandomize=True, database=None, deadline=None
+)
+
+
+def _assert_limit(alg, projs, factors, want_rows):
+    """Carrier rows, every table and the projections of a limit against
+    componentwise evaluation."""
+    assert [tuple(int(v) for v in r) for r in alg.carrier.rows] == want_rows
+    assert alg.size == len(want_rows)
+    want = oracles.componentwise_tables(factors, want_rows)
+    for opname, _ in alg.signature.ops:
+        assert np.array_equal(alg.table(opname), want[opname]), opname
+    assert [(p.dom, p.cod) for p in projs] == [(alg, f) for f in factors]
+    for c, p in enumerate(projs):
+        assert [int(v) for v in p.map] == [r[c] for r in want_rows]
+
+
+@LIMIT_SETTINGS
+@given(st.data())
+def test_product_is_componentwise(data):
+    family = data.draw(st.sampled_from(LIMIT_FAMILIES))
+    bound = 27 if family is LIMIT_FAMILIES[-1] else 36
+    factors = data.draw(st.lists(st.sampled_from(family), min_size=1,
+                                 max_size=3))
+    sizes = [f.size for f in factors]
+    assume(np.prod(sizes) <= bound)
+    alg, projs = product("prod", factors)
+    want_rows = list(itertools.product(*(range(n) for n in sizes)))
+    _assert_limit(alg, projs, factors, want_rows)
+
+
+@LIMIT_SETTINGS
+@given(st.data())
+def test_pullback_is_componentwise(data):
+    family = data.draw(st.sampled_from(LIMIT_FAMILIES))
+    a, b, c = (data.draw(st.sampled_from(family)) for _ in range(3))
+    f = data.draw(st.sampled_from(all_homomorphisms(a, c)))
+    g = data.draw(st.sampled_from(all_homomorphisms(b, c)))
+    alg, projs = pullback(f, g)
+    want_rows = [
+        (x, y) for x in range(a.size) for y in range(b.size)
+        if f.map[x] == g.map[y]
+    ]
+    _assert_limit(alg, projs, [a, b], want_rows)
+
+
+@LIMIT_SETTINGS
+@given(st.data())
+def test_quotient_is_blockwise(data):
+    family = data.draw(st.sampled_from(LIMIT_FAMILIES))
+    factors = data.draw(st.lists(st.sampled_from(family), min_size=1,
+                                 max_size=2))
+    alg = product("prod", factors)[0] if len(factors) > 1 else factors[0]
+    theta = data.draw(st.sampled_from(cg.enumerate_congruences(alg, 36)))
+    q, proj = cg.quotient(alg, theta)
+    want_proj, want = oracles.quotient_by_blocks(alg, theta.part)
+    assert q.size == len(set(want_proj))
+    assert proj.dom is alg and proj.cod is q
+    assert [int(v) for v in proj.map] == want_proj
+    for opname, _ in alg.signature.ops:
+        assert np.array_equal(q.table(opname), want[opname]), opname
