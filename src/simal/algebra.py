@@ -182,6 +182,8 @@ def validate_algebra(raw):
         flats = [int_array(o["table"], f"table {o['name']!r}") for o in ops]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"algebra description missing field: {exc}") from exc
+    if not isinstance(term, str):
+        raise MalformedTable(f"{name}: Mal'tsev term {term!r} is not a string")
     tables = {}
     for o, arity, flat in zip(ops, arities, flats):
         want = (1,) if arity == 0 else (size,) * arity
@@ -197,7 +199,7 @@ def validate_algebra(raw):
     return alg
 
 
-def make_algebra(name, signature, tables, term, check=True):
+def make_algebra(name, signature, tables, term):
     size = None
     for (opname, arity) in signature.ops:
         t = np.asarray(tables[opname])
@@ -207,9 +209,8 @@ def make_algebra(name, signature, tables, term, check=True):
     if size is None:
         raise InvalidParameters("cannot infer size from nullary tables only")
     alg = FiniteAlgebra(name, size, signature, tables, term)
-    if check:
-        check_tables(alg)
-        check_maltsev(alg)
+    check_tables(alg)
+    check_maltsev(alg)
     return alg
 
 
@@ -293,7 +294,7 @@ def check_homomorphism(h):
             )
 
 
-def all_homomorphisms(dom, cod, limit=None):
+def all_homomorphisms(dom, cod):
     """Enumerate every homomorphism dom -> cod by backtracking.
 
     Intended for small carriers; raises for sizes past 64.
@@ -317,8 +318,6 @@ def all_homomorphisms(dom, cod, limit=None):
     fmap = [-1] * n
 
     def extend(k, forced):
-        if limit is not None and len(results) >= limit:
-            return
         if k == n:
             results.append(Homomorphism(dom, cod, fmap, check=False))
             return
@@ -353,8 +352,7 @@ def all_homomorphisms(dom, cod, limit=None):
     return results
 
 
-def all_isomorphisms(dom, cod, limit=None):
+def all_isomorphisms(dom, cod):
     if dom.size != cod.size:
         return []
-    return [h for h in all_homomorphisms(dom, cod, limit=None)
-            if h.is_bijective()][: (limit or None)]
+    return [h for h in all_homomorphisms(dom, cod) if h.is_bijective()]

@@ -40,12 +40,7 @@ from .errors import (
 )
 from .galois import classify_extension, em_factorization, ml_factorization
 from .groupoid import InternalGroupoid
-from .reflection import (
-    commutator_chain_check,
-    is_internal_groupoid,
-    is_two_coskeletal_at_top,
-    pi1,
-)
+from .reflection import commutator_chain_check, is_internal_groupoid, pi1
 from .simplicial import (
     SimplicialMorphism,
     TruncatedSimplicialAlgebra,
@@ -73,10 +68,13 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def budgeted(p):
         p.add_argument("--budget", type=int, default=None,
                        help="size limit for enumerative constructions "
                        "(default from SIMAL_BUDGET or built-in)")
+        return common(p)
+
+    def common(p):
         p.add_argument("--out", default=None,
                        help="output path: the artifact file for gen, a "
                        "directory of artifacts for reflect and factorize, "
@@ -85,7 +83,7 @@ def build_parser():
                        help="print the full run report as JSON")
         return p
 
-    p = common(sub.add_parser("validate", help="check JSON artifacts"))
+    p = budgeted(sub.add_parser("validate", help="check JSON artifacts"))
     p.add_argument("files", nargs="+")
 
     p = common(sub.add_parser("gen", help="generate an artifact"))
@@ -103,13 +101,13 @@ def build_parser():
         ("cosk", "kernel and exactness diagnostics"),
         ("commutators", "commutator chain at level one"),
     ):
-        p = common(sub.add_parser(name, help=helptext))
+        p = budgeted(sub.add_parser(name, help=helptext))
         p.add_argument("file")
         if name == "factorize":
             p.add_argument("--mode", choices=("em", "ml"), default="em",
                            help="reflective (em) or monotone-light (ml)")
 
-    p = common(sub.add_parser("suite", help="run the acceptance battery"))
+    p = budgeted(sub.add_parser("suite", help="run the acceptance battery"))
     p.add_argument("--profile", choices=("desk", "deep"), default="desk")
 
     return parser
@@ -332,22 +330,22 @@ def _cmd_cosk(args, inputs, out_lines):
     _, obj = _load(args.file, inputs)
     X = _need(obj, TruncatedSimplicialAlgebra, "a truncated simplicial object")
     N = X.truncation
-    exact = []
+    exact, kernels = [], []
     for level in range(1, N):
         ok, sizes = exactness_check(X, level, budget=args.budget)
         exact.append({"level": level, "exact": ok, **sizes})
-    kernels = []
-    for n in range(2, N + 2):
-        K, _, kappa = simplicial_kernel(X, n, budget=args.budget)
-        entry = {"n": n, "kernel_size": K.size}
-        if kappa is not None:
-            entry["level_size"] = X.levels[n].size
-            entry["image_size"] = len(set(kappa.map.tolist()))
-        kernels.append(entry)
+        kernels.append({"n": level + 1, "level_size": X.levels[level + 1].size,
+                        **sizes})
+    if N >= 1:
+        K, _, _ = simplicial_kernel(X, N + 1, budget=args.budget)
+        kernels.append({"n": N + 1, "kernel_size": K.size})
     results = {"object": X.name, "levels": _level_sizes(X),
                "exactness": exact, "kernels": kernels}
     if N >= 2:
-        results["two_coskeletal_at_top"] = is_two_coskeletal_at_top(X)
+        top = kernels[N - 2]
+        results["two_coskeletal_at_top"] = (
+            top["image_size"] == top["kernel_size"] == top["level_size"]
+        )
     out_lines.append(f"{X.name}: levels {results['levels']}")
     for e in exact:
         out_lines.append(

@@ -7,6 +7,8 @@ the SIMAL_BUDGET environment variable.
 
 import os
 
+from .errors import InvalidParameters
+
 DEFAULT_BUDGET = 1_000_000
 
 
@@ -14,6 +16,9 @@ def resolve_budget(budget=None):
     if budget is not None:
         return int(budget)
     env = os.environ.get("SIMAL_BUDGET")
-    if env is not None:
+    if env is None:
+        return DEFAULT_BUDGET
+    try:
         return int(env)
-    return DEFAULT_BUDGET
+    except ValueError:
+        raise InvalidParameters(f"SIMAL_BUDGET={env!r} is not an integer") from None

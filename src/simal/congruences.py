@@ -44,6 +44,9 @@ from .errors import (
 )
 from .algebra import FiniteAlgebra, Homomorphism
 
+# enumerate_congruences refuses algebras larger than this
+ENUMERATION_LIMIT = 16
+
 
 def canonical_partition(labels):
     """Relabel an arbitrary label array so each class is named by its least member."""
@@ -349,11 +352,11 @@ def principal_congruence(alg, a, b):
     return congruence_generated(alg, [(a, b)])
 
 
-def enumerate_congruences(alg, max_size=16):
+def enumerate_congruences(alg):
     """Every congruence, as the join closure of the principal ones."""
-    if alg.size > max_size:
+    if alg.size > ENUMERATION_LIMIT:
         raise BudgetExceeded(
-            f"congruence enumeration limited to size {max_size}, "
+            f"congruence enumeration limited to size {ENUMERATION_LIMIT}, "
             f"{alg.name} has {alg.size}"
         )
     found = {}

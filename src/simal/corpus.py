@@ -490,7 +490,7 @@ def _neutral_index(alg):
     raise UnsupportedVariety("no neutral constant in signature")
 
 
-def sk1_two_truncation(graph, name=None):
+def sk1_two_truncation(graph):
     """Degenerate 2-simplices freely added to a reflexive module graph.
 
     Level 2 is (X1 + X1) / (s0 a, -s0 a); the two degeneracies are the
@@ -541,7 +541,7 @@ def sk1_two_truncation(graph, name=None):
         [X0, X1, X2],
         [[], list(graph.faces[1]), faces2],
         [[graph.degeneracies[0][0]], [s0_2, s1_2], []],
-        name=name or f"sk1({graph.name})",
+        name=f"sk1({graph.name})",
     )
     return validate_simplicial(obj, check_homs=True)
 
@@ -568,14 +568,14 @@ def groupoid_functor_nerve_map(GX, GY, f0, f1, M, name=None, target=None):
     return out
 
 
-def congruence_nerve_extension(alg, theta, psi, M, name=None):
+def congruence_nerve_extension(alg, theta, psi, M):
     """Collapse a congruence nerve along a second congruence."""
     B, q = cg.quotient(alg, psi)
     phi = cg.image(q, cg.join(theta, psi))
     GX = congruence_groupoid(alg, theta)
     GY = congruence_groupoid(B, phi)
     f1 = _pairs_map(GX, GY, q.map)
-    return groupoid_functor_nerve_map(GX, GY, q, f1, M, name=name)
+    return groupoid_functor_nerve_map(GX, GY, q, f1, M)
 
 
 def _pairs_map(GX, GY, h):
@@ -586,25 +586,24 @@ def _pairs_map(GX, GY, h):
     )
 
 
-def delooping_extension(hom, M, name=None):
+def delooping_extension(hom, M):
     """Nerve of a surjective homomorphism between abelian groups."""
     GX = one_object_groupoid(hom.dom)
     GY = one_object_groupoid(hom.cod)
     f0 = Homomorphism(GX.objects, GY.objects, np.zeros(1, dtype=np.int64),
                       check=False)
-    return groupoid_functor_nerve_map(GX, GY, f0, hom, M, name=name)
+    return groupoid_functor_nerve_map(GX, GY, f0, hom, M)
 
 
-def bundle_collapse_extension(fiber, base, M, name=None):
+def bundle_collapse_extension(fiber, base, M):
     """Forget the isotropy of a bundle groupoid onto the discrete base."""
     GX = bundle_groupoid(fiber, base)
     GY = discrete_groupoid(base)
     f1 = _pairs_map(GX, GY, np.arange(base.size))
-    return groupoid_functor_nerve_map(GX, GY, identity_hom(base), f1, M,
-                                      name=name)
+    return groupoid_functor_nerve_map(GX, GY, identity_hom(base), f1, M)
 
 
-def augmentation_extension(X, q, name=None):
+def augmentation_extension(X, q):
     """Map a simplicial object onto a constant one along an augmentation
     q: X_0 -> A with q d0 = q d1."""
     N = X.truncation
@@ -618,7 +617,7 @@ def augmentation_extension(X, q, name=None):
             )
         )
     out = SimplicialMorphism(X, C, comps, check=True)
-    out.name = name or f"{X.name}->const"
+    out.name = f"{X.name}->const"
     return out
 
 

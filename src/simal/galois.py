@@ -5,6 +5,10 @@ Every classification is computed along at least two independent routes
 (lattice conditions, horn-comparison maps, self-pullback) and the
 routes are required to agree; a disagreement raises instead of picking
 a side.
+
+Each derived structure has one builder: reflection.homotopy_family (or
+a reflection's R.h), induced_groupoid_nerve_map for the functor between
+reflections, and simplicial.exactness_check for exactness.
 """
 
 import numpy as np
@@ -22,31 +26,19 @@ from . import congruences as cg
 from .limits import tuple_map
 from .simplicial import (
     SimplicialMorphism,
+    exactness_check,
     kan_fibration_check,
     nerve_map,
     quotient_simplicial,
     simplicial_congruence_generated,
-    simplicial_kernel,
     simplicial_pullback,
 )
 from .reflection import (
     face_kernels,
-    homotopy_congruence,
     homotopy_congruence_level1,
+    homotopy_family,
     pi1,
 )
-
-
-def homotopy_family(X):
-    """Homotopy congruence at every level, diagonal at level zero."""
-    h = [cg.diagonal(X.levels[0])]
-    if X.truncation >= 2:
-        h.append(homotopy_congruence_level1(X))
-    else:
-        h.append(cg.diagonal(X.levels[1]))
-    for n in range(2, X.truncation + 1):
-        h.append(homotopy_congruence(X, n))
-    return h
 
 
 def _require_extension(F):
@@ -58,28 +50,30 @@ def _require_extension(F):
         raise PreconditionUnmet("classification needs truncation >= 2")
 
 
-def _kernel_meets_homotopy_trivially(F):
-    h = homotopy_family(F.dom)
-    for n in range(1, F.dom.truncation + 1):
-        if not cg.meet(cg.kernel_pair(F.components[n]), h[n]).is_diagonal():
-            return False
-    return True
+def _kernel_meets_homotopy_trivially(F, h):
+    """Whether ker F meets the homotopy family h of F.dom trivially."""
+    return all(cg.meet(cg.kernel_pair(F.components[n]), h[n]).is_diagonal()
+               for n in range(1, F.dom.truncation + 1))
 
 
 def is_trivial_extension(F):
     """Kernel meets the homotopy congruence trivially at every level."""
     _require_extension(F)
-    return _kernel_meets_homotopy_trivially(F)
+    return _kernel_meets_homotopy_trivially(F, homotopy_family(F.dom))
+
+
+def _relative_level1(F):
+    """d1(ker F_2 /\\ D_0 /\\ D_2): arrows joined by a thin 2-simplex
+    that F sends to a degenerate one."""
+    X = F.dom
+    D2 = face_kernels(X, 2)
+    F2 = cg.kernel_pair(F.components[2])
+    return cg.image(X.faces[2][1], cg.meet_all([F2, D2[0], D2[2]]))
 
 
 def _central_by_lattice(F):
     X = F.dom
-    D2 = face_kernels(X, 2)
-    F2 = cg.kernel_pair(F.components[2])
-    rel = cg.image(
-        X.faces[2][1], cg.meet_all([F2, D2[0], D2[2]])
-    )
-    if not rel.is_diagonal():
+    if not _relative_level1(F).is_diagonal():
         return False
     for n in range(2, X.truncation + 1):
         Fn = cg.kernel_pair(F.components[n])
@@ -157,6 +151,17 @@ def _degenerate_mask(values, s0_map):
     return img[pos] == values
 
 
+def _collected_equals(lattice, faces, mask, what):
+    """The lattice value, once the face pairs (a(x), b(x)) of the
+    simplices x picked by mask are exactly its pairs."""
+    a, b = (f.map[mask] for f in faces)
+    n, pairs = lattice.on.size, lattice.pairs()
+    if not np.array_equal(_code_set(a, b, n),
+                          _code_set(pairs[:, 0], pairs[:, 1], n)):
+        raise HomotopyMismatch(f"{what} differs from the lattice value")
+    return lattice
+
+
 def homotopy_relation(X):
     """Pairs of arrows bounding a 2-simplex with degenerate last face.
 
@@ -165,18 +170,9 @@ def homotopy_relation(X):
     """
     if X.truncation < 2:
         raise PreconditionUnmet("homotopy relation needs 2-simplices")
-    d0m, d1m, d2m = (X.faces[2][i].map for i in range(3))
-    thin = _degenerate_mask(d2m, X.degeneracies[0][0].map)
-    n1 = X.levels[1].size
-    collected = _code_set(d0m[thin], d1m[thin], n1)
-    lattice = homotopy_congruence_level1(X)
-    pairs = lattice.pairs()
-    expected = np.unique(pairs[:, 0] * n1 + pairs[:, 1])
-    if not np.array_equal(collected, expected):
-        raise HomotopyMismatch(
-            "thin-simplex relation differs from the kernel-meet image"
-        )
-    return lattice
+    thin = _degenerate_mask(X.faces[2][2].map, X.degeneracies[0][0].map)
+    return _collected_equals(homotopy_congruence_level1(X), X.faces[2][:2],
+                             thin, "thin-simplex relation")
 
 
 def relative_homotopy_relation(F):
@@ -185,44 +181,21 @@ def relative_homotopy_relation(F):
     X, Y = F.dom, F.cod
     if X.truncation < 2:
         raise PreconditionUnmet("relative relation needs 2-simplices")
-    d0m, d1m, d2m = (X.faces[2][i].map for i in range(3))
-    thin_x = _degenerate_mask(d2m, X.degeneracies[0][0].map)
-    fy = F.components[2].map
-    thin_y = _degenerate_mask(fy, Y.degeneracies[1][0].map)
-    mask = thin_x & thin_y
-    n1 = X.levels[1].size
-    collected = _code_set(d0m[mask], d1m[mask], n1)
-    D2 = face_kernels(X, 2)
-    F2 = cg.kernel_pair(F.components[2])
-    lattice = cg.image(X.faces[2][1], cg.meet_all([F2, D2[0], D2[2]]))
-    pairs = lattice.pairs()
-    expected = np.unique(pairs[:, 0] * n1 + pairs[:, 1])
-    if not np.array_equal(collected, expected):
-        raise HomotopyMismatch(
-            "relative thin-simplex relation differs from the lattice value"
-        )
-    return lattice
+    thin = (_degenerate_mask(X.faces[2][2].map, X.degeneracies[0][0].map)
+            & _degenerate_mask(F.components[2].map, Y.degeneracies[1][0].map))
+    return _collected_equals(_relative_level1(F), X.faces[2][:2], thin,
+                             "relative thin-simplex relation")
 
 
 def fiber_connectivity_relation(F):
     """Objects joined by an arrow that the morphism sends to an identity;
     equals the first-face image of a kernel meet."""
     X, Y = F.dom, F.cod
-    d0m, d1m = X.faces[1][0].map, X.faces[1][1].map
-    f1 = F.components[1].map
-    killed = _degenerate_mask(f1, Y.degeneracies[0][0].map)
-    n0 = X.levels[0].size
-    collected = _code_set(d0m[killed], d1m[killed], n0)
+    killed = _degenerate_mask(F.components[1].map, Y.degeneracies[0][0].map)
     D1 = cg.kernel_pair(X.faces[1][1])
     F1 = cg.kernel_pair(F.components[1])
-    lattice = cg.image(X.faces[1][0], cg.meet(D1, F1))
-    pairs = lattice.pairs()
-    expected = np.unique(pairs[:, 0] * n0 + pairs[:, 1])
-    if not np.array_equal(collected, expected):
-        raise HomotopyMismatch(
-            "kernel-arrow connectivity differs from the lattice value"
-        )
-    return lattice
+    return _collected_equals(cg.image(X.faces[1][0], cg.meet(D1, F1)),
+                             X.faces[1], killed, "kernel-arrow connectivity")
 
 
 # -- factorizations --------------------------------------------------------
@@ -239,32 +212,12 @@ def induced_groupoid_nerve_map(RX, RY, F):
     return nerve_map(RX.nerve, RY.nerve, F.components[0], f1)
 
 
-def _check_reflection_iso(RX, RP, e):
-    """The functor induced by e between the reflections must be an
-    isomorphism of groupoids."""
-    phi0 = e.components[0].map
-    if len(np.unique(phi0)) != RP.groupoid.objects.size or \
-            RX.groupoid.objects.size != RP.groupoid.objects.size:
-        raise PropertyViolation("comparison is not bijective on objects")
-    phi1 = RP.eta1.map[e.components[1].map]
-    if not np.array_equal(phi1, phi1[RX.h[1].part]):
-        raise PropertyViolation("comparison does not respect arrow classes")
-    reps = np.unique(RX.h[1].part)
-    cls = phi1[reps]
-    if len(np.unique(cls)) != RP.groupoid.arrows.size or \
-            len(cls) != RP.groupoid.arrows.size:
-        raise PropertyViolation("comparison is not bijective on arrow classes")
-    gx, gp = RX.groupoid, RP.groupoid
-    if not np.array_equal(phi0[gx.d0.map], gp.d0.map[cls]):
-        raise PropertyViolation("comparison breaks targets")
-    if not np.array_equal(phi0[gx.d1.map], gp.d1.map[cls]):
-        raise PropertyViolation("comparison breaks sources")
-    defined = gx.comp >= 0
-    gg, ff = np.nonzero(defined)
-    lhs = cls[gx.comp[gg, ff]]
-    rhs = gp.comp[cls[gg], cls[ff]]
-    if not np.array_equal(lhs, rhs):
-        raise PropertyViolation("comparison breaks composition")
+def _induced_isomorphism(RX, RY, F):
+    """Raise unless the functor induced by F between the reflections is
+    an isomorphism, that is its nerve is bijective at every level."""
+    iso = induced_groupoid_nerve_map(RX, RY, F)
+    if not all(c.is_bijective() for c in iso.components):
+        raise PropertyViolation("induced functor is not an isomorphism")
 
 
 def em_factorization(F, budget=None):
@@ -294,8 +247,8 @@ def em_factorization(F, budget=None):
                                    RX.unit.components[n].map)):
             raise PropertyViolation("pullback factors do not recover F")
     RP = pi1(P, budget=budget)
-    _check_reflection_iso(RX, RP, e)
-    if not _kernel_meets_homotopy_trivially(m):
+    _induced_isomorphism(RX, RP, e)
+    if not _kernel_meets_homotopy_trivially(m, RP.h):
         raise PropertyViolation("projection from the pullback is not trivial")
     return P, e, m
 
@@ -375,10 +328,7 @@ def exactness_lemma_check(F, budget=None):
     simplicial kernel; returns the two congruences' equality.
     """
     X, Y = F.dom, F.cod
-    if Y.truncation < 3:
-        raise PreconditionUnmet("lemma needs truncation 3 on the codomain")
-    K, _, kappa = simplicial_kernel(Y, 3, budget=budget)
-    if len(np.unique(kappa.map)) != K.size:
+    if not exactness_check(Y, 2, budget=budget)[0]:
         raise PreconditionUnmet("codomain is not exact one level down")
     D = face_kernels(X, 2)
     F1 = cg.kernel_pair(F.components[1])
@@ -398,10 +348,9 @@ def stabilizing_probe(f, extensions, budget=None):
     reports one entry per sampled extension.
     """
     X = f.cod
-    for lvl in range(1, X.truncation):
-        K, _, kappa = simplicial_kernel(X, lvl + 1, budget=budget)
-        if len(np.unique(kappa.map)) != K.size:
-            raise PreconditionUnmet("probe target must be exact")
+    if not all(exactness_check(X, lvl, budget=budget)[0]
+               for lvl in range(1, X.truncation)):
+        raise PreconditionUnmet("probe target must be exact")
     results = []
     for name, g in extensions:
         if g.cod is not X:

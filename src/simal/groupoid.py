@@ -65,7 +65,7 @@ def composable_pairs_algebra(G):
     return subproduct_algebra(f"comp({G.arrows.name})", [G.arrows, G.arrows], rows)
 
 
-def validate_groupoid(G, check_homs=True):
+def validate_groupoid(G):
     """Exhaustive check of all groupoid axioms, including that the
     composition is a homomorphism on the composable-pair algebra."""
     same_signature(G.objects, G.arrows)
@@ -75,9 +75,8 @@ def validate_groupoid(G, check_homs=True):
         raise InvalidParameters("d1 endpoints wrong")
     if G.s0.dom is not G.objects or G.s0.cod is not G.arrows:
         raise InvalidParameters("s0 endpoints wrong")
-    if check_homs:
-        for h in (G.d0, G.d1, G.s0):
-            check_homomorphism(h)
+    for h in (G.d0, G.d1, G.s0):
+        check_homomorphism(h)
     d0m, d1m, s0m = G.d0.map, G.d1.map, G.s0.map
     n0, n1 = G.objects.size, G.arrows.size
     if not np.array_equal(d0m[s0m], np.arange(n0)):

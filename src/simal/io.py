@@ -1,7 +1,10 @@
 """JSON interchange for algebras, homomorphisms, simplicial objects,
 simplicial morphisms, groupoids and congruences.
 
-One stable on-disk format per object kind.  Serialization is canonical
+One stable on-disk format per object kind.  Every kind but congruences
+loads back, fully validated.  Congruence files are write-only: one
+refers to its algebra by name alone, so reflect --out writes them and
+load_any rejects them as bad input.  Serialization is canonical
 (sorted keys, fixed separators) so identical objects produce identical
 bytes, and every file can be content-hashed for reproducible reports.
 
@@ -20,8 +23,8 @@ Formats:
                 "components": [[...] ...]}
   groupoid     {"kind": "groupoid", "algebras", "objects", "arrows",
                 "d0", "d1", "s0", "comp"} with -1 for undefined composites
-  congruence   {"kind": "congruence", "size", "blocks"} using the
-               canonical least-member block labelling
+  congruence   {"kind": "congruence", "algebra", "size", "blocks"} using
+               the canonical least-member block labelling; write-only
 """
 
 import hashlib
@@ -29,7 +32,6 @@ import json
 import os
 
 from .algebra import Homomorphism, int_array, validate_algebra
-from .congruences import Congruence
 from .errors import InvalidParameters
 from .groupoid import InternalGroupoid, validate_groupoid
 from .simplicial import (
@@ -130,6 +132,13 @@ def _resolve_algebra(ref, algebras, base_dir):
     raise InvalidParameters(f"cannot resolve algebra reference {ref!r}")
 
 
+def _algebra_table(raw, base_dir):
+    """The algebras of a file's "algebras" object, by name."""
+    if not isinstance(raw, dict):
+        raise InvalidParameters("'algebras' must be a JSON object")
+    return {name: _resolve_algebra(r, None, base_dir) for name, r in raw.items()}
+
+
 def load_homomorphism(data, algebras=None, base_dir=None, check=True):
     data, base_dir = _read(data, base_dir)
     try:
@@ -189,7 +198,7 @@ def simplicial_to_json(X):
     }
 
 
-def load_simplicial(data, base_dir=None, check=True):
+def load_simplicial(data, base_dir=None):
     data, base_dir = _read(data, base_dir)
     try:
         trunc = int(int_array(data["truncation"], "truncation"))
@@ -198,16 +207,13 @@ def load_simplicial(data, base_dir=None, check=True):
         raw_degens = data["degeneracies"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"simplicial file missing field: {exc}") from exc
-    raw_algebras = data.get("algebras", {})
-    algebras = {}
-    for name, raw in raw_algebras.items():
-        algebras[name] = _resolve_algebra(raw, None, base_dir)
-    try:
-        levels = [algebras[name] if name in algebras
-                  else _resolve_algebra(name, None, base_dir)
-                  for name in level_names]
-    except KeyError as exc:
-        raise InvalidParameters(f"level references unknown algebra {exc}") from exc
+    for key, rows in (("faces", raw_faces), ("degeneracies", raw_degens)):
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise InvalidParameters(f"simplicial {key!r} must be a list of lists")
+    algebras = _algebra_table(data.get("algebras", {}), base_dir)
+    levels = [algebras[name] if isinstance(name, str) and name in algebras
+              else _resolve_algebra(name, None, base_dir)
+              for name in level_names]
     faces = [[]]
     for row in raw_faces:
         faces.append([
@@ -228,9 +234,7 @@ def load_simplicial(data, base_dir=None, check=True):
         degeneracies.append([])
     X = TruncatedSimplicialAlgebra(levels, faces, degeneracies,
                                    name=data.get("name", "simplicial"))
-    if check:
-        validate_simplicial(X, check_homs=True)
-    return X
+    return validate_simplicial(X, check_homs=True)
 
 
 # -- simplicial morphisms --------------------------------------------------
@@ -245,22 +249,22 @@ def morphism_to_json(F):
     }
 
 
-def load_morphism(data, base_dir=None, check=True):
+def load_morphism(data, base_dir=None):
     data, base_dir = _read(data, base_dir)
     try:
-        dom = load_simplicial(data["dom"], base_dir=base_dir, check=check)
-        cod = load_simplicial(data["cod"], base_dir=base_dir, check=check)
+        dom = load_simplicial(data["dom"], base_dir=base_dir)
+        cod = load_simplicial(data["cod"], base_dir=base_dir)
         raw_comps = data["components"]
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"morphism file missing field: {exc}") from exc
-    if len(raw_comps) != dom.truncation + 1:
+    if not isinstance(raw_comps, list) or len(raw_comps) != dom.truncation + 1:
         raise InvalidParameters("morphism needs one component per level")
     comps = [
         Homomorphism(dom.levels[n], cod.levels[n],
                      int_array(raw_comps[n], f"component {n}"), check=False)
         for n in range(dom.truncation + 1)
     ]
-    F = SimplicialMorphism(dom, cod, comps, check=check)
+    F = SimplicialMorphism(dom, cod, comps, check=True)
     F.name = data.get("name", "morphism")
     return F
 
@@ -288,13 +292,10 @@ def groupoid_to_json(G):
     }
 
 
-def load_groupoid(data, base_dir=None, check=True):
+def load_groupoid(data, base_dir=None):
     data, base_dir = _read(data, base_dir)
     try:
-        algebras = {
-            name: _resolve_algebra(raw, None, base_dir)
-            for name, raw in data["algebras"].items()
-        }
+        algebras = _algebra_table(data["algebras"], base_dir)
         objects = algebras[data["objects"]]
         arrows = algebras[data["arrows"]]
         d0, d1, s0, comp = (int_array(data[key], f"groupoid {key}")
@@ -304,10 +305,7 @@ def load_groupoid(data, base_dir=None, check=True):
         s0 = Homomorphism(objects, arrows, s0, check=False)
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"groupoid file missing field: {exc}") from exc
-    G = InternalGroupoid(objects, arrows, d0, d1, s0, comp)
-    if check:
-        validate_groupoid(G)
-    return G
+    return validate_groupoid(InternalGroupoid(objects, arrows, d0, d1, s0, comp))
 
 
 def congruence_to_json(theta):
@@ -317,19 +315,6 @@ def congruence_to_json(theta):
         "size": theta.on.size,
         "blocks": theta.part.tolist(),
     }
-
-
-def load_congruence(data, on, check=True):
-    if isinstance(data, str):
-        data = load_json(data)
-    try:
-        blocks = int_array(data["blocks"], "congruence blocks")
-        size = int(int_array(data.get("size", on.size), "congruence size"))
-    except (KeyError, TypeError) as exc:
-        raise InvalidParameters(f"congruence file missing field: {exc}") from exc
-    if size != on.size:
-        raise InvalidParameters("congruence size does not match the algebra")
-    return Congruence(on, blocks, check=check)
 
 
 # -- kind sniffing ---------------------------------------------------------

@@ -204,7 +204,7 @@ def pullback(f, g, name=None, budget=None):
     return subproduct_algebra(name, [f.dom, g.dom], rows)
 
 
-def is_double_extension(f, g, h, j, require_epi=True):
+def is_double_extension(f, g, h, j, budget=None):
     """Decide whether the commuting square with legs f, g and cospan h, j
     is a pushout of a strong kind along both routes.
 
@@ -215,11 +215,10 @@ def is_double_extension(f, g, h, j, require_epi=True):
     """
     if not np.array_equal(h.map[f.map], j.map[g.map]):
         raise NotCommuting("square does not commute")
-    if require_epi:
-        for leg, tag in ((f, "f"), (g, "g"), (h, "h"), (j, "j")):
-            if not leg.is_surjective():
-                raise NotRegularEpi(f"square side {tag} is not surjective")
-    pb, _ = pullback(h, j)
+    for leg, tag in ((f, "f"), (g, "g"), (h, "h"), (j, "j")):
+        if not leg.is_surjective():
+            raise NotRegularEpi(f"square side {tag} is not surjective")
+    pb, _ = pullback(h, j, budget=budget)
     comparison_codes = (
         f.map.astype(np.int64) * pb.carrier.weights[0]
         + g.map.astype(np.int64) * pb.carrier.weights[1]

@@ -7,7 +7,9 @@ commutator of the two face kernels and composes through the Mal'tsev
 term.  The lattice formulas for the homotopy congruences at every level
 are computed separately from the unit map so the two can be compared.
 The unit is simplicial.nerve_map of the identity on objects and the
-quotient on arrows; spines and nerve maps live in simplicial.
+quotient on arrows; spines and nerve maps live in simplicial.  The
+homotopy congruences have one builder, homotopy_family, which pi1 keeps
+as R.h; coskeletality is read off simplicial.exactness_check.
 """
 
 import numpy as np
@@ -26,7 +28,7 @@ from .simplicial import (
     nerve,
     nerve_map,
     SimplicialMorphism,
-    simplicial_kernel,
+    exactness_check,
     spine_maps,
 )
 
@@ -65,6 +67,14 @@ def homotopy_congruence(X, n):
     return cg.join_all(meets)
 
 
+def homotopy_family(X):
+    """Homotopy congruence at every level: the diagonal on objects, the
+    level-1 congruence on arrows, then the joins of pairwise meets."""
+    return [cg.diagonal(X.levels[0]), homotopy_congruence_level1(X)] + [
+        homotopy_congruence(X, n) for n in range(2, X.truncation + 1)
+    ]
+
+
 class ReflectionResult:
     def __init__(self, groupoid, nerve_obj, unit, h):
         self.groupoid = groupoid
@@ -86,7 +96,8 @@ def pi1(X, budget=None):
     X0, X1 = X.levels[0], X.levels[1]
     d0m = X.faces[1][0].map
     d1m = X.faces[1][1].map
-    h1 = homotopy_congruence_level1(X)
+    h = homotopy_family(X)
+    h1 = h[1]
     if not np.array_equal(d0m, d0m[h1.part]) or not np.array_equal(
         d1m, d1m[h1.part]
     ):
@@ -125,10 +136,6 @@ def pi1(X, budget=None):
     NG = nerve(G, N, budget=budget, name=f"N(Pi1 {X.name})")
 
     unit = nerve_map(X, NG, identity_hom(X0), eta1)
-
-    h = [cg.diagonal(X0), h1]
-    for n in range(2, N + 1):
-        h.append(homotopy_congruence(X, n))
     return ReflectionResult(G, NG, unit, h)
 
 
@@ -149,13 +156,8 @@ def universal_property_check(R, F):
             )
     comps = []
     for n in range(X.truncation + 1):
-        eta_n = R.unit.components[n].map
-        section = np.zeros(R.nerve.levels[n].size, dtype=np.int64)
-        seen = np.zeros(R.nerve.levels[n].size, dtype=bool)
-        order = np.arange(len(eta_n) - 1, -1, -1)
-        section[eta_n[order]] = order
-        seen[eta_n] = True
-        if not seen.all():
+        hit, section = np.unique(R.unit.components[n].map, return_index=True)
+        if len(hit) != R.nerve.levels[n].size:
             raise PropertyViolation(f"unit is not surjective at level {n}")
         comps.append(
             Homomorphism(
@@ -251,15 +253,14 @@ def graph_reflection(X):
     return G, proj
 
 
-def is_two_coskeletal_at_top(X):
+def is_two_coskeletal_at_top(X, budget=None):
     """Whether the comparison into the simplicial kernel at the top
     level is bijective."""
     N = X.truncation
     if N < 2:
         raise PreconditionUnmet("needs at least two levels")
-    K, _, kappa = simplicial_kernel(X, N)
-    image = len(np.unique(kappa.map))
-    return image == K.size and image == X.levels[N].size
+    onto, sizes = exactness_check(X, N - 1, budget=budget)
+    return onto and sizes["image_size"] == X.levels[N].size
 
 
 def commutator_chain_check(X):

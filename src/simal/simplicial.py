@@ -197,14 +197,14 @@ def truncate(X, M):
     )
 
 
-def constant_simplicial(alg, N, name=None):
+def constant_simplicial(alg, N):
     levels = [alg] * (N + 1)
     faces = [[]] + [[identity_hom(alg) for _ in range(n + 1)] for n in range(1, N + 1)]
     degeneracies = [
         [identity_hom(alg) for _ in range(n + 1)] for n in range(N)
     ] + [[]]
     return TruncatedSimplicialAlgebra(
-        levels, faces, degeneracies, name=name or f"const({alg.name})"
+        levels, faces, degeneracies, name=f"const({alg.name})"
     )
 
 

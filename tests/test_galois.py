@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from simal import congruences as cg
+from simal import galois, reflection
 from simal.corpus import (
     cyclic_group,
     default_corpus,
@@ -13,6 +14,7 @@ from simal.corpus import (
 from simal.errors import (
     NotLevelwiseSurjective,
     PreconditionUnmet,
+    PropertyViolation,
 )
 from simal.galois import (
     classify_extension,
@@ -25,7 +27,7 @@ from simal.galois import (
     relative_homotopy_relation,
     stabilizing_probe,
 )
-from simal.reflection import homotopy_congruence_level1
+from simal.reflection import homotopy_congruence_level1, pi1
 from simal.simplicial import (
     coskeleton,
     nerve,
@@ -273,3 +275,29 @@ def test_stabilizing_probe_runs_over_probe_kit():
     report = stabilizing_probe(probed, extensions)
     assert len(report) == 2
     assert all(entry["ok"] for entry in report)
+
+
+def test_em_comparison_check_rejects_a_non_isomorphism():
+    # pairC4-pairC2 is a nerve map between groupoids, so its own
+    # reflections are its ends and the induced functor is C4 -> C2
+    F = EXTS["pairC4-pairC2"]
+    with pytest.raises(PropertyViolation, match="not an isomorphism"):
+        galois._induced_isomorphism(pi1(F.dom), pi1(F.cod), F)
+
+
+def test_em_builds_each_homotopy_family_once(monkeypatch):
+    calls = []
+    original = reflection.homotopy_congruence
+
+    def counted(X, n):
+        calls.append(n)
+        return original(X, n)
+
+    monkeypatch.setattr(reflection, "homotopy_congruence", counted)
+    for name in ("pairC4-pairC2", "unit-cosk-loops", "quotient-cosk-fibers"):
+        F = EXTS[name]
+        calls.clear()
+        P, _, _ = em_factorization(F)
+        # one family each for the reflections of X, Y and the middle P
+        assert len(calls) == 3 * (F.dom.truncation - 1), name
+        assert pi1(P).h == reflection.homotopy_family(P)

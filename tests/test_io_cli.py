@@ -8,7 +8,6 @@ import pytest
 
 from simal import io as sio
 from simal.algebra import Homomorphism, identity_hom
-from simal import congruences as cg
 from simal import cli
 from simal.cli import main, run
 from simal.corpus import (
@@ -65,13 +64,6 @@ def test_groupoid_round_trip():
     back = sio.load_groupoid(data)
     assert back.arrows.size == 4
     assert np.array_equal(back.comp, G.comp)
-
-
-def test_congruence_round_trip():
-    theta = cg.principal_congruence(C4, 0, 2)
-    data = sio.congruence_to_json(theta)
-    back = sio.load_congruence(data, C4)
-    assert back == theta
 
 
 def test_load_any_sniffs_kinds(tmp_path):
@@ -157,22 +149,86 @@ def test_cli_validate_rejects_a_non_integer_map_entry(tmp_path, entry):
     assert "is not an integer" in report["violations"][0]["witness"]
 
 
+def _quotient_map():
+    X = nerve(pair_groupoid(C4), 2)
+    parts = simplicial_congruence_generated(X, {0: [(0, 2)]})
+    return quotient_simplicial(X, parts)[1]
+
+
+def _malformed(kind, path, value):
+    data = {
+        "algebra": lambda: sio.algebra_to_json(C4),
+        "simplicial": lambda: sio.simplicial_to_json(nerve(pair_groupoid(C4), 2)),
+        "groupoid": lambda: sio.groupoid_to_json(pair_groupoid(C4)),
+        "morphism": lambda: sio.morphism_to_json(_quotient_map()),
+    }[kind]()
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("kind, path, value, error, witness", [
+    ("simplicial", ["algebras"], [1], "InvalidParameters",
+     "'algebras' must be a JSON object"),
+    ("groupoid", ["algebras"], [1], "InvalidParameters",
+     "'algebras' must be a JSON object"),
+    ("simplicial", ["faces"], 5, "InvalidParameters",
+     "simplicial 'faces' must be a list of lists"),
+    ("simplicial", ["levels", 0], {"x": 1}, "MalformedTable",
+     "algebra description missing field: 'name'"),
+    ("algebra", ["maltsev", "term"], 5, "MalformedTable",
+     "C4: Mal'tsev term 5 is not a string"),
+    ("morphism", ["components"], 5, "InvalidParameters",
+     "morphism needs one component per level"),
+])
+def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
+                                              error, witness):
+    p = str(tmp_path / "bad.json")
+    sio.save_json(_malformed(kind, path, value), p)
+    code, report, _ = run(["validate", p])
+    assert code == 1
+    assert report["violations"] == [{"property": error, "witness": witness}]
+
+
+def test_cli_rejects_a_non_integer_budget_from_the_environment(
+    tmp_path, monkeypatch
+):
+    _, obj_path, _ = _write_artifacts(tmp_path)
+    monkeypatch.setenv("SIMAL_BUDGET", "abc")
+    code, report, _ = run(["kan", obj_path])
+    assert code == 1
+    assert report["violations"] == [{
+        "property": "InvalidParameters",
+        "witness": "SIMAL_BUDGET='abc' is not an integer",
+    }]
+
+
+def test_congruence_files_are_write_only(tmp_path):
+    _, obj_path, _ = _write_artifacts(tmp_path)
+    outdir = str(tmp_path / "refl")
+    assert run(["reflect", obj_path, "--out", outdir])[0] == 0
+    code, report, _ = run(["validate", os.path.join(outdir, "h1.json")])
+    assert code == 1
+    assert report["violations"] == [{
+        "property": "InvalidParameters",
+        "witness": "cannot load artifact of kind 'congruence'",
+    }]
+
+
 def test_non_integer_entries_are_rejected_in_every_kind():
     table = sio.algebra_to_json(C4)
     table["operations"][0]["table"][1][2] = 2.5
     groupoid = sio.groupoid_to_json(pair_groupoid(C4))
     groupoid["comp"][0][0] = "x"
-    X = nerve(pair_groupoid(C4), 2)
-    parts = simplicial_congruence_generated(X, {0: [(0, 2)]})
-    morphism = sio.morphism_to_json(quotient_simplicial(X, parts)[1])
+    morphism = sio.morphism_to_json(_quotient_map())
     morphism["components"][0][0] = 0.5
     for load, data in ((sio.load_algebra, table),
                        (sio.load_groupoid, groupoid),
                        (sio.load_morphism, morphism)):
         with pytest.raises(InvalidParameters, match="is not an integer"):
             load(data)
-    with pytest.raises(InvalidParameters, match="is not an integer"):
-        sio.load_congruence({"size": 4, "blocks": [0, 0, 2, 2.0]}, C4)
 
 
 def test_cli_gen_writes_a_loadable_artifact(tmp_path):
@@ -368,6 +424,8 @@ def test_cli_gen_rejects_malformed_parameters(params, witness):
     (["bogus"], "simal: argument command: invalid choice: 'bogus'"),
     (["suite", "--budget", "abc"],
      "simal suite: argument --budget: invalid int value: 'abc'"),
+    (["gen", "cyclic_group", "n=2", "--budget", "5"],
+     "simal: unrecognized arguments: --budget 5"),
 ])
 def test_cli_usage_error_is_bad_input_with_a_report(argv, witness, capsys):
     code, report, lines = run(argv)

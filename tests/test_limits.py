@@ -1,5 +1,6 @@
 import itertools
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -324,7 +325,8 @@ def test_quotient_is_blockwise(data):
     factors = data.draw(st.lists(st.sampled_from(family), min_size=1,
                                  max_size=2))
     alg = product("prod", factors)[0] if len(factors) > 1 else factors[0]
-    theta = data.draw(st.sampled_from(cg.enumerate_congruences(alg, 36)))
+    with mock.patch.object(cg, "ENUMERATION_LIMIT", 36):
+        theta = data.draw(st.sampled_from(cg.enumerate_congruences(alg)))
     q, proj = cg.quotient(alg, theta)
     want_proj, want = oracles.quotient_by_blocks(alg, theta.part)
     assert q.size == len(set(want_proj))
