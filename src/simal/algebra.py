@@ -5,9 +5,11 @@ shape (size,)*k; a nullary operation is a 1-entry table.  Every algebra
 carries a ternary term p satisfying p(x,y,y) = x and p(x,x,y) = y, and
 validation checks those identities on the full square of arguments.
 
-Tables of algebras built from other algebras (products, kernels, horns)
-can be expensive and are materialized on first use.  All objects are
-treated as immutable once validated.
+An algebra built from other algebras (products, kernels, horns,
+quotients) carries its constants from the moment it is built, and
+builds its tables of positive arity, which can be expensive, only when
+one of them is first read; reading a constant never builds them.  All
+objects are treated as immutable once validated.
 """
 
 import itertools
@@ -54,7 +56,7 @@ class Signature:
 
 class FiniteAlgebra:
     def __init__(self, name, size, signature, tables, maltsev_term,
-                 table_builder=None):
+                 table_builder=None, constants=None):
         self.name = name
         self.size = int(size)
         self.signature = signature
@@ -70,19 +72,30 @@ class FiniteAlgebra:
         else:
             if table_builder is None:
                 raise InvalidParameters("algebra needs tables or a table builder")
+            # the builder returns the tables of positive arity; constants
+            # maps every nullary operation to its carrier index
             self._table_builder = table_builder
+            self._constants = constants or {}
 
     @property
     def tables(self):
         if self._tables is None:
+            built = self._table_builder()
             self._tables = {
-                k: np.asarray(v, dtype=np.int32)
-                for k, v in self._table_builder().items()
+                k: np.asarray(
+                    [self._constants[k]] if arity == 0 else built[k],
+                    dtype=np.int32,
+                )
+                for k, arity in self.signature.ops
             }
             self._table_builder = None
         return self._tables
 
     def table(self, op):
+        """The table of op; a constant's 1-entry table is read without
+        building the others."""
+        if self._tables is None and op in self._constants:
+            return np.asarray([self._constants[op]], dtype=np.int32)
         return self.tables[op]
 
     def p(self, a, b, c):
@@ -90,7 +103,7 @@ class FiniteAlgebra:
         return evaluate(self.maltsev_term, self.tables, {"x": a, "y": b, "z": c})
 
     def op(self, name, *args):
-        t = self.tables[name]
+        t = self.table(name)
         if not args:
             return int(t[0])
         return t[args]
@@ -182,6 +195,8 @@ def validate_algebra(raw):
         flats = [int_array(o["table"], f"table {o['name']!r}") for o in ops]
     except (KeyError, TypeError) as exc:
         raise MalformedTable(f"algebra description missing field: {exc}") from exc
+    if not isinstance(name, str):
+        raise MalformedTable(f"algebra name {name!r} is not a string")
     if not isinstance(term, str):
         raise MalformedTable(f"{name}: Mal'tsev term {term!r} is not a string")
     tables = {}

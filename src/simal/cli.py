@@ -83,7 +83,7 @@ def build_parser():
                        help="print the full run report as JSON")
         return p
 
-    p = budgeted(sub.add_parser("validate", help="check JSON artifacts"))
+    p = common(sub.add_parser("validate", help="check JSON artifacts"))
     p.add_argument("files", nargs="+")
 
     p = common(sub.add_parser("gen", help="generate an artifact"))
@@ -93,19 +93,20 @@ def build_parser():
     p.add_argument("params", nargs="*",
                    help="KEY=VALUE pairs; values parsed as JSON when possible")
 
-    for name, helptext in (
-        ("reflect", "reflect into internal groupoids"),
-        ("classify", "classify a levelwise surjection"),
-        ("factorize", "factor a levelwise surjection"),
-        ("kan", "horn filler checks"),
-        ("cosk", "kernel and exactness diagnostics"),
-        ("commutators", "commutator chain at level one"),
+    for name, helptext, options in (
+        ("reflect", "reflect into internal groupoids", budgeted),
+        ("classify", "classify a levelwise surjection", budgeted),
+        ("factorize", "factor a levelwise surjection", budgeted),
+        ("kan", "horn filler checks", budgeted),
+        ("cosk", "kernel and exactness diagnostics", budgeted),
+        ("commutators", "commutator chain at level one", common),
     ):
-        p = budgeted(sub.add_parser(name, help=helptext))
+        p = options(sub.add_parser(name, help=helptext))
         p.add_argument("file")
         if name == "factorize":
             p.add_argument("--mode", choices=("em", "ml"), default="em",
-                           help="reflective (em) or monotone-light (ml)")
+                           help="reflective (em) or monotone-light (ml); "
+                           "ml takes no --budget")
 
     p = budgeted(sub.add_parser("suite", help="run the acceptance battery"))
     p.add_argument("--profile", choices=("desk", "deep"), default="desk")
@@ -267,6 +268,10 @@ def _cmd_classify(args, inputs, out_lines):
 
 
 def _cmd_factorize(args, inputs, out_lines):
+    if args.mode == "ml" and args.budget is not None:
+        raise InvalidParameters(
+            "simal factorize: argument --budget: not allowed with --mode ml"
+        )
     _, obj = _load(args.file, inputs)
     F = _need(obj, SimplicialMorphism, "a simplicial morphism")
     if args.mode == "em":

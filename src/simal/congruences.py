@@ -301,20 +301,23 @@ def quotient(alg, theta):
     reps = np.unique(theta.part)
     to_block = np.searchsorted(reps, theta.part)
 
+    constants = {
+        opname: int(to_block[alg.table(opname)[0]])
+        for opname, arity in alg.signature.ops
+        if arity == 0
+    }
+
     def build():
         tables = {}
         for opname, arity in alg.signature.ops:
-            t = alg.table(opname)
-            if arity == 0:
-                tables[opname] = np.asarray([to_block[t[0]]])
-            else:
+            if arity:
                 grids = np.ix_(*([reps] * arity)) if arity > 1 else (reps,)
-                tables[opname] = to_block[t[grids]]
+                tables[opname] = to_block[alg.table(opname)[grids]]
         return tables
 
     q = FiniteAlgebra(
         f"{alg.name}/cong{len(reps)}", len(reps), alg.signature,
-        None, alg.maltsev_term, table_builder=build,
+        None, alg.maltsev_term, table_builder=build, constants=constants,
     )
     proj = Homomorphism(alg, q, to_block, check=False)
     return q, proj

@@ -1,6 +1,10 @@
 """Internal groupoids: a parallel pair of carrier algebras with a
 partial composition that is itself a homomorphism.
 
+validate_groupoid checks that last condition componentwise on the arrow
+tables, over the composable pairs and their composites, so the algebra
+of composable pairs and its tables are never built.
+
 Conventions, used consistently everywhere: d0 is the target map, d1 the
 source map, s0 picks identity arrows.  comp[g, f] is the composite
 "g after f", defined exactly when d1(g) = d0(f); undefined entries hold
@@ -10,8 +14,8 @@ source map, s0 picks identity arrows.  comp[g, f] is the composite
 import numpy as np
 
 from .errors import IdentityViolated, InvalidParameters
-from .algebra import check_homomorphism, Homomorphism, same_signature
-from .limits import subproduct_algebra, compatible_tuples
+from .algebra import check_homomorphism, same_signature
+from .limits import TABLE_CHUNK_CELLS
 
 
 class InternalGroupoid:
@@ -57,17 +61,43 @@ class InternalGroupoid:
         )
 
 
-def composable_pairs_algebra(G):
-    """The algebra of composable pairs (g, f) with d1(g) = d0(f)."""
-    rows = compatible_tuples(
-        [G.arrows, G.arrows], [(0, G.d1.map, 1, G.d0.map)]
-    )
-    return subproduct_algebra(f"comp({G.arrows.name})", [G.arrows, G.arrows], rows)
+def _check_composition_is_homomorphism(G, gs, fs, cs):
+    """comp is a homomorphism from the algebra of composable pairs, read
+    off the arrow tables: an operation t sends the pairs (gs[i], fs[i])
+    to (t(gs...), t(fs...)), so comp must send that pair to t(cs...).
+    The pairs come in the order of the codes g * n1 + f, the element
+    order of the pair algebra, so a witness names its arguments by their
+    indices there.  Checked in slabs of about TABLE_CHUNK_CELLS cells
+    over the first argument."""
+    p = len(gs)
+    for opname, arity in G.arrows.signature.ops:
+        t = G.arrows.table(opname)
+        if arity == 0:
+            e = int(t[0])
+            if G.comp[e, e] != e:
+                raise InvalidParameters(
+                    f"map does not preserve constant {opname!r}"
+                )
+            continue
+        rest = [np.arange(p)] * (arity - 1)
+        chunk = max(1, TABLE_CHUNK_CELLS // max(p ** (arity - 1), 1))
+        for s in range(0, p, chunk):
+            grids = np.ix_(np.arange(s, min(s + chunk, p)), *rest)
+            tg, tf, tc = (t[tuple(col[g] for g in grids)] for col in (gs, fs, cs))
+            bad = G.comp[tg, tf] != tc
+            if bad.any():
+                where = np.argwhere(bad)[0]
+                where[0] += s
+                raise InvalidParameters(
+                    f"map does not preserve {opname!r} at arguments "
+                    f"{tuple(int(i) for i in where)}"
+                )
 
 
 def validate_groupoid(G):
     """Exhaustive check of all groupoid axioms, including that the
-    composition is a homomorphism on the composable-pair algebra."""
+    composition is a homomorphism on the algebra of composable pairs,
+    checked componentwise without building that algebra."""
     same_signature(G.objects, G.arrows)
     if G.d0.dom is not G.arrows or G.d0.cod is not G.objects:
         raise InvalidParameters("d0 endpoints wrong")
@@ -100,19 +130,19 @@ def validate_groupoid(G):
         raise IdentityViolated("left unit law fails")
     if not np.array_equal(G.comp[f_all, s0m[d1m[f_all]]], f_all):
         raise IdentityViolated("right unit law fails")
-    # associativity over all composable triples
+    # associativity: one gather per arrow g over the composable pairs
+    # (f, e) with d0 f = d1 g, a run of the pairs sorted by d0 f
+    by_target = np.argsort(d0m[gs], kind="stable")
+    targets = d0m[gs][by_target]
+    los = np.searchsorted(targets, d1m, "left")
+    his = np.searchsorted(targets, d1m, "right")
     for g in range(n1):
-        fs_for_g = np.nonzero(d0m == d1m[g])[0]
-        for f in fs_for_g:
-            gf = G.comp[g, f]
-            es = np.nonzero(d0m == d1m[f])[0]
-            if len(es) and not np.array_equal(
-                G.comp[gf, es], G.comp[g, G.comp[f, es]]
-            ):
-                raise IdentityViolated("associativity fails")
-    pair_alg, _ = composable_pairs_algebra(G)
-    mmap = G.comp[pair_alg.carrier.rows[:, 0], pair_alg.carrier.rows[:, 1]]
-    check_homomorphism(Homomorphism(pair_alg, G.arrows, mmap, check=False))
+        run = by_target[los[g]:his[g]]
+        if not np.array_equal(
+            G.comp[G.comp[g, gs[run]], fs[run]], G.comp[g, cs[run]]
+        ):
+            raise IdentityViolated("associativity fails")
+    _check_composition_is_homomorphism(G, gs, fs, cs)
     G.inverse_map()
     return G
 

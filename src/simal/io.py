@@ -205,8 +205,11 @@ def load_simplicial(data, base_dir=None):
         level_names = list(data["levels"])
         raw_faces = data["faces"]
         raw_degens = data["degeneracies"]
+        name = data.get("name", "simplicial")
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"simplicial file missing field: {exc}") from exc
+    if not isinstance(name, str):
+        raise InvalidParameters(f"simplicial name {name!r} is not a string")
     for key, rows in (("faces", raw_faces), ("degeneracies", raw_degens)):
         if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
             raise InvalidParameters(f"simplicial {key!r} must be a list of lists")
@@ -232,8 +235,7 @@ def load_simplicial(data, base_dir=None):
         faces.append([])
     while len(degeneracies) < trunc + 1:
         degeneracies.append([])
-    X = TruncatedSimplicialAlgebra(levels, faces, degeneracies,
-                                   name=data.get("name", "simplicial"))
+    X = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
     return validate_simplicial(X, check_homs=True)
 
 

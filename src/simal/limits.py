@@ -3,9 +3,11 @@
 A limit carrier is a set of tuples over factor algebras, stored as an
 (m, k) row array.  Rows are ordered by their mixed-radix code, so every
 such algebra has a canonical element order and lookups are binary
-searches.  Operation tables are built lazily, as int32, in slabs of
-about TABLE_CHUNK_CELLS cells over the first argument, so the build's
-peak memory is the table plus a few slab-sized temporaries.  A map
+searches.  Constants are looked up in the carrier when the algebra is
+built, so reading one, as a limit over this algebra does, builds no
+table.  Tables of positive arity are built on first read, as int32, in
+slabs of about TABLE_CHUNK_CELLS cells over the first argument, so the
+build's peak memory is the table plus a few slab-sized temporaries.  A map
 into a limit is given by its component columns, and tuple_map looks
 its tuples up in the carrier, so callers never address rows by hand.
 
@@ -93,15 +95,15 @@ def subproduct_algebra(name, factors, rows):
 
     # every constant's tuple must be in the carrier; index_of raises if not
     constants = {
-        opname: carrier.index_of(
+        opname: int(carrier.index_of(
             np.asarray([[int(f.table(opname)[0]) for f in factors]])
-        )
+        )[0])
         for opname, arity in sig.ops
         if arity == 0
     }
 
     def build():
-        tables = dict(constants)
+        tables = {}
         for opname, arity in sig.ops:
             if arity == 0:
                 continue
@@ -125,7 +127,9 @@ def subproduct_algebra(name, factors, rows):
         return tables
 
     term = factors[0].maltsev_term
-    alg = FiniteAlgebra(name, m, sig, None, term, table_builder=build)
+    alg = FiniteAlgebra(
+        name, m, sig, None, term, table_builder=build, constants=constants
+    )
     alg.carrier = carrier
     projections = [
         Homomorphism(alg, factors[c], carrier.rows[:, c].copy(), check=False)

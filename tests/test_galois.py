@@ -4,6 +4,7 @@ import pytest
 import oracles
 from simal import congruences as cg
 from simal import galois, reflection
+from simal.algebra import FiniteAlgebra
 from simal.corpus import (
     cyclic_group,
     default_corpus,
@@ -301,3 +302,23 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
         # one family each for the reflections of X, Y and the middle P
         assert len(calls) == 3 * (F.dom.truncation - 1), name
         assert pi1(P).h == reflection.homotopy_family(P)
+
+
+def test_deep_classify_and_em_pass_builds_few_table_cells(monkeypatch):
+    # constants are read without building a table, and groupoid validation
+    # builds no algebra of composable pairs: the pass builds about 79k
+    # cells, where forcing every table to read a constant built 6.8M
+    extensions = default_corpus("deep")["extensions"]
+    cells = []
+    tables = FiniteAlgebra.tables
+
+    def counted(alg):
+        if alg._tables is None:
+            cells.append(sum(int(t.size) for t in tables.fget(alg).values()))
+        return tables.fget(alg)
+
+    monkeypatch.setattr(FiniteAlgebra, "tables", property(counted))
+    for _, F in extensions:
+        classify_extension(F)
+        em_factorization(F)
+    assert sum(cells) <= 150_000

@@ -182,6 +182,10 @@ def _malformed(kind, path, value):
      "C4: Mal'tsev term 5 is not a string"),
     ("morphism", ["components"], 5, "InvalidParameters",
      "morphism needs one component per level"),
+    ("algebra", ["name"], [1], "MalformedTable",
+     "algebra name [1] is not a string"),
+    ("simplicial", ["name"], [1], "InvalidParameters",
+     "simplicial name [1] is not a string"),
 ])
 def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
                                               error, witness):
@@ -342,6 +346,35 @@ def test_cli_budget_exit_code(tmp_path):
     )
 
 
+def test_cli_factorize_ml_takes_no_budget(tmp_path):
+    _, _, ext_path = _write_artifacts(tmp_path)
+    code, report, _ = run(["factorize", ext_path, "--mode", "ml",
+                           "--budget", "1"])
+    assert code == 1
+    assert report["violations"] == [{
+        "property": "InvalidParameters",
+        "witness": "simal factorize: argument --budget: not allowed with "
+                   "--mode ml",
+    }]
+    assert report["inputs"] == []
+
+
+def test_cli_reflect_takes_its_budget_over_the_environment(
+    tmp_path, monkeypatch
+):
+    # pi1 validates its groupoid without enumerating composable pairs, so
+    # only the caller's budget bounds the nerve it builds
+    path = str(tmp_path / "pair.json")
+    sio.save_json(sio.simplicial_to_json(nerve(pair_groupoid(C4), 3)), path)
+    monkeypatch.setenv("SIMAL_BUDGET", "10")
+    code, report, _ = run(["reflect", path, "--budget", "1000000"])
+    assert code == 0
+    assert report["results"]["nerve_levels"] == [4, 16, 64, 256]
+    monkeypatch.setenv("SIMAL_BUDGET", "1000000")
+    code, report, _ = run(["reflect", path, "--budget", "10"])
+    assert code == 3
+
+
 def test_cli_wrong_kind_exit_code(tmp_path):
     alg_path, _, _ = _write_artifacts(tmp_path)
     code, report, _ = run(["reflect", alg_path])
@@ -426,6 +459,10 @@ def test_cli_gen_rejects_malformed_parameters(params, witness):
      "simal suite: argument --budget: invalid int value: 'abc'"),
     (["gen", "cyclic_group", "n=2", "--budget", "5"],
      "simal: unrecognized arguments: --budget 5"),
+    (["validate", "c4.json", "--budget", "1"],
+     "simal: unrecognized arguments: --budget 1"),
+    (["commutators", "bc4.json", "--budget", "1"],
+     "simal: unrecognized arguments: --budget 1"),
 ])
 def test_cli_usage_error_is_bad_input_with_a_report(argv, witness, capsys):
     code, report, lines = run(argv)

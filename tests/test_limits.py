@@ -35,9 +35,11 @@ from simal.limits import (
 from simal.corpus import (
     cyclic_group,
     heyting_from_poset,
+    pair_groupoid,
     symmetric_group,
     zk_module,
 )
+from simal.simplicial import nerve
 
 
 def test_product_tables_componentwise():
@@ -204,12 +206,28 @@ def test_double_extension_rejects_non_surjective_side():
         is_double_extension(identity_hom(z4), identity_hom(z4), double, double)
 
 
+def _read_constants(alg):
+    return {
+        opname: int(alg.table(opname)[0])
+        for opname, arity in alg.signature.ops
+        if arity == 0
+    }
+
+
 def test_lazy_tables_only_built_on_demand():
     c5 = cyclic_group(5)
-    alg, _ = product("C5xC5", [c5, c5])
+    alg, projs = product("C5xC5", [c5, c5])
     assert alg._tables is None
+    outer, _ = product("(C5xC5)^2", [alg, alg])
+    pb, _ = pullback(projs[0], projs[1])
+    q, _ = cg.quotient(alg, cg.kernel_pair(projs[0]))
+    level = nerve(pair_groupoid(c5), 3).levels[3]
+    built = [outer, alg, pb, q, level]
+    assert all(_read_constants(a) == {"e": 0} for a in built)
+    assert all(a._tables is None for a in built)
     alg.table("mul")
     assert alg._tables is not None
+    assert outer._tables is None
 
 
 def test_subproduct_table_is_int32_and_componentwise_across_chunks():
@@ -276,12 +294,22 @@ LIMIT_SETTINGS = settings(
 )
 
 
+def _assert_eager_constants(alg):
+    """The constants are read before any table is built, and equal the
+    built tables' nullary entries."""
+    assert alg._tables is None
+    eager = _read_constants(alg)
+    assert alg._tables is None
+    assert eager == {opname: int(alg.tables[opname][0]) for opname in eager}
+
+
 def _assert_limit(alg, projs, factors, want_rows):
     """Carrier rows, every table and the projections of a limit against
     componentwise evaluation."""
     assert [tuple(int(v) for v in r) for r in alg.carrier.rows] == want_rows
     assert alg.size == len(want_rows)
     want = oracles.componentwise_tables(factors, want_rows)
+    _assert_eager_constants(alg)
     for opname, _ in alg.signature.ops:
         assert np.array_equal(alg.table(opname), want[opname]), opname
     assert [(p.dom, p.cod) for p in projs] == [(alg, f) for f in factors]
@@ -332,5 +360,6 @@ def test_quotient_is_blockwise(data):
     assert q.size == len(set(want_proj))
     assert proj.dom is alg and proj.cod is q
     assert [int(v) for v in proj.map] == want_proj
+    _assert_eager_constants(q)
     for opname, _ in alg.signature.ops:
         assert np.array_equal(q.table(opname), want[opname]), opname

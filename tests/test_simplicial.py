@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from simal.algebra import Homomorphism, identity_hom
 from simal import congruences as cg
+from simal import groupoid
 from simal.corpus import (
     bundle_groupoid,
     congruence_groupoid,
@@ -30,7 +31,6 @@ from simal.errors import (
 )
 from simal.groupoid import (
     InternalGroupoid,
-    composable_pairs_algebra,
     groupoid_isomorphism,
     validate_groupoid,
 )
@@ -82,8 +82,50 @@ def test_groupoid_composition_tables_are_total_on_composables():
 
 def test_composable_pairs_algebra_size():
     G = pair_groupoid(C3)
-    P, _ = composable_pairs_algebra(G)
-    assert P.size == 27
+    assert int((G.comp >= 0).sum()) == 27
+
+
+# A loop of order 5 with unit 0: a Latin square, so units and inverses
+# exist, but not associative
+LOOP5 = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
+                  [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
+
+
+@pytest.mark.parametrize("G", [
+    one_object_groupoid(cyclic_group(5)),
+    bundle_groupoid(cyclic_group(5), C2),
+], ids=["one-object", "bundle"])
+def test_non_associative_composition_rejected(G):
+    # the loop replaces the composition at the last object, whose arrows
+    # are listed with the identity first
+    at = np.nonzero(G.d0.map == G.objects.size - 1)[0]
+    assert at[0] == G.s0.map[-1]
+    comp = G.comp.copy()
+    comp[np.ix_(at, at)] = at[LOOP5]
+    H = InternalGroupoid(G.objects, G.arrows, G.d0, G.d1, G.s0, comp)
+    with pytest.raises(IdentityViolated, match="associativity fails"):
+        validate_groupoid(H)
+
+
+@pytest.mark.parametrize("chunk_cells", [None, 1])
+def test_eckmann_hilton_rejects_a_unital_law_that_is_no_homomorphism(
+    monkeypatch, chunk_cells
+):
+    # C4's addition relabelled by the permutation swapping 1 and 2 is a
+    # group law with unit 0, so every category axiom holds; by
+    # Eckmann-Hilton it would have to equal the addition to be internal.
+    # The witness is the first failing pair of composable-pair indices,
+    # ((0, 1), (1, 0)), whether or not the check runs in slabs.
+    if chunk_cells is not None:
+        monkeypatch.setattr(groupoid, "TABLE_CHUNK_CELLS", chunk_cells)
+    G = one_object_groupoid(C4)
+    swap = np.array([0, 2, 1, 3])
+    comp = swap[C4.table("mul")[np.ix_(swap, swap)]].astype(np.int64)
+    H = InternalGroupoid(G.objects, G.arrows, G.d0, G.d1, G.s0, comp)
+    H.inverse_map()
+    with pytest.raises(InvalidParameters) as exc:
+        validate_groupoid(H)
+    assert str(exc.value) == "map does not preserve 'mul' at arguments (1, 4)"
 
 
 def test_broken_unit_rejected():
