@@ -6,10 +6,16 @@ carries a ternary term p satisfying p(x,y,y) = x and p(x,x,y) = y, and
 validation checks those identities on the full square of arguments.
 
 An algebra built from other algebras (products, kernels, horns,
-quotients) carries its constants from the moment it is built, and
-builds its tables of positive arity, which can be expensive, only when
-one of them is first read; reading a constant never builds them.  All
-objects are treated as immutable once validated.
+quotients) carries its constants from the moment it is built, and an
+evaluator that computes an operation at broadcast index arrays from the
+algebras it was built from.  Its tables of positive arity, which can be
+expensive, are built when they are first read, as the rows of slot 0
+over the whole carrier, through the same evaluator, in slabs of about
+TABLE_CHUNK_CELLS cells; reading a constant never builds them.  op,
+which is how a closure reads the rows of an operation, builds the
+tables only when they hold one slab or less in all, and otherwise
+computes its rows through the evaluator, so memory stays near a slab.
+All objects are treated as immutable once validated.
 """
 
 import itertools
@@ -23,6 +29,10 @@ from .errors import (
     NotMaltsev,
 )
 from .terms import check_term_signature, evaluate, parse_term
+
+# Cells of one slab of a table build: its int64 temporaries stay near
+# 8 MB each, and the table itself is written as int32.
+TABLE_CHUNK_CELLS = 1_000_000
 
 
 class Signature:
@@ -56,7 +66,7 @@ class Signature:
 
 class FiniteAlgebra:
     def __init__(self, name, size, signature, tables, maltsev_term,
-                 table_builder=None, constants=None):
+                 evaluator=None, constants=None):
         self.name = name
         self.size = int(size)
         self.signature = signature
@@ -64,32 +74,41 @@ class FiniteAlgebra:
             maltsev_term = parse_term(maltsev_term)
         self.maltsev_term = maltsev_term
         self._tables = None
-        self._table_builder = None
         if tables is not None:
             self._tables = {
                 k: np.asarray(v, dtype=np.int32) for k, v in tables.items()
             }
         else:
-            if table_builder is None:
-                raise InvalidParameters("algebra needs tables or a table builder")
-            # the builder returns the tables of positive arity; constants
-            # maps every nullary operation to its carrier index
-            self._table_builder = table_builder
+            if evaluator is None:
+                raise InvalidParameters("algebra needs tables or an evaluator")
+            # evaluator(op, args) is op of positive arity at the broadcast
+            # index arrays args; constants maps every nullary operation to
+            # its carrier index
+            self._evaluator = evaluator
             self._constants = constants or {}
 
     @property
     def tables(self):
         if self._tables is None:
-            built = self._table_builder()
             self._tables = {
-                k: np.asarray(
-                    [self._constants[k]] if arity == 0 else built[k],
-                    dtype=np.int32,
-                )
+                k: np.asarray([self._constants[k]], dtype=np.int32)
+                if arity == 0 else self._slot0_rows(k, arity)
                 for k, arity in self.signature.ops
             }
-            self._table_builder = None
+            self._evaluator = None
         return self._tables
+
+    def _slot0_rows(self, op, arity):
+        """The table of op, as the rows of slot 0 over the whole carrier,
+        computed by the evaluator in slabs of first arguments."""
+        m = self.size
+        out = np.empty((m,) * arity, dtype=np.int32)
+        rest = [np.arange(m)] * (arity - 1)
+        chunk = max(1, TABLE_CHUNK_CELLS // max(m ** (arity - 1), 1))
+        for s in range(0, m, chunk):
+            first = np.arange(s, min(s + chunk, m))
+            out[first] = self._evaluator(op, np.ix_(first, *rest))
+        return out
 
     def table(self, op):
         """The table of op; a constant's 1-entry table is read without
@@ -103,10 +122,17 @@ class FiniteAlgebra:
         return evaluate(self.maltsev_term, self.tables, {"x": a, "y": b, "z": c})
 
     def op(self, name, *args):
-        t = self.table(name)
+        """name at args, ints or broadcast index arrays, read off the
+        table.  Tables that hold more than one build slab in all are not
+        built for this: until they are, op computes the values through
+        the evaluator."""
         if not args:
-            return int(t[0])
-        return t[args]
+            return int(self.table(name)[0])
+        if self._tables is None and sum(
+            self.size ** arity for _, arity in self.signature.ops
+        ) > TABLE_CHUNK_CELLS:
+            return self._evaluator(name, args)
+        return self.tables[name][args]
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, size={self.size})"
@@ -303,9 +329,9 @@ def check_homomorphism(h):
         lhs = fmap[td]
         rhs = tc[_index_grids(fmap, arity)]
         if not np.array_equal(lhs, rhs):
-            where = np.argwhere(lhs != rhs)[0]
+            where = tuple(int(i) for i in np.argwhere(lhs != rhs)[0])
             raise InvalidParameters(
-                f"map does not preserve {opname!r} at arguments {tuple(where)}"
+                f"map does not preserve {opname!r} at arguments {where}"
             )
 
 

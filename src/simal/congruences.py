@@ -6,20 +6,26 @@ quotients all work on these label arrays.
 
 merge(part, a, b) is the only closure primitive: it hooks the larger
 root of each pair onto the smaller and pointer-jumps to a fixpoint, so
-the roots stay the least members.  join, image, congruence_generated,
-the commutator and the simplicial closure over every level at once
-(simplicial.simplicial_congruence_generated) all take their partitions
-from it.
+the roots stay the least members.  join, image and the closure engine
+take their partitions from it.
 
-congruence_generated closes by gathers alone.  Labels name each class
-by its least member, so labels[x] is the representative tuple of an
-argument tuple x, and one gather per operation gives the class of f(x)
-and of f(labels[x]); each round merges the pairs that differ.  That
-links the same classes as linking every two results whose argument
-classes agree, and each merged pair is forced by compatibility, so the
-fixpoint is the least congruence.  check_compatibility runs the same
-gather and demands that nothing differs, and the simplicial closure runs
-it at every level.
+Every closure runs on one engine, close: Freese's translation worklist
+(Computing congruences efficiently, Algebra Universalis 59, 2008).  An
+equivalence is a congruence exactly when every basic translation (an
+operation with its argument in one slot and constants in the others)
+keeps it.  close merges the seeds into a closed start; each wave then
+translates the pairs (r, root of r) for the roots r that the last wave
+absorbed and merges the images.  With the start these pairs generate
+all merged so far, and each element enters at most once, as the root
+it loses, so a closure that merges nothing computes nothing.  When a
+wave absorbs nothing, every translation keeps the relation, and every
+merged pair was forced, so it is the least congruence.  A provider
+yields the translations: congruence_generated reads them off alg.op,
+which computes a derived algebra's rows from the algebras it was built
+from rather than build its table; the simplicial closure adds faces
+and degeneracies as unary translations between levels; the commutator
+reads them off pair codes.  check_compatibility is a check, not a
+closure: one gather per operation, which must find nothing to merge.
 
 The closures of join and image are certified, not trusted:
 
@@ -32,6 +38,8 @@ The closures of join and image are certified, not trusted:
          closure's; a gap raises NotTransitive naming a pair that only
          the closure has.
 """
+
+import functools
 
 import numpy as np
 
@@ -46,6 +54,11 @@ from .algebra import FiniteAlgebra, Homomorphism
 
 # enumerate_congruences refuses algebras larger than this
 ENUMERATION_LIMIT = 16
+
+# Cells of one slab of a closure wave: its int64 code arrays stay near
+# 2 MB each.  Smaller slabs are merged together, MERGE_CELLS at least.
+SLAB_CELLS = 250_000
+MERGE_CELLS = 4096
 
 
 def canonical_partition(labels):
@@ -167,29 +180,21 @@ def full(alg):
     return Congruence(alg, np.zeros(alg.size, dtype=np.int64), check=False)
 
 
-def _result_classes(alg, labels):
-    """For each operation of positive arity, yield (opname, vs, ref):
-    vs = labels[table] is the class of every result, and ref the class of
-    the result at the representatives of the argument classes.  labels
-    must be least-member labels, so representatives map to themselves.
-    Classes are gathered as int32, like the tables, to halve the
-    temporaries."""
+def check_compatibility(cong):
+    """Exhaustively verify the partition respects every operation: one
+    gather per operation compares the class of each result with the
+    class of the result at the representatives of its argument classes."""
+    labels = cong.part
     classes = labels.astype(np.int32)
-    for opname, arity in alg.signature.ops:
+    for opname, arity in cong.on.signature.ops:
         if arity == 0:
             continue
-        vs = classes[alg.table(opname)]
-        grids = np.ix_(*([labels] * arity)) if arity > 1 else (labels,)
-        yield opname, vs, vs[grids]
-
-
-def check_compatibility(cong):
-    """Exhaustively verify the partition respects every operation."""
-    for opname, vs, ref in _result_classes(cong.on, cong.part):
+        vs = classes[cong.on.table(opname)]
+        ref = vs[np.ix_(*([labels] * arity)) if arity > 1 else (labels,)]
         if not np.array_equal(vs, ref):
-            where = np.argwhere(vs != ref)[0]
+            where = tuple(int(i) for i in np.argwhere(vs != ref)[0])
             raise InvalidParameters(
-                f"partition not compatible with {opname!r} at {tuple(where)}"
+                f"partition not compatible with {opname!r} at {where}"
             )
 
 
@@ -307,48 +312,87 @@ def quotient(alg, theta):
         if arity == 0
     }
 
-    def build():
-        tables = {}
-        for opname, arity in alg.signature.ops:
-            if arity:
-                grids = np.ix_(*([reps] * arity)) if arity > 1 else (reps,)
-                tables[opname] = to_block[alg.table(opname)[grids]]
-        return tables
+    def evaluate(opname, args):
+        return to_block[alg.op(opname, *(reps[a] for a in args))]
 
     q = FiniteAlgebra(
         f"{alg.name}/cong{len(reps)}", len(reps), alg.signature,
-        None, alg.maltsev_term, table_builder=build, constants=constants,
+        None, alg.maltsev_term, evaluator=evaluate, constants=constants,
     )
     proj = Homomorphism(alg, q, to_block, check=False)
     return q, proj
 
 
-def congruence_generated(alg, pairs, initial=None):
-    """Smallest congruence containing the given pairs and initial, if any.
-
-    Each round gathers, for every operation, the class of each result and
-    the class of the result at the representatives of its argument
-    classes, and merges every pair that differs, all in one call to
-    merge.  It stops when no pair differs, so the partition is
-    compatible.  It is the least one: x and its representative tuple are
-    related componentwise in any congruence containing the current
-    partition, so each merged pair (f(x), f(rep x)) lies in every such
-    congruence.
-    """
-    n = alg.size
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    start = np.arange(n) if initial is None else initial.part
-    labels = merge(start, pairs[:, 0], pairs[:, 1])
+def close(start, a, b, translate):
+    """Least-member labels of the least equivalence that contains the
+    closed labels start and the pairs (a[k], b[k]) and is closed under
+    translate(xs, ys), which yields the images of every pair (xs[k],
+    ys[k]) under every basic translation, in slabs of index arrays."""
+    codes = np.arange(len(start))
+    before, labels = start, merge(start, a, b)
     while True:
-        a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for _, vs, ref in _result_classes(alg, labels):
-            split = vs != ref
-            a.append(vs[split])
-            b.append(ref[split])
-        a, b = np.concatenate(a), np.concatenate(b)
-        if not len(a):
-            return Congruence(alg, labels, check=False)
-        labels = merge(labels, a, b)
+        absorbed = np.flatnonzero((before == codes) & (labels != codes))
+        if not len(absorbed):
+            return labels
+        before = labels
+        held, xs, ys = 0, [], []
+        for tx, ty in translate(absorbed, before[absorbed]):
+            xs.append(tx.ravel())
+            ys.append(ty.ravel())
+            held += tx.size
+            if held >= MERGE_CELLS:
+                labels = merge(labels, _joined(xs), _joined(ys))
+                held, xs, ys = 0, [], []
+        if held:
+            labels = merge(labels, _joined(xs), _joined(ys))
+
+
+def _joined(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def translation_slabs(alg, pool, rows):
+    """(f, consts, slot) for every operation f of positive arity, slot,
+    and block of about SLAB_CELLS // rows constant tuples over
+    range(pool)^(arity - 1) in mixed radix: consts holds one row vector
+    of pool indices per other slot, in_slot places the argument."""
+    for opname, arity in alg.signature.ops:
+        if arity == 0:
+            continue
+        tuples = pool ** (arity - 1)
+        block = min(tuples, max(1, SLAB_CELLS // rows))
+        for start in range(0, tuples, block):
+            flat = np.arange(start, min(start + block, tuples))
+            consts = [c[None, :] for c in np.unravel_index(
+                flat, (pool,) * (arity - 1)
+            )] if arity > 1 else []
+            for slot in range(arity):
+                yield opname, consts, slot
+
+
+def in_slot(consts, slot, column):
+    return consts[:slot] + [column] + consts[slot:]
+
+
+def translations(alg, xs, ys):
+    """The images of every pair (xs[k], ys[k]) of elements of alg under
+    every basic translation, read by alg.op."""
+    half = max(1, SLAB_CELLS // 2)
+    for s in range(0, len(xs), half):
+        both = np.concatenate([xs[s:s + half], ys[s:s + half]])[:, None]
+        for opname, consts, slot in translation_slabs(alg, alg.size, len(both)):
+            rows = alg.op(opname, *in_slot(consts, slot, both))
+            yield rows[:len(both) // 2], rows[len(both) // 2:]
+
+
+def congruence_generated(alg, pairs, initial=None):
+    """Smallest congruence containing the given pairs and the congruence
+    initial, if any, closed by the translation worklist."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    start = np.arange(alg.size) if initial is None else initial.part
+    labels = close(start, pairs[:, 0], pairs[:, 1],
+                   functools.partial(translations, alg))
+    return Congruence(alg, labels, check=False)
 
 
 def principal_congruence(alg, a, b):

@@ -289,12 +289,13 @@ def ml_factorization(F):
 
     From the diagonal, each round closes the pulled-back triple meets
     under faces and degeneracies.  The rounds grow (each meet contains
-    fam[n], and closing level 2 recovers levels 0 and 1) and stay below
-    the kernel family, so they stop; at the limit every triple meet of
-    the cofactor is diagonal, and the d1-image condition follows from
-    the level-2 (0, 2) meet.  Any central family G below the kernel
-    contains its own pulled-back triple meets, hence by induction every
-    stage: the limit is the least central family.
+    fam[n], and closing level 2 recovers levels 0 and 1), so each round
+    closes from the last family and works only on the pairs it adds.
+    They stay below the kernel family, so they stop; at the limit every
+    triple meet of the cofactor is diagonal, and the d1-image condition
+    follows from the level-2 (0, 2) meet.  Any central family G below
+    the kernel contains its own pulled-back triple meets, hence by
+    induction every stage: the limit is the least central family.
 
     Returns (middle object, e, m) with m central.
     """
@@ -305,7 +306,7 @@ def ml_factorization(F):
     while new != fam:
         fam = new
         new = simplicial_congruence_generated(
-            X, _obstruction_seeds(X, kernels, fam)
+            X, _obstruction_seeds(X, kernels, fam), initial=fam
         )
         if not all(cg.leq(a, b) for a, b in zip(new, kernels)):
             raise PropertyViolation(

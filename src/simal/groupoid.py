@@ -14,8 +14,7 @@ source map, s0 picks identity arrows.  comp[g, f] is the composite
 import numpy as np
 
 from .errors import IdentityViolated, InvalidParameters
-from .algebra import check_homomorphism, same_signature
-from .limits import TABLE_CHUNK_CELLS
+from .algebra import TABLE_CHUNK_CELLS, check_homomorphism, same_signature
 
 
 class InternalGroupoid:

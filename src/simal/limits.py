@@ -5,10 +5,11 @@ A limit carrier is a set of tuples over factor algebras, stored as an
 such algebra has a canonical element order and lookups are binary
 searches.  Constants are looked up in the carrier when the algebra is
 built, so reading one, as a limit over this algebra does, builds no
-table.  Tables of positive arity are built on first read, as int32, in
-slabs of about TABLE_CHUNK_CELLS cells over the first argument, so the
-build's peak memory is the table plus a few slab-sized temporaries.  A map
-into a limit is given by its component columns, and tuple_map looks
+table.  Operations are evaluated componentwise: each factor's op at the
+components, the result codes looked up in the carrier.  That one
+evaluator gives both the rows a closure reads, building no table of the
+limit, and the table itself, as the rows of slot 0 over the carrier.  A
+map into a limit is given by its component columns, and tuple_map looks
 its tuples up in the carrier, so callers never address rows by hand.
 
 Enumeration fills the slots left to right, each by one vectorized
@@ -33,10 +34,6 @@ from .errors import (
 )
 from .algebra import FiniteAlgebra, Homomorphism, same_signature
 from . import congruences as cg
-
-# Cells of one slab of a subproduct table build: its int64 temporaries
-# stay near 8 MB each, and the table itself is written as int32.
-TABLE_CHUNK_CELLS = 1_000_000
 
 
 def _weights(sizes):
@@ -102,33 +99,17 @@ def subproduct_algebra(name, factors, rows):
         if arity == 0
     }
 
-    def build():
-        tables = {}
-        for opname, arity in sig.ops:
-            if arity == 0:
-                continue
-            out = np.empty((m,) * arity, dtype=np.int32)
-            rest = [np.arange(m)] * (arity - 1)
-            chunk = max(1, TABLE_CHUNK_CELLS // max(m ** (arity - 1), 1))
-            for s in range(0, m, chunk):
-                first = np.arange(s, min(s + chunk, m))
-                grids = np.ix_(first, *rest)
-                codes = np.zeros((len(first),) + (m,) * (arity - 1), np.int64)
-                for c in range(k):
-                    col = carrier.rows[:, c]
-                    codes += np.multiply(
-                        factors[c].table(opname)[tuple(col[g] for g in grids)],
-                        carrier.weights[c], dtype=np.int64,
-                    )
-                out[first] = carrier.index_of_codes(
-                    codes.ravel()
-                ).reshape(codes.shape)
-            tables[opname] = out
-        return tables
+    def evaluate(opname, args):
+        codes = np.zeros(np.broadcast_shapes(*map(np.shape, args)), np.int64)
+        for c, f in enumerate(factors):
+            col = carrier.rows[:, c]
+            codes += np.multiply(f.op(opname, *(col[a] for a in args)),
+                                 carrier.weights[c], dtype=np.int64)
+        return carrier.index_of_codes(codes)
 
     term = factors[0].maltsev_term
     alg = FiniteAlgebra(
-        name, m, sig, None, term, table_builder=build, constants=constants
+        name, m, sig, None, term, evaluator=evaluate, constants=constants
     )
     alg.carrier = carrier
     projections = [

@@ -20,12 +20,9 @@ d1(g) = d0(f).
 
 One closure serves every level of a simplicial congruence at once: the
 faces and degeneracies are unary operations between the levels of one
-multi-sorted algebra, and each round gathers every level and every
-structure map and merges all that differ in one call.  Checking a family
-is the structure-map part of the same gather.
+multi-sorted algebra, closed by the translation worklist of
+congruences.close.  Checking a family is one gather per structure map.
 """
-
-import itertools
 
 import numpy as np
 
@@ -542,63 +539,62 @@ def simplicial_pullback(F, G, budget=None, name=None):
     )
 
 
-def _structure_classes(X, parts):
-    """For every face and degeneracy f: X_n -> X_m, yield (m, vs, ref):
-    vs is the class of f(x) and ref the class of f(rep x) in X_m, for
-    each x in X_n.  parts[n] must be least-member labels of level n."""
+def _structure_maps(X):
+    """(n, m, f) for every face and degeneracy f: X_n -> X_m."""
     for n in range(X.truncation + 1):
         for m, maps in ((n - 1, X.faces[n]), (n + 1, X.degeneracies[n])):
             for f in maps:
-                yield m, parts[m][f.map], parts[m][f.map[parts[n]]]
+                yield n, m, f
 
 
-def simplicial_congruence_generated(X, seeds):
-    """Smallest levelwise family of congruences containing the seeds and
-    closed under faces and degeneracies (seeds: level -> pair list).
+def simplicial_congruence_generated(X, seeds, initial=None):
+    """Smallest levelwise family of congruences containing the seeds
+    (level -> pair list) and the family initial, if any, and closed under
+    faces and degeneracies; initial must be such a family already.
 
     The levels are the sorts of one multi-sorted algebra whose unary
-    operations between sorts are the faces and degeneracies, and the
-    closure runs on one least-member label array over the disjoint union
-    of the levels, level n from offsets[n] on.  Each round gathers, at
-    every level, the class of each operation result and of the result at
-    the representatives of its argument classes, and for every structure
-    map f the classes of f(x) and f(rep x); every pair that differs goes
-    into one call to merge.  It stops when no pair differs, so each level
-    is a congruence and each structure map sends related elements to
-    related elements.  It is the least such family: x and rep x are
-    related in any such family containing the current labels, so every
-    merged pair lies in all of them.  No pair crosses two levels, so no
-    class does.
+    operations between sorts are the faces and degeneracies, closed by
+    congruences.close on one label array over the disjoint union of the
+    levels, level n from offsets[n] on.  A wave sends the worklist pairs
+    of level n through every face and degeneracy out of it and through
+    the basic translations of X_n, read off X_n.op.  No pair crosses two
+    levels, so no class does.
     """
     offsets = np.cumsum([0] + [lvl.size for lvl in X.levels])
     pairs = np.concatenate([
         np.asarray(seeds.get(n, []), dtype=np.int64).reshape(-1, 2)
         + offsets[n] for n in range(X.truncation + 1)
     ])
-    labels = cg.merge(np.arange(offsets[-1]), pairs[:, 0], pairs[:, 1])
-    while True:
-        parts = [labels[offsets[n]:offsets[n + 1]] - offsets[n]
+    start = (np.arange(offsets[-1]) if initial is None else
+             np.concatenate([c.part + offsets[n]
+                             for n, c in enumerate(initial)]))
+
+    def translate(xs, ys):
+        cuts = np.searchsorted(xs, offsets)
+        local = [(xs[cuts[n]:cuts[n + 1]] - offsets[n],
+                  ys[cuts[n]:cuts[n + 1]] - offsets[n])
                  for n in range(X.truncation + 1)]
-        gathers = itertools.chain(_structure_classes(X, parts), (
-            (n, vs, ref) for n, lvl in enumerate(X.levels)
-            for _, vs, ref in cg._result_classes(lvl, parts[n])
-        ))
-        a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for m, vs, ref in gathers:
-            split = vs != ref
-            a.append(vs[split] + offsets[m])
-            b.append(ref[split] + offsets[m])
-        a, b = np.concatenate(a), np.concatenate(b)
-        if not len(a):
-            return [cg.Congruence(lvl, parts[n], check=False)
-                    for n, lvl in enumerate(X.levels)]
-        labels = cg.merge(labels, a, b)
+        for n, m, f in _structure_maps(X):
+            yield (f.map[local[n][0]] + offsets[m],
+                   f.map[local[n][1]] + offsets[m])
+        for n, lvl in enumerate(X.levels):
+            # each slab is a fresh array, shifted to level n in place
+            for tx, ty in cg.translations(lvl, *local[n]):
+                tx += int(offsets[n])
+                ty += int(offsets[n])
+                yield tx, ty
+
+    labels = cg.close(start, pairs[:, 0], pairs[:, 1], translate)
+    return [cg.Congruence(lvl, labels[offsets[n]:offsets[n + 1]] - offsets[n],
+                          check=False)
+            for n, lvl in enumerate(X.levels)]
 
 
 def is_simplicial_congruence(X, parts):
     """Faces and degeneracies must send each level's relation into the next."""
-    return all(np.array_equal(vs, ref) for _, vs, ref
-               in _structure_classes(X, [p.part for p in parts]))
+    return all(np.array_equal(parts[m].part[f.map],
+                              parts[m].part[f.map[parts[n].part]])
+               for n, m, f in _structure_maps(X))
 
 
 def transport(X, levels, sels, poss, name):

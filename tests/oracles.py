@@ -3,8 +3,8 @@
 Everything here recomputes results by a different route than the
 library: set-based transitive closures, brute-force partition sweeps,
 the matrix-closure description of the commutator, the level-by-level
-closure of simplicial congruences, and a search of the congruence
-lattice for the monotone-light factorization.  Kept deliberately naive;
+closure of simplicial congruences by gathers over whole tables, and a
+search of the congruence lattice for the monotone-light factorization.  Kept deliberately naive;
 only run on small carriers.
 """
 
@@ -281,18 +281,43 @@ def _pushed_pairs(cong, fmap):
     return np.stack([fmap[mask], b[mask]], axis=1)
 
 
+def gather_closure(alg, pairs, initial=None):
+    """Congruence generated by pairs over the congruence initial, if any,
+    by gathers over whole tables: each round compares, for every
+    operation, the class of each result with the class of the result at
+    the representatives of its argument classes, and merges every pair
+    that differs, until none does."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    start = np.arange(alg.size) if initial is None else initial.part
+    labels = cg.merge(start, pairs[:, 0], pairs[:, 1])
+    while True:
+        a, b = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+        for opname, arity in alg.signature.ops:
+            if arity == 0:
+                continue
+            vs = labels[alg.table(opname)]
+            ref = vs[np.ix_(*([labels] * arity)) if arity > 1 else (labels,)]
+            split = vs != ref
+            a.append(vs[split])
+            b.append(ref[split])
+        a, b = np.concatenate(a), np.concatenate(b)
+        if not len(a):
+            return cg.Congruence(alg, labels, check=False)
+        labels = cg.merge(labels, a, b)
+
+
 def simplicial_closure_by_levels(X, seeds):
     """Simplicial congruence generated by seeds {level: pairs}, level by
-    level: close each level on its own, then push each level's relation
-    along every face and degeneracy and close the target level again,
-    until no level changes."""
-    parts = [cg.congruence_generated(X.levels[n], seeds.get(n, []))
+    level: close each level on its own by gather_closure, then push each
+    level's relation along every face and degeneracy and close the target
+    level again, until no level changes."""
+    parts = [gather_closure(X.levels[n], seeds.get(n, []))
              for n in range(X.truncation + 1)]
     changed = True
     while changed:
         changed = False
         for n, m, fmap in _structure_maps(X):
-            merged = cg.congruence_generated(
+            merged = gather_closure(
                 X.levels[m], _pushed_pairs(parts[n], fmap), initial=parts[m]
             )
             if merged != parts[m]:

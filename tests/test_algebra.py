@@ -111,6 +111,14 @@ def test_homomorphism_checked_on_build():
         Homomorphism(z4, z2, [0, 1, 1, 0])
 
 
+def test_homomorphism_witness_is_plain_ints():
+    # the witness reads the same whatever numpy prints for its integers
+    z4 = cyclic_group(4)
+    with pytest.raises(InvalidParameters) as err:
+        Homomorphism(z4, z4, [0, 2, 1, 3])
+    assert str(err.value) == "map does not preserve 'mul' at arguments (1, 1)"
+
+
 def test_hom_composition_and_identity():
     z4 = cyclic_group(4)
     z2 = cyclic_group(2)

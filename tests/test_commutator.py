@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from simal import commutator
 from simal import congruences as cg
 from simal.algebra import Signature, make_algebra
 from simal.commutator import tc_commutator
@@ -159,9 +158,9 @@ def test_commutator_matches_the_oracle_on_generated_pairs(data):
     alg, congs = pool[data.draw(st.integers(0, len(pool) - 1), label="alg")]
     theta = congs[data.draw(st.integers(0, len(congs) - 1), label="theta")]
     psi = congs[data.draw(st.integers(0, len(congs) - 1), label="psi")]
-    slab = data.draw(st.sampled_from([commutator.SLAB_CELLS, 100, 7]))
+    slab = data.draw(st.sampled_from([cg.SLAB_CELLS, 100, 7]))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(commutator, "SLAB_CELLS", slab)
+        mp.setattr(cg, "SLAB_CELLS", slab)
         ours = tc_commutator(theta, psi).part
     want = oracles.matrix_closure_commutator(alg, theta.part, psi.part)
     assert list(ours) == want, (alg.name, theta.part, psi.part)
@@ -173,7 +172,7 @@ def test_s3_heap_derived_congruence(monkeypatch, slab):
     # the right multiplications, and only the other slots add the left
     # ones that [1, 1] needs
     if slab is not None:
-        monkeypatch.setattr(commutator, "SLAB_CELLS", slab)
+        monkeypatch.setattr(cg, "SLAB_CELLS", slab)
     s3 = symmetric_group(3)
     mul, inv = s3.table("mul"), s3.table("inv")
     heap = _ternary("heap(S3)", 6, lambda x, y, z: mul[mul[x, inv[y]], z])

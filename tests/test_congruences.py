@@ -189,6 +189,13 @@ def test_compatibility_check_rejects_bad_partition():
         cg.Congruence(s3, [0, 0, 2, 3, 4, 5])
 
 
+def test_compatibility_witness_is_plain_ints():
+    # 0 ~ 1, but 1 * 1 = 2 and 0 * 0 = 0 lie in different blocks
+    with pytest.raises(InvalidParameters) as err:
+        cg.Congruence(cyclic_group(4), [0, 0, 2, 3])
+    assert str(err.value) == "partition not compatible with 'mul' at (1, 1)"
+
+
 def test_canonical_partition_least_member():
     labels = np.asarray([7, 3, 7, 3, 9])
     part = cg.canonical_partition(labels)

@@ -322,3 +322,33 @@ def test_deep_classify_and_em_pass_builds_few_table_cells(monkeypatch):
         classify_extension(F)
         em_factorization(F)
     assert sum(cells) <= 150_000
+
+
+def _unbuilt(X):
+    return [n for n, lvl in enumerate(X.levels) if lvl._tables is None]
+
+
+def test_closures_build_no_table_of_the_levels_they_close():
+    # the closure reads a level's translations through its evaluator, and
+    # a closure that merges nothing reads none, so ml on these extensions,
+    # whose obstruction seeds are empty, builds no level's table
+    extensions = dict(default_corpus("deep")["extensions"])
+    for name, unbuilt in (("pairC6-pairC3-t3", [1, 2, 3]),
+                          ("deloop-C8-C4", [2, 3])):
+        F = extensions[name]
+        assert _unbuilt(F.dom) == unbuilt, name
+        Z, _, _ = ml_factorization(F)
+        assert [lvl.size for lvl in Z.levels] == \
+            [lvl.size for lvl in F.dom.levels], name
+        assert _unbuilt(F.dom) == unbuilt, name
+    X = extensions["pairC6-pairC3-t3"].dom
+    assert cg.congruence_generated(X.levels[3], []).is_diagonal()
+    assert all(c.is_diagonal() for c in simplicial_congruence_generated(X, {}))
+    assert _unbuilt(X) == [1, 2, 3]
+    # one real seed: level 3 has 1296 elements, so its mul table would
+    # hold 1.7M cells, and its translations are computed instead
+    N = nerve(pair_groupoid(cyclic_group(6)), 3)
+    parts = simplicial_congruence_generated(N, {3: [(0, 1)]})
+    assert not parts[3].is_diagonal()
+    assert N.levels[3]._tables is None
+    assert parts == oracles.simplicial_closure_by_levels(N, {3: [(0, 1)]})

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import oracles
-from simal import limits
+from simal import algebra
 from simal.algebra import (
     Homomorphism,
     Signature,
@@ -234,7 +234,7 @@ def test_subproduct_table_is_int32_and_componentwise_across_chunks():
     c32 = cyclic_group(32)
     alg, _ = subproduct_algebra("pairs(C32)", [c32, c32], cg.full(c32).pairs())
     m = alg.size
-    assert m == 1024 and m * m > limits.TABLE_CHUNK_CELLS
+    assert m == 1024 and m * m > algebra.TABLE_CHUNK_CELLS
     mul = alg.table("mul")
     assert mul.dtype == np.int32
     rows, t = alg.carrier.rows, c32.table("mul")
@@ -249,7 +249,7 @@ def test_subproduct_ternary_table_is_componentwise(monkeypatch, chunk_cells):
     # a slab smaller than one first-argument row (27 * 27 cells) still
     # writes the table one row at a time
     if chunk_cells is not None:
-        monkeypatch.setattr(limits, "TABLE_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
     x, y, z = np.ix_(range(3), range(3), range(3))
     z3 = make_algebra(
         "Z3p", Signature([("p", 3)]), {"p": (x - y + z) % 3}, "p(x, y, z)"

@@ -1,3 +1,4 @@
+import contextlib
 import functools
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from simal.algebra import Homomorphism, identity_hom
+from simal import algebra
 from simal import congruences as cg
 from simal import groupoid
 from simal.corpus import (
@@ -365,6 +367,91 @@ def test_simplicial_closure_matches_level_by_level_oracle(data):
                  for n, lvl in enumerate(X.levels)]
     assert is_simplicial_congruence(X, levelwise) == \
         oracles.is_closed_family(X, levelwise)
+
+
+@functools.lru_cache(maxsize=None)
+def implicit_and_dense_desk_objects():
+    """The small desk objects, built twice apart: the closures under test
+    run on the first copy, whose derived levels never build a table
+    there, and the oracles read the tables of the second."""
+    def small(corpus):
+        return [X for _, X in corpus["objects"]
+                if sum(lvl.size for lvl in X.levels) <= 200]
+
+    return list(zip(small(default_corpus("desk")), small(default_corpus("desk"))))
+
+
+def _draw_closure_case(data):
+    """An implicit desk object, its dense twin, seeds at one to three
+    levels and a slab size of the closure engine."""
+    twins = implicit_and_dense_desk_objects()
+    X, dense = twins[data.draw(st.integers(0, len(twins) - 1), label="object")]
+    seeds = {}
+    for _ in range(data.draw(st.integers(1, 3))):
+        n = data.draw(st.integers(0, X.truncation))
+        element = st.integers(0, X.levels[n].size - 1)
+        seeds.setdefault(n, []).append(data.draw(st.tuples(element, element)))
+    slab = data.draw(st.sampled_from([cg.SLAB_CELLS, 100, 7]), label="slab")
+    return X, dense, seeds, slab
+
+
+@contextlib.contextmanager
+def _closing(slab):
+    """Slabs of slab cells, and no table built by a closure's reads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "SLAB_CELLS", slab)
+        mp.setattr(algebra, "TABLE_CHUNK_CELLS", 0)
+        yield
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_translations_are_every_basic_translation_across_slabs(data):
+    # the image pairs of each work pair, one per operation, slot and
+    # constant tuple, whatever the slabs; the twin reads them off rows of
+    # its tables
+    X, dense, seeds, slab = _draw_closure_case(data)
+    n, pairs = next(iter(seeds.items()))
+    xs, ys = np.asarray(pairs).T
+    with _closing(slab):
+        got = [np.stack([tx.ravel(), ty.ravel()], axis=1)
+               for tx, ty in cg.translations(X.levels[n], xs, ys)]
+    want = []
+    for opname, arity in dense.levels[n].signature.ops:
+        for slot in range(arity):
+            rows = np.moveaxis(dense.levels[n].table(opname), slot, 0)
+            want.append(np.stack([rows[xs].ravel(), rows[ys].ravel()], axis=1))
+    assert sorted(map(tuple, np.concatenate(got).tolist())) == \
+        sorted(map(tuple, np.concatenate(want).tolist())), (X.name, n, slab)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_generated_matches_pure_closure_across_slabs(data):
+    # derived levels compute their translations componentwise, and slabs
+    # of a few cells split them across blocks of constants
+    X, dense, seeds, slab = _draw_closure_case(data)
+    unbuilt = [lvl for lvl in X.levels if lvl._tables is None]
+    with _closing(slab):
+        got = {n: cg.congruence_generated(X.levels[n], pairs)
+               for n, pairs in seeds.items()}
+    for n, pairs in seeds.items():
+        want = oracles.cg_closure_pure(dense.levels[n], pairs)
+        assert list(got[n].part) == want, (X.name, n, pairs, slab)
+    assert all(lvl._tables is None for lvl in unbuilt)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_simplicial_closure_matches_the_oracle_across_slabs(data):
+    X, dense, seeds, slab = _draw_closure_case(data)
+    unbuilt = [lvl for lvl in X.levels if lvl._tables is None]
+    with _closing(slab):
+        got = simplicial_congruence_generated(X, seeds)
+    want = oracles.simplicial_closure_by_levels(dense, seeds)
+    assert [c.part.tolist() for c in got] == \
+        [c.part.tolist() for c in want], (X.name, seeds, slab)
+    assert all(lvl._tables is None for lvl in unbuilt)
 
 
 def test_quotient_by_simplicial_congruence():
