@@ -56,9 +56,8 @@ from .algebra import FiniteAlgebra, Homomorphism
 ENUMERATION_LIMIT = 16
 
 # Cells of one slab of a closure wave: its int64 code arrays stay near
-# 2 MB each.  Smaller slabs are merged together, MERGE_CELLS at least.
+# 2 MB each.
 SLAB_CELLS = 250_000
-MERGE_CELLS = 4096
 
 
 def canonical_partition(labels):
@@ -335,20 +334,8 @@ def close(start, a, b, translate):
         if not len(absorbed):
             return labels
         before = labels
-        held, xs, ys = 0, [], []
         for tx, ty in translate(absorbed, before[absorbed]):
-            xs.append(tx.ravel())
-            ys.append(ty.ravel())
-            held += tx.size
-            if held >= MERGE_CELLS:
-                labels = merge(labels, _joined(xs), _joined(ys))
-                held, xs, ys = 0, [], []
-        if held:
-            labels = merge(labels, _joined(xs), _joined(ys))
-
-
-def _joined(arrays):
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+            labels = merge(labels, tx.ravel(), ty.ravel())
 
 
 def translation_slabs(alg, pool, rows):

@@ -578,11 +578,8 @@ def simplicial_congruence_generated(X, seeds, initial=None):
             yield (f.map[local[n][0]] + offsets[m],
                    f.map[local[n][1]] + offsets[m])
         for n, lvl in enumerate(X.levels):
-            # each slab is a fresh array, shifted to level n in place
             for tx, ty in cg.translations(lvl, *local[n]):
-                tx += int(offsets[n])
-                ty += int(offsets[n])
-                yield tx, ty
+                yield tx + offsets[n], ty + offsets[n]
 
     labels = cg.close(start, pairs[:, 0], pairs[:, 1], translate)
     return [cg.Congruence(lvl, labels[offsets[n]:offsets[n + 1]] - offsets[n],

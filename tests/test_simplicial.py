@@ -400,7 +400,7 @@ def _closing(slab):
     """Slabs of slab cells, and no table built by a closure's reads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cg, "SLAB_CELLS", slab)
-        mp.setattr(algebra, "TABLE_CHUNK_CELLS", 0)
+        mp.setattr(algebra, "OP_TABLE_CELLS", 0)
         yield
 
 
