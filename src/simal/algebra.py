@@ -210,7 +210,7 @@ def int_array(raw, what):
     except ValueError as exc:
         raise InvalidParameters(f"{what} is not a rectangular array") from exc
     if arr.size == 0 or arr.dtype.kind in "iu":
-        return arr.astype(np.int64)
+        return arr.astype(np.int64, copy=False)
     flat = np.asarray(raw, dtype=object).ravel()
     bad = next((x for x in flat if type(x) is not int), flat[0])
     raise InvalidParameters(f"{what}: entry {bad!r} is not an integer")
@@ -273,7 +273,7 @@ class Homomorphism:
     def __init__(self, dom, cod, fmap, check=True):
         self.dom = dom
         self.cod = cod
-        self.map = np.asarray(fmap, dtype=np.int64)
+        self.map = int_array(fmap, "map")
         if self.map.shape != (dom.size,):
             raise InvalidParameters(
                 f"map array has shape {self.map.shape}, expected ({dom.size},)"
@@ -295,12 +295,10 @@ class Homomorphism:
         return Homomorphism(other.dom, self.cod, self.map[other.map], check=False)
 
     def is_surjective(self):
-        if self.cod.size == 0:
-            return True
-        return len(np.unique(self.map)) == self.cod.size
+        return bool(np.bincount(self.map, minlength=self.cod.size).all())
 
     def is_injective(self):
-        return len(np.unique(self.map)) == self.map.shape[0]
+        return bool((np.bincount(self.map) <= 1).all())
 
     def is_bijective(self):
         return self.dom.size == self.cod.size and self.is_surjective()

@@ -2,7 +2,14 @@
 
 A congruence is stored as a partition array: part[i] is the least
 element of the block containing i.  Meets, joins, images, preimages and
-quotients all work on these label arrays.
+quotients all work on these label arrays, and read what they need off
+the invariant rather than sort: the representatives are the i with
+part[i] == i, in increasing order, and bincount(part) is each block's
+size at its representative.  Congruence(on, part) takes any integer
+labels, relabels them by least members and checks compatibility;
+Congruence(on, part, check=False) does neither, so its caller vouches
+that part already holds least-member labels of a congruence.  Apart
+from that relabelling, only meet sorts: once, over its pair codes.
 
 merge(part, a, b) is the only closure primitive: it hooks the larger
 root of each pair onto the smaller and pointer-jumps to a fixpoint, so
@@ -50,7 +57,7 @@ from .errors import (
     NotSurjective,
     NotTransitive,
 )
-from .algebra import FiniteAlgebra, Homomorphism
+from .algebra import FiniteAlgebra, Homomorphism, int_array
 
 # enumerate_congruences refuses algebras larger than this
 ENUMERATION_LIMIT = 16
@@ -61,15 +68,29 @@ SLAB_CELLS = 250_000
 
 
 def canonical_partition(labels):
-    """Relabel an arbitrary label array so each class is named by its least member."""
+    """Relabel an arbitrary label array so each class is named by its least
+    member: one argsort, whose runs of equal labels are the classes."""
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    _, inverse = np.unique(labels, return_inverse=True)
-    firsts = np.full(inverse.max() + 1, n, dtype=np.int64)
-    np.minimum.at(firsts, inverse, np.arange(n))
-    return firsts[inverse]
+    order = np.argsort(labels)
+    ordered = labels[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    least = np.minimum.reduceat(order, np.flatnonzero(head))
+    out = np.empty(n, dtype=np.int64)
+    out[order] = least[np.cumsum(head) - 1]
+    return out
+
+
+def _least_members(labels, m):
+    """canonical_partition of labels in range(m), by one scatter of each
+    index onto its label instead of a sort."""
+    least = np.full(m, len(labels), dtype=np.int64)
+    np.minimum.at(least, labels, np.arange(len(labels)))
+    return least[labels]
 
 
 def merge(part, a, b):
@@ -97,25 +118,35 @@ def _pairs_within(groups, values):
     array ordered by group, then i, then j."""
     order = np.argsort(groups, kind="stable")
     g, v = groups[order], values[order]
-    n = len(g)
-    starts = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
-    sizes = np.diff(np.r_[starts, n])
-    size_of = np.repeat(sizes, sizes)
+    head = np.ones(len(g), dtype=bool)
+    np.not_equal(g[1:], g[:-1], out=head[1:])
+    group = np.cumsum(head) - 1
+    size_of = np.bincount(group)[group]
     first_row = np.cumsum(size_of) - size_of
-    left = np.repeat(np.arange(n), size_of)
+    left = np.repeat(np.arange(len(g)), size_of)
     right = np.arange(len(left)) + np.repeat(
-        np.repeat(starts, sizes) - first_row, size_of
+        np.flatnonzero(head)[group] - first_row, size_of
     )
     return np.stack([v[left], v[right]], axis=1)
 
 
 class Congruence:
+    """A congruence on the algebra on, as least-member labels part.
+
+    With check (the default) part may be any integer labels of the
+    blocks: they are relabelled by least members and checked compatible
+    with every operation.  With check=False part is kept as given, and
+    the caller vouches that it already holds least-member labels of a
+    congruence.
+    """
+
     def __init__(self, on, part, check=True):
         self.on = on
-        part = np.asarray(part, dtype=np.int64)
+        part = (int_array(part, "partition array") if check
+                else np.asarray(part, dtype=np.int64))
         if part.shape != (on.size,):
             raise InvalidParameters("partition array has wrong length")
-        self.part = canonical_partition(part)
+        self.part = canonical_partition(part) if check else part
         if check:
             check_compatibility(self)
 
@@ -130,25 +161,27 @@ class Congruence:
     def is_full(self):
         return self.on.size <= 1 or bool((self.part == 0).all())
 
+    def reps(self):
+        """The least member of every block, in increasing order."""
+        return np.flatnonzero(self.part == np.arange(self.on.size))
+
     def class_count(self):
-        return len(np.unique(self.part)) if self.on.size else 0
+        return len(self.reps())
 
     def block_sizes(self):
-        _, counts = np.unique(self.part, return_counts=True)
-        return counts
+        """Block sizes, in the order of reps()."""
+        return np.bincount(self.part)[self.reps()]
 
     def pair_count(self):
         """Number of ordered related pairs."""
-        return int((self.block_sizes() ** 2).sum())
+        return int((np.bincount(self.part) ** 2).sum())
 
     def blocks(self):
+        """The members of every block, in the order of reps()."""
         order = np.argsort(self.part, kind="stable")
-        reps, starts = np.unique(self.part[order], return_index=True)
-        out = []
-        for k in range(len(reps)):
-            end = starts[k + 1] if k + 1 < len(reps) else len(order)
-            out.append(order[starts[k]:end])
-        return out
+        sizes = self.block_sizes()
+        return [order[end - size:end]
+                for size, end in zip(sizes, np.cumsum(sizes))]
 
     def pairs(self):
         """All ordered related pairs as a (k, 2) array, block by block."""
@@ -220,20 +253,12 @@ def meet_all(congs):
 
 
 def _composite_pair_count(theta, psi):
-    """Number of pairs in the relational composite theta o psi."""
-    n = theta.on.size
-    if n == 0:
-        return 0
-    _, tid = np.unique(theta.part, return_inverse=True)
-    _, pid = np.unique(psi.part, return_inverse=True)
-    tsizes = np.bincount(tid)
-    psizes = np.bincount(pid)
-    codes = tid.astype(np.int64) * len(psizes) + pid
-    uniq = np.unique(codes)
-    ut, up = uniq // len(psizes), uniq % len(psizes)
-    reach = np.zeros(len(tsizes), dtype=np.int64)
-    np.add.at(reach, ut, psizes[up])
-    return int((tsizes * reach).sum())
+    """Number of pairs in the relational composite theta o psi: a theta
+    block T reaches, through psi, every psi block P that meets it, and
+    the blocks of theta ^ psi are exactly the nonempty T n P."""
+    r = meet(theta, psi).reps()
+    tsizes, psizes = np.bincount(theta.part), np.bincount(psi.part)
+    return int((tsizes[theta.part[r]] * psizes[psi.part[r]]).sum())
 
 
 def join(theta, psi):
@@ -266,13 +291,14 @@ def join_all(congs):
 
 def kernel_pair(f):
     """Congruence on the domain identifying elements with equal image."""
-    return Congruence(f.dom, canonical_partition(f.map), check=False)
+    return Congruence(f.dom, _least_members(f.map, f.cod.size), check=False)
 
 
 def preimage(f, theta):
     if theta.on is not f.cod:
         raise InvalidParameters("preimage congruence lives on the wrong algebra")
-    return Congruence(f.dom, canonical_partition(theta.part[f.map]), check=False)
+    return Congruence(f.dom, _least_members(theta.part[f.map], f.cod.size),
+                      check=False)
 
 
 def image(f, theta):
@@ -302,8 +328,8 @@ def quotient(alg, theta):
     """Quotient algebra and its projection."""
     if theta.on is not alg:
         raise InvalidParameters("congruence lives on a different algebra")
-    reps = np.unique(theta.part)
-    to_block = np.searchsorted(reps, theta.part)
+    reps = theta.reps()
+    to_block = (np.cumsum(theta.part == np.arange(alg.size)) - 1)[theta.part]
 
     constants = {
         opname: int(to_block[alg.table(opname)[0]])

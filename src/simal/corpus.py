@@ -520,7 +520,7 @@ def sk1_two_truncation(graph):
     ]
     theta = cg.congruence_generated(P, gens)
     X2, proj2 = cg.quotient(P, theta)
-    reps = np.unique(theta.part)
+    reps = theta.reps()
     R = P.carrier.rows[reps]
     u, v = R[:, 0], R[:, 1]
     faces2 = [

@@ -205,7 +205,7 @@ def induced_groupoid_nerve_map(RX, RY, F):
     phi1 = RY.eta1.map[F.components[1].map]
     if not np.array_equal(phi1, phi1[RX.h[1].part]):
         raise PropertyViolation("morphism does not descend to arrow classes")
-    reps = np.unique(RX.h[1].part)
+    reps = RX.h[1].reps()
     f1 = Homomorphism(
         RX.groupoid.arrows, RY.groupoid.arrows, phi1[reps], check=True
     )
@@ -257,7 +257,7 @@ def _quotient_cofactor(X, F, fam):
     Z, e = quotient_simplicial(X, fam, name=f"{X.name}/fam")
     comps = []
     for n in range(X.truncation + 1):
-        reps = np.unique(fam[n].part)
+        reps = fam[n].reps()
         comps.append(
             Homomorphism(
                 Z.levels[n], F.cod.levels[n],

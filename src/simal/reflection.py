@@ -103,7 +103,7 @@ def pi1(X, budget=None):
     ):
         raise PropertyViolation("homotopic arrows must share both faces")
     Q, eta1 = cg.quotient(X1, h1)
-    reps = np.unique(h1.part)
+    reps = h1.reps()
     d0b = Homomorphism(Q, X0, d0m[reps], check=True)
     d1b = Homomorphism(Q, X0, d1m[reps], check=True)
     s0b = Homomorphism(
@@ -233,7 +233,7 @@ def graph_reflection(X):
     s0 = X.degeneracies[0][0]
     theta = tc_commutator(cg.kernel_pair(d0), cg.kernel_pair(d1))
     Q, proj = cg.quotient(X1, theta)
-    reps = np.unique(theta.part)
+    reps = theta.reps()
     d0b = Homomorphism(Q, X0, d0.map[reps], check=True)
     d1b = Homomorphism(Q, X0, d1.map[reps], check=True)
     s0b = Homomorphism(X0, Q, proj.map[s0.map], check=True)

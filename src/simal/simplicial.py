@@ -620,6 +620,6 @@ def quotient_simplicial(X, parts, name=None):
     if not is_simplicial_congruence(X, parts):
         raise InvalidParameters("family is not closed under the structure maps")
     levels, projs = zip(*(cg.quotient(lvl, p) for lvl, p in zip(X.levels, parts)))
-    Y = transport(X, list(levels), [np.unique(p.part) for p in parts],
+    Y = transport(X, list(levels), [p.reps() for p in parts],
                   [q.map for q in projs], name or f"{X.name}/~")
     return Y, SimplicialMorphism(X, Y, projs, check=True)

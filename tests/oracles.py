@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the library.
 
 Everything here recomputes results by a different route than the
-library: set-based transitive closures, brute-force partition sweeps,
-the matrix-closure description of the commutator, the level-by-level
-closure of simplicial congruences by gathers over whole tables, and a
-search of the congruence lattice for the monotone-light factorization.  Kept deliberately naive;
-only run on small carriers.
+library: set-based transitive closures, np.unique relabellings of
+label arrays, brute-force partition sweeps, the matrix-closure
+description of the commutator, the level-by-level closure of
+simplicial congruences by gathers over whole tables, and a search of
+the congruence lattice for the monotone-light factorization.  Kept
+deliberately naive; only run on small carriers.
 """
 
 import itertools
@@ -83,6 +84,26 @@ def quotient_by_blocks(alg, part):
             out[cell] = value
         tables[opname] = out
     return proj, tables
+
+
+def least_members(*columns):
+    """Least-member labels of the partition of range(n) whose classes are
+    the positions that agree in every column, read off np.unique: each
+    position is labelled by the first position of its row."""
+    rows = np.stack([np.asarray(c, dtype=np.int64) for c in columns], axis=1)
+    if not len(rows):
+        return np.zeros(0, dtype=np.int64)
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    return first[inverse.reshape(-1)]
+
+
+def block_statistics(part):
+    """(representatives, block number of each element, block sizes,
+    ordered pair count) of a label array, read off np.unique."""
+    reps, block, sizes = np.unique(part, return_inverse=True,
+                                   return_counts=True)
+    return reps, block.reshape(-1), sizes, int((sizes ** 2).sum())
 
 
 def closure_of_pairs(n, pairs):

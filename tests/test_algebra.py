@@ -119,6 +119,17 @@ def test_homomorphism_witness_is_plain_ints():
     assert str(err.value) == "map does not preserve 'mul' at arguments (1, 1)"
 
 
+def test_homomorphism_map_must_hold_integers():
+    # [0, 1.0, 2.9, 3] was truncated to the identity
+    z4 = cyclic_group(4)
+    with pytest.raises(InvalidParameters,
+                       match=r"^map: entry 1\.0 is not an integer$"):
+        Homomorphism(z4, z4, [0, 1.0, 2.9, 3])
+    # an int64 map is kept as given, not copied
+    fmap = np.arange(4)
+    assert Homomorphism(z4, z4, fmap).map is fmap
+
+
 def test_hom_composition_and_identity():
     z4 = cyclic_group(4)
     z2 = cyclic_group(2)

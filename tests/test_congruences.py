@@ -202,6 +202,17 @@ def test_canonical_partition_least_member():
     assert list(part) == [0, 1, 0, 1, 4]
 
 
+def test_checked_partition_rejects_labels_that_are_not_integers():
+    # these were truncated to [0, 1, 0, 1] or parsed from the string
+    c4 = cyclic_group(4)
+    with pytest.raises(InvalidParameters,
+                       match=r"^partition array: entry 1\.7 is not an integer$"):
+        cg.Congruence(c4, [0, 1.7, 0, 1.2])
+    with pytest.raises(InvalidParameters,
+                       match=r"^partition array: entry '0' is not an integer$"):
+        cg.Congruence(c4, ["0", 1, 0, 1])
+
+
 def test_join_certificate_names_a_pair_outside_the_composite():
     theta = cg.Congruence(SET3, [0, 0, 2])
     psi = cg.Congruence(SET3, [0, 1, 1])
@@ -272,3 +283,93 @@ def test_generated_on_the_empty_carrier_and_from_no_pairs():
         assert cg.congruence_generated(alg, []).is_diagonal()
         for theta in _congruences_of(index):
             assert cg.congruence_generated(alg, [], initial=theta) == theta
+
+
+@functools.lru_cache(maxsize=None)
+def bare_set(n):
+    """range(n) with only the identity operation: every equivalence is a
+    congruence and every map a homomorphism."""
+    return FiniteAlgebra(f"set{n}", n, Signature([("id", 1)]),
+                         {"id": np.arange(n)}, "x")
+
+
+@st.composite
+def labels_and_map(draw):
+    """Arbitrary labels for two relations on range(n), a map range(n) ->
+    range(m) and arbitrary labels for a relation on range(m)."""
+    n = draw(st.integers(0, 12))
+    m = draw(st.integers(1 if n else 0, 12))
+    labels = st.lists(st.integers(-3, 15), min_size=n, max_size=n)
+    fmap = st.lists(st.integers(0, max(m - 1, 0)), min_size=n, max_size=n)
+    return (draw(labels), draw(labels), draw(fmap),
+            draw(st.lists(st.integers(-3, 15), min_size=m, max_size=m)))
+
+
+@PROPERTY_SETTINGS
+@given(labels_and_map())
+@example(([], [], [], []))
+@example(([], [], [], [2, -1, 2]))
+@example(([5, -3, 5, 40], [0, 0, 1, 1], [0, 1, 0, 1], [7, 7]))
+@example(([0, 0, 2, 2], [0, 1, 1, 3], [0, 1, 1, 2], [0, 1, 2]))
+def test_label_arithmetic_matches_the_unique_oracle(case):
+    raw_theta, raw_psi, fmap, raw_sigma = case
+    A, B = bare_set(len(raw_theta)), bare_set(len(raw_sigma))
+    assert np.array_equal(cg.canonical_partition(raw_theta),
+                          oracles.least_members(raw_theta))
+    theta, psi = cg.Congruence(A, raw_theta), cg.Congruence(A, raw_psi)
+    sigma = cg.Congruence(B, raw_sigma)
+    f = Homomorphism(A, B, fmap)
+    assert np.array_equal(theta.part, oracles.least_members(raw_theta))
+    assert np.array_equal(sigma.part, oracles.least_members(raw_sigma))
+
+    built = [theta, psi, sigma, cg.diagonal(A), cg.full(A), cg.full(B)]
+    built.append(cg.meet(theta, psi))
+    assert np.array_equal(built[-1].part,
+                          oracles.least_members(theta.part, psi.part))
+    built.append(cg.kernel_pair(f))
+    assert np.array_equal(built[-1].part, oracles.least_members(fmap))
+    built.append(cg.preimage(f, sigma))
+    assert np.array_equal(built[-1].part,
+                          oracles.least_members(sigma.part[f.map]))
+    built.append(cg.congruence_generated(A, theta.pairs()))
+    assert built[-1] == theta
+
+    theta_pairs = oracles.pairs_of_partition(theta.part)
+    composite = oracles.compose_relations(
+        theta_pairs, oracles.pairs_of_partition(psi.part)
+    )
+    assert cg._composite_pair_count(theta, psi) == len(composite)
+    joined = oracles.join_by_closure(theta.part, psi.part)
+    if composite == joined:
+        built.append(cg.join(theta, psi))
+        assert oracles.pairs_of_partition(built[-1].part) == joined
+    else:
+        with pytest.raises(JoinNotComposite):
+            cg.join(theta, psi)
+
+    assert f.is_surjective() == (set(fmap) == set(range(B.size)))
+    assert f.is_injective() == (len(set(fmap)) == A.size)
+    relation = {(fmap[a], fmap[b]) for a, b in theta_pairs}
+    closed = oracles.closure_of_pairs(B.size, relation)
+    if not f.is_surjective():
+        with pytest.raises(NotSurjective):
+            cg.image(f, theta)
+    elif relation == closed:
+        built.append(cg.image(f, theta))
+        assert oracles.pairs_of_partition(built[-1].part) == closed
+    else:
+        with pytest.raises(NotTransitive):
+            cg.image(f, theta)
+
+    for c in built:
+        assert np.array_equal(c.part, oracles.least_members(c.part))
+        reps, block, sizes, pairs = oracles.block_statistics(c.part)
+        assert np.array_equal(c.reps(), reps)
+        assert c.class_count() == len(reps)
+        assert np.array_equal(c.block_sizes(), sizes)
+        assert c.pair_count() == pairs
+        q, proj = cg.quotient(c.on, c)
+        assert np.array_equal(proj.map, block)
+        # the quotient reads its operations at the representatives
+        assert np.array_equal(q.op("id", np.arange(q.size)),
+                              np.arange(q.size))

@@ -1,3 +1,6 @@
+import collections
+import sys
+
 import numpy as np
 import pytest
 
@@ -322,6 +325,49 @@ def test_deep_classify_and_em_pass_builds_few_table_cells(monkeypatch):
         classify_extension(F)
         em_factorization(F)
     assert sum(cells) <= 150_000
+
+
+def _sorting_callers(monkeypatch):
+    """Count the calls of canonical_partition by (caller, its check
+    argument, if any)."""
+    calls = collections.Counter()
+    original = cg.canonical_partition
+
+    def counted(labels):
+        caller = sys._getframe(1)
+        calls[caller.f_code.co_name, caller.f_locals.get("check")] += 1
+        return original(labels)
+
+    monkeypatch.setattr(cg, "canonical_partition", counted)
+    return calls
+
+
+def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
+    # every other constructor makes least-member labels without a sort
+    calls = _sorting_callers(monkeypatch)
+    counts = []
+    for _ in range(2):
+        extensions = dict(default_corpus("deep")["extensions"])
+        calls.clear()
+        for name in ("augment-cosk-loops", "unit-cosk-loops", "deloop-C8-C4"):
+            classify_extension(extensions[name])
+            em_factorization(extensions[name])
+        assert set(calls) <= {("meet", None), ("__init__", True)}
+        assert calls["meet", None] > 0
+        counts.append(dict(calls))
+    assert counts[0] == counts[1]
+
+    F = extensions["deloop-C8-C4"].components[1]
+    calls.clear()
+    theta = cg.kernel_pair(F)
+    cg.preimage(F, cg.full(F.cod))
+    cg.image(F, theta)
+    psi = cg.congruence_generated(F.dom, [(0, 1)], initial=cg.diagonal(F.dom))
+    assert not calls
+    cg.join(theta, psi)
+    assert dict(calls) == {("meet", None): 1}
+    cg.Congruence(F.dom, theta.part)
+    assert dict(calls) == {("meet", None): 1, ("__init__", True): 1}
 
 
 def _unbuilt(X):
