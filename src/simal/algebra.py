@@ -115,7 +115,7 @@ class FiniteAlgebra:
         chunk = max(1, TABLE_CHUNK_CELLS // max(m ** (arity - 1), 1))
         for s in range(0, m, chunk):
             first = np.arange(s, min(s + chunk, m))
-            out[first] = self._evaluator(op, np.ix_(first, *rest))
+            out[first] = self._evaluator(op, index_grids(first, *rest))
         return out
 
     def table(self, op):
@@ -145,8 +145,11 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size})"
 
 
-def _index_grids(fmap, arity):
-    return np.ix_(*([fmap] * arity)) if arity > 1 else (fmap,)
+def index_grids(*arrays):
+    """np.ix_ of 1-D index arrays: the k-th along axis k, by reshapes."""
+    k = len(arrays)
+    return tuple([a.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
+                  for i, a in enumerate(arrays)])
 
 
 def check_tables(alg):
@@ -278,7 +281,8 @@ class Homomorphism:
             raise InvalidParameters(
                 f"map array has shape {self.map.shape}, expected ({dom.size},)"
             )
-        if dom.size and (self.map.min() < 0 or self.map.max() >= cod.size):
+        if dom.size and (np.minimum.reduce(self.map) < 0
+                         or np.maximum.reduce(self.map) >= cod.size):
             raise InvalidParameters("map entry out of codomain range")
         if check:
             check_homomorphism(self)
@@ -295,10 +299,12 @@ class Homomorphism:
         return Homomorphism(other.dom, self.cod, self.map[other.map], check=False)
 
     def is_surjective(self):
-        return bool(np.bincount(self.map, minlength=self.cod.size).all())
+        return bool(np.logical_and.reduce(
+            np.bincount(self.map, minlength=self.cod.size)
+        ))
 
     def is_injective(self):
-        return bool((np.bincount(self.map) <= 1).all())
+        return bool(np.logical_and.reduce(np.bincount(self.map) <= 1))
 
     def is_bijective(self):
         return self.dom.size == self.cod.size and self.is_surjective()
@@ -308,7 +314,7 @@ class Homomorphism:
             isinstance(other, Homomorphism)
             and self.dom is other.dom
             and self.cod is other.cod
-            and np.array_equal(self.map, other.map)
+            and bool(np.logical_and.reduce(self.map == other.map))
         )
 
     def __repr__(self):
@@ -331,9 +337,10 @@ def check_homomorphism(h):
                     f"map does not preserve constant {opname!r}"
                 )
             continue
+        # lhs and rhs both have shape (dom.size,) * arity
         lhs = fmap[td]
-        rhs = tc[_index_grids(fmap, arity)]
-        if not np.array_equal(lhs, rhs):
+        rhs = tc[index_grids(*[fmap] * arity)]
+        if not np.logical_and.reduce(lhs == rhs, axis=None):
             where = tuple(int(i) for i in np.argwhere(lhs != rhs)[0])
             raise InvalidParameters(
                 f"map does not preserve {opname!r} at arguments {where}"

@@ -2,7 +2,8 @@
 
 Enumerative constructions (limits, kernels, horns) refuse to grow past
 a budget.  The default can be overridden per call, or globally through
-the SIMAL_BUDGET environment variable.
+the SIMAL_BUDGET environment variable.  A budget is a count of rows,
+so a negative one is bad input.
 """
 
 import os
@@ -14,11 +15,18 @@ DEFAULT_BUDGET = 1_000_000
 
 def resolve_budget(budget=None):
     if budget is not None:
-        return int(budget)
+        return _count(int(budget), f"budget {budget}")
     env = os.environ.get("SIMAL_BUDGET")
     if env is None:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise InvalidParameters(f"SIMAL_BUDGET={env!r} is not an integer") from None
+    return _count(value, f"SIMAL_BUDGET={env!r}")
+
+
+def _count(value, what):
+    if value < 0:
+        raise InvalidParameters(f"{what} is negative")
+    return value

@@ -57,7 +57,7 @@ from .errors import (
     NotSurjective,
     NotTransitive,
 )
-from .algebra import FiniteAlgebra, Homomorphism, int_array
+from .algebra import FiniteAlgebra, Homomorphism, index_grids, int_array
 
 # enumerate_congruences refuses algebras larger than this
 ENUMERATION_LIMIT = 16
@@ -74,22 +74,24 @@ def canonical_partition(labels):
     n = labels.shape[0]
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    order = np.argsort(labels)
+    order = labels.argsort()
     ordered = labels[order]
     head = np.empty(n, dtype=bool)
     head[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
-    least = np.minimum.reduceat(order, np.flatnonzero(head))
+    least = np.minimum.reduceat(order, head.nonzero()[0])
     out = np.empty(n, dtype=np.int64)
-    out[order] = least[np.cumsum(head) - 1]
+    out[order] = least[head.cumsum() - 1]
     return out
 
 
 def _least_members(labels, m):
     """canonical_partition of labels in range(m), by one scatter of each
     index onto its label instead of a sort."""
-    least = np.full(m, len(labels), dtype=np.int64)
-    np.minimum.at(least, labels, np.arange(len(labels)))
+    n = len(labels)
+    least = np.empty(m, dtype=np.int64)
+    least.fill(n)
+    np.minimum.at(least, labels, np.arange(n))
     return least[labels]
 
 
@@ -102,13 +104,13 @@ def merge(part, a, b):
     while True:
         ra, rb = labels[a], labels[b]
         split = ra != rb
-        if not split.any():
+        if not np.logical_or.reduce(split):
             return labels
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             jumped = labels[labels]
-            if np.array_equal(jumped, labels):
+            if np.logical_and.reduce(jumped == labels):
                 break
             labels = jumped
 
@@ -116,18 +118,22 @@ def merge(part, a, b):
 def _pairs_within(groups, values):
     """Every (values[i], values[j]) with groups[i] == groups[j], as a (k, 2)
     array ordered by group, then i, then j."""
-    order = np.argsort(groups, kind="stable")
+    order = groups.argsort(kind="stable")
     g, v = groups[order], values[order]
-    head = np.ones(len(g), dtype=bool)
+    n = len(g)
+    head = np.empty(n, dtype=bool)
+    head[:1] = True
     np.not_equal(g[1:], g[:-1], out=head[1:])
-    group = np.cumsum(head) - 1
+    group = head.cumsum() - 1
     size_of = np.bincount(group)[group]
-    first_row = np.cumsum(size_of) - size_of
-    left = np.repeat(np.arange(len(g)), size_of)
-    right = np.arange(len(left)) + np.repeat(
-        np.flatnonzero(head)[group] - first_row, size_of
-    )
-    return np.stack([v[left], v[right]], axis=1)
+    first_row = size_of.cumsum() - size_of
+    left = np.arange(n).repeat(size_of)
+    right = np.arange(len(left)) + (
+        head.nonzero()[0][group] - first_row
+    ).repeat(size_of)
+    out = np.empty((len(left), 2), dtype=v.dtype)
+    out[:, 0], out[:, 1] = v[left], v[right]
+    return out
 
 
 class Congruence:
@@ -156,14 +162,14 @@ class Congruence:
         return bool(self.part[a] == self.part[b])
 
     def is_diagonal(self):
-        return bool(np.array_equal(self.part, np.arange(self.on.size)))
+        return bool(np.logical_and.reduce(self.part == np.arange(self.on.size)))
 
     def is_full(self):
         return self.on.size <= 1 or bool((self.part == 0).all())
 
     def reps(self):
         """The least member of every block, in increasing order."""
-        return np.flatnonzero(self.part == np.arange(self.on.size))
+        return (self.part == np.arange(self.on.size)).nonzero()[0]
 
     def class_count(self):
         return len(self.reps())
@@ -174,14 +180,14 @@ class Congruence:
 
     def pair_count(self):
         """Number of ordered related pairs."""
-        return int((np.bincount(self.part) ** 2).sum())
+        return int(np.add.reduce(np.bincount(self.part) ** 2))
 
     def blocks(self):
         """The members of every block, in the order of reps()."""
-        order = np.argsort(self.part, kind="stable")
+        order = self.part.argsort(kind="stable")
         sizes = self.block_sizes()
         return [order[end - size:end]
-                for size, end in zip(sizes, np.cumsum(sizes))]
+                for size, end in zip(sizes, sizes.cumsum())]
 
     def pairs(self):
         """All ordered related pairs as a (k, 2) array, block by block."""
@@ -194,7 +200,7 @@ class Congruence:
         return (
             isinstance(other, Congruence)
             and self.on is other.on
-            and np.array_equal(self.part, other.part)
+            and bool(np.logical_and.reduce(self.part == other.part))
         )
 
     def __hash__(self):
@@ -222,8 +228,8 @@ def check_compatibility(cong):
         if arity == 0:
             continue
         vs = classes[cong.on.table(opname)]
-        ref = vs[np.ix_(*([labels] * arity)) if arity > 1 else (labels,)]
-        if not np.array_equal(vs, ref):
+        ref = vs[index_grids(*[labels] * arity)]
+        if not np.logical_and.reduce(vs == ref, axis=None):
             where = tuple(int(i) for i in np.argwhere(vs != ref)[0])
             raise InvalidParameters(
                 f"partition not compatible with {opname!r} at {where}"
@@ -233,7 +239,7 @@ def check_compatibility(cong):
 def leq(theta, psi):
     """theta <= psi as relations."""
     _same_carrier(theta, psi)
-    return bool(np.array_equal(psi.part[theta.part], psi.part))
+    return bool(np.logical_and.reduce(psi.part[theta.part] == psi.part))
 
 
 def meet(theta, psi):
@@ -258,7 +264,7 @@ def _composite_pair_count(theta, psi):
     the blocks of theta ^ psi are exactly the nonempty T n P."""
     r = meet(theta, psi).reps()
     tsizes, psizes = np.bincount(theta.part), np.bincount(psi.part)
-    return int((tsizes[theta.part[r]] * psizes[psi.part[r]]).sum())
+    return int(np.add.reduce(tsizes[theta.part[r]] * psizes[psi.part[r]]))
 
 
 def join(theta, psi):
@@ -329,7 +335,7 @@ def quotient(alg, theta):
     if theta.on is not alg:
         raise InvalidParameters("congruence lives on a different algebra")
     reps = theta.reps()
-    to_block = (np.cumsum(theta.part == np.arange(alg.size)) - 1)[theta.part]
+    to_block = ((theta.part == np.arange(alg.size)).cumsum() - 1)[theta.part]
 
     constants = {
         opname: int(to_block[alg.table(opname)[0]])

@@ -14,7 +14,12 @@ source map, s0 picks identity arrows.  comp[g, f] is the composite
 import numpy as np
 
 from .errors import IdentityViolated, InvalidParameters
-from .algebra import TABLE_CHUNK_CELLS, check_homomorphism, same_signature
+from .algebra import (
+    TABLE_CHUNK_CELLS,
+    check_homomorphism,
+    index_grids,
+    same_signature,
+)
 
 
 class InternalGroupoid:
@@ -35,23 +40,24 @@ class InternalGroupoid:
         return out
 
     def inverse_map(self):
-        """Solve for inverses exhaustively; raises if any arrow lacks one."""
-        n1 = self.arrows.size
+        """Solve for inverses exhaustively; raises if any arrow lacks
+        exactly one.  g is an inverse of f when it runs the other way
+        and both composites are identities: one comparison over all
+        arrow pairs (f, g)."""
         d0m, d1m, s0m = self.d0.map, self.d1.map, self.s0.map
-        inv = np.full(n1, -1, dtype=np.int64)
-        for f in range(n1):
-            src, tgt = int(d1m[f]), int(d0m[f])
-            found = [
-                g for g in range(n1)
-                if d0m[g] == src and d1m[g] == tgt
-                and self.comp[f, g] == s0m[tgt] and self.comp[g, f] == s0m[src]
-            ]
-            if len(found) != 1:
-                raise IdentityViolated(
-                    f"arrow {f} has {len(found)} inverses, expected exactly 1"
-                )
-            inv[f] = found[0]
-        return inv
+        src, tgt = d1m[:, None], d0m[:, None]
+        inverse = ((d0m == src) & (d1m == tgt)
+                   & (self.comp == s0m[tgt]) & (self.comp.T == s0m[src]))
+        found = np.add.reduce(inverse, axis=1)
+        bad = (found != 1).nonzero()[0]
+        if len(bad):
+            f = int(bad[0])
+            raise IdentityViolated(
+                f"arrow {f} has {int(found[f])} inverses, expected exactly 1"
+            )
+        # each row holds exactly one inverse, so the columns of the
+        # nonzero entries are the inverses in arrow order
+        return inverse.nonzero()[1]
 
     def __repr__(self):
         return (
@@ -81,7 +87,7 @@ def _check_composition_is_homomorphism(G, gs, fs, cs):
         rest = [np.arange(p)] * (arity - 1)
         chunk = max(1, TABLE_CHUNK_CELLS // max(p ** (arity - 1), 1))
         for s in range(0, p, chunk):
-            grids = np.ix_(np.arange(s, min(s + chunk, p)), *rest)
+            grids = index_grids(np.arange(s, min(s + chunk, p)), *rest)
             tg, tf, tc = (t[tuple(col[g] for g in grids)] for col in (gs, fs, cs))
             bad = G.comp[tg, tf] != tc
             if bad.any():

@@ -13,13 +13,18 @@ map into a limit is given by its component columns, and tuple_map looks
 its tuples up in the carrier, so callers never address rows by hand.
 
 Enumeration fills the slots left to right, each by one vectorized
-sort-based equi-join: the rows so far and the new slot's elements are
-keyed by the values their constraints read, the elements are sorted
-stably by key, and each row is extended by its run of equal keys, found
-with searchsorted.  Rows stay in lexicographic order, a slot without
-constraints is the same join on a constant key, and the budget is
-checked before a slot's rows are allocated, so the full product is
-never enumerated unless it is the requested object.
+sort-based equi-join.  The rows so far and the new slot's elements are
+keyed in mixed radix over the value spans of the constraints between
+that slot and earlier ones.  Only when the next key could pass 2^62 are
+the keys so far ranked by np.unique, which leaves fewer of them than
+rows and elements, and the values too if they alone are that wide.  The
+elements are sorted stably by key, and each row
+is extended by its run of equal keys, found with searchsorted, into one
+array of the slot's rows.  Rows stay in lexicographic order, a slot
+without constraints is the same join on a constant key, and the budget
+is checked before a slot's rows are allocated, so the full product is
+never enumerated unless it is the requested object.  Each slot costs a
+fixed number of numpy calls, whatever the number of its rows.
 """
 
 import numpy as np
@@ -53,26 +58,46 @@ class TupleCarrier:
         self.factors = factors
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(factors))
         self.weights = _weights([f.size for f in factors])
-        codes = rows @ self.weights
-        order = np.argsort(codes)
-        self.rows = rows[order]
-        self.codes = codes[order]
-        if len(self.codes) and (np.diff(self.codes) == 0).any():
-            raise InvalidParameters("duplicate tuple rows")
+        codes = self.codes_of(rows.T)
+        # rows almost always arrive in code order: strictly increasing
+        # codes are sorted and distinct, and need no sort
+        if not _increasing(codes):
+            order = codes.argsort()
+            rows, codes = rows[order], codes[order]
+            if not _increasing(codes):
+                raise InvalidParameters("duplicate tuple rows")
+        self.rows = rows
+        self.codes = codes
+
+    def codes_of(self, cols):
+        """The codes of the tuples with components cols[c], as the
+        weighted sum of the columns."""
+        codes = cols[0] * self.weights[0]
+        for c in range(1, len(self.weights)):
+            codes = codes + cols[c] * self.weights[c]
+        return codes
 
     def index_of(self, rows):
         rows = np.asarray(rows, dtype=np.int64)
-        codes = rows @ self.weights
-        return self.index_of_codes(codes)
+        return self.index_of_codes(
+            self.codes_of([rows[..., c] for c in range(len(self.weights))])
+        )
 
     def index_of_codes(self, codes):
-        pos = np.searchsorted(self.codes, codes)
-        pos_clipped = np.minimum(pos, max(len(self.codes) - 1, 0))
-        if len(self.codes) == 0 or not np.array_equal(
-            self.codes[pos_clipped], codes
-        ):
+        if not len(self.codes):
             raise InvalidParameters("tuple outside the carrier")
-        return pos_clipped
+        pos = self.codes.searchsorted(codes)
+        # a scalar code gives a scalar position, which cannot be clipped
+        # in place
+        pos = np.minimum(pos, len(self.codes) - 1,
+                         out=pos if pos.ndim else None)
+        if not np.logical_and.reduce(self.codes[pos] == codes, axis=None):
+            raise InvalidParameters("tuple outside the carrier")
+        return pos
+
+
+def _increasing(codes):
+    return bool(np.logical_and.reduce(codes[1:] > codes[:-1]))
 
 
 def subproduct_algebra(name, factors, rows):
@@ -123,7 +148,8 @@ def tuple_map(dom, cod, cols):
     """The homomorphism dom -> cod sending x to the carrier element of
     cod with components cols[c][x], built unchecked; a tuple outside the
     carrier raises InvalidParameters."""
-    fmap = cod.carrier.index_of(np.stack(cols, axis=1))
+    carrier = cod.carrier
+    fmap = carrier.index_of_codes(carrier.codes_of(cols))
     return Homomorphism(dom, cod, fmap, check=False)
 
 
@@ -144,31 +170,56 @@ def compatible_tuples(slots, constraints, budget=None):
             raise InvalidParameters("constraint on a single slot")
         if i > j:
             i, j, mi, mj = j, i, mj, mi
-        by_slot[j].append((i, np.asarray(mi), np.asarray(mj)))
-    rows = np.zeros((1, 0), dtype=np.int64)
+        mi, mj = np.asarray(mi, dtype=np.int64), np.asarray(mj, dtype=np.int64)
+        both = np.concatenate((mi, mj))
+        low = int(np.minimum.reduce(both, initial=0))
+        span = int(np.maximum.reduce(both, initial=0)) - low + 1
+        by_slot[j].append((i, mi - low, mj - low, span))
+    rows = np.zeros((1, len(slots)), dtype=np.int64)
     for j, slot in enumerate(slots):
-        r = len(rows)
-        # one key over the rows, then the slot's elements (all 0 without
-        # constraints); np.unique keeps it below r + size after each
-        # constraint, so key * span cannot overflow
-        key = np.zeros(r + slot.size, dtype=np.int64)
-        for (i, mi, mj) in by_slot[j]:
-            vals = np.concatenate([mi[rows[:, i]], mj]).astype(np.int64)
-            low = vals.min(initial=0)
-            span = vals.max(initial=0) - low + 1
-            key = np.unique(key * span + (vals - low), return_inverse=True)[1]
-        order = np.argsort(key[r:], kind="stable")
-        cand_keys = key[r:][order]
-        lo = np.searchsorted(cand_keys, key[:r], "left")
-        counts = np.searchsorted(cand_keys, key[:r], "right") - lo
-        total = int(counts.sum())
+        # the key of each row and of each element, in mixed radix over
+        # the constraints' spans, lies in range(bound): equal keys read
+        # equal values (all 0 without constraints)
+        rkey = np.zeros(len(rows), dtype=np.int64)
+        ekey = np.zeros(slot.size, dtype=np.int64)
+        bound = 1
+        for (i, mi, mj, span) in by_slot[j]:
+            rvals, evals = mi[rows[:, i]], mj
+            if bound * span > _KEY_BOUND:
+                # ranks leave fewer distinct keys than rows and elements,
+                # and so do the values' ranks if the values are that
+                # wide; rows and elements stay far below 2^31, so the
+                # product of the two fits
+                rkey, ekey = _ranks(rkey, ekey)
+                bound = len(rkey) + len(ekey)
+                if bound * span > _KEY_BOUND:
+                    rvals, evals = _ranks(rvals, evals)
+                    span = bound
+            rkey = rkey * span + rvals
+            ekey = ekey * span + evals
+            bound *= span
+        order = ekey.argsort(kind="stable")
+        ekey = ekey[order]
+        lo = ekey.searchsorted(rkey, "left")
+        counts = ekey.searchsorted(rkey, "right") - lo
+        total = int(np.add.reduce(counts))
         if total > budget:
             raise LevelTooLarge(f"tuple enumeration exceeds budget {budget}")
         # each row takes its run order[lo : lo + count], in ascending order
-        first = np.repeat(lo - np.cumsum(counts) + counts, counts)
-        cand = order[first + np.arange(total)]
-        rows = np.hstack([np.repeat(rows, counts, axis=0), cand[:, None]])
+        first = (lo - counts.cumsum() + counts).repeat(counts)
+        rows = rows.repeat(counts, axis=0)
+        rows[:, j] = order[first + np.arange(total)]
     return rows
+
+
+# Keys of compatible_tuples stay below this bound, so no int64 overflows.
+_KEY_BOUND = 2 ** 62
+
+
+def _ranks(a, b):
+    """The ranks of the values of a and b among the values of both."""
+    ranks = np.unique(np.concatenate((a, b)), return_inverse=True)[1]
+    return ranks[:len(a)], ranks[len(a):]
 
 
 def product(name, factors, budget=None):

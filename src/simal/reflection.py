@@ -104,10 +104,11 @@ def pi1(X, budget=None):
         raise PropertyViolation("homotopic arrows must share both faces")
     Q, eta1 = cg.quotient(X1, h1)
     reps = h1.reps()
-    d0b = Homomorphism(Q, X0, d0m[reps], check=True)
-    d1b = Homomorphism(Q, X0, d1m[reps], check=True)
+    # validate_groupoid checks that these three are homomorphisms
+    d0b = Homomorphism(Q, X0, d0m[reps], check=False)
+    d1b = Homomorphism(Q, X0, d1m[reps], check=False)
     s0b = Homomorphism(
-        X0, Q, eta1.map[X.degeneracies[0][0].map], check=True
+        X0, Q, eta1.map[X.degeneracies[0][0].map], check=False
     )
 
     spins = spine_maps(X, 2)
@@ -234,9 +235,10 @@ def graph_reflection(X):
     theta = tc_commutator(cg.kernel_pair(d0), cg.kernel_pair(d1))
     Q, proj = cg.quotient(X1, theta)
     reps = theta.reps()
-    d0b = Homomorphism(Q, X0, d0.map[reps], check=True)
-    d1b = Homomorphism(Q, X0, d1.map[reps], check=True)
-    s0b = Homomorphism(X0, Q, proj.map[s0.map], check=True)
+    # validate_groupoid checks that these three are homomorphisms
+    d0b = Homomorphism(Q, X0, d0.map[reps], check=False)
+    d1b = Homomorphism(Q, X0, d1.map[reps], check=False)
+    s0b = Homomorphism(X0, Q, proj.map[s0.map], check=False)
 
     gs, fs = np.nonzero(d1.map[:, None] == d0.map[None, :])
     mids = s0.map[d1.map[gs]]

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import congruences as cg
 from .algebra import Homomorphism, make_algebra
+from .config import resolve_budget
 from .commutator import tc_commutator
 from .corpus import (
     congruence_nerve,
@@ -751,7 +752,10 @@ CRITERIA = [
 
 
 def run_suite(profile="desk", budget=None):
-    """Run the full battery; returns one record per criterion."""
+    """Run the full battery; returns one record per criterion.  A bad
+    budget raises before any criterion runs, rather than failing each
+    criterion that reads it."""
+    resolve_budget(budget)
     ctx = {
         "corpus": default_corpus(profile),
         "profile": profile,

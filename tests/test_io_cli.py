@@ -209,6 +209,41 @@ def test_cli_rejects_a_non_integer_budget_from_the_environment(
     }]
 
 
+def _delooping(tmp_path):
+    path = str(tmp_path / "delooping.json")
+    assert run(["gen", "delooping", "algebra=C4", "--out", path])[0] == 0
+    return path
+
+
+def test_cli_rejects_a_negative_budget(tmp_path):
+    path = _delooping(tmp_path)
+    for argv in (["reflect", path], ["suite"]):
+        code, report, _ = run(argv + ["--budget", "-1"])
+        assert code == 1
+        assert report["violations"] == [{
+            "property": "InvalidParameters",
+            "witness": "budget -1 is negative",
+        }]
+    # a budget of 0 is valid, and allows no rows
+    code, report, _ = run(["reflect", path, "--budget", "0"])
+    assert code == 3
+    assert report["violations"][0]["property"] == "LevelTooLarge"
+
+
+def test_cli_rejects_a_negative_budget_from_the_environment(
+    tmp_path, monkeypatch
+):
+    path = _delooping(tmp_path)
+    monkeypatch.setenv("SIMAL_BUDGET", "-3")
+    for argv in (["reflect", path], ["suite"]):
+        code, report, _ = run(argv)
+        assert code == 1
+        assert report["violations"] == [{
+            "property": "InvalidParameters",
+            "witness": "SIMAL_BUDGET='-3' is negative",
+        }]
+
+
 def test_congruence_files_are_write_only(tmp_path):
     _, obj_path, _ = _write_artifacts(tmp_path)
     outdir = str(tmp_path / "refl")

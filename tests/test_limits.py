@@ -1,4 +1,5 @@
 import itertools
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -17,6 +18,7 @@ from simal.algebra import (
     make_algebra,
 )
 from simal import congruences as cg
+from simal import limits
 from simal.errors import (
     CrossRouteMismatch,
     InvalidParameters,
@@ -25,6 +27,7 @@ from simal.errors import (
     NotRegularEpi,
 )
 from simal.limits import (
+    TupleCarrier,
     compatible_tuples,
     is_double_extension,
     product,
@@ -34,11 +37,13 @@ from simal.limits import (
 )
 from simal.corpus import (
     cyclic_group,
+    default_corpus,
     heyting_from_poset,
     pair_groupoid,
     symmetric_group,
     zk_module,
 )
+from simal.galois import classify_extension, em_factorization
 from simal.simplicial import nerve
 
 
@@ -106,13 +111,16 @@ JOIN_SETTINGS = settings(
 def tuple_joins(draw):
     """Up to 4 slot sizes and constraints between them; each side of a
     constraint maps into its own value range, so the values one side
-    reads may be missing on the other, and either side may come first."""
+    reads may be missing on the other, and either side may come first.
+    A constraint's values are spread by a step of 1, 2^37 or 2^60, so
+    two wide constraints on one slot pass the 2^62 key bound, and one
+    with a step of 2^60 and values past 3 passes it alone."""
     sizes = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
     k = len(sizes)
 
-    def side(slot):
+    def side(slot, step):
         top = draw(st.integers(0, 6))
-        values = st.integers(0, top)
+        values = st.integers(0, top).map(lambda v: v * step)
         return np.asarray(
             draw(st.lists(values, min_size=sizes[slot], max_size=sizes[slot])),
             dtype=np.int64,
@@ -122,7 +130,8 @@ def tuple_joins(draw):
     for _ in range(draw(st.integers(0, 6)) if k > 1 else 0):
         i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2,
                              unique=True))
-        constraints.append((i, side(i), j, side(j)))
+        step = draw(st.sampled_from([1, 2 ** 37, 2 ** 60]))
+        constraints.append((i, side(i, step), j, side(j, step)))
     return sizes, constraints
 
 
@@ -146,6 +155,73 @@ def test_compatible_tuples_matches_the_product_filter(problem):
     for budget in {peak - 1, len(want) - 1} - {-1}:
         with pytest.raises(LevelTooLarge):
             compatible_tuples(slots, constraints, budget=budget)
+
+
+def _unique_calls_in_limits(monkeypatch):
+    """The names of the limits functions that call np.unique, one entry
+    per call."""
+    calls = []
+    original = np.unique
+
+    def counted(*args, **kwargs):
+        caller = sys._getframe(1)
+        if caller.f_globals.get("__name__") == limits.__name__:
+            calls.append(caller.f_code.co_name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted)
+    return calls
+
+
+@pytest.mark.parametrize("step, ranked", [
+    (1, []),
+    # two constraints into slot 2 with spans past 2^37: the keys so far
+    # are ranked before the second
+    (2 ** 37, ["_ranks"]),
+    # every span passes the bound alone, so each constraint ranks the
+    # keys so far and then its values
+    (2 ** 61, ["_ranks"] * 6),
+])
+def test_wide_keys_are_ranked_only_past_the_bound(monkeypatch, step, ranked):
+    calls = _unique_calls_in_limits(monkeypatch)
+    sizes = [3, 4, 5]
+    a = np.array([0, 1, 2]) * step
+    b = np.array([2, 1, 0, 1]) * step
+    c = np.array([1, 0, 1, 2, 3]) * step
+    d = np.array([0, 0, 1, 1]) * step
+    e = np.array([1, 1, 0, 0, 1]) * step
+    constraints = [(0, a, 2, c), (1, d, 2, e), (0, a, 1, b)]
+    rows = compatible_tuples([SimpleNamespace(size=n) for n in sizes],
+                             constraints)
+    assert [tuple(int(v) for v in r) for r in rows] == \
+        oracles.brute_tuples(sizes, constraints)
+    assert len(rows) > 0
+    assert calls == ranked
+
+
+def test_deep_classification_enumerates_without_unique(monkeypatch):
+    # the deep corpus's keys stay far below 2^62, so no slot ranks them
+    calls = _unique_calls_in_limits(monkeypatch)
+    extensions = dict(default_corpus("deep")["extensions"])
+    for name in ("augment-cosk-loops", "unit-cosk-loops", "deloop-C8-C4"):
+        classify_extension(extensions[name])
+        em_factorization(extensions[name])
+    assert calls == []
+
+
+def test_tuple_carrier_sorts_rows_that_arrive_out_of_order():
+    factors = [cyclic_group(3), cyclic_group(4), cyclic_group(2)]
+    ordered = np.array(list(itertools.product(range(3), range(4), range(2))))
+    ordered = ordered[(ordered.sum(axis=1) % 3) != 1]
+    shuffled = ordered[np.random.default_rng(5).permutation(len(ordered))]
+    assert not np.array_equal(shuffled, ordered)
+    want = TupleCarrier(factors, ordered)
+    got = TupleCarrier(factors, shuffled)
+    assert np.array_equal(got.rows, ordered)
+    assert np.array_equal(got.codes, want.codes)
+    assert np.array_equal(got.index_of(shuffled), want.index_of(shuffled))
+    with pytest.raises(InvalidParameters, match="duplicate tuple rows"):
+        TupleCarrier(factors, np.concatenate([shuffled, shuffled[3:4]]))
 
 
 def test_budget_guard():

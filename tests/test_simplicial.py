@@ -139,6 +139,46 @@ def test_broken_unit_rejected():
         validate_groupoid(H)
 
 
+def _inverse_candidates(G):
+    """For each arrow f, every g running the other way with both
+    composites identities, found one pair at a time."""
+    d0, d1, s0 = G.d0.map, G.d1.map, G.s0.map
+    return [
+        [g for g in range(G.arrows.size)
+         if d0[g] == d1[f] and d1[g] == d0[f]
+         and G.comp[f, g] == s0[d0[f]] and G.comp[g, f] == s0[d1[f]]]
+        for f in range(G.arrows.size)
+    ]
+
+
+def test_inverse_map_matches_the_search():
+    for G in (one_object_groupoid(C4), pair_groupoid(cyclic_group(3)),
+              discrete_groupoid(C4)):
+        want = _inverse_candidates(G)
+        assert all(len(found) == 1 for found in want)
+        assert G.inverse_map().tolist() == [found[0] for found in want]
+
+
+@pytest.mark.parametrize("broken, count", [
+    # 3 after 1 is no longer the identity, though 1 after 3 is, so 1
+    # and 3 lose their inverses; 1 is named first
+    ({(3, 1): 2}, 0),
+    # 1 + 1 now composes to the identity too, so 1 has two inverses
+    ({(1, 1): 0}, 2),
+])
+def test_inverse_map_names_the_first_arrow_without_one_inverse(broken, count):
+    G = one_object_groupoid(C4)
+    comp = G.comp.copy()
+    for (g, f), c in broken.items():
+        comp[g, f] = c
+    H = InternalGroupoid(G.objects, G.arrows, G.d0, G.d1, G.s0, comp)
+    assert [len(found) for found in _inverse_candidates(H)][:2] == [1, count]
+    with pytest.raises(IdentityViolated) as exc:
+        H.inverse_map()
+    assert str(exc.value) == \
+        f"arrow 1 has {count} inverses, expected exactly 1"
+
+
 def test_groupoid_isomorphism_finds_relabelling():
     G = pair_groupoid(C2)
     H = pair_groupoid(cyclic_group(2))
