@@ -11,10 +11,11 @@ evaluator that computes an operation at broadcast index arrays from the
 algebras it was built from.  Its tables of positive arity, which can be
 expensive, are built when they are first read, as the rows of slot 0
 over the whole carrier, through the same evaluator, in slabs of about
-TABLE_CHUNK_CELLS cells; reading a constant never builds them.  op,
-which is how a closure reads the rows of an operation, builds only
-tables of at most OP_TABLE_CELLS cells in all, and otherwise computes
-its rows through the evaluator, so memory stays near a slab.
+TABLE_CHUNK_CELLS cells; reading a constant never builds them.  Rows
+are read through one reader, _rows: the table if it is built, else the
+evaluator.  op, which is how a closure reads the rows of an operation,
+first builds tables of at most OP_TABLE_CELLS cells in all, so memory
+stays near a slab; p, the Mal'tsev term, builds none.
 All objects are treated as immutable once validated.
 """
 
@@ -126,20 +127,28 @@ class FiniteAlgebra:
         return self.tables[op]
 
     def p(self, a, b, c):
-        """Apply the Mal'tsev term; arguments may be ints or index arrays."""
-        return evaluate(self.maltsev_term, self.tables, {"x": a, "y": b, "z": c})
+        """Apply the Mal'tsev term; arguments may be ints or index arrays.
+        It reads through _rows, so it never builds a table."""
+        return evaluate(self.maltsev_term, self._rows, {"x": a, "y": b, "z": c})
 
     def op(self, name, *args):
-        """name at args, ints or broadcast index arrays, read off the
-        table, or computed through the evaluator while the tables are
-        unbuilt and hold more than OP_TABLE_CELLS cells in all."""
+        """name at args, ints or broadcast index arrays, through _rows,
+        after building the tables of an unbuilt algebra if they hold at
+        most OP_TABLE_CELLS cells in all."""
+        if args and self._tables is None and sum(
+            self.size ** arity for _, arity in self.signature.ops
+        ) <= OP_TABLE_CELLS:
+            self.tables  # builds them, for _rows to read
+        return self._rows(name, *args)
+
+    def _rows(self, name, *args):
+        """name at args, read off the table if it is built, else computed
+        through the evaluator; a constant is its carrier index."""
         if not args:
             return int(self.table(name)[0])
-        if self._tables is None and sum(
-            self.size ** arity for _, arity in self.signature.ops
-        ) > OP_TABLE_CELLS:
+        if self._tables is None:
             return self._evaluator(name, args)
-        return self.tables[name][args]
+        return self._tables[name][args]
 
     def __repr__(self):
         return f"FiniteAlgebra({self.name!r}, size={self.size})"
@@ -191,13 +200,13 @@ def check_maltsev(alg):
     if n == 0:
         return
     a = np.arange(n)
-    left = evaluate(term, alg.tables, {"x": a[:, None], "y": a[None, :], "z": a[None, :]})
+    left = alg.p(a[:, None], a[None, :], a[None, :])
     if not np.array_equal(np.broadcast_to(left, (n, n)), np.broadcast_to(a[:, None], (n, n))):
         i, j = np.argwhere(np.broadcast_to(left, (n, n)) != a[:, None])[0]
         raise NotMaltsev(
             f"{alg.name}: p({i},{j},{j}) = {int(np.broadcast_to(left, (n, n))[i, j])}, expected {i}"
         )
-    right = evaluate(term, alg.tables, {"x": a[:, None], "y": a[:, None], "z": a[None, :]})
+    right = alg.p(a[:, None], a[:, None], a[None, :])
     if not np.array_equal(np.broadcast_to(right, (n, n)), np.broadcast_to(a[None, :], (n, n))):
         i, j = np.argwhere(np.broadcast_to(right, (n, n)) != a[None, :])[0]
         raise NotMaltsev(

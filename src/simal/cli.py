@@ -219,10 +219,8 @@ def _cmd_reflect(args, inputs, out_lines):
     already, conditions = is_internal_groupoid(X, with_report=True)
     unit_levels = []
     for n, comp in enumerate(R.unit.components):
-        surj = comp.is_surjective()
-        inj = len(set(comp.map.tolist())) == len(comp.map)
-        unit_levels.append({"level": n, "surjective": surj,
-                            "bijective": surj and inj})
+        unit_levels.append({"level": n, "surjective": comp.is_surjective(),
+                            "bijective": comp.is_bijective()})
     results = {
         "object": X.name,
         "levels": _level_sizes(X),

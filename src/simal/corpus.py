@@ -22,7 +22,7 @@ from .algebra import (
 )
 from . import congruences as cg
 from . import limits
-from .groupoid import InternalGroupoid
+from .groupoid import maltsev_groupoid
 from .reflection import pi1
 from .simplicial import (
     SimplicialMorphism,
@@ -299,18 +299,11 @@ def congruence_groupoid(alg, theta, name=None):
     An arrow (a, b) runs from a to b, so d1 picks the first component
     and d0 the second; composition pastes (a, b) then (b, c) to (a, c).
     """
-    rows = theta.pairs()
-    arrows, projections = limits.subproduct_algebra(
-        name or f"{alg.name}-cong-arrows", [alg, alg], rows
+    arrows, (d1, d0) = limits.subproduct_algebra(
+        name or f"{alg.name}-cong-arrows", [alg, alg], theta.pairs()
     )
-    d1, d0 = projections[0], projections[1]
     s0 = limits.tuple_map(alg, arrows, [np.arange(alg.size)] * 2)
-    R = arrows.carrier.rows
-    comp = -np.ones((arrows.size, arrows.size), dtype=np.int64)
-    gg, ff = np.nonzero(R[:, 0][:, None] == R[:, 1][None, :])
-    codes = R[ff, 0].astype(np.int64) * alg.size + R[gg, 1]
-    comp[gg, ff] = arrows.carrier.index_of_codes(codes)
-    return InternalGroupoid(alg, arrows, d0, d1, s0, comp)
+    return maltsev_groupoid(alg, arrows, d0, d1, s0)
 
 
 def pair_groupoid(alg):
@@ -340,8 +333,7 @@ def one_object_groupoid(grp):
     bang = Homomorphism(grp, obj, np.zeros(grp.size, dtype=np.int64), check=False)
     e_idx = int(grp.table("e")[0])
     s0 = Homomorphism(obj, grp, np.array([e_idx]), check=False)
-    comp = grp.table("mul").astype(np.int64)
-    return InternalGroupoid(obj, grp, bang, bang, s0, comp)
+    return maltsev_groupoid(obj, grp, bang, bang, s0)
 
 
 def bundle_groupoid(fiber, base):
@@ -357,16 +349,10 @@ def bundle_groupoid(fiber, base):
     )
     pi_base = projections[1]
     e_f = int(fiber.table("e")[0])
-    R = arrows.carrier.rows
     s0 = limits.tuple_map(
         base, arrows, [np.full(base.size, e_f), np.arange(base.size)]
     )
-    mul_f = fiber.table("mul")
-    comp = -np.ones((arrows.size, arrows.size), dtype=np.int64)
-    gg, ff = np.nonzero(R[:, 1][:, None] == R[:, 1][None, :])
-    codes = mul_f[R[gg, 0], R[ff, 0]].astype(np.int64) * base.size + R[gg, 1]
-    comp[gg, ff] = arrows.carrier.index_of_codes(codes)
-    return InternalGroupoid(base, arrows, pi_base, pi_base, s0, comp)
+    return maltsev_groupoid(base, arrows, pi_base, pi_base, s0)
 
 
 def inner_coset_groupoid(grp, subgroup):
@@ -375,58 +361,40 @@ def inner_coset_groupoid(grp, subgroup):
     Arrows are pairs (t, g) with t in the subgroup, running from g to
     t*g; they form the semidirect product under conjugation.
     """
-    sub = sorted(int(t) for t in subgroup)
-    mul = grp.table("mul")
-    inv = grp.table("inv")
+    n = grp.size
+    sub = np.sort(int_array(subgroup, "subgroup"))
+    if len(np.unique(sub)) != len(sub):
+        raise InvalidParameters("subgroup lists an element twice")
+    mul = grp.table("mul").astype(np.int64)
+    inv = grp.table("inv").astype(np.int64)
     e_idx = int(grp.table("e")[0])
-    pos = {t: i for i, t in enumerate(sub)}
-    if e_idx not in pos:
+    # pos[t] is the index of t in sub, or -1 outside it
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[sub] = np.arange(len(sub))
+    if pos[e_idx] < 0:
         raise InvalidParameters("subgroup must contain the identity")
-    for t in sub:
-        if inv[t] not in pos:
-            raise InvalidParameters("subgroup not closed under inverse")
-        for u in sub:
-            if mul[t, u] not in pos:
-                raise InvalidParameters("subgroup not closed under product")
-    for g in range(grp.size):
-        for t in sub:
-            if mul[mul[g, t], inv[g]] not in pos:
-                raise InvalidParameters("subgroup is not normal")
-    m = len(sub)
-    n1 = m * grp.size
-
-    def enc(tpos, g):
-        return tpos * grp.size + g
-
-    mul_t = np.zeros((n1, n1), dtype=np.int64)
-    inv_t = np.zeros(n1, dtype=np.int64)
-    for a in range(n1):
-        ta, ga = sub[a // grp.size], a % grp.size
-        inv_t[a] = enc(pos[int(mul[mul[inv[ga], inv[ta]], ga])], int(inv[ga]))
-        for b in range(n1):
-            tb, gb = sub[b // grp.size], b % grp.size
-            conj = mul[mul[ga, tb], inv[ga]]
-            mul_t[a, b] = enc(pos[int(mul[ta, conj])], int(mul[ga, gb]))
+    if (pos[inv[sub]] < 0).any():
+        raise InvalidParameters("subgroup not closed under inverse")
+    if (pos[mul[np.ix_(sub, sub)]] < 0).any():
+        raise InvalidParameters("subgroup not closed under product")
+    if (pos[mul[mul[:, sub], inv[:, None]]] < 0).any():
+        raise InvalidParameters("subgroup is not normal")
+    # the arrow (t, g) is coded pos[t] * n + g
+    tpos, g = np.divmod(np.arange(len(sub) * n), n)
+    t = sub[tpos]
+    conj = mul[mul[g[:, None], t[None, :]], inv[g][:, None]]
     arrows = make_algebra(
         f"{grp.name}-coset-arrows",
         GROUP_SIG,
-        {"mul": mul_t, "inv": inv_t, "e": np.array([enc(pos[e_idx], e_idx)])},
+        {"mul": pos[mul[t[:, None], conj]] * n + mul[g[:, None], g[None, :]],
+         "inv": pos[mul[mul[inv[g], inv[t]], g]] * n + inv[g],
+         "e": np.array([pos[e_idx] * n + e_idx])},
         GROUP_TERM,
     )
-    tg = np.array([(sub[a // grp.size], a % grp.size) for a in range(n1)])
-    d0 = Homomorphism(arrows, grp, mul[tg[:, 0], tg[:, 1]], check=True)
-    d1 = Homomorphism(arrows, grp, tg[:, 1].copy(), check=True)
-    s0 = Homomorphism(
-        grp, arrows,
-        np.array([enc(pos[e_idx], g) for g in range(grp.size)]),
-        check=True,
-    )
-    comp = -np.ones((n1, n1), dtype=np.int64)
-    for a in range(n1):
-        for b in range(n1):
-            if d1.map[a] == d0.map[b]:
-                comp[a, b] = enc(pos[int(mul[tg[a, 0], tg[b, 0]])], int(tg[b, 1]))
-    return InternalGroupoid(grp, arrows, d0, d1, s0, comp)
+    d0 = Homomorphism(arrows, grp, mul[t, g], check=True)
+    d1 = Homomorphism(arrows, grp, g, check=True)
+    s0 = Homomorphism(grp, arrows, pos[e_idx] * n + np.arange(n), check=True)
+    return maltsev_groupoid(grp, arrows, d0, d1, s0)
 
 
 # -- reflexive graphs and their simplicial objects -------------------------

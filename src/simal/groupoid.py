@@ -1,9 +1,17 @@
 """Internal groupoids: a parallel pair of carrier algebras with a
 partial composition that is itself a homomorphism.
 
-validate_groupoid checks that last condition componentwise on the arrow
-tables, over the composable pairs and their composites, so the algebra
-of composable pairs and its tables are never built.
+In a Mal'tsev variety a reflexive graph carries at most one groupoid
+structure, and its composition is forced to be the Mal'tsev composite
+g after f = p(g, s0 d1 g, f) (Carboni, Lambek and Pedicchio, 1991).
+maltsev_groupoid builds every groupoid that simal constructs from that
+formula; only the reflection's simplicial route (pi1) and loaded files
+bring their own tables.
+
+validate_groupoid checks that the composition is a homomorphism
+componentwise on the arrow tables, over the composable pairs and their
+composites, so the algebra of composable pairs and its tables are never
+built.
 
 Conventions, used consistently everywhere: d0 is the target map, d1 the
 source map, s0 picks identity arrows.  comp[g, f] is the composite
@@ -33,12 +41,6 @@ class InternalGroupoid:
         if self.comp.shape != (arrows.size, arrows.size):
             raise InvalidParameters("composition table has wrong shape")
 
-    def compose(self, g, f):
-        out = int(self.comp[g, f])
-        if out < 0:
-            raise InvalidParameters(f"arrows {g}, {f} are not composable")
-        return out
-
     def inverse_map(self):
         """Solve for inverses exhaustively; raises if any arrow lacks
         exactly one.  g is an inverse of f when it runs the other way
@@ -64,6 +66,19 @@ class InternalGroupoid:
             f"InternalGroupoid(objects={self.objects.name}, "
             f"arrows={self.arrows.name})"
         )
+
+
+def maltsev_groupoid(objects, arrows, d0, d1, s0):
+    """The groupoid on the reflexive graph (d0, d1, s0) whose composite
+    g after f is p(g, s0 d1 g, f) on the composable pairs, and -1
+    elsewhere.  Read through p, so no table of arrows is built; the
+    result is unchecked, and validate_groupoid rejects a graph that
+    carries no groupoid structure."""
+    d0m, d1m = d0.map, d1.map
+    gs, fs = np.nonzero(d1m[:, None] == d0m[None, :])
+    comp = np.full((arrows.size, arrows.size), -1, dtype=np.int64)
+    comp[gs, fs] = arrows.p(gs, s0.map[d1m[gs]], fs)
+    return InternalGroupoid(objects, arrows, d0, d1, s0, comp)
 
 
 def _check_composition_is_homomorphism(G, gs, fs, cs):
@@ -135,17 +150,14 @@ def validate_groupoid(G):
         raise IdentityViolated("left unit law fails")
     if not np.array_equal(G.comp[f_all, s0m[d1m[f_all]]], f_all):
         raise IdentityViolated("right unit law fails")
-    # associativity: one gather per arrow g over the composable pairs
-    # (f, e) with d0 f = d1 g, a run of the pairs sorted by d0 f
-    by_target = np.argsort(d0m[gs], kind="stable")
-    targets = d0m[gs][by_target]
-    los = np.searchsorted(targets, d1m, "left")
-    his = np.searchsorted(targets, d1m, "right")
-    for g in range(n1):
-        run = by_target[los[g]:his[g]]
-        if not np.array_equal(
-            G.comp[G.comp[g, gs[run]], fs[run]], G.comp[g, cs[run]]
-        ):
+    # associativity: one gather over the composable triples (h, g, f),
+    # the arrows h with comp[h, g] >= 0 against the composable pairs
+    # (g, f), in slabs of about TABLE_CHUNK_CELLS cells over h
+    chunk = max(1, TABLE_CHUNK_CELLS // max(len(gs), 1))
+    for s in range(0, n1, chunk):
+        hg = G.comp[s:s + chunk, gs]
+        h, k = np.nonzero(hg >= 0)
+        if not np.array_equal(G.comp[hg[h, k], fs[k]], G.comp[h + s, cs[k]]):
             raise IdentityViolated("associativity fails")
     _check_composition_is_homomorphism(G, gs, fs, cs)
     G.inverse_map()

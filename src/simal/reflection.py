@@ -1,10 +1,11 @@
 """Groupoid reflection of truncated simplicial objects.
 
 Two independent routes live here.  The simplicial route quotients level
-one by the homotopy congruence read off from level two and solves the
-composition on representatives; the graph route quotients by the
-commutator of the two face kernels and composes through the Mal'tsev
-term.  The lattice formulas for the homotopy congruences at every level
+one by the homotopy congruence read off from level two and reads the
+composition off the spines of the 2-simplices; the graph route
+quotients by the commutator of the two face kernels and composes in
+the quotient through the Mal'tsev term (groupoid.maltsev_groupoid).
+The lattice formulas for the homotopy congruences at every level
 are computed separately from the unit map so the two can be compared.
 The unit is simplicial.nerve_map of the identity on objects and the
 quotient on arrows; spines and nerve maps live in simplicial.  The
@@ -23,7 +24,7 @@ from .errors import (
 from .algebra import Homomorphism, identity_hom
 from . import congruences as cg
 from .commutator import tc_commutator
-from .groupoid import InternalGroupoid, validate_groupoid
+from .groupoid import InternalGroupoid, maltsev_groupoid, validate_groupoid
 from .simplicial import (
     nerve,
     nerve_map,
@@ -222,10 +223,10 @@ def groupoid_injectivity_conditions(X, n):
 def graph_reflection(X):
     """Reflection computed from levels 0 and 1 only.
 
-    The quotient is by the commutator of the two face kernels, and
-    composition of classes g after f is the class of p(g, s0 d1 g, f).
-    The construction is checked to be independent of representatives
-    and to satisfy every groupoid axiom.
+    The quotient Q is by the commutator of the two face kernels, and
+    the composition is maltsev_groupoid's, g after f = p(g, s0 d1 g, f)
+    computed in Q, so it cannot depend on representatives; the result
+    is checked to satisfy every groupoid axiom.
     """
     if X.truncation < 1:
         raise PreconditionUnmet("graph reflection needs a level of arrows")
@@ -239,20 +240,7 @@ def graph_reflection(X):
     d0b = Homomorphism(Q, X0, d0.map[reps], check=False)
     d1b = Homomorphism(Q, X0, d1.map[reps], check=False)
     s0b = Homomorphism(X0, Q, proj.map[s0.map], check=False)
-
-    gs, fs = np.nonzero(d1.map[:, None] == d0.map[None, :])
-    mids = s0.map[d1.map[gs]]
-    vals = proj.map[X1.p(gs, mids, fs)]
-    comp = -np.ones((Q.size, Q.size), dtype=np.int64)
-    qg, qf = proj.map[gs], proj.map[fs]
-    comp[qg, qf] = vals
-    if not np.array_equal(comp[qg, qf], vals):
-        raise CompositionIllDefined(
-            "Mal'tsev composite depends on the representatives"
-        )
-    G = InternalGroupoid(X0, Q, d0b, d1b, s0b, comp)
-    validate_groupoid(G)
-    return G, proj
+    return validate_groupoid(maltsev_groupoid(X0, Q, d0b, d1b, s0b)), proj
 
 
 def is_two_coskeletal_at_top(X, budget=None):

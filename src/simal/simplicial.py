@@ -152,19 +152,6 @@ class SimplicialMorphism:
     def is_levelwise_surjective(self):
         return all(f.is_surjective() for f in self.components)
 
-    def compose(self, other):
-        """self after other."""
-        if other.cod is not self.dom:
-            raise InvalidParameters("composition endpoints disagree")
-        comps = [
-            Homomorphism(
-                other.dom.levels[n], self.cod.levels[n],
-                self.components[n].map[other.components[n].map], check=False,
-            )
-            for n in range(other.dom.truncation + 1)
-        ]
-        return SimplicialMorphism(other.dom, self.cod, comps, check=False)
-
     def __repr__(self):
         return f"SimplicialMorphism({self.dom.name} -> {self.cod.name})"
 

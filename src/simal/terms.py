@@ -120,12 +120,10 @@ def check_term_signature(term, arities):
         check_term_signature(a, arities)
 
 
-def evaluate(term, tables, env):
-    """Evaluate a term.  env maps variable names to ints or numpy arrays."""
+def evaluate(term, read, env):
+    """Evaluate a term.  env maps variable names to ints or numpy arrays;
+    read(op, *args) is op at its evaluated arguments, such as
+    FiniteAlgebra.op, and a constant when there are none."""
     if term.is_variable:
         return env[term.op]
-    table = tables[term.op]
-    if not term.args:
-        return int(table[0])
-    args = tuple(evaluate(a, tables, env) for a in term.args)
-    return table[args]
+    return read(term.op, *(evaluate(a, read, env) for a in term.args))

@@ -479,6 +479,8 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
      "coskeleton truncation -1 is below the truncation 1 of loops(C2,C2)"),
     (["cosk_loops", "base=C2", "fiber=C2", "truncation=0"],
      "coskeleton truncation 0 is below the truncation 1 of loops(C2,C2)"),
+    (["coset", "group=S3", "subgroup=[0,0,3,4]"],
+     "subgroup lists an element twice"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)

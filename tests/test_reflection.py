@@ -3,18 +3,30 @@ import pytest
 
 from simal.algebra import Homomorphism
 from simal import congruences as cg
+from simal.commutator import tc_commutator
 from simal.corpus import (
     cyclic_group,
+    default_corpus,
     discrete_groupoid,
     loops_graph,
     one_object_groupoid,
     pair_groupoid,
     sk1_two_truncation,
+    symmetric_group,
     translation_graph,
     zk_module,
 )
-from simal.errors import LevelTooLarge, PreconditionUnmet, PropertyViolation
-from simal.groupoid import groupoid_isomorphism, validate_groupoid
+from simal.errors import (
+    InvalidParameters,
+    LevelTooLarge,
+    PreconditionUnmet,
+    PropertyViolation,
+)
+from simal.groupoid import (
+    groupoid_isomorphism,
+    maltsev_groupoid,
+    validate_groupoid,
+)
 from simal.reflection import (
     commutator_chain_check,
     face_kernels,
@@ -167,7 +179,6 @@ def test_universal_property_rejects_morphism_missing_kernel():
 
 def test_naturality_of_the_unit():
     from simal.galois import induced_groupoid_nerve_map
-    from simal.corpus import default_corpus
 
     corpus = default_corpus("desk")
     checked = 0
@@ -234,3 +245,27 @@ def test_graph_reflection_composition_is_maltsev():
     H, proj = graph_reflection(X)
     validate_groupoid(H)
     assert H.arrows.size == 8
+
+
+@pytest.mark.parametrize("profile", ["desk", "deep"])
+def test_pi1_spine_composition_is_the_maltsev_composite(profile):
+    # pi1 reads its composition off the spines of the 2-simplices; on a
+    # groupoid in a Mal'tsev variety the composite p(g, s0 d1 g, f) is
+    # forced, so the two routes build the same table
+    for name, X in default_corpus(profile)["objects"]:
+        G = pi1(X).groupoid
+        M = maltsev_groupoid(G.objects, G.arrows, G.d0, G.d1, G.s0)
+        assert np.array_equal(G.comp, M.comp), name
+
+
+def test_maltsev_composite_on_a_graph_that_is_no_groupoid_is_rejected():
+    # every edge of loops(C2, S3) is a loop, and the commutator of its
+    # face kernels is not the diagonal: the composite multiplies the S3
+    # fibers, which is no homomorphism on the composable pairs
+    X = loops_graph(C2, symmetric_group(3))
+    d0, d1 = X.faces[1]
+    assert tc_commutator(cg.kernel_pair(d0), cg.kernel_pair(d1)).class_count() \
+        < X.levels[1].size
+    G = maltsev_groupoid(X.levels[0], X.levels[1], d0, d1, X.degeneracies[0][0])
+    with pytest.raises(InvalidParameters, match="does not preserve 'mul'"):
+        validate_groupoid(G)

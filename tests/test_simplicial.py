@@ -93,13 +93,18 @@ LOOP5 = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3],
                   [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]])
 
 
-@pytest.mark.parametrize("G", [
-    one_object_groupoid(cyclic_group(5)),
-    bundle_groupoid(cyclic_group(5), C2),
-], ids=["one-object", "bundle"])
-def test_non_associative_composition_rejected(G):
+@pytest.mark.parametrize("G, chunk_cells", [
+    (one_object_groupoid(cyclic_group(5)), None),
+    (bundle_groupoid(cyclic_group(5), C2), None),
+    (one_object_groupoid(cyclic_group(5)), 1),
+    (bundle_groupoid(cyclic_group(5), C2), 1),
+], ids=["one-object", "bundle", "one-object-slabs", "bundle-slabs"])
+def test_non_associative_composition_rejected(monkeypatch, G, chunk_cells):
     # the loop replaces the composition at the last object, whose arrows
-    # are listed with the identity first
+    # are listed with the identity first; the associativity check finds
+    # it whether or not it runs in slabs of one arrow
+    if chunk_cells is not None:
+        monkeypatch.setattr(groupoid, "TABLE_CHUNK_CELLS", chunk_cells)
     at = np.nonzero(G.d0.map == G.objects.size - 1)[0]
     assert at[0] == G.s0.map[-1]
     comp = G.comp.copy()

@@ -97,3 +97,12 @@ def test_every_public_method_is_read_elsewhere():
                     unread.append(f"{path.name}:{item.lineno} "
                                   f"{stmt.name}.{item.name}")
     assert unread == []
+
+
+def test_library_has_no_assert_statement():
+    # python -O strips assert statements, so no check may rely on one
+    found = [f"{path.name}:{node.lineno}"
+             for path in SRC.glob("*.py")
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Assert)]
+    assert found == []

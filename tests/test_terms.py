@@ -26,8 +26,8 @@ def test_evaluate_scalar_and_vectorized_agree():
     c4 = cyclic_group(4)
     t = c4.maltsev_term
     a = np.arange(4)
-    grid = evaluate(t, c4.tables, {"x": a[:, None], "y": 1, "z": a[None, :]})
+    grid = evaluate(t, c4.op, {"x": a[:, None], "y": 1, "z": a[None, :]})
     for i in range(4):
         for j in range(4):
-            scalar = evaluate(t, c4.tables, {"x": i, "y": 1, "z": j})
+            scalar = evaluate(t, c4.op, {"x": i, "y": 1, "z": j})
             assert int(grid[i, j]) == int(scalar) == (i - 1 + j) % 4
