@@ -246,6 +246,14 @@ def validate_algebra(raw):
         raise MalformedTable(f"{name}: Mal'tsev term {term!r} is not a string")
     tables = {}
     for o, arity, flat in zip(ops, arities, flats):
+        if not isinstance(o["name"], str):
+            raise MalformedTable(
+                f"{name}: operation name {o['name']!r} is not a string"
+            )
+        if arity > 64:  # more axes than a numpy array can have
+            raise MalformedTable(
+                f"{name}: table {o['name']!r} cannot have arity {arity}"
+            )
         want = (1,) if arity == 0 else (size,) * arity
         try:
             tables[o["name"]] = flat.reshape(want)

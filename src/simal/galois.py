@@ -73,8 +73,6 @@ def _relative_level1(F):
 
 def _central_by_lattice(F):
     X = F.dom
-    if not _relative_level1(F).is_diagonal():
-        return False
     for n in range(2, X.truncation + 1):
         Fn = cg.kernel_pair(F.components[n])
         D = face_kernels(X, n)
@@ -231,7 +229,7 @@ def em_factorization(F, budget=None):
     X, Y = F.dom, F.cod
     RX, RY = pi1(X, budget=budget), pi1(Y, budget=budget)
     nf = induced_groupoid_nerve_map(RX, RY, F)
-    P, m, to_nx = simplicial_pullback(
+    P, m, _ = simplicial_pullback(
         RY.unit, nf, budget=budget, name=f"em({X.name})"
     )
     comps = [
@@ -240,12 +238,6 @@ def em_factorization(F, budget=None):
         for n in range(X.truncation + 1)
     ]
     e = SimplicialMorphism(X, P, comps, check=True)
-    for n in range(X.truncation + 1):
-        en = e.components[n].map
-        if not (np.array_equal(m.components[n].map[en], F.components[n].map)
-                and np.array_equal(to_nx.components[n].map[en],
-                                   RX.unit.components[n].map)):
-            raise PropertyViolation("pullback factors do not recover F")
     RP = pi1(P, budget=budget)
     _induced_isomorphism(RX, RP, e)
     if not _kernel_meets_homotopy_trivially(m, RP.h):

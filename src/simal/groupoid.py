@@ -40,6 +40,9 @@ class InternalGroupoid:
         self.comp = np.asarray(comp, dtype=np.int64)
         if self.comp.shape != (arrows.size, arrows.size):
             raise InvalidParameters("composition table has wrong shape")
+        if self.comp.size and (self.comp.min() < -1
+                               or self.comp.max() >= arrows.size):
+            raise InvalidParameters("composition table entry out of range")
 
     def inverse_map(self):
         """Solve for inverses exhaustively; raises if any arrow lacks

@@ -37,6 +37,7 @@ from .groupoid import InternalGroupoid, validate_groupoid
 from .simplicial import (
     SimplicialMorphism,
     TruncatedSimplicialAlgebra,
+    _structure_maps,
     validate_simplicial,
 )
 
@@ -172,21 +173,13 @@ def _level_names(X):
 
 def simplicial_to_json(X):
     names = _level_names(X)
-    algebras = {}
-    for level in X.levels:
-        algebras.setdefault(names[id(level)], algebra_to_json(level))
-    faces = []
-    for n in range(1, X.truncation + 1):
-        faces.append([
-            hom_to_json(d, dom_ref=names[id(d.dom)], cod_ref=names[id(d.cod)])
-            for d in X.faces[n]
-        ])
-    degeneracies = []
-    for n in range(X.truncation):
-        degeneracies.append([
-            hom_to_json(s, dom_ref=names[id(s.dom)], cod_ref=names[id(s.cod)])
-            for s in X.degeneracies[n]
-        ])
+    algebras = {names[id(level)]: algebra_to_json(level) for level in X.levels}
+    faces = [[] for _ in range(X.truncation)]
+    degeneracies = [[] for _ in range(X.truncation)]
+    for n, _, key, f in _structure_maps(X):
+        row = faces[n - 1] if key[0] == "d" else degeneracies[n]
+        row.append(hom_to_json(f, dom_ref=names[id(f.dom)],
+                               cod_ref=names[id(f.cod)]))
     return {
         "kind": "simplicial",
         "name": X.name,
@@ -210,32 +203,26 @@ def load_simplicial(data, base_dir=None):
         raise InvalidParameters(f"simplicial file missing field: {exc}") from exc
     if not isinstance(name, str):
         raise InvalidParameters(f"simplicial name {name!r} is not a string")
-    for key, rows in (("faces", raw_faces), ("degeneracies", raw_degens)):
-        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
-            raise InvalidParameters(f"simplicial {key!r} must be a list of lists")
+    if trunc != len(level_names) - 1:
+        raise InvalidParameters(
+            f"truncation {trunc} does not match {len(level_names)} levels"
+        )
     algebras = _algebra_table(data.get("algebras", {}), base_dir)
     levels = [algebras[name] if isinstance(name, str) and name in algebras
               else _resolve_algebra(name, None, base_dir)
               for name in level_names]
-    faces = [[]]
-    for row in raw_faces:
-        faces.append([
-            load_homomorphism(d, algebras=algebras, base_dir=base_dir,
-                              check=False)
-            for d in row
-        ])
-    degeneracies = []
-    for row in raw_degens:
-        degeneracies.append([
-            load_homomorphism(s, algebras=algebras, base_dir=base_dir,
-                              check=False)
-            for s in row
-        ])
-    while len(faces) < trunc + 1:
-        faces.append([])
-    while len(degeneracies) < trunc + 1:
-        degeneracies.append([])
-    X = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
+    # faces start at level 1, degeneracies at level 0; rows the file
+    # leaves out are empty
+    tables = []
+    for key, lead, rows in (("faces", 1, raw_faces),
+                            ("degeneracies", 0, raw_degens)):
+        if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)):
+            raise InvalidParameters(f"simplicial {key!r} must be a list of lists")
+        table = [[]] * lead + [
+            [load_homomorphism(h, algebras=algebras, base_dir=base_dir,
+                               check=False) for h in row] for row in rows]
+        tables.append(table + [[]] * (trunc + 1 - len(table)))
+    X = TruncatedSimplicialAlgebra(levels, *tables, name=name)
     return validate_simplicial(X, check_homs=True)
 
 

@@ -10,9 +10,14 @@ Each construction has one builder.  Simplicial kernels and horns are
 both tuples of compatible faces, the horn leaving one slot out.  A
 morphism into a groupoid nerve is fixed by its components at levels 0
 and 1, since the nerve is right adjoint to the reflection, and
-nerve_map reads every higher component off the spine edges.  Quotients
-and images carry the structure maps over to new levels through one
-transport.
+nerve_map reads every higher component off the spine edges.
+
+One walk, _structure_maps, visits every face and then every degeneracy
+with its endpoints and its name d_i or s_i.  Validation, the morphism
+check, the closure and the JSON writer go through it, and so does
+transport, the one rebuild: it carries each structure map over to
+new levels by a per-map move, for quotients, images, products and
+pullbacks alike.
 
 Face conventions: d1 is the source and d0 the target of a 1-simplex,
 matching the nerve of a groupoid where composition g after f requires
@@ -61,8 +66,6 @@ class TruncatedSimplicialAlgebra:
 def validate_simplicial(X, check_homs=False):
     """Check endpoints, arities and all five simplicial identities."""
     N = X.truncation
-    if N < 1:
-        return X
     sig = X.levels[0].signature
     for lvl in X.levels:
         if lvl.signature != sig:
@@ -70,59 +73,46 @@ def validate_simplicial(X, check_homs=False):
     for n in range(1, N + 1):
         if len(X.faces[n]) != n + 1:
             raise InvalidParameters(f"level {n} needs {n + 1} faces")
-        for i, d in enumerate(X.faces[n]):
-            if d.dom is not X.levels[n] or d.cod is not X.levels[n - 1]:
-                raise InvalidParameters(f"face d{i} at level {n} has wrong endpoints")
     if X.faces[0]:
         raise InvalidParameters("level 0 admits no faces")
     for n in range(N):
         if len(X.degeneracies[n]) != n + 1:
             raise InvalidParameters(f"level {n} needs {n + 1} degeneracies")
-        for i, s in enumerate(X.degeneracies[n]):
-            if s.dom is not X.levels[n] or s.cod is not X.levels[n + 1]:
-                raise InvalidParameters(
-                    f"degeneracy s{i} at level {n} has wrong endpoints"
-                )
     if X.degeneracies[N]:
         raise InvalidParameters("top level admits no degeneracies")
+    for n, m, name, f in _structure_maps(X):
+        if f.dom is not X.levels[n] or f.cod is not X.levels[m]:
+            kind = "face" if name[0] == "d" else "degeneracy"
+            raise InvalidParameters(f"{kind} {name} at level {n} has wrong endpoints")
     if check_homs:
-        for n in range(1, N + 1):
-            for d in X.faces[n]:
-                check_homomorphism(d)
-        for n in range(N):
-            for s in X.degeneracies[n]:
-                check_homomorphism(s)
-
-    def fmap(n, i):
-        return X.faces[n][i].map
-
-    def smap(n, i):
-        return X.degeneracies[n][i].map
-
+        for _, _, _, f in _structure_maps(X):
+            check_homomorphism(f)
+    d = [[f.map for f in maps] for maps in X.faces]
+    s = [[f.map for f in maps] for maps in X.degeneracies]
     for n in range(2, N + 1):
         for j in range(n + 1):
             for i in range(j):
-                lhs = fmap(n - 1, i)[fmap(n, j)]
-                rhs = fmap(n - 1, j - 1)[fmap(n, i)]
+                lhs = d[n - 1][i][d[n][j]]
+                rhs = d[n - 1][j - 1][d[n][i]]
                 _expect(lhs, rhs, f"d{i} d{j} = d{j - 1} d{i} at level {n}")
     for n in range(N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
-                lhs = smap(n + 1, i)[smap(n, j)]
-                rhs = smap(n + 1, j + 1)[smap(n, i)]
+                lhs = s[n + 1][i][s[n][j]]
+                rhs = s[n + 1][j + 1][s[n][i]]
                 _expect(lhs, rhs, f"s{i} s{j} = s{j + 1} s{i} at level {n}")
     for n in range(N):
         ident = np.arange(X.levels[n].size)
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = fmap(n + 1, i)[smap(n, j)]
+                lhs = d[n + 1][i][s[n][j]]
                 if i == j or i == j + 1:
                     _expect(lhs, ident, f"d{i} s{j} = 1 at level {n}")
                 elif i < j:
-                    rhs = smap(n - 1, j - 1)[fmap(n, i)]
+                    rhs = s[n - 1][j - 1][d[n][i]]
                     _expect(lhs, rhs, f"d{i} s{j} = s{j - 1} d{i} at level {n}")
                 else:
-                    rhs = smap(n - 1, j)[fmap(n, i - 1)]
+                    rhs = s[n - 1][j][d[n][i - 1]]
                     _expect(lhs, rhs, f"d{i} s{j} = s{j} d{i - 1} at level {n}")
     return X
 
@@ -157,17 +147,11 @@ class SimplicialMorphism:
 
 
 def check_simplicial_morphism(F):
-    X, Y = F.dom, F.cod
-    for n in range(1, X.truncation + 1):
-        for i in range(n + 1):
-            lhs = F.components[n - 1].map[X.faces[n][i].map]
-            rhs = Y.faces[n][i].map[F.components[n].map]
-            _expect(lhs, rhs, f"morphism must commute with d{i} at level {n}")
-    for n in range(X.truncation):
-        for i in range(n + 1):
-            lhs = F.components[n + 1].map[X.degeneracies[n][i].map]
-            rhs = Y.degeneracies[n][i].map[F.components[n].map]
-            _expect(lhs, rhs, f"morphism must commute with s{i} at level {n}")
+    comps = F.components
+    for (n, m, name, f), (_, _, _, g) in zip(_structure_maps(F.dom),
+                                             _structure_maps(F.cod)):
+        _expect(comps[m].map[f.map], g.map[comps[n].map],
+                f"morphism must commute with {name} at level {n}")
     return F
 
 
@@ -353,10 +337,8 @@ def coskeleton(X, M, budget=None):
             f"coskeleton truncation {M} is below the truncation "
             f"{X.truncation} of {X.name}"
         )
-    levels = list(X.levels)
-    faces = [list(fs) for fs in X.faces]
-    degeneracies = [list(ds) for ds in X.degeneracies]
-    current = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=X.name)
+    current = TruncatedSimplicialAlgebra(X.levels, X.faces, X.degeneracies,
+                                         name=X.name)
     for n in range(X.truncation + 1, M + 1):
         alg, projections, _ = simplicial_kernel(current, n, budget=budget)
         lower = current.levels[n - 1]
@@ -379,13 +361,10 @@ def coskeleton(X, M, budget=None):
                         ]
                     )
             new_degs.append(tuple_map(lower, alg, cols))
-        levels = current.levels + [alg]
-        faces = [list(fs) for fs in current.faces] + [projections]
-        degeneracies = [list(ds) for ds in current.degeneracies]
-        degeneracies[-1] = new_degs
-        degeneracies.append([])
         current = TruncatedSimplicialAlgebra(
-            levels, faces, degeneracies, name=f"cosk{n}({X.name})"
+            current.levels + [alg], current.faces + [projections],
+            current.degeneracies[:-1] + [new_degs, []],
+            name=f"cosk{n}({X.name})",
         )
         validate_simplicial(current)
     current.name = f"cosk({X.name},{M})"
@@ -476,29 +455,24 @@ def nerve_map(X, NY, f0, f1):
 
 # -- products, pullbacks, quotients ---------------------------------------
 
-def _componentwise_map(dom, cod, maps):
-    return tuple_map(dom, cod, [f.map[col] for f, col
-                                in zip(maps, dom.carrier.rows.T)])
-
-
 def _levelwise_limit(X, Y, constraints_per_level, budget, name):
     """Levelwise subproduct of X and Y cut out by the fiber constraints of
     each level, with componentwise structure maps and both projections."""
-    N = X.truncation
     levels, projections = [], []
-    for n in range(N + 1):
+    for n in range(X.truncation + 1):
         factors = [X.levels[n], Y.levels[n]]
         rows = compatible_tuples(factors, constraints_per_level[n], budget=budget)
         alg, projs = subproduct_algebra(f"{name}_{n}", factors, rows)
         levels.append(alg)
         projections.append(projs)
-    faces = [[_componentwise_map(levels[n], levels[n - 1], pair)
-              for pair in zip(X.faces[n], Y.faces[n])] for n in range(N + 1)]
-    degeneracies = [[_componentwise_map(levels[n], levels[n + 1], pair)
-                     for pair in zip(X.degeneracies[n], Y.degeneracies[n])]
-                    for n in range(N + 1)]
-    P = TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
-    validate_simplicial(P)
+    by_key = {(n, key): g for n, _, key, g in _structure_maps(Y)}
+
+    def move(n, m, key, f):
+        x, y = levels[n].carrier.rows.T
+        return tuple_map(levels[n], levels[m],
+                         [f.map[x], by_key[n, key].map[y]]).map
+
+    P = transport(X, levels, move, name)
     proj1, proj2 = (
         SimplicialMorphism(P, Z, [projs[c] for projs in projections], check=True)
         for c, Z in enumerate((X, Y))
@@ -528,11 +502,14 @@ def simplicial_pullback(F, G, budget=None, name=None):
 
 
 def _structure_maps(X):
-    """(n, m, f) for every face and degeneracy f: X_n -> X_m."""
-    for n in range(X.truncation + 1):
-        for m, maps in ((n - 1, X.faces[n]), (n + 1, X.degeneracies[n])):
-            for f in maps:
-                yield n, m, f
+    """(n, m, name, f) for every face f = d_i: X_n -> X_{n-1}, level by
+    level, and then every degeneracy f = s_i: X_n -> X_{n+1}, level by
+    level, where name is "d{i}" or "s{i}".  Checks that walk it meet the
+    maps in this order, so each reports the first failure in it."""
+    for table, step, letter in ((X.faces, -1, "d"), (X.degeneracies, 1, "s")):
+        for n, maps in enumerate(table):
+            for i, f in enumerate(maps):
+                yield n, n + step, f"{letter}{i}", f
 
 
 def simplicial_congruence_generated(X, seeds, initial=None):
@@ -562,7 +539,7 @@ def simplicial_congruence_generated(X, seeds, initial=None):
         local = [(xs[cuts[n]:cuts[n + 1]] - offsets[n],
                   ys[cuts[n]:cuts[n + 1]] - offsets[n])
                  for n in range(X.truncation + 1)]
-        for n, m, f in _structure_maps(X):
+        for n, m, _, f in _structure_maps(X):
             yield (f.map[local[n][0]] + offsets[m],
                    f.map[local[n][1]] + offsets[m])
         for n, lvl in enumerate(X.levels):
@@ -579,25 +556,21 @@ def is_simplicial_congruence(X, parts):
     """Faces and degeneracies must send each level's relation into the next."""
     return all(np.array_equal(parts[m].part[f.map],
                               parts[m].part[f.map[parts[n].part]])
-               for n, m, f in _structure_maps(X))
+               for n, m, _, f in _structure_maps(X))
 
 
-def transport(X, levels, sels, poss, name):
+def transport(X, levels, move, name):
     """The simplicial object on new levels with X's structure carried over.
 
-    sels[n] picks one element of X_n for each element of levels[n], and
-    poss[m] sends X_m onto levels[m]; each face or degeneracy f: X_n ->
-    X_m becomes the map sending i to poss[m][f(sels[n][i])].  The
-    simplicial identities are checked; the maps are not.
+    Each face or degeneracy f: X_n -> X_m, named key, becomes the map
+    move(n, m, key, f) from levels[n] to levels[m].  The simplicial
+    identities are checked; the maps are not.
     """
-    def moved(n, m, f):
-        return Homomorphism(levels[n], levels[m], poss[m][f.map[sels[n]]],
-                            check=False)
-
-    N = X.truncation
-    faces = [[moved(n, n - 1, d) for d in X.faces[n]] for n in range(N + 1)]
-    degeneracies = [[moved(n, n + 1, s) for s in X.degeneracies[n]]
-                    for n in range(N + 1)]
+    faces, degeneracies = [[] for _ in levels], [[] for _ in levels]
+    for n, m, key, f in _structure_maps(X):
+        (faces if key[0] == "d" else degeneracies)[n].append(
+            Homomorphism(levels[n], levels[m], move(n, m, key, f), check=False)
+        )
     return validate_simplicial(
         TruncatedSimplicialAlgebra(levels, faces, degeneracies, name=name)
     )
@@ -608,6 +581,8 @@ def quotient_simplicial(X, parts, name=None):
     if not is_simplicial_congruence(X, parts):
         raise InvalidParameters("family is not closed under the structure maps")
     levels, projs = zip(*(cg.quotient(lvl, p) for lvl, p in zip(X.levels, parts)))
-    Y = transport(X, list(levels), [p.reps() for p in parts],
-                  [q.map for q in projs], name or f"{X.name}/~")
+    reps = [p.reps() for p in parts]
+    Y = transport(X, list(levels),
+                  lambda n, m, key, f: projs[m].map[f.map[reps[n]]],
+                  name or f"{X.name}/~")
     return Y, SimplicialMorphism(X, Y, projs, check=True)

@@ -238,7 +238,8 @@ def _image_subobject(F, name):
         sels.append(sel)
         poss.append(pos)
         levels.append(_subalgebra_on(Y.levels[n], sel, f"{name}{n}"))
-    S = transport(Y, levels, sels, poss, name)
+    S = transport(Y, levels, lambda n, m, key, f: poss[m][f.map[sels[n]]],
+                  name)
     return validate_simplicial(S, check_homs=True)
 
 

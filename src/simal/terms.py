@@ -84,7 +84,7 @@ def parse_term(text):
         if pos < len(tokens) and tokens[pos] == "(":
             pos += 1
             args = []
-            if tokens[pos] == ")":
+            if tokens[pos:pos + 1] == [")"]:
                 pos += 1
                 return Term(head, ())
             while True:

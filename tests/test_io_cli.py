@@ -162,10 +162,19 @@ def _malformed(kind, path, value):
         "groupoid": lambda: sio.groupoid_to_json(pair_groupoid(C4)),
         "morphism": lambda: sio.morphism_to_json(_quotient_map()),
     }[kind]()
+    return _set_entry(data, path, value)
+
+
+def _set_entry(data, path, value):
+    """data with the entry at path set to value; an index one past the
+    end of a list appends."""
     node = data
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if isinstance(node, list) and path[-1] == len(node):
+        node.append(value)
+    else:
+        node[path[-1]] = value
     return data
 
 
@@ -186,6 +195,30 @@ def _malformed(kind, path, value):
      "algebra name [1] is not a string"),
     ("simplicial", ["name"], [1], "InvalidParameters",
      "simplicial name [1] is not a string"),
+    ("simplicial", ["faces", 0], [], "InvalidParameters",
+     "level 1 needs 2 faces"),
+    ("simplicial", ["degeneracies", 1], [], "InvalidParameters",
+     "level 1 needs 2 degeneracies"),
+    ("simplicial", ["degeneracies", 2],
+     [{"dom": "N2(C4-pairs)", "cod": "N2(C4-pairs)", "map": list(range(64))}],
+     "InvalidParameters", "top level admits no degeneracies"),
+    ("simplicial", ["faces", 1, 0],
+     {"dom": "C4-pairs", "cod": "C4-pairs", "map": list(range(16))},
+     "InvalidParameters", "face d0 at level 2 has wrong endpoints"),
+    ("algebra", ["maltsev", "term"], "mul(", "InvalidParameters",
+     "unexpected end of term in 'mul('"),
+    ("groupoid", ["comp", 0, 0], 99, "InvalidParameters",
+     "composition table entry out of range"),
+    ("groupoid", ["comp", 0, 1], -7, "InvalidParameters",
+     "composition table entry out of range"),
+    ("algebra", ["operations", 0, "name"], [1], "MalformedTable",
+     "C4: operation name [1] is not a string"),
+    ("algebra", ["operations", 0, "name"], {}, "MalformedTable",
+     "C4: operation name {} is not a string"),
+    ("algebra", ["operations", 0, "arity"], 10**12, "MalformedTable",
+     "C4: table 'mul' cannot have arity 1000000000000"),
+    ("simplicial", ["truncation"], 10**12, "InvalidParameters",
+     "truncation 1000000000000 does not match 3 levels"),
 ])
 def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
                                               error, witness):
@@ -194,6 +227,39 @@ def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
     code, report, _ = run(["validate", p])
     assert code == 1
     assert report["violations"] == [{"property": error, "witness": witness}]
+
+
+def _entry_paths(node, path=()):
+    """The path of every entry of a JSON tree below its root: every
+    number and string, and every list and object as a whole."""
+    if isinstance(node, (dict, list)):
+        for key in node if isinstance(node, dict) else range(len(node)):
+            yield list(path) + [key]
+            yield from _entry_paths(node[key], path + (key,))
+
+
+def test_no_corrupted_leaf_makes_validate_fail_internally(tmp_path):
+    # every entry of three small artifacts, set to each value in turn;
+    # a corrupt file is bad input (exit 1), never an internal error
+    artifacts = [
+        sio.algebra_to_json(C4),
+        sio.simplicial_to_json(nerve(one_object_groupoid(cyclic_group(2)), 2)),
+        sio.groupoid_to_json(pair_groupoid(cyclic_group(2))),
+    ]
+    values = [99, -7, "mul(", [1], {}, 10**12]
+    path = str(tmp_path / "bad.json")
+    cases, internal = 0, []
+    for data in artifacts:
+        text = json.dumps(data)
+        for entry in _entry_paths(data):
+            for value in values:
+                sio.save_json(_set_entry(json.loads(text), entry, value), path)
+                code, report, _ = run(["validate", path])
+                cases += 1
+                if code == 4:
+                    internal.append((entry, value, report["violations"]))
+    assert cases == 1854
+    assert internal == []
 
 
 def test_cli_rejects_a_non_integer_budget_from_the_environment(

@@ -240,6 +240,14 @@ def test_constructor_rejects_missing_rows():
         TruncatedSimplicialAlgebra(X.levels, X.faces[:-1], X.degeneracies)
 
 
+def test_validation_checks_truncation_zero():
+    validate_simplicial(constant_simplicial(C2, 0), check_homs=True)
+    stray = TruncatedSimplicialAlgebra([C2], [[]], [[identity_hom(C2)]])
+    with pytest.raises(InvalidParameters,
+                       match="^top level admits no degeneracies$"):
+        validate_simplicial(stray)
+
+
 def test_validation_detects_broken_face():
     X = nerve(pair_groupoid(C2), 2)
     faces = [list(row) for row in X.faces]
