@@ -16,8 +16,6 @@ from .algebra import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
-    all_homomorphisms,
-    all_isomorphisms,
     identity_hom,
     make_algebra,
     validate_algebra,
@@ -38,7 +36,7 @@ from .galois import (
     ml_factorization,
     stabilizing_probe,
 )
-from .groupoid import InternalGroupoid, groupoid_isomorphism, validate_groupoid
+from .groupoid import InternalGroupoid, validate_groupoid
 from .reflection import (
     ReflectionResult,
     graph_reflection,
@@ -77,8 +75,6 @@ __all__ = [
     "SimalError",
     "SimplicialMorphism",
     "TruncatedSimplicialAlgebra",
-    "all_homomorphisms",
-    "all_isomorphisms",
     "classify_extension",
     "coskeleton",
     "decalage",
@@ -86,7 +82,6 @@ __all__ = [
     "exactness_check",
     "exactness_lemma_check",
     "graph_reflection",
-    "groupoid_isomorphism",
     "horn",
     "identity_hom",
     "is_internal_groupoid",

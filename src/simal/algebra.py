@@ -19,8 +19,6 @@ stays near a slab; p, the Mal'tsev term, builds none.
 All objects are treated as immutable once validated.
 """
 
-import itertools
-
 import numpy as np
 
 from .errors import (
@@ -200,18 +198,17 @@ def check_maltsev(alg):
     if n == 0:
         return
     a = np.arange(n)
-    left = alg.p(a[:, None], a[None, :], a[None, :])
-    if not np.array_equal(np.broadcast_to(left, (n, n)), np.broadcast_to(a[:, None], (n, n))):
-        i, j = np.argwhere(np.broadcast_to(left, (n, n)) != a[:, None])[0]
-        raise NotMaltsev(
-            f"{alg.name}: p({i},{j},{j}) = {int(np.broadcast_to(left, (n, n))[i, j])}, expected {i}"
-        )
-    right = alg.p(a[:, None], a[:, None], a[None, :])
-    if not np.array_equal(np.broadcast_to(right, (n, n)), np.broadcast_to(a[None, :], (n, n))):
-        i, j = np.argwhere(np.broadcast_to(right, (n, n)) != a[None, :])[0]
-        raise NotMaltsev(
-            f"{alg.name}: p({i},{i},{j}) = {int(np.broadcast_to(right, (n, n))[i, j])}, expected {j}"
-        )
+    pair = (a[:, None], a[None, :])
+    # p(x,y,y) = x and p(x,x,y) = y, as slots of the pair (x, y)
+    for slots, want in (((0, 1, 1), 0), ((0, 0, 1), 1)):
+        got = np.broadcast_to(alg.p(*(pair[k] for k in slots)), (n, n))
+        wrong = got != pair[want]
+        if wrong.any():
+            w = np.argwhere(wrong)[0].tolist()
+            raise NotMaltsev(
+                f"{alg.name}: p({','.join(str(w[k]) for k in slots)}) = "
+                f"{int(got[tuple(w)])}, expected {w[want]}"
+            )
 
 
 def int_array(raw, what):
@@ -228,14 +225,23 @@ def int_array(raw, what):
     raise InvalidParameters(f"{what}: entry {bad!r} is not an integer")
 
 
+def int_scalar(raw, what):
+    """raw (a JSON number) as one Python int; a list or an entry that is
+    not an integer raises InvalidParameters."""
+    value = int_array(raw, what)
+    if value.ndim:
+        raise InvalidParameters(f"{what} must be a single integer")
+    return int(value)
+
+
 def validate_algebra(raw):
     """Build and fully check an algebra from its raw dict description."""
     try:
         name = raw["name"]
-        size = int(int_array(raw["size"], "algebra size"))
+        size = int_scalar(raw["size"], "algebra size")
         ops = raw["operations"]
         term = raw["maltsev"]["term"]
-        arities = [int(int_array(o["arity"], "arity")) for o in ops]
+        arities = [int_scalar(o["arity"], "arity") for o in ops]
         sig = Signature([(o["name"], a) for o, a in zip(ops, arities)])
         flats = [int_array(o["table"], f"table {o['name']!r}") for o in ops]
     except (KeyError, TypeError) as exc:
@@ -304,24 +310,10 @@ class Homomorphism:
         if check:
             check_homomorphism(self)
 
-    def __call__(self, x):
-        return self.map[x]
-
-    def compose(self, other):
-        """self after other."""
-        if other.cod is not self.dom:
-            same_signature(other.cod, self.dom)
-            if other.cod.size != self.dom.size:
-                raise InvalidParameters("composition domain mismatch")
-        return Homomorphism(other.dom, self.cod, self.map[other.map], check=False)
-
     def is_surjective(self):
         return bool(np.logical_and.reduce(
             np.bincount(self.map, minlength=self.cod.size)
         ))
-
-    def is_injective(self):
-        return bool(np.logical_and.reduce(np.bincount(self.map) <= 1))
 
     def is_bijective(self):
         return self.dom.size == self.cod.size and self.is_surjective()
@@ -362,67 +354,3 @@ def check_homomorphism(h):
             raise InvalidParameters(
                 f"map does not preserve {opname!r} at arguments {where}"
             )
-
-
-def all_homomorphisms(dom, cod):
-    """Enumerate every homomorphism dom -> cod by backtracking.
-
-    Intended for small carriers; raises for sizes past 64.
-    """
-    same_signature(dom, cod)
-    if dom.size > 64:
-        raise InvalidParameters("homomorphism enumeration limited to size <= 64")
-    n = dom.size
-    if n == 0:
-        return [Homomorphism(dom, cod, np.zeros(0, dtype=np.int64), check=False)]
-    binary_tuples = [[] for _ in range(n)]
-    ops = [(name, ar) for name, ar in dom.signature.ops if ar > 0]
-    forced0 = [-1] * n
-    for name, ar in dom.signature.ops:
-        if ar == 0:
-            ca, cb = int(dom.table(name)[0]), int(cod.table(name)[0])
-            if forced0[ca] >= 0 and forced0[ca] != cb:
-                return []
-            forced0[ca] = cb
-    results = []
-    fmap = [-1] * n
-
-    def extend(k, forced):
-        if k == n:
-            results.append(Homomorphism(dom, cod, fmap, check=False))
-            return
-        cands = [forced[k]] if forced[k] >= 0 else range(cod.size)
-        for v in cands:
-            fmap[k] = v
-            new = list(forced)
-            ok = True
-            for name, ar in ops:
-                td, tc = dom.table(name), cod.table(name)
-                for args in itertools.product(range(k + 1), repeat=ar):
-                    if k not in args:
-                        continue
-                    c = int(td[args])
-                    w = int(tc[tuple(fmap[a] for a in args)])
-                    if c <= k:
-                        if fmap[c] != w:
-                            ok = False
-                            break
-                    elif new[c] >= 0 and new[c] != w:
-                        ok = False
-                        break
-                    else:
-                        new[c] = w
-                if not ok:
-                    break
-            if ok:
-                extend(k + 1, new)
-            fmap[k] = -1
-
-    extend(0, forced0)
-    return results
-
-
-def all_isomorphisms(dom, cod):
-    if dom.size != cod.size:
-        return []
-    return [h for h in all_homomorphisms(dom, cod) if h.is_bijective()]

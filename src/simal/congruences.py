@@ -158,14 +158,8 @@ class Congruence:
 
     # -- queries ----------------------------------------------------------
 
-    def related(self, a, b):
-        return bool(self.part[a] == self.part[b])
-
     def is_diagonal(self):
         return bool(np.logical_and.reduce(self.part == np.arange(self.on.size)))
-
-    def is_full(self):
-        return self.on.size <= 1 or bool((self.part == 0).all())
 
     def reps(self):
         """The least member of every block, in increasing order."""
@@ -174,20 +168,9 @@ class Congruence:
     def class_count(self):
         return len(self.reps())
 
-    def block_sizes(self):
-        """Block sizes, in the order of reps()."""
-        return np.bincount(self.part)[self.reps()]
-
     def pair_count(self):
         """Number of ordered related pairs."""
         return int(np.add.reduce(np.bincount(self.part) ** 2))
-
-    def blocks(self):
-        """The members of every block, in the order of reps()."""
-        order = self.part.argsort(kind="stable")
-        sizes = self.block_sizes()
-        return [order[end - size:end]
-                for size, end in zip(sizes, sizes.cumsum())]
 
     def pairs(self):
         """All ordered related pairs as a (k, 2) array, block by block."""

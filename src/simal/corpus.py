@@ -18,6 +18,7 @@ from .algebra import (
     check_tables,
     identity_hom,
     int_array,
+    int_scalar,
     make_algebra,
 )
 from . import congruences as cg
@@ -667,10 +668,7 @@ def _int_params(spec, key, default=None):
 
 def _int_param(spec, key, default=None):
     """spec[key], or the default when it is absent, as one Python int."""
-    value = _int_params(spec, key, default)
-    if value.ndim:
-        raise InvalidParameters(f"parameter {key!r} must be a single integer")
-    return int(value)
+    return int_scalar(_field(spec, key, default), f"parameter {key!r}")
 
 
 def _elements(spec, key, alg, what, pairs=False):

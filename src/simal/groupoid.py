@@ -165,28 +165,3 @@ def validate_groupoid(G):
     _check_composition_is_homomorphism(G, gs, fs, cs)
     G.inverse_map()
     return G
-
-
-def groupoid_isomorphism(G, H):
-    """Find a structure-preserving pair of carrier isomorphisms, or None."""
-    from .algebra import all_isomorphisms
-
-    if G.objects.size != H.objects.size or G.arrows.size != H.arrows.size:
-        return None
-    for phi0 in all_isomorphisms(G.objects, H.objects):
-        for phi1 in all_isomorphisms(G.arrows, H.arrows):
-            if not np.array_equal(phi0.map[G.d0.map], H.d0.map[phi1.map]):
-                continue
-            if not np.array_equal(phi0.map[G.d1.map], H.d1.map[phi1.map]):
-                continue
-            if not np.array_equal(phi1.map[G.s0.map], H.s0.map[phi0.map]):
-                continue
-            ok = True
-            gs, fs = np.nonzero(G.comp >= 0)
-            lhs = phi1.map[G.comp[gs, fs]]
-            rhs = H.comp[phi1.map[gs], phi1.map[fs]]
-            if not np.array_equal(lhs, rhs):
-                ok = False
-            if ok:
-                return phi0, phi1
-    return None

@@ -31,7 +31,7 @@ import hashlib
 import json
 import os
 
-from .algebra import Homomorphism, int_array, validate_algebra
+from .algebra import Homomorphism, int_array, int_scalar, validate_algebra
 from .errors import InvalidParameters
 from .groupoid import InternalGroupoid, validate_groupoid
 from .simplicial import (
@@ -194,7 +194,7 @@ def simplicial_to_json(X):
 def load_simplicial(data, base_dir=None):
     data, base_dir = _read(data, base_dir)
     try:
-        trunc = int(int_array(data["truncation"], "truncation"))
+        trunc = int_scalar(data["truncation"], "truncation")
         level_names = list(data["levels"])
         raw_faces = data["faces"]
         raw_degens = data["degeneracies"]

@@ -99,11 +99,11 @@ def least_members(*columns):
 
 
 def block_statistics(part):
-    """(representatives, block number of each element, block sizes,
-    ordered pair count) of a label array, read off np.unique."""
+    """(representatives, block number of each element, ordered pair
+    count) of a label array, read off np.unique."""
     reps, block, sizes = np.unique(part, return_inverse=True,
                                    return_counts=True)
-    return reps, block.reshape(-1), sizes, int((sizes ** 2).sum())
+    return reps, block.reshape(-1), int((sizes ** 2).sum())
 
 
 def closure_of_pairs(n, pairs):
@@ -188,6 +188,38 @@ def respects_operations(alg, part):
                     if part[int(t[args_a])] != part[int(t[tuple(args_b)])]:
                         return False
     return True
+
+
+def is_homomorphism_map(A, B, fmap):
+    """Pure-Python check that fmap commutes with every operation of A
+    and B, argument tuple by argument tuple."""
+    for opname, arity in A.signature.ops:
+        ta, tb = A.table(opname), B.table(opname)
+        if arity == 0:
+            if fmap[ta[0]] != tb[0]:
+                return False
+            continue
+        for args in itertools.product(range(A.size), repeat=arity):
+            if fmap[ta[args]] != tb[tuple(fmap[a] for a in args)]:
+                return False
+    return True
+
+
+def is_groupoid_isomorphism(G, H, f0, f1):
+    """Whether the map arrays f0 on objects and f1 on arrows are bijective
+    homomorphisms G -> H that commute with d0, d1, s0 and the
+    composition, undefined composites included."""
+    f0, f1 = np.asarray(f0), np.asarray(f1)
+    for f, A, B in ((f0, G.objects, H.objects), (f1, G.arrows, H.arrows)):
+        if (A.size != B.size or f.shape != (A.size,)
+                or sorted(f.tolist()) != list(range(B.size))
+                or not is_homomorphism_map(A, B, f)):
+            return False
+    return (np.array_equal(H.d0.map[f1], f0[G.d0.map])
+            and np.array_equal(H.d1.map[f1], f0[G.d1.map])
+            and np.array_equal(H.s0.map[f0], f1[G.s0.map])
+            and np.array_equal(H.comp[np.ix_(f1, f1)],
+                               np.where(G.comp >= 0, f1[G.comp], -1)))
 
 
 def brute_force_congruences(alg):
@@ -351,7 +383,7 @@ def is_closed_family(X, parts):
     """Whether every face and degeneracy sends each level's relation into
     its target level's, pair by pair."""
     return all(
-        parts[m].related(a, b)
+        parts[m].part[a] == parts[m].part[b]
         for n, m, fmap in _structure_maps(X)
         for a, b in _pushed_pairs(parts[n], fmap).tolist()
     )

@@ -3,8 +3,6 @@ import pytest
 
 from simal.algebra import (
     Homomorphism,
-    all_homomorphisms,
-    all_isomorphisms,
     check_maltsev,
     identity_hom,
     validate_algebra,
@@ -68,6 +66,19 @@ def test_validate_algebra_rejects_non_maltsev_term():
     raw["maltsev"]["term"] = "mystery(x, y, z)"
     with pytest.raises(NotMaltsev):
         validate_algebra(raw)
+
+
+def test_maltsev_witness_names_the_failing_identity():
+    # p(x,y,y) = x fails first for z and for a constant, p(x,x,y) = y
+    # for x; each witness is the first failing pair in row order
+    for term, witness in [("z", "p(0,1,1) = 1, expected 0"),
+                          ("zero", "p(1,0,0) = 0, expected 1"),
+                          ("x", "p(0,0,1) = 0, expected 1")]:
+        raw = _raw_z2()
+        raw["maltsev"]["term"] = term
+        with pytest.raises(NotMaltsev) as err:
+            validate_algebra(raw)
+        assert str(err.value) == f"Z2: {witness}"
 
 
 def test_maltsev_check_on_corpus():
@@ -134,34 +145,12 @@ def test_hom_composition_and_identity():
     z4 = cyclic_group(4)
     z2 = cyclic_group(2)
     f = Homomorphism(z4, z2, [0, 1, 0, 1])
-    assert f.compose(identity_hom(z4)) == f
-    assert identity_hom(z2).compose(f) == f
-    assert f.is_surjective() and not f.is_injective()
-
-
-def test_all_homomorphisms_counts():
-    c2, c4 = cyclic_group(2), cyclic_group(4)
-    s3 = symmetric_group(3)
-    assert len(all_homomorphisms(c2, c4)) == 2
-    assert len(all_homomorphisms(c4, c2)) == 2
-    assert len(all_homomorphisms(s3, c2)) == 2
-    # complete group: exactly the six inner automorphisms
-    assert len(all_isomorphisms(s3, s3)) == 6
-    assert len(all_isomorphisms(c4, c4)) == 2
-
-
-def test_sign_homomorphism_is_found():
-    s3, c2 = symmetric_group(3), cyclic_group(2)
-    homs = all_homomorphisms(s3, c2)
-    surjections = [h for h in homs if h.is_surjective()]
-    assert len(surjections) == 1
-    sign = surjections[0]
-    # kernel must be the three even permutations
-    even = {i for i in range(6) if sign.map[i] == sign.map[0]}
-    assert len(even) == 3
+    assert identity_hom(z2) == Homomorphism(z2, z2, [0, 1])
+    assert f.is_surjective() and not f.is_bijective()
 
 
 def test_terminal_algebra():
     t = terminal_algebra(GROUP_SIG, GROUP_TERM)
     assert t.size == 1
-    assert len(all_homomorphisms(symmetric_group(3), t)) == 1
+    s3 = symmetric_group(3)
+    assert Homomorphism(s3, t, np.zeros(s3.size, dtype=np.int64)).is_surjective()

@@ -90,7 +90,7 @@ def test_s3_derived_congruence():
     derived = tc_commutator(top, top)
     # classes are the cosets of the derived subgroup, the even permutations
     assert derived.class_count() == 2
-    assert sorted(len(b) for b in derived.blocks()) == [3, 3]
+    assert np.bincount(derived.part)[derived.reps()].tolist() == [3, 3]
 
 
 def test_d4_derived_congruence():
@@ -98,7 +98,7 @@ def test_d4_derived_congruence():
     derived = tc_commutator(cg.full(d4), cg.full(d4))
     # derived subgroup of D4 is the half-turn subgroup of order 2
     assert derived.class_count() == 4
-    assert sorted(len(b) for b in derived.blocks()) == [2, 2, 2, 2]
+    assert np.bincount(derived.part)[derived.reps()].tolist() == [2, 2, 2, 2]
 
 
 def test_heyting_commutator_is_meet():
@@ -180,7 +180,7 @@ def test_s3_heap_derived_congruence(monkeypatch, slab):
     assert derived == cg.Congruence(
         heap, tc_commutator(cg.full(s3), cg.full(s3)).part
     )
-    assert sorted(len(b) for b in derived.blocks()) == [3, 3]
+    assert np.bincount(derived.part)[derived.reps()].tolist() == [3, 3]
 
 
 def test_full_commutator_on_d24_stays_under_24_mb_traced():

@@ -9,7 +9,6 @@ from simal.algebra import (
     FiniteAlgebra,
     Homomorphism,
     Signature,
-    all_homomorphisms,
 )
 from simal import congruences as cg
 from simal.errors import (
@@ -24,6 +23,7 @@ from simal.corpus import (
     dihedral_group,
     heyting_from_poset,
     product_group,
+    sign_homomorphism,
     symmetric_group,
     zk_module,
 )
@@ -127,22 +127,18 @@ def test_modular_law_all_triples():
 def test_principal_congruence_on_z6():
     z6 = cyclic_group(6)
     c = cg.principal_congruence(z6, 0, 2)
-    assert sorted(tuple(sorted(int(x) for x in b)) for b in c.blocks()) == [
-        (0, 2, 4), (1, 3, 5)
-    ]
+    assert c.part.tolist() == [0, 1, 0, 1, 0, 1]
     assert cg.principal_congruence(z6, 0, 3).class_count() == 3
     mod2 = cg.principal_congruence(z6, 0, 2)
     mod3 = cg.principal_congruence(z6, 0, 3)
-    assert cg.join(mod2, mod3).is_full()
+    assert cg.join(mod2, mod3) == cg.full(z6)
     assert cg.meet(mod2, mod3).is_diagonal()
 
 
 def test_kernel_pair_of_sign():
-    s3, c2 = symmetric_group(3), cyclic_group(2)
-    sign = [h for h in all_homomorphisms(s3, c2) if h.is_surjective()][0]
-    k = cg.kernel_pair(sign)
+    k = cg.kernel_pair(sign_homomorphism(symmetric_group(3)))
     assert k.class_count() == 2
-    assert sorted(len(b) for b in k.blocks()) == [3, 3]
+    assert np.bincount(k.part)[k.reps()].tolist() == [3, 3]
 
 
 def test_image_preimage_adjunction():
@@ -348,7 +344,6 @@ def test_label_arithmetic_matches_the_unique_oracle(case):
             cg.join(theta, psi)
 
     assert f.is_surjective() == (set(fmap) == set(range(B.size)))
-    assert f.is_injective() == (len(set(fmap)) == A.size)
     relation = {(fmap[a], fmap[b]) for a, b in theta_pairs}
     closed = oracles.closure_of_pairs(B.size, relation)
     if not f.is_surjective():
@@ -363,10 +358,9 @@ def test_label_arithmetic_matches_the_unique_oracle(case):
 
     for c in built:
         assert np.array_equal(c.part, oracles.least_members(c.part))
-        reps, block, sizes, pairs = oracles.block_statistics(c.part)
+        reps, block, pairs = oracles.block_statistics(c.part)
         assert np.array_equal(c.reps(), reps)
         assert c.class_count() == len(reps)
-        assert np.array_equal(c.block_sizes(), sizes)
         assert c.pair_count() == pairs
         q, proj = cg.quotient(c.on, c)
         assert np.array_equal(proj.map, block)

@@ -219,6 +219,12 @@ def _set_entry(data, path, value):
      "C4: table 'mul' cannot have arity 1000000000000"),
     ("simplicial", ["truncation"], 10**12, "InvalidParameters",
      "truncation 1000000000000 does not match 3 levels"),
+    ("simplicial", ["truncation"], [2], "InvalidParameters",
+     "truncation must be a single integer"),
+    ("algebra", ["size"], [[4]], "InvalidParameters",
+     "algebra size must be a single integer"),
+    ("algebra", ["operations", 0, "arity"], [2], "InvalidParameters",
+     "arity must be a single integer"),
 ])
 def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
                                               error, witness):
@@ -240,25 +246,36 @@ def _entry_paths(node, path=()):
 
 def test_no_corrupted_leaf_makes_validate_fail_internally(tmp_path):
     # every entry of three small artifacts, set to each value in turn;
-    # a corrupt file is bad input (exit 1), never an internal error
-    artifacts = [
+    # a corrupt file is bad input (exit 1), never an internal error.  Of a
+    # morphism and a homomorphism file only the components or the map,
+    # and dom and cod as wholes: inside those are files swept already
+    C2 = cyclic_group(2)
+    X = nerve(one_object_groupoid(C2), 2)
+    F = quotient_simplicial(
+        X, simplicial_congruence_generated(X, {1: [(0, 1)]})
+    )[1]
+    artifacts = [(data, list(_entry_paths(data))) for data in (
         sio.algebra_to_json(C4),
-        sio.simplicial_to_json(nerve(one_object_groupoid(cyclic_group(2)), 2)),
-        sio.groupoid_to_json(pair_groupoid(cyclic_group(2))),
-    ]
+        sio.simplicial_to_json(X),
+        sio.groupoid_to_json(pair_groupoid(C2)),
+    )] + [(data, [["dom"], ["cod"], [key], *_entry_paths(data[key], (key,))])
+          for data, key in (
+              (sio.morphism_to_json(F), "components"),
+              (sio.hom_to_json(Homomorphism(C4, C2, [0, 1, 0, 1])), "map"),
+          )]
     values = [99, -7, "mul(", [1], {}, 10**12]
     path = str(tmp_path / "bad.json")
     cases, internal = 0, []
-    for data in artifacts:
+    for data, entries in artifacts:
         text = json.dumps(data)
-        for entry in _entry_paths(data):
+        for entry in entries:
             for value in values:
                 sio.save_json(_set_entry(json.loads(text), entry, value), path)
                 code, report, _ = run(["validate", path])
                 cases += 1
                 if code == 4:
                     internal.append((entry, value, report["violations"]))
-    assert cases == 1854
+    assert cases == 1974
     assert internal == []
 
 

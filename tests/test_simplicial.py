@@ -31,11 +31,7 @@ from simal.errors import (
     InvalidParameters,
     PreconditionUnmet,
 )
-from simal.groupoid import (
-    InternalGroupoid,
-    groupoid_isomorphism,
-    validate_groupoid,
-)
+from simal.groupoid import InternalGroupoid, validate_groupoid
 from simal.simplicial import (
     SimplicialMorphism,
     TruncatedSimplicialAlgebra,
@@ -182,26 +178,6 @@ def test_inverse_map_names_the_first_arrow_without_one_inverse(broken, count):
         H.inverse_map()
     assert str(exc.value) == \
         f"arrow 1 has {count} inverses, expected exactly 1"
-
-
-def test_groupoid_isomorphism_finds_relabelling():
-    G = pair_groupoid(C2)
-    H = pair_groupoid(cyclic_group(2))
-    iso = groupoid_isomorphism(G, H)
-    assert iso is not None
-    f0, f1 = iso
-    assert sorted(f0.map.tolist()) == [0, 1]
-    assert np.array_equal(H.d0.map[f1.map], f0.map[G.d0.map])
-    assert np.array_equal(H.d1.map[f1.map], f0.map[G.d1.map])
-
-
-def test_groupoid_isomorphism_rejects_different_shapes():
-    from simal.corpus import product_group
-
-    assert groupoid_isomorphism(pair_groupoid(C2), discrete_groupoid(C4)) is None
-    assert groupoid_isomorphism(
-        one_object_groupoid(C4), one_object_groupoid(product_group(C2, C2))
-    ) is None
 
 
 def test_nerve_levels_and_identities():

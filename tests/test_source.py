@@ -46,27 +46,31 @@ def names_read(path):
 
 
 def test_every_top_level_definition_is_read_elsewhere():
-    tests = pathlib.Path(__file__).resolve().parent
+    """A top-level function or class of the library must be read by
+    another statement of the library; what only tests read is not kept
+    in src/simal."""
     readers = {}
-    for path in [*SRC.glob("*.py"), *tests.rglob("*.py")]:
+    for path in SRC.glob("*.py"):
         for name, where in names_read(path).items():
             readers.setdefault(name, set()).update(where)
     unread = []
     for path in library_modules():
         tree = ast.parse(path.read_text(), filename=str(path))
         for index, stmt in enumerate(tree.body):
+            # cli.run is exempt: the tests and perfbench drive the
+            # command line through it
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                    and (path.name, stmt.name) != ("cli.py", "run")
                     and not readers.get(stmt.name, set()) - {(path, index)}):
                 unread.append(f"{path.name}:{stmt.lineno} {stmt.name}")
     assert unread == []
 
 
 def attribute_reads():
-    """For every attribute name read in src/simal or tests, the (path,
-    line) of each read."""
-    tests = pathlib.Path(__file__).resolve().parent
+    """For every attribute name read in src/simal, the (path, line) of
+    each read."""
     reads = {}
-    for path in [*SRC.glob("*.py"), *tests.rglob("*.py")]:
+    for path in SRC.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Attribute):
                 reads.setdefault(node.attr, []).append((path, node.lineno))
@@ -75,7 +79,7 @@ def attribute_reads():
 
 def test_every_public_method_is_read_elsewhere():
     """A public method of a library class must be read as an attribute
-    somewhere outside its own body.  Dunders, private methods and
+    in the library, outside its own body.  Dunders, private methods and
     overrides of a base-class method (called by the base) are exempt."""
     reads = attribute_reads()
     unread = []
