@@ -22,9 +22,14 @@ and block of constant tuples from congruences.translation_slabs,
     low[v, j]  = f(.., v, .., c1_j, ..)
 
 send the pair (x0, x1) to the code high[x0, j] + low[x1, j], two row
-lookups.  A block holds about SLAB_CELLS // n tuples and the work pairs
-go in chunks of about SLAB_CELLS // block, so no temporary passes about
-SLAB_CELLS cells, whatever |P| or the arity.
+lookups.  The constants before the slot are only the theta-pairs whose
+codes are roots of Delta when the wave starts, those after it every
+theta-pair, which is all close needs: for a binary operation the pool
+is |P| plus the roots instead of 2 |P|.  A block holds about
+SLAB_CELLS // n tuples, one alg.op call per row table; the work pairs
+go in chunks of about MERGE_CELLS // block, pure gathers, so each image
+array is one merge step of close, at most 128 KiB, whatever |P| or the
+arity.
 
 The readout merges the pairs read off; their count must equal the
 partition's pair count, which certifies that the relation was already
@@ -67,20 +72,22 @@ def tc_commutator(theta, psi):
     return result
 
 
-def _pair_translations(alg, pa, pb, xs, ys):
+def _pair_translations(alg, pa, pb, xs, ys, roots):
     """The images of every pair (xs[k], ys[k]) of codes under every basic
-    translation, whose constants are the theta-pairs (pa[i], pb[i])."""
+    translation whose constants are the theta-pairs (pa[i], pb[i]), those
+    before its slot only the pairs whose codes are roots."""
     n = alg.size
     every = np.arange(n)[:, None]
     x0, x1 = np.divmod(xs, n)
     y0, y1 = np.divmod(ys, n)
-    for opname, consts, slot in cg.translation_slabs(alg, len(pa), n):
+    rooted = np.flatnonzero(roots[pa * n + pb])
+    for opname, consts, slot in cg.translation_slabs(alg, len(pa), rooted, n):
         high = np.multiply(
             alg.op(opname, *cg.in_slot([pa[c] for c in consts], slot, every)),
             n, dtype=np.int64,
         )
         low = alg.op(opname, *cg.in_slot([pb[c] for c in consts], slot, every))
-        chunk = max(1, cg.SLAB_CELLS // high.shape[1])
+        chunk = max(1, cg.MERGE_CELLS // high.shape[1])
         for s in range(0, len(xs), chunk):
             w = slice(s, s + chunk)
             yield high[x0[w]] + low[x1[w]], high[y0[w]] + low[y1[w]]

@@ -24,15 +24,27 @@ keeps it.  close merges the seeds into a closed start; each wave then
 translates the pairs (r, root of r) for the roots r that the last wave
 absorbed and merges the images.  With the start these pairs generate
 all merged so far, and each element enters at most once, as the root
-it loses, so a closure that merges nothing computes nothing.  When a
-wave absorbs nothing, every translation keeps the relation, and every
-merged pair was forced, so it is the least congruence.  A provider
-yields the translations: congruence_generated reads them off alg.op,
-which computes a derived algebra's rows from the algebras it was built
-from rather than build its table; the simplicial closure adds faces
-and degeneracies as unary translations between levels; the commutator
+it loses, so a closure that merges nothing computes nothing.  A wave
+needs only the translations whose constants before the argument's slot
+are roots when it starts (close's docstring says why): the final roots
+were roots at every wave, and replacing arguments by their roots in
+slot order reaches every translation.  When a wave absorbs nothing,
+every translation keeps the relation, and every merged pair was
+forced, so it is the least congruence.  A provider yields the
+translations: congruence_generated reads them off alg.op, which
+computes a derived algebra's rows from the algebras it was built from
+rather than build its table; the simplicial closure adds faces and
+degeneracies as unary translations between levels; the commutator
 reads them off pair codes.  check_compatibility is a check, not a
 closure: one gather per operation, which must find nothing to merge.
+
+Two sizes bound a wave's work.  translation_slabs hands a provider
+about SLAB_CELLS // rows constant tuples per alg.op call, so a derived
+algebra makes few evaluator calls.  close merges each image array in
+steps of MERGE_CELLS = 16,384 int64 cells, 128 KiB, so that merge's
+gathers and masks stay at glibc's mmap threshold instead of each being
+a fresh mapping that page-faults on first touch.  Slabs of MERGE_CELLS
+would make derived algebras pay many more evaluator calls instead.
 
 The closures of join and image are certified, not trusted:
 
@@ -47,6 +59,7 @@ The closures of join and image are certified, not trusted:
 """
 
 import functools
+import math
 
 import numpy as np
 
@@ -62,9 +75,14 @@ from .algebra import FiniteAlgebra, Homomorphism, index_grids, int_array
 # enumerate_congruences refuses algebras larger than this
 ENUMERATION_LIMIT = 16
 
-# Cells of one slab of a closure wave: its int64 code arrays stay near
-# 2 MB each.
+# Cells of one slab of a closure wave: the constant tuples of one
+# alg.op call, about SLAB_CELLS // rows of them.
 SLAB_CELLS = 250_000
+
+# Cells of one image array handed to merge: at most 128 KiB of int64,
+# glibc's default mmap threshold.  On the C16..C48, D8..D24 commutator
+# ladder, steps of 250k cells took 95k minor page faults, these 0.8k.
+MERGE_CELLS = 16_384
 
 
 def canonical_partition(labels):
@@ -97,16 +115,20 @@ def _least_members(labels, m):
 
 def merge(part, a, b):
     """Least-member labels of the equivalence generated by the least-member
-    partition array part and the pairs (a[k], b[k])."""
-    labels = np.array(part, dtype=np.int64)
+    partition array part and the pairs (a[k], b[k]); part itself, not a
+    copy, when every pair is already related."""
+    labels = np.asarray(part, dtype=np.int64)
     a = np.asarray(a, dtype=np.int64)
     b = np.asarray(b, dtype=np.int64)
+    owned = False
     while True:
         ra, rb = labels[a], labels[b]
         split = ra != rb
         if not np.logical_or.reduce(split):
             return labels
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
+        if not owned:
+            labels, owned = labels.copy(), True
         np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             jumped = labels[labels]
@@ -340,35 +362,57 @@ def quotient(alg, theta):
 def close(start, a, b, translate):
     """Least-member labels of the least equivalence that contains the
     closed labels start and the pairs (a[k], b[k]) and is closed under
-    translate(xs, ys), which yields the images of every pair (xs[k],
-    ys[k]) under every basic translation, in slabs of index arrays."""
+    translate(xs, ys, roots).  translate yields, in arrays of index
+    arrays, the images of every pair (xs[k], ys[k]) under every basic
+    translation f(c_1, .., x, .., c_m) whose constants before the slot
+    of x are roots of the wave (roots[c] is True) and whose constants
+    after it are any elements.  Each array is merged in pieces of at
+    most MERGE_CELLS cells.
+
+    That is enough.  Let E be the result and r(x) the root of x in E.
+    A root of E was a root at every wave, as no merge frees a root, so
+    f(x_1, .., x_m) E f(r(x_1), .., r(x_m)) by replacing one argument at
+    a time, in slot order: step i replaces x_i by r(x_i) while the
+    slots before it already hold roots of E.  If x_i is a non-root of
+    start, start relates the two sides, being closed under every
+    translation; otherwise x_i lost its root status in some wave, and
+    the next wave translated (x_i, its root p then) with exactly such
+    constants, relating the sides with x_i and with p; p is r(x_i) or
+    was itself absorbed later, and so on to r(x_i).  So x E y gives
+    f(.., x, ..) E f(r(..), r(x), r(..)) E f(.., y, ..) for every basic
+    translation.
+    """
     codes = np.arange(len(start))
-    before, labels = start, merge(start, a, b)
+    was_root, labels = start == codes, merge(start, a, b)
     while True:
-        absorbed = np.flatnonzero((before == codes) & (labels != codes))
+        roots = labels == codes
+        absorbed = np.flatnonzero(was_root & ~roots)
         if not len(absorbed):
             return labels
-        before = labels
-        for tx, ty in translate(absorbed, before[absorbed]):
-            labels = merge(labels, tx.ravel(), ty.ravel())
+        was_root = roots
+        for tx, ty in translate(absorbed, labels[absorbed], roots):
+            tx, ty = tx.ravel(), ty.ravel()
+            for s in range(0, len(tx), MERGE_CELLS):
+                labels = merge(labels, tx[s:s + MERGE_CELLS],
+                               ty[s:s + MERGE_CELLS])
 
 
-def translation_slabs(alg, pool, rows):
+def translation_slabs(alg, pool, roots, rows):
     """(f, consts, slot) for every operation f of positive arity, slot,
-    and block of about SLAB_CELLS // rows constant tuples over
-    range(pool)^(arity - 1) in mixed radix: consts holds one row vector
-    of pool indices per other slot, in_slot places the argument."""
+    and block of about SLAB_CELLS // rows constant tuples in mixed radix:
+    the constants before the slot range over the index array roots, those
+    after it over range(pool).  consts holds one row vector of pool
+    indices per other slot, in_slot places the argument."""
+    block = max(1, SLAB_CELLS // rows)
     for opname, arity in alg.signature.ops:
-        if arity == 0:
-            continue
-        tuples = pool ** (arity - 1)
-        block = min(tuples, max(1, SLAB_CELLS // rows))
-        for start in range(0, tuples, block):
-            flat = np.arange(start, min(start + block, tuples))
-            consts = [c[None, :] for c in np.unravel_index(
-                flat, (pool,) * (arity - 1)
-            )] if arity > 1 else []
-            for slot in range(arity):
+        for slot in range(arity):
+            radix = (len(roots),) * slot + (pool,) * (arity - 1 - slot)
+            tuples = math.prod(radix)
+            for start in range(0, tuples, block):
+                flat = np.arange(start, min(start + block, tuples))
+                digits = np.unravel_index(flat, radix) if radix else ()
+                consts = [(roots[d] if k < slot else d)[None, :]
+                          for k, d in enumerate(digits)]
                 yield opname, consts, slot
 
 
@@ -376,13 +420,16 @@ def in_slot(consts, slot, column):
     return consts[:slot] + [column] + consts[slot:]
 
 
-def translations(alg, xs, ys):
+def translations(alg, xs, ys, roots):
     """The images of every pair (xs[k], ys[k]) of elements of alg under
-    every basic translation, read by alg.op."""
+    every basic translation whose constants before its slot are roots,
+    read by alg.op."""
     half = max(1, SLAB_CELLS // 2)
+    roots = np.flatnonzero(roots)
     for s in range(0, len(xs), half):
         both = np.concatenate([xs[s:s + half], ys[s:s + half]])[:, None]
-        for opname, consts, slot in translation_slabs(alg, alg.size, len(both)):
+        for opname, consts, slot in translation_slabs(alg, alg.size, roots,
+                                                      len(both)):
             rows = alg.op(opname, *in_slot(consts, slot, both))
             yield rows[:len(both) // 2], rows[len(both) // 2:]
 

@@ -244,8 +244,11 @@ def load_morphism(data, base_dir=None):
         dom = load_simplicial(data["dom"], base_dir=base_dir)
         cod = load_simplicial(data["cod"], base_dir=base_dir)
         raw_comps = data["components"]
+        name = data.get("name", "morphism")
     except (KeyError, TypeError) as exc:
         raise InvalidParameters(f"morphism file missing field: {exc}") from exc
+    if not isinstance(name, str):
+        raise InvalidParameters(f"morphism name {name!r} is not a string")
     if not isinstance(raw_comps, list) or len(raw_comps) != dom.truncation + 1:
         raise InvalidParameters("morphism needs one component per level")
     comps = [
@@ -254,7 +257,7 @@ def load_morphism(data, base_dir=None):
         for n in range(dom.truncation + 1)
     ]
     F = SimplicialMorphism(dom, cod, comps, check=True)
-    F.name = data.get("name", "morphism")
+    F.name = name
     return F
 
 

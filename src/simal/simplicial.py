@@ -534,10 +534,11 @@ def simplicial_congruence_generated(X, seeds, initial=None):
              np.concatenate([c.part + offsets[n]
                              for n, c in enumerate(initial)]))
 
-    def translate(xs, ys):
+    def translate(xs, ys, roots):
         cuts = np.searchsorted(xs, offsets)
         local = [(xs[cuts[n]:cuts[n + 1]] - offsets[n],
-                  ys[cuts[n]:cuts[n + 1]] - offsets[n])
+                  ys[cuts[n]:cuts[n + 1]] - offsets[n],
+                  roots[offsets[n]:offsets[n + 1]])
                  for n in range(X.truncation + 1)]
         for n, m, _, f in _structure_maps(X):
             yield (f.map[local[n][0]] + offsets[m],

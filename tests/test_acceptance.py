@@ -6,8 +6,6 @@ pass/fail line per criterion.  Every check is an exact equality of
 finite structures; there are no tolerances anywhere.
 """
 
-import pytest
-
 from simal.corpus import default_corpus
 from simal import suite
 from simal.errors import SimalError

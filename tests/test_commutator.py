@@ -1,4 +1,6 @@
+import contextlib
 import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -150,17 +152,26 @@ def test_full_commutator_on_c32_stays_under_48_mb_traced():
     assert peak < 48e6, peak
 
 
+@contextlib.contextmanager
+def _closing(data):
+    """Slabs and merge steps of drawn sizes, down to a few cells, which
+    split the work pairs, the constant tuples and the image arrays."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg, "SLAB_CELLS", data.draw(
+            st.sampled_from([cg.SLAB_CELLS, 100, 7]), label="slab"))
+        mp.setattr(cg, "MERGE_CELLS", data.draw(
+            st.sampled_from([cg.MERGE_CELLS, 100, 7]), label="merge"))
+        yield
+
+
 @settings(max_examples=120, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_commutator_matches_the_oracle_on_generated_pairs(data):
-    # slabs of a few cells split the work pairs and the constant tuples
     pool = _oracle_pool()
     alg, congs = pool[data.draw(st.integers(0, len(pool) - 1), label="alg")]
     theta = congs[data.draw(st.integers(0, len(congs) - 1), label="theta")]
     psi = congs[data.draw(st.integers(0, len(congs) - 1), label="psi")]
-    slab = data.draw(st.sampled_from([cg.SLAB_CELLS, 100, 7]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cg, "SLAB_CELLS", slab)
+    with _closing(data):
         ours = tc_commutator(theta, psi).part
     want = oracles.matrix_closure_commutator(alg, theta.part, psi.part)
     assert list(ours) == want, (alg.name, theta.part, psi.part)
@@ -196,3 +207,96 @@ def test_full_commutator_on_d24_stays_under_24_mb_traced():
         tracemalloc.stop()
     assert result.class_count() == 4
     assert peak < 24e6, peak
+
+
+@pytest.mark.parametrize("make, n, cells, full_pools", [
+    (cyclic_group, 48, 5_412_286, 10_397_999),
+    (dihedral_group, 24, 5_441_876, 10_601_323),
+])
+def test_full_commutator_merges_at_most_55_percent_of_full_pools(
+    monkeypatch, make, n, cells, full_pools
+):
+    # the cells handed to merge, a count that no slab or step size moves;
+    # with all |theta| constants in every slot of every translation the
+    # closure handed it full_pools, and roots before the slot halve that
+    alg = make(n)
+    handed = []
+    merge = cg.merge
+
+    def counting(part, a, b):
+        handed.append(len(a))
+        return merge(part, a, b)
+
+    monkeypatch.setattr(cg, "merge", counting)
+    tc_commutator(cg.full(alg), cg.full(alg))
+    assert sum(handed) == cells
+    assert sum(handed) <= 0.55 * full_pools
+
+
+def _latin_squares(n):
+    """Every Latin square of order n, row by row: each row a permutation
+    of range(n) that meets no earlier row in a column."""
+    rows = list(itertools.permutations(range(n)))
+    squares = [()]
+    for _ in range(n):
+        squares = [sq + (r,) for sq in squares for r in rows
+                   if all(r[j] != q[j] for q in sq for j in range(n))]
+    return squares
+
+
+def _quasigroup(name, square):
+    """The quasigroup of a Latin square: mul, the left division ldiv(x, z)
+    solving x y = z for y and the right division rdiv(z, y) solving it
+    for x, with the Mal'tsev term mul(rdiv(x, ldiv(y, y)), ldiv(y, z))."""
+    mul = np.array(square)
+    every = np.arange(len(mul))
+    ldiv, rdiv = np.empty_like(mul), np.empty_like(mul)
+    ldiv[every[:, None], mul] = every[None, :]
+    rdiv[mul, every[None, :]] = every[:, None]
+    return make_algebra(
+        name, Signature([("mul", 2), ("ldiv", 2), ("rdiv", 2)]),
+        {"mul": mul, "ldiv": ldiv, "rdiv": rdiv},
+        "mul(rdiv(x, ldiv(y, y)), ldiv(y, z))",
+    )
+
+
+@functools.cache
+def _order_four_quasigroups():
+    """The 576 quasigroups on range(4), each with its congruence lattice,
+    and the indices of the 88 that are not simple."""
+    pool = [(alg, cg.enumerate_congruences(alg)) for alg in (
+        _quasigroup(f"Q4#{i}", sq) for i, sq in enumerate(_latin_squares(4))
+    )]
+    return pool, [i for i, (_, congs) in enumerate(pool) if len(congs) > 2]
+
+
+def test_order_four_quasigroups_have_the_known_lattices():
+    pool, nonsimple = _order_four_quasigroups()
+    assert len(pool) == 576 and len(nonsimple) == 88
+    assert sorted(len(congs) for _, congs in pool).count(5) == 4
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_quasigroup_closures_match_the_oracles(data):
+    # a Mal'tsev family that is not a group, with three binary operations,
+    # so every slot order of the root pools runs; half the draws come
+    # from the quasigroups that are not simple
+    pool, nonsimple = _order_four_quasigroups()
+    alg, congs = pool[data.draw(
+        st.sampled_from(nonsimple) | st.integers(0, len(pool) - 1),
+        label="quasigroup",
+    )]
+    theta, psi = (congs[data.draw(st.integers(0, len(congs) - 1), label=name)]
+                  for name in ("theta", "psi"))
+    element = st.integers(0, alg.size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), max_size=3),
+                      label="pairs")
+    with _closing(data):
+        ours = tc_commutator(theta, psi).part
+        generated = cg.congruence_generated(alg, pairs).part
+    assert list(ours) == oracles.matrix_closure_commutator(
+        alg, theta.part, psi.part
+    ), (alg.name, theta.part, psi.part)
+    assert list(generated) == oracles.cg_closure_pure(alg, pairs), \
+        (alg.name, pairs)

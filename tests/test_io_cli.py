@@ -14,7 +14,6 @@ from simal.corpus import (
     cyclic_group,
     one_object_groupoid,
     pair_groupoid,
-    symmetric_group,
 )
 from simal.errors import InputError, InvalidParameters
 from simal.simplicial import nerve, simplicial_congruence_generated, \
@@ -225,6 +224,8 @@ def _set_entry(data, path, value):
      "algebra size must be a single integer"),
     ("algebra", ["operations", 0, "arity"], [2], "InvalidParameters",
      "arity must be a single integer"),
+    ("morphism", ["name"], [1], "InvalidParameters",
+     "morphism name [1] is not a string"),
 ])
 def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
                                               error, witness):
@@ -248,7 +249,8 @@ def test_no_corrupted_leaf_makes_validate_fail_internally(tmp_path):
     # every entry of three small artifacts, set to each value in turn;
     # a corrupt file is bad input (exit 1), never an internal error.  Of a
     # morphism and a homomorphism file only the components or the map,
-    # and dom and cod as wholes: inside those are files swept already
+    # the morphism's name, and dom and cod as wholes: inside those are
+    # files swept already
     C2 = cyclic_group(2)
     X = nerve(one_object_groupoid(C2), 2)
     F = quotient_simplicial(
@@ -258,10 +260,12 @@ def test_no_corrupted_leaf_makes_validate_fail_internally(tmp_path):
         sio.algebra_to_json(C4),
         sio.simplicial_to_json(X),
         sio.groupoid_to_json(pair_groupoid(C2)),
-    )] + [(data, [["dom"], ["cod"], [key], *_entry_paths(data[key], (key,))])
-          for data, key in (
-              (sio.morphism_to_json(F), "components"),
-              (sio.hom_to_json(Homomorphism(C4, C2, [0, 1, 0, 1])), "map"),
+    )] + [(data, [[field] for field in fields]
+           + list(_entry_paths(data[fields[-1]], (fields[-1],))))
+          for data, fields in (
+              (sio.morphism_to_json(F), ("name", "dom", "cod", "components")),
+              (sio.hom_to_json(Homomorphism(C4, C2, [0, 1, 0, 1])),
+               ("dom", "cod", "map")),
           )]
     values = [99, -7, "mul(", [1], {}, 10**12]
     path = str(tmp_path / "bad.json")
@@ -275,7 +279,7 @@ def test_no_corrupted_leaf_makes_validate_fail_internally(tmp_path):
                 cases += 1
                 if code == 4:
                     internal.append((entry, value, report["violations"]))
-    assert cases == 1974
+    assert cases == 1980
     assert internal == []
 
 

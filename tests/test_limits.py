@@ -19,7 +19,6 @@ from simal.algebra import (
 from simal import congruences as cg
 from simal import limits
 from simal.errors import (
-    CrossRouteMismatch,
     InvalidParameters,
     LevelTooLarge,
     NotCommuting,
@@ -40,7 +39,6 @@ from simal.corpus import (
     heyting_from_poset,
     pair_groupoid,
     symmetric_group,
-    zk_module,
 )
 from simal.galois import classify_extension, em_factorization
 from simal.simplicial import nerve

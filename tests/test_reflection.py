@@ -36,7 +36,6 @@ from simal.reflection import (
     universal_property_check,
 )
 from simal.simplicial import (
-    SimplicialMorphism,
     coskeleton,
     nerve,
     spine_maps,

@@ -412,7 +412,7 @@ def implicit_and_dense_desk_objects():
 
 def _draw_closure_case(data):
     """An implicit desk object, its dense twin, seeds at one to three
-    levels and a slab size of the closure engine."""
+    levels, and the slab and merge step sizes of the closure engine."""
     twins = implicit_and_dense_desk_objects()
     X, dense = twins[data.draw(st.integers(0, len(twins) - 1), label="object")]
     seeds = {}
@@ -420,66 +420,117 @@ def _draw_closure_case(data):
         n = data.draw(st.integers(0, X.truncation))
         element = st.integers(0, X.levels[n].size - 1)
         seeds.setdefault(n, []).append(data.draw(st.tuples(element, element)))
-    slab = data.draw(st.sampled_from([cg.SLAB_CELLS, 100, 7]), label="slab")
-    return X, dense, seeds, slab
+    sizes = (data.draw(st.sampled_from([cg.SLAB_CELLS, 100, 7]), label="slab"),
+             data.draw(st.sampled_from([cg.MERGE_CELLS, 100, 7]),
+                       label="merge"))
+    return X, dense, seeds, sizes
 
 
 @contextlib.contextmanager
-def _closing(slab):
-    """Slabs of slab cells, and no table built by a closure's reads."""
+def _closing(sizes):
+    """Slabs and merge steps of the given cells, and no table built by a
+    closure's reads."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cg, "SLAB_CELLS", slab)
+        mp.setattr(cg, "SLAB_CELLS", sizes[0])
+        mp.setattr(cg, "MERGE_CELLS", sizes[1])
         mp.setattr(algebra, "OP_TABLE_CELLS", 0)
         yield
+
+
+def _translation_pairs(alg, xs, ys, roots, sizes):
+    with _closing(sizes):
+        got = [np.stack([tx.ravel(), ty.ravel()], axis=1)
+               for tx, ty in cg.translations(alg, xs, ys, roots)]
+    return sorted(map(tuple, np.concatenate(got).tolist()))
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_translations_are_every_basic_translation_across_slabs(data):
-    # the image pairs of each work pair, one per operation, slot and
-    # constant tuple, whatever the slabs; the twin reads them off rows of
-    # its tables
-    X, dense, seeds, slab = _draw_closure_case(data)
+    # with every element a root: the image pairs of each work pair, one
+    # per operation, slot and constant tuple, whatever the slabs; the
+    # twin reads them off rows of its tables
+    X, dense, seeds, sizes = _draw_closure_case(data)
     n, pairs = next(iter(seeds.items()))
     xs, ys = np.asarray(pairs).T
-    with _closing(slab):
-        got = [np.stack([tx.ravel(), ty.ravel()], axis=1)
-               for tx, ty in cg.translations(X.levels[n], xs, ys)]
+    got = _translation_pairs(X.levels[n], xs, ys,
+                             np.ones(X.levels[n].size, dtype=bool), sizes)
     want = []
     for opname, arity in dense.levels[n].signature.ops:
         for slot in range(arity):
             rows = np.moveaxis(dense.levels[n].table(opname), slot, 0)
             want.append(np.stack([rows[xs].ravel(), rows[ys].ravel()], axis=1))
-    assert sorted(map(tuple, np.concatenate(got).tolist())) == \
-        sorted(map(tuple, np.concatenate(want).tolist())), (X.name, n, slab)
+    assert got == sorted(map(tuple, np.concatenate(want).tolist())), \
+        (X.name, n, sizes)
+
+
+def _root_translations_twin(dense, xs, ys, roots):
+    """The image pairs of every basic translation of the dense twin whose
+    constants before its slot are roots: its tables keep only the root
+    rows along those axes."""
+    kept = np.flatnonzero(roots)
+    want = []
+    for opname, arity in dense.signature.ops:
+        for slot in range(arity):
+            rows = np.moveaxis(dense.table(opname), slot, 0)
+            for axis in range(1, slot + 1):
+                rows = rows.take(kept, axis=axis)
+            want.append(np.stack([rows[xs].ravel(), rows[ys].ravel()], axis=1))
+    return sorted(map(tuple, np.concatenate(want).tolist()))
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_translations_take_earlier_constants_from_the_roots(data):
+    # a drawn root mask: exactly the translations whose constants in the
+    # slots before the argument are roots
+    X, dense, seeds, sizes = _draw_closure_case(data)
+    n, pairs = next(iter(seeds.items()))
+    xs, ys = np.asarray(pairs).T
+    size = X.levels[n].size
+    roots = np.array(data.draw(
+        st.lists(st.booleans(), min_size=size, max_size=size), label="roots"
+    ), dtype=bool)
+    got = _translation_pairs(X.levels[n], xs, ys, roots, sizes)
+    assert got == _root_translations_twin(dense.levels[n], xs, ys, roots), \
+        (X.name, n, np.flatnonzero(roots).tolist(), sizes)
+
+
+def test_root_constants_go_before_the_slot_in_a_noncommutative_group():
+    # roots after the slot would close to the same congruences, so only
+    # the translations themselves tell the slot order apart
+    xs, ys = np.arange(6), np.roll(np.arange(6), 1)
+    roots = np.arange(6) % 2 == 0
+    got = _translation_pairs(S3, xs, ys, roots, (cg.SLAB_CELLS, cg.MERGE_CELLS))
+    assert got == _root_translations_twin(S3, xs, ys, roots)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_generated_matches_pure_closure_across_slabs(data):
     # derived levels compute their translations componentwise, and slabs
-    # of a few cells split them across blocks of constants
-    X, dense, seeds, slab = _draw_closure_case(data)
+    # and merge steps of a few cells split them across blocks of constants
+    X, dense, seeds, sizes = _draw_closure_case(data)
     unbuilt = [lvl for lvl in X.levels if lvl._tables is None]
-    with _closing(slab):
+    with _closing(sizes):
         got = {n: cg.congruence_generated(X.levels[n], pairs)
                for n, pairs in seeds.items()}
     for n, pairs in seeds.items():
         want = oracles.cg_closure_pure(dense.levels[n], pairs)
-        assert list(got[n].part) == want, (X.name, n, pairs, slab)
+        assert list(got[n].part) == want, (X.name, n, pairs, sizes)
     assert all(lvl._tables is None for lvl in unbuilt)
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_simplicial_closure_matches_the_oracle_across_slabs(data):
-    X, dense, seeds, slab = _draw_closure_case(data)
+    X, dense, seeds, sizes = _draw_closure_case(data)
     unbuilt = [lvl for lvl in X.levels if lvl._tables is None]
-    with _closing(slab):
+    with _closing(sizes):
         got = simplicial_congruence_generated(X, seeds)
     want = oracles.simplicial_closure_by_levels(dense, seeds)
     assert [c.part.tolist() for c in got] == \
-        [c.part.tolist() for c in want], (X.name, seeds, slab)
+        [c.part.tolist() for c in want], (X.name, seeds, sizes)
     assert all(lvl._tables is None for lvl in unbuilt)
 
 
