@@ -10,14 +10,18 @@ quotients) carries its constants from the moment it is built, and an
 evaluator that computes an operation at broadcast index arrays from the
 algebras it was built from.  Its tables of positive arity, which can be
 expensive, are built when they are first read, as the rows of slot 0
-over the whole carrier, through the same evaluator, in slabs of about
-TABLE_CHUNK_CELLS cells; reading a constant never builds them.  Rows
-are read through one reader, _rows: the table if it is built, else the
-evaluator.  op, which is how a closure reads the rows of an operation,
-first builds tables of at most OP_TABLE_CELLS cells in all, so memory
-stays near a slab; p, the Mal'tsev term, builds none.
+over the whole carrier, through the same evaluator; reading a constant
+never builds them.  Rows are read through one reader, _rows: the table
+if it is built, else the evaluator.  op, which is how closures and
+checks read the rows of an operation, first builds tables of at most
+OP_TABLE_CELLS cells in all, so memory stays near a slab; p, the
+Mal'tsev term, builds none.  Every table build and exhaustive check
+walks its argument grid through slabs, or first_failure for the first
+failing tuple in row-major order, so none holds more than a slab.
 All objects are treated as immutable once validated.
 """
+
+import math
 
 import numpy as np
 
@@ -29,8 +33,8 @@ from .errors import (
 )
 from .terms import check_term_signature, evaluate, parse_term
 
-# Cells of one slab of a table build: its int64 temporaries stay near
-# 8 MB each, and the table itself is written as int32.
+# Cells of one slab of a grid walk: its int64 temporaries stay near
+# 8 MB each, and a built table is written as int32.
 TABLE_CHUNK_CELLS = 1_000_000
 
 # op builds the tables of an unbuilt algebra when they hold at most this
@@ -107,14 +111,10 @@ class FiniteAlgebra:
 
     def _slot0_rows(self, op, arity):
         """The table of op, as the rows of slot 0 over the whole carrier,
-        computed by the evaluator in slabs of first arguments."""
-        m = self.size
-        out = np.empty((m,) * arity, dtype=np.int32)
-        rest = [np.arange(m)] * (arity - 1)
-        chunk = max(1, TABLE_CHUNK_CELLS // max(m ** (arity - 1), 1))
-        for s in range(0, m, chunk):
-            first = np.arange(s, min(s + chunk, m))
-            out[first] = self._evaluator(op, index_grids(first, *rest))
+        computed by the evaluator one slab at a time."""
+        out = np.empty((self.size,) * arity, dtype=np.int32)
+        for first, grids in slabs((self.size,) * arity):
+            out[first] = self._evaluator(op, grids)
         return out
 
     def table(self, op):
@@ -152,11 +152,29 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size})"
 
 
-def index_grids(*arrays):
-    """np.ix_ of 1-D index arrays: the k-th along axis k, by reshapes."""
-    k = len(arrays)
-    return tuple([a.reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
-                  for i, a in enumerate(arrays)])
+def slabs(sizes):
+    """The row-major grid over range(m) for each m in sizes, in slabs of
+    whole first-argument rows of about TABLE_CHUNK_CELLS cells: yields the
+    slab's first arguments and the np.ix_ grids of those and the rest."""
+    k = len(sizes)
+    grids = [np.arange(m).reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
+             for i, m in enumerate(sizes)]
+    chunk = max(1, TABLE_CHUNK_CELLS // max(math.prod(sizes[1:]), 1))
+    for s in range(0, sizes[0], chunk):
+        first = grids[0][s:s + chunk]
+        yield first.ravel(), (first, *grids[1:])
+
+
+def first_failure(sizes, fails):
+    """The first argument tuple of slabs(sizes), in row-major order, where
+    the boolean fails(*grids) holds, as plain ints, or None; along an axis
+    that its result broadcasts over, the first failure is at 0."""
+    for first, grids in slabs(sizes):
+        bad = fails(*grids)
+        if bad.any():
+            i, *rest = np.argwhere(bad)[0].tolist()
+            return (int(first[i]), *rest)
+    return None
 
 
 def check_tables(alg):
@@ -177,8 +195,6 @@ def check_tables(alg):
             )
         if t.size and (t.min() < 0 or t.max() >= max(n, 1)):
             raise MalformedTable(f"{alg.name}: table {opname!r} entry out of range")
-        if arity == 0 and n == 0:
-            raise InconsistentConstants(f"{alg.name}: constant in empty algebra")
     extra = set(alg.tables) - set(alg.signature.arities)
     if extra:
         raise MalformedTable(f"{alg.name}: tables for unknown operations {extra}")
@@ -194,20 +210,16 @@ def check_maltsev(alg):
     bad = term.variables() - {"x", "y", "z"}
     if bad:
         raise NotMaltsev(f"{alg.name}: term uses unknown variables {bad}")
-    n = alg.size
-    if n == 0:
-        return
-    a = np.arange(n)
-    pair = (a[:, None], a[None, :])
     # p(x,y,y) = x and p(x,x,y) = y, as slots of the pair (x, y)
     for slots, want in (((0, 1, 1), 0), ((0, 0, 1), 1)):
-        got = np.broadcast_to(alg.p(*(pair[k] for k in slots)), (n, n))
-        wrong = got != pair[want]
-        if wrong.any():
-            w = np.argwhere(wrong)[0].tolist()
+        w = first_failure(
+            (alg.size, alg.size),
+            lambda *pair: alg.p(*(pair[k] for k in slots)) != pair[want],
+        )
+        if w is not None:
             raise NotMaltsev(
                 f"{alg.name}: p({','.join(str(w[k]) for k in slots)}) = "
-                f"{int(got[tuple(w)])}, expected {w[want]}"
+                f"{int(alg.p(*(w[k] for k in slots)))}, expected {w[want]}"
             )
 
 
@@ -335,22 +347,22 @@ def identity_hom(alg):
 
 
 def check_homomorphism(h):
-    """Exhaustive check that h commutes with every operation."""
+    """Exhaustive check that h commutes with every operation, read by op."""
     same_signature(h.dom, h.cod)
     fmap = h.map
     for opname, arity in h.dom.signature.ops:
-        td, tc = h.dom.table(opname), h.cod.table(opname)
         if arity == 0:
-            if h.dom.size and fmap[td[0]] != tc[0]:
+            if h.dom.size and fmap[h.dom.op(opname)] != h.cod.op(opname):
                 raise InvalidParameters(
                     f"map does not preserve constant {opname!r}"
                 )
             continue
-        # lhs and rhs both have shape (dom.size,) * arity
-        lhs = fmap[td]
-        rhs = tc[index_grids(*[fmap] * arity)]
-        if not np.logical_and.reduce(lhs == rhs, axis=None):
-            where = tuple(int(i) for i in np.argwhere(lhs != rhs)[0])
+        where = first_failure(
+            (h.dom.size,) * arity,
+            lambda *args: fmap[h.dom.op(opname, *args)]
+            != h.cod.op(opname, *(fmap[a] for a in args)),
+        )
+        if where is not None:
             raise InvalidParameters(
                 f"map does not preserve {opname!r} at arguments {where}"
             )

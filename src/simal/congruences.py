@@ -36,7 +36,7 @@ computes a derived algebra's rows from the algebras it was built from
 rather than build its table; the simplicial closure adds faces and
 degeneracies as unary translations between levels; the commutator
 reads them off pair codes.  check_compatibility is a check, not a
-closure: one gather per operation, which must find nothing to merge.
+closure: one first_failure walk per operation, finding nothing to merge.
 
 Two sizes bound a wave's work.  translation_slabs hands a provider
 about SLAB_CELLS // rows constant tuples per alg.op call, so a derived
@@ -70,7 +70,7 @@ from .errors import (
     NotSurjective,
     NotTransitive,
 )
-from .algebra import FiniteAlgebra, Homomorphism, index_grids, int_array
+from .algebra import FiniteAlgebra, Homomorphism, first_failure, int_array
 
 # enumerate_congruences refuses algebras larger than this
 ENUMERATION_LIMIT = 16
@@ -224,18 +224,19 @@ def full(alg):
 
 
 def check_compatibility(cong):
-    """Exhaustively verify the partition respects every operation: one
-    gather per operation compares the class of each result with the
-    class of the result at the representatives of its argument classes."""
-    labels = cong.part
-    classes = labels.astype(np.int32)
-    for opname, arity in cong.on.signature.ops:
+    """Exhaustively verify the partition respects every operation: each
+    result must be in the class of the result at the representatives of
+    its argument classes, read through op a slab at a time."""
+    alg, labels = cong.on, cong.part
+    for opname, arity in alg.signature.ops:
         if arity == 0:
             continue
-        vs = classes[cong.on.table(opname)]
-        ref = vs[index_grids(*[labels] * arity)]
-        if not np.logical_and.reduce(vs == ref, axis=None):
-            where = tuple(int(i) for i in np.argwhere(vs != ref)[0])
+        where = first_failure(
+            (alg.size,) * arity,
+            lambda *args: labels[alg.op(opname, *args)]
+            != labels[alg.op(opname, *(labels[a] for a in args))],
+        )
+        if where is not None:
             raise InvalidParameters(
                 f"partition not compatible with {opname!r} at {where}"
             )

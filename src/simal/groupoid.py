@@ -9,9 +9,8 @@ formula; only the reflection's simplicial route (pi1) and loaded files
 bring their own tables.
 
 validate_groupoid checks that the composition is a homomorphism
-componentwise on the arrow tables, over the composable pairs and their
-composites, so the algebra of composable pairs and its tables are never
-built.
+componentwise on the arrow operations, over the composable pairs and
+their composites, without building the algebra of composable pairs.
 
 Conventions, used consistently everywhere: d0 is the target map, d1 the
 source map, s0 picks identity arrows.  comp[g, f] is the composite
@@ -22,12 +21,7 @@ source map, s0 picks identity arrows.  comp[g, f] is the composite
 import numpy as np
 
 from .errors import IdentityViolated, InvalidParameters
-from .algebra import (
-    TABLE_CHUNK_CELLS,
-    check_homomorphism,
-    index_grids,
-    same_signature,
-)
+from .algebra import check_homomorphism, first_failure, same_signature, slabs
 
 
 class InternalGroupoid:
@@ -47,22 +41,25 @@ class InternalGroupoid:
     def inverse_map(self):
         """Solve for inverses exhaustively; raises if any arrow lacks
         exactly one.  g is an inverse of f when it runs the other way
-        and both composites are identities: one comparison over all
-        arrow pairs (f, g)."""
+        and both composites are identities: one comparison over the
+        arrow pairs (f, g), a slab of arrows f at a time."""
         d0m, d1m, s0m = self.d0.map, self.d1.map, self.s0.map
-        src, tgt = d1m[:, None], d0m[:, None]
-        inverse = ((d0m == src) & (d1m == tgt)
-                   & (self.comp == s0m[tgt]) & (self.comp.T == s0m[src]))
-        found = np.add.reduce(inverse, axis=1)
-        bad = (found != 1).nonzero()[0]
-        if len(bad):
-            f = int(bad[0])
-            raise IdentityViolated(
-                f"arrow {f} has {int(found[f])} inverses, expected exactly 1"
-            )
-        # each row holds exactly one inverse, so the columns of the
-        # nonzero entries are the inverses in arrow order
-        return inverse.nonzero()[1]
+        inverses = np.empty(self.arrows.size, dtype=np.int64)
+        for first, (f, g) in slabs((self.arrows.size,) * 2):
+            src, tgt = d1m[f], d0m[f]
+            inverse = ((d0m[g] == src) & (d1m[g] == tgt)
+                       & (self.comp[f, g] == s0m[tgt])
+                       & (self.comp[g, f] == s0m[src]))
+            found = np.add.reduce(inverse, axis=1)
+            bad = (found != 1).nonzero()[0]
+            if len(bad):
+                raise IdentityViolated(
+                    f"arrow {int(first[bad[0]])} has {int(found[bad[0]])} "
+                    f"inverses, expected exactly 1"
+                )
+            # each row holds exactly one inverse, its first True
+            inverses[first] = inverse.argmax(axis=1)
+        return inverses
 
     def __repr__(self):
         return (
@@ -84,39 +81,6 @@ def maltsev_groupoid(objects, arrows, d0, d1, s0):
     return InternalGroupoid(objects, arrows, d0, d1, s0, comp)
 
 
-def _check_composition_is_homomorphism(G, gs, fs, cs):
-    """comp is a homomorphism from the algebra of composable pairs, read
-    off the arrow tables: an operation t sends the pairs (gs[i], fs[i])
-    to (t(gs...), t(fs...)), so comp must send that pair to t(cs...).
-    The pairs come in the order of the codes g * n1 + f, the element
-    order of the pair algebra, so a witness names its arguments by their
-    indices there.  Checked in slabs of about TABLE_CHUNK_CELLS cells
-    over the first argument."""
-    p = len(gs)
-    for opname, arity in G.arrows.signature.ops:
-        t = G.arrows.table(opname)
-        if arity == 0:
-            e = int(t[0])
-            if G.comp[e, e] != e:
-                raise InvalidParameters(
-                    f"map does not preserve constant {opname!r}"
-                )
-            continue
-        rest = [np.arange(p)] * (arity - 1)
-        chunk = max(1, TABLE_CHUNK_CELLS // max(p ** (arity - 1), 1))
-        for s in range(0, p, chunk):
-            grids = index_grids(np.arange(s, min(s + chunk, p)), *rest)
-            tg, tf, tc = (t[tuple(col[g] for g in grids)] for col in (gs, fs, cs))
-            bad = G.comp[tg, tf] != tc
-            if bad.any():
-                where = np.argwhere(bad)[0]
-                where[0] += s
-                raise InvalidParameters(
-                    f"map does not preserve {opname!r} at arguments "
-                    f"{tuple(int(i) for i in where)}"
-                )
-
-
 def validate_groupoid(G):
     """Exhaustive check of all groupoid axioms, including that the
     composition is a homomorphism on the algebra of composable pairs,
@@ -136,9 +100,8 @@ def validate_groupoid(G):
         raise IdentityViolated("d0 s0 is not the identity")
     if not np.array_equal(d1m[s0m], np.arange(n0)):
         raise IdentityViolated("d1 s0 is not the identity")
-    composable = d1m[:, None] == d0m[None, :]
     defined = G.comp >= 0
-    if not np.array_equal(composable, defined):
+    if not np.array_equal(d1m[:, None] == d0m[None, :], defined):
         raise IdentityViolated(
             "composition defined somewhere other than exactly the composable pairs"
         )
@@ -153,15 +116,38 @@ def validate_groupoid(G):
         raise IdentityViolated("left unit law fails")
     if not np.array_equal(G.comp[f_all, s0m[d1m[f_all]]], f_all):
         raise IdentityViolated("right unit law fails")
-    # associativity: one gather over the composable triples (h, g, f),
-    # the arrows h with comp[h, g] >= 0 against the composable pairs
-    # (g, f), in slabs of about TABLE_CHUNK_CELLS cells over h
-    chunk = max(1, TABLE_CHUNK_CELLS // max(len(gs), 1))
-    for s in range(0, n1, chunk):
-        hg = G.comp[s:s + chunk, gs]
-        h, k = np.nonzero(hg >= 0)
-        if not np.array_equal(G.comp[hg[h, k], fs[k]], G.comp[h + s, cs[k]]):
-            raise IdentityViolated("associativity fails")
-    _check_composition_is_homomorphism(G, gs, fs, cs)
+    # associativity over the triples (h, g, f) of an arrow h and a
+    # composable pair (g, f), wherever h after g is defined
+    def unassociative(h, k):
+        hg = G.comp[h, gs[k]]
+        return (hg >= 0) & (G.comp[hg, fs[k]] != G.comp[h, cs[k]])
+
+    if first_failure((n1, len(gs)), unassociative) is not None:
+        raise IdentityViolated("associativity fails")
+    # comp is a homomorphism from the algebra of composable pairs, read
+    # off the arrow operations: an operation t sends the pairs
+    # (gs[i], fs[i]) to (t(gs...), t(fs...)), so comp must send that pair
+    # to t(cs...).  The pairs come in the order of the codes g * n1 + f,
+    # the element order of the pair algebra, so a witness names its
+    # arguments by their indices there.
+    for opname, arity in G.arrows.signature.ops:
+        if arity == 0:
+            e = G.arrows.op(opname)
+            if G.comp[e, e] != e:
+                raise InvalidParameters(
+                    f"map does not preserve constant {opname!r}"
+                )
+            continue
+
+        def unpreserved(*args):
+            tg, tf, tc = (G.arrows.op(opname, *(col[a] for a in args))
+                          for col in (gs, fs, cs))
+            return G.comp[tg, tf] != tc
+
+        where = first_failure((len(gs),) * arity, unpreserved)
+        if where is not None:
+            raise InvalidParameters(
+                f"map does not preserve {opname!r} at arguments {where}"
+            )
     G.inverse_map()
     return G

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from simal import algebra
 from simal.algebra import (
     Homomorphism,
     check_maltsev,
@@ -68,17 +69,20 @@ def test_validate_algebra_rejects_non_maltsev_term():
         validate_algebra(raw)
 
 
-def test_maltsev_witness_names_the_failing_identity():
+def test_maltsev_witness_names_the_failing_identity(monkeypatch):
     # p(x,y,y) = x fails first for z and for a constant, p(x,x,y) = y
-    # for x; each witness is the first failing pair in row order
-    for term, witness in [("z", "p(0,1,1) = 1, expected 0"),
-                          ("zero", "p(1,0,0) = 0, expected 1"),
-                          ("x", "p(0,0,1) = 0, expected 1")]:
-        raw = _raw_z2()
-        raw["maltsev"]["term"] = term
-        with pytest.raises(NotMaltsev) as err:
-            validate_algebra(raw)
-        assert str(err.value) == f"Z2: {witness}"
+    # for x; each witness is the first failing pair in row order, also
+    # when the check runs in slabs of one first argument
+    for chunk_cells in (algebra.TABLE_CHUNK_CELLS, 1):
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
+        for term, witness in [("z", "p(0,1,1) = 1, expected 0"),
+                              ("zero", "p(1,0,0) = 0, expected 1"),
+                              ("x", "p(0,0,1) = 0, expected 1")]:
+            raw = _raw_z2()
+            raw["maltsev"]["term"] = term
+            with pytest.raises(NotMaltsev) as err:
+                validate_algebra(raw)
+            assert str(err.value) == f"Z2: {witness}"
 
 
 def test_maltsev_check_on_corpus():
@@ -122,12 +126,17 @@ def test_homomorphism_checked_on_build():
         Homomorphism(z4, z2, [0, 1, 1, 0])
 
 
-def test_homomorphism_witness_is_plain_ints():
-    # the witness reads the same whatever numpy prints for its integers
+def test_homomorphism_witness_is_plain_ints(monkeypatch):
+    # the witness reads the same whatever numpy prints for its integers,
+    # and is the first failing pair in row order in slabs of one row too
     z4 = cyclic_group(4)
-    with pytest.raises(InvalidParameters) as err:
-        Homomorphism(z4, z4, [0, 2, 1, 3])
-    assert str(err.value) == "map does not preserve 'mul' at arguments (1, 1)"
+    for chunk_cells in (algebra.TABLE_CHUNK_CELLS, 1):
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
+        with pytest.raises(InvalidParameters) as err:
+            Homomorphism(z4, z4, [0, 2, 1, 3])
+        assert str(err.value) == (
+            "map does not preserve 'mul' at arguments (1, 1)"
+        )
 
 
 def test_homomorphism_map_must_hold_integers():

@@ -276,6 +276,21 @@ def test_order_four_quasigroups_have_the_known_lattices():
     assert sorted(len(congs) for _, congs in pool).count(5) == 4
 
 
+def test_quasigroup_closure_takes_later_constants_from_the_whole_carrier():
+    # the seeds {0,1} and {2,3} generate the full congruence of this
+    # quasigroup; a closure that took the constants after the slot from
+    # the wave's roots too would stop at {0,1},{2,3}, which is no
+    # congruence
+    square = ((3, 2, 1, 0), (2, 1, 0, 3), (1, 0, 3, 2), (0, 3, 2, 1))
+    assert _latin_squares(4)[571] == square
+    alg = _quasigroup("Q4#571", square)
+    seeds = [(0, 1), (2, 3)]
+    generated = list(cg.congruence_generated(alg, seeds).part)
+    assert generated == oracles.cg_closure_pure(alg, seeds) == [0, 0, 0, 0]
+    with pytest.raises(InvalidParameters, match="not compatible"):
+        cg.Congruence(alg, [0, 0, 2, 2])
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(st.data())
 def test_quasigroup_closures_match_the_oracles(data):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from simal import algebra
 from simal.algebra import (
     FiniteAlgebra,
     Homomorphism,
@@ -185,11 +186,17 @@ def test_compatibility_check_rejects_bad_partition():
         cg.Congruence(s3, [0, 0, 2, 3, 4, 5])
 
 
-def test_compatibility_witness_is_plain_ints():
-    # 0 ~ 1, but 1 * 1 = 2 and 0 * 0 = 0 lie in different blocks
-    with pytest.raises(InvalidParameters) as err:
-        cg.Congruence(cyclic_group(4), [0, 0, 2, 3])
-    assert str(err.value) == "partition not compatible with 'mul' at (1, 1)"
+def test_compatibility_witness_is_plain_ints(monkeypatch):
+    # 0 ~ 1, but 1 * 1 = 2 and 0 * 0 = 0 lie in different blocks; the
+    # witness is the first failing pair in row order in slabs of one row too
+    c4 = cyclic_group(4)
+    for chunk_cells in (algebra.TABLE_CHUNK_CELLS, 1):
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
+        with pytest.raises(InvalidParameters) as err:
+            cg.Congruence(c4, [0, 0, 2, 3])
+        assert str(err.value) == (
+            "partition not compatible with 'mul' at (1, 1)"
+        )
 
 
 def test_canonical_partition_least_member():

@@ -12,6 +12,7 @@ from simal import algebra
 from simal.algebra import (
     Homomorphism,
     Signature,
+    check_homomorphism,
     check_maltsev,
     identity_hom,
     make_algebra,
@@ -316,6 +317,23 @@ def test_subproduct_table_is_int32_and_componentwise_across_chunks():
         [t[rows[:, c][:, None], rows[:, c][None, :]] for c in range(2)], axis=-1
     )
     assert np.array_equal(mul, alg.carrier.index_of(want.reshape(-1, 2)).reshape(m, m))
+
+
+def test_checks_on_a_subproduct_past_the_op_table_bound_build_no_table():
+    # pairs(C32)'s mul table would hold 1,048,576 cells, more than op
+    # builds, so the checks read its rows through the evaluator a slab
+    # at a time and leave the table unbuilt
+    c32 = cyclic_group(32)
+    alg, projs = subproduct_algebra(
+        "pairs(C32)", [c32, c32], cg.full(c32).pairs()
+    )
+    assert alg.size ** 2 > algebra.OP_TABLE_CELLS
+    cg.Congruence(alg, np.zeros(alg.size, dtype=np.int64), check=True)
+    check_homomorphism(projs[0])
+    squares = Homomorphism(alg, c32, projs[0].map ** 2 % 32, check=False)
+    with pytest.raises(InvalidParameters, match="does not preserve 'mul'"):
+        check_homomorphism(squares)
+    assert alg._tables is None
 
 
 @pytest.mark.parametrize("chunk_cells", [None, 100])

@@ -9,7 +9,6 @@ import oracles
 from simal.algebra import Homomorphism, identity_hom
 from simal import algebra
 from simal import congruences as cg
-from simal import groupoid
 from simal.corpus import (
     bundle_groupoid,
     congruence_groupoid,
@@ -100,7 +99,7 @@ def test_non_associative_composition_rejected(monkeypatch, G, chunk_cells):
     # are listed with the identity first; the associativity check finds
     # it whether or not it runs in slabs of one arrow
     if chunk_cells is not None:
-        monkeypatch.setattr(groupoid, "TABLE_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
     at = np.nonzero(G.d0.map == G.objects.size - 1)[0]
     assert at[0] == G.s0.map[-1]
     comp = G.comp.copy()
@@ -120,7 +119,7 @@ def test_eckmann_hilton_rejects_a_unital_law_that_is_no_homomorphism(
     # The witness is the first failing pair of composable-pair indices,
     # ((0, 1), (1, 0)), whether or not the check runs in slabs.
     if chunk_cells is not None:
-        monkeypatch.setattr(groupoid, "TABLE_CHUNK_CELLS", chunk_cells)
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
     G = one_object_groupoid(C4)
     swap = np.array([0, 2, 1, 3])
     comp = swap[C4.table("mul")[np.ix_(swap, swap)]].astype(np.int64)
@@ -152,12 +151,15 @@ def _inverse_candidates(G):
     ]
 
 
-def test_inverse_map_matches_the_search():
+def test_inverse_map_matches_the_search(monkeypatch):
+    # in one slab, and in slabs of one arrow
     for G in (one_object_groupoid(C4), pair_groupoid(cyclic_group(3)),
               discrete_groupoid(C4)):
         want = _inverse_candidates(G)
         assert all(len(found) == 1 for found in want)
-        assert G.inverse_map().tolist() == [found[0] for found in want]
+        for chunk_cells in (algebra.TABLE_CHUNK_CELLS, 1):
+            monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
+            assert G.inverse_map().tolist() == [found[0] for found in want]
 
 
 @pytest.mark.parametrize("broken, count", [
@@ -167,17 +169,21 @@ def test_inverse_map_matches_the_search():
     # 1 + 1 now composes to the identity too, so 1 has two inverses
     ({(1, 1): 0}, 2),
 ])
-def test_inverse_map_names_the_first_arrow_without_one_inverse(broken, count):
+def test_inverse_map_names_the_first_arrow_without_one_inverse(
+    monkeypatch, broken, count
+):
     G = one_object_groupoid(C4)
     comp = G.comp.copy()
     for (g, f), c in broken.items():
         comp[g, f] = c
     H = InternalGroupoid(G.objects, G.arrows, G.d0, G.d1, G.s0, comp)
     assert [len(found) for found in _inverse_candidates(H)][:2] == [1, count]
-    with pytest.raises(IdentityViolated) as exc:
-        H.inverse_map()
-    assert str(exc.value) == \
-        f"arrow 1 has {count} inverses, expected exactly 1"
+    for chunk_cells in (algebra.TABLE_CHUNK_CELLS, 1):
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
+        with pytest.raises(IdentityViolated) as exc:
+            H.inverse_map()
+        assert str(exc.value) == \
+            f"arrow 1 has {count} inverses, expected exactly 1"
 
 
 def test_nerve_levels_and_identities():

@@ -105,6 +105,28 @@ def test_every_public_method_is_read_elsewhere():
     assert unread == []
 
 
+def test_only_slabs_reads_the_slab_size():
+    """Every walk over a grid of argument tuples goes through
+    algebra.slabs, so the slab policy is one function: no other
+    top-level statement of the library reads or imports
+    TABLE_CHUNK_CELLS."""
+    readers = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            where = f"{path.name} {getattr(stmt, 'name', stmt.lineno)}"
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    read = isinstance(node.ctx, ast.Load) and node.id
+                elif isinstance(node, ast.Attribute):
+                    read = node.attr
+                else:
+                    read = isinstance(node, ast.alias) and node.name
+                if read == "TABLE_CHUNK_CELLS":
+                    readers.add(where)
+    assert readers == {"algebra.py slabs"}
+
+
 def test_library_has_no_assert_statement():
     # python -O strips assert statements, so no check may rely on one
     found = [f"{path.name}:{node.lineno}"
