@@ -5,7 +5,7 @@ The modules group as follows: ``algebra``, ``terms`` and ``congruences``
 cover single algebras and their congruence lattices; ``commutator`` and
 ``limits`` add the binary commutator and finite limits; ``simplicial``
 and ``groupoid`` build truncated simplicial objects, internal groupoids,
-kernels, horns, Kan checks, nerves and the maps into them;
+kernels, Kan checks, nerves and the maps into them;
 ``reflection`` and ``galois`` compute the groupoid reflection,
 extension classification and factorizations;
 ``corpus``, ``io``, ``suite`` and ``cli`` supply worked examples, JSON
@@ -50,7 +50,6 @@ from .simplicial import (
     coskeleton,
     decalage,
     exactness_check,
-    horn,
     kan_check,
     kan_fibration_check,
     nerve,
@@ -82,7 +81,6 @@ __all__ = [
     "exactness_check",
     "exactness_lemma_check",
     "graph_reflection",
-    "horn",
     "identity_hom",
     "is_internal_groupoid",
     "is_trivial_extension",

@@ -5,7 +5,7 @@ shape (size,)*k; a nullary operation is a 1-entry table.  Every algebra
 carries a ternary term p satisfying p(x,y,y) = x and p(x,x,y) = y, and
 validation checks those identities on the full square of arguments.
 
-An algebra built from other algebras (products, kernels, horns,
+An algebra built from other algebras (products, kernels, nerves,
 quotients) carries its constants from the moment it is built, and an
 evaluator that computes an operation at broadcast index arrays from the
 algebras it was built from.  Its tables of positive arity, which can be

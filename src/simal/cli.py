@@ -45,9 +45,9 @@ from .simplicial import (
     SimplicialMorphism,
     TruncatedSimplicialAlgebra,
     exactness_check,
+    face_tuples,
     kan_check,
     kan_fibration_check,
-    simplicial_kernel,
 )
 from .suite import format_lines, run_suite
 
@@ -340,8 +340,8 @@ def _cmd_cosk(args, inputs, out_lines):
         kernels.append({"n": level + 1, "level_size": X.levels[level + 1].size,
                         **sizes})
     if N >= 1:
-        K, _, _ = simplicial_kernel(X, N + 1, budget=args.budget)
-        kernels.append({"n": N + 1, "kernel_size": K.size})
+        rows, _ = face_tuples(X, N + 1, range(N + 2), budget=args.budget)
+        kernels.append({"n": N + 1, "kernel_size": len(rows)})
     results = {"object": X.name, "levels": _level_sizes(X),
                "exactness": exact, "kernels": kernels}
     if N >= 2:

@@ -34,7 +34,7 @@ from .simplicial import (
     simplicial_pullback,
 )
 from .reflection import (
-    face_kernels,
+    face_meet,
     homotopy_congruence_level1,
     homotopy_family,
     pi1,
@@ -66,19 +66,17 @@ def _relative_level1(F):
     """d1(ker F_2 /\\ D_0 /\\ D_2): arrows joined by a thin 2-simplex
     that F sends to a degenerate one."""
     X = F.dom
-    D2 = face_kernels(X, 2)
     F2 = cg.kernel_pair(F.components[2])
-    return cg.image(X.faces[2][1], cg.meet_all([F2, D2[0], D2[2]]))
+    return cg.image(X.faces[2][1], cg.meet(F2, face_meet(X, 2, 0, 2)))
 
 
 def _central_by_lattice(F):
     X = F.dom
     for n in range(2, X.truncation + 1):
         Fn = cg.kernel_pair(F.components[n])
-        D = face_kernels(X, n)
         for j in range(1, n + 1):
             for i in range(j):
-                if not cg.meet_all([Fn, D[i], D[j]]).is_diagonal():
+                if not cg.meet(Fn, face_meet(X, n, i, j)).is_diagonal():
                     return False
     return True
 
@@ -323,11 +321,11 @@ def exactness_lemma_check(F, budget=None):
     X, Y = F.dom, F.cod
     if not exactness_check(Y, 2, budget=budget)[0]:
         raise PreconditionUnmet("codomain is not exact one level down")
-    D = face_kernels(X, 2)
+    D12 = face_meet(X, 2, 1, 2)
     F1 = cg.kernel_pair(F.components[1])
     F2 = cg.kernel_pair(F.components[2])
-    lhs = cg.meet(cg.image(X.faces[2][0], cg.meet(D[1], D[2])), F1)
-    rhs = cg.image(X.faces[2][0], cg.meet_all([D[1], D[2], F2]))
+    lhs = cg.meet(cg.image(X.faces[2][0], D12), F1)
+    rhs = cg.image(X.faces[2][0], cg.meet(D12, F2))
     return lhs == rhs, {"lhs_classes": lhs.class_count(),
                         "rhs_classes": rhs.class_count()}
 

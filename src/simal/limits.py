@@ -41,7 +41,9 @@ from .algebra import FiniteAlgebra, Homomorphism, same_signature
 from . import congruences as cg
 
 
-def _weights(sizes):
+def tuple_weights(sizes):
+    """The weights of the mixed-radix codes of tuples over ranges of the
+    given sizes, last slot fastest; raises LevelTooLarge past 62 bits."""
     w = [1] * len(sizes)
     for i in range(len(sizes) - 2, -1, -1):
         w[i] = w[i + 1] * max(sizes[i + 1], 1)
@@ -57,7 +59,7 @@ class TupleCarrier:
     def __init__(self, factors, rows):
         self.factors = factors
         rows = np.asarray(rows, dtype=np.int64).reshape(-1, len(factors))
-        self.weights = _weights([f.size for f in factors])
+        self.weights = tuple_weights([f.size for f in factors])
         codes = self.codes_of(rows.T)
         # rows almost always arrive in code order: strictly increasing
         # codes are sorted and distinct, and need no sort

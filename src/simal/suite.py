@@ -45,7 +45,7 @@ from .groupoid import validate_groupoid
 from .limits import is_double_extension
 from .reflection import (
     commutator_chain_check,
-    face_kernels,
+    face_meet,
     graph_reflection,
     groupoid_injectivity_conditions,
     homotopy_congruence_level1,
@@ -319,22 +319,20 @@ def _meet_image_suite(ctx):
         h1_checked += 1
         if X.truncation < 3:
             continue
-        D3 = face_kernels(X, 3)
-        D2 = face_kernels(X, 2)
         d = X.faces[3]
         for i, j, k in itertools.combinations(range(4), 3):
-            got = cg.image(d[k], cg.meet(D3[i], D3[j]))
-            if got != cg.meet(D2[i], D2[j]):
+            got = cg.image(d[k], face_meet(X, 3, i, j))
+            if got != face_meet(X, 2, i, j):
                 raise PropertyViolation(
                     f"d_{k}(D_{i} meet D_{j}) misses its target on {name}"
                 )
-            got = cg.image(d[j], cg.meet(D3[i], D3[k]))
-            if got != cg.meet(D2[i], D2[k - 1]):
+            got = cg.image(d[j], face_meet(X, 3, i, k))
+            if got != face_meet(X, 2, i, k - 1):
                 raise PropertyViolation(
                     f"d_{j}(D_{i} meet D_{k}) misses its target on {name}"
                 )
-            got = cg.image(d[i], cg.meet(D3[j], D3[k]))
-            if got != cg.meet(D2[j - 1], D2[k - 1]):
+            got = cg.image(d[i], face_meet(X, 3, j, k))
+            if got != face_meet(X, 2, j - 1, k - 1):
                 raise PropertyViolation(
                     f"d_{i}(D_{j} meet D_{k}) misses its target on {name}"
                 )
@@ -342,12 +340,10 @@ def _meet_image_suite(ctx):
     pushed = 0
     for name, F in extensions:
         for n in range(2, F.dom.truncation + 1):
-            DX = face_kernels(F.dom, n)
-            DY = face_kernels(F.cod, n)
             for j in range(1, n + 1):
                 for i in range(j):
-                    got = cg.image(F.components[n], cg.meet(DX[i], DX[j]))
-                    if got != cg.meet(DY[i], DY[j]):
+                    got = cg.image(F.components[n], face_meet(F.dom, n, i, j))
+                    if got != face_meet(F.cod, n, i, j):
                         raise PropertyViolation(
                             f"image of D_{i} meet D_{j} under {name} at "
                             f"level {n} is not the codomain meet"
@@ -625,8 +621,7 @@ def _coskeletal_commutator_suite(ctx):
             continue
         d0, d1 = X.faces[1]
         meet01 = cg.meet(cg.kernel_pair(d0), cg.kernel_pair(d1))
-        D2 = face_kernels(X, 2)
-        lhs = cg.image(X.faces[2][0], cg.meet(D2[1], D2[2]))
+        lhs = cg.image(X.faces[2][0], face_meet(X, 2, 1, 2))
         if lhs != meet01 or homotopy_congruence_level1(X) != meet01:
             raise PropertyViolation(
                 f"object {name} is exact at the arrow level but its "

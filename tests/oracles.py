@@ -4,8 +4,9 @@ Everything here recomputes results by a different route than the
 library: set-based transitive closures, np.unique relabellings of
 label arrays, brute-force partition sweeps, the matrix-closure
 description of the commutator, the level-by-level closure of
-simplicial congruences by gathers over whole tables, and a search of
-the congruence lattice for the monotone-light factorization.  Kept
+simplicial congruences by gathers over whole tables, horn, kernel and
+fibration counts by a sweep of whole products, and a search of the
+congruence lattice for the monotone-light factorization.  Kept
 deliberately naive; only run on small carriers.
 """
 
@@ -40,6 +41,53 @@ def brute_tuples(sizes, constraints):
         t for t in itertools.product(*(range(n) for n in sizes))
         if all(mi[t[i]] == mj[t[j]] for i, mi, j, mj in constraints)
     ]
+
+
+def face_tuples_by_sweep(X, n, slots):
+    """The tuples (x_i)_{i in slots} of the whole product of X_{n-1}
+    with d_i x_j = d_{j-1} x_i for slots i < j, one tuple at a time; at
+    n = 1 no faces lie below, and every tuple is one."""
+    d = [[int(v) for v in f.map] for f in X.faces[n - 1]]
+    pairs = [(i, j) for j in slots for i in slots if i < j] if n > 1 else []
+    out = []
+    for t in itertools.product(range(X.levels[n - 1].size), repeat=len(slots)):
+        x = dict(zip(slots, t))
+        if all(d[i][x[j]] == d[j - 1][x[i]] for i, j in pairs):
+            out.append(t)
+    return out
+
+
+def _faces_at(X, n, slots, x):
+    return tuple(int(X.faces[n][i].map[x]) for i in slots)
+
+
+def horn_counts(X, n, slots):
+    """(size, image) of the horn or kernel of X at the slots: how many
+    compatible tuples there are, and how many of them are the faces of
+    an n-simplex at the slots."""
+    tuples = face_tuples_by_sweep(X, n, slots)
+    faces = {_faces_at(X, n, slots, x) for x in range(X.levels[n].size)}
+    if not faces <= set(tuples):
+        raise ValueError("an n-simplex has incompatible faces")
+    return len(tuples), len(faces)
+
+
+def fibration_counts(F, n, k):
+    """(pullback size, image) for the horn (n, k) of F: X -> Y.  The
+    pullback pairs each horn tuple h of X with every n-simplex of Y whose
+    horn is F(h); the image counts the distinct (horn of x, F x)."""
+    X, Y = F.dom, F.cod
+    slots = [i for i in range(n + 1) if i != k]
+    below = [int(v) for v in F.components[n - 1].map]
+    y_horns = {}
+    for y in range(Y.levels[n].size):
+        key = _faces_at(Y, n, slots, y)
+        y_horns[key] = y_horns.get(key, 0) + 1
+    pullback = sum(y_horns.get(tuple(below[v] for v in h), 0)
+                   for h in face_tuples_by_sweep(X, n, slots))
+    image = {(_faces_at(X, n, slots, x), int(F.components[n].map[x]))
+             for x in range(X.levels[n].size)}
+    return pullback, len(image)
 
 
 def componentwise_tables(factors, rows):

@@ -7,10 +7,12 @@ import pytest
 import oracles
 from simal import congruences as cg
 from simal import galois, reflection
-from simal.algebra import FiniteAlgebra
+from simal.algebra import FiniteAlgebra, Homomorphism
 from simal.corpus import (
+    congruence_nerve_extension,
     cyclic_group,
     default_corpus,
+    delooping_extension,
     loops_graph,
     one_object_groupoid,
     pair_groupoid,
@@ -294,17 +296,36 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
     original = reflection.homotopy_congruence
 
     def counted(X, n):
-        calls.append(n)
+        calls.append(X)
         return original(X, n)
 
     monkeypatch.setattr(reflection, "homotopy_congruence", counted)
-    for name in ("pairC4-pairC2", "unit-cosk-loops", "quotient-cosk-fibers"):
-        F = EXTS[name]
+    # built here, so no earlier test or corpus step has touched them
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    cosk = coskeleton(loops_graph(c2, c2), 3)
+    fibers = simplicial_congruence_generated(cosk, {1: [(0, 1)]})
+    fresh = {
+        "pairC4-pairC2": congruence_nerve_extension(
+            c4, cg.full(c4), cg.principal_congruence(c4, 0, 2), 2),
+        "deloop-C4-C2": delooping_extension(
+            Homomorphism(c4, c2, [0, 1, 0, 1]), 3),
+        "quotient-cosk-fibers": quotient_simplicial(cosk, fibers)[1],
+    }
+    for name, F in fresh.items():
+        levels = F.dom.truncation - 1
         calls.clear()
         P, _, _ = em_factorization(F)
         # one family each for the reflections of X, Y and the middle P
-        assert len(calls) == 3 * (F.dom.truncation - 1), name
+        assert len(calls) == 3 * levels, name
         assert pi1(P).h == reflection.homotopy_family(P)
+        for _ in range(2):
+            calls.clear()
+            classify_extension(F)
+            em_factorization(F)
+            # X and Y keep their families: only the self-pullback and the
+            # middle object, both built anew by each call, get theirs
+            assert len(calls) == 2 * levels, name
+            assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
 
 
 def test_deep_classify_and_em_pass_builds_few_table_cells(monkeypatch):

@@ -12,12 +12,18 @@ from simal import cli
 from simal.cli import main, run
 from simal.corpus import (
     cyclic_group,
+    loops_graph,
     one_object_groupoid,
     pair_groupoid,
 )
 from simal.errors import InputError, InvalidParameters
-from simal.simplicial import nerve, simplicial_congruence_generated, \
-    quotient_simplicial
+from simal.simplicial import (
+    coskeleton,
+    nerve,
+    quotient_simplicial,
+    simplicial_congruence_generated,
+    simplicial_kernel,
+)
 
 
 C4 = cyclic_group(4)
@@ -457,6 +463,55 @@ def test_cli_kan_and_cosk_and_commutators(tmp_path):
     code, report, lines = run(["commutators", obj_path])
     assert code == 0
     assert report["results"]["commutator_equal"] is True
+
+
+def test_cli_cosk_results_are_pinned(tmp_path):
+    # the kernel and image sizes, the top kernel's among them, which is
+    # counted rather than built; the README's loops object and B(C4)
+    loops = coskeleton(loops_graph(cyclic_group(2), cyclic_group(2)), 3)
+    bc4 = nerve(one_object_groupoid(C4), 3)
+    expected = {
+        "cosk(loops(C2,C2),3)": {
+            "exactness": [
+                {"exact": True, "image_size": 16, "kernel_size": 16,
+                 "level": 1},
+                {"exact": True, "image_size": 128, "kernel_size": 128,
+                 "level": 2}],
+            "kernels": [
+                {"image_size": 16, "kernel_size": 16, "level_size": 16,
+                 "n": 2},
+                {"image_size": 128, "kernel_size": 128, "level_size": 128,
+                 "n": 3},
+                {"kernel_size": 2048, "n": 4}],
+            "levels": [2, 4, 16, 128],
+            "object": "cosk(loops(C2,C2),3)",
+            "two_coskeletal_at_top": True},
+        "nerve(C4)": {
+            "exactness": [
+                {"exact": False, "image_size": 16, "kernel_size": 64,
+                 "level": 1},
+                {"exact": True, "image_size": 64, "kernel_size": 64,
+                 "level": 2}],
+            "kernels": [
+                {"image_size": 16, "kernel_size": 64, "level_size": 16,
+                 "n": 2},
+                {"image_size": 64, "kernel_size": 64, "level_size": 64,
+                 "n": 3},
+                {"kernel_size": 256, "n": 4}],
+            "levels": [1, 4, 16, 64],
+            "object": "nerve(C4)",
+            "two_coskeletal_at_top": True},
+    }
+    for X in (loops, bc4):
+        path = str(tmp_path / "obj.json")
+        sio.save_json(sio.simplicial_to_json(X), path)
+        code, report, _ = run(["cosk", path])
+        assert code == 0
+        # byte for byte, so True cannot stand in for 1
+        assert json.dumps(report["results"], sort_keys=True) == json.dumps(
+            expected[X.name], sort_keys=True)
+        top = simplicial_kernel(X, X.truncation + 1)[0].size
+        assert report["results"]["kernels"][-1]["kernel_size"] == top
 
 
 def test_cli_budget_exit_code(tmp_path):

@@ -4,10 +4,12 @@ and every levelwise surjection lifts horns against its codomain."""
 import numpy as np
 import pytest
 
+import oracles
+
 from simal.corpus import default_corpus
-from simal.errors import BudgetError, PreconditionUnmet
+from simal.errors import BudgetError
 from simal.simplicial import (
-    horn,
+    exactness_check,
     kan_check,
     kan_fibration_check,
     nerve,
@@ -28,23 +30,12 @@ def test_every_corpus_object_fills_every_horn():
 
 def test_horn_sizes_for_one_object_nerve():
     X = nerve(one_object_groupoid(cyclic_group(4)), 2)
-    for k in range(3):
-        H, lam = horn(X, 2, k)
+    report = kan_check(X)
+    assert [e["k"] for e in report.entries] == [0, 1, 2]
+    for e in report.entries:
         # two free arrows over a single object
-        assert H.size == 16
-        assert len(np.unique(lam.map)) == 16
-
-
-def test_horn_rejects_bad_levels():
-    from simal.errors import InvalidParameters
-
-    X = nerve(pair_groupoid(cyclic_group(2)), 2)
-    with pytest.raises(PreconditionUnmet):
-        horn(X, 0, 0)
-    with pytest.raises(PreconditionUnmet):
-        horn(X, 4, 0)
-    with pytest.raises(InvalidParameters):
-        horn(X, 2, 3)
+        assert e["horn_size"] == 16
+        assert e["image_size"] == 16
 
 
 def test_horn_respects_budget():
@@ -110,3 +101,100 @@ def test_truncated_corpus_objects_still_fill():
     for name, X in CORPUS["objects"][:4]:
         if X.truncation >= 3:
             assert kan_check(truncate(X, 2)).all_pass, name
+
+
+# Horns and kernels whose whole product of X_{n-1} is at most this many
+# tuples are swept by the oracle.
+SWEEP_LIMIT = 20_000
+
+
+def test_counts_match_a_sweep_of_the_whole_product():
+    checked = 0
+    for name, X in CORPUS["objects"]:
+        entries = {(e["n"], e["k"]): e for e in kan_check(X).entries}
+        for n in range(1, X.truncation + 1):
+            if X.levels[n - 1].size ** (n + 1) <= SWEEP_LIMIT:
+                _, sizes = exactness_check(X, n - 1)
+                assert oracles.horn_counts(X, n, range(n + 1)) == (
+                    sizes["kernel_size"], sizes["image_size"]), name
+                checked += 1
+            if n < 2 or X.levels[n - 1].size ** n > SWEEP_LIMIT:
+                continue
+            for k in range(n + 1):
+                slots = [i for i in range(n + 1) if i != k]
+                e = entries[n, k]
+                assert oracles.horn_counts(X, n, slots) == (
+                    e["horn_size"], e["image_size"]), (name, n, k)
+                checked += 1
+    for name, F in CORPUS["extensions"]:
+        for e in kan_fibration_check(F).entries:
+            n, k = e["n"], e["k"]
+            if F.dom.levels[n - 1].size ** n > SWEEP_LIMIT:
+                continue
+            assert oracles.fibration_counts(F, n, k) == (
+                e["pullback_size"], e["image_size"]), (name, n, k)
+            checked += 1
+    assert checked >= 200
+
+
+def test_kan_and_exactness_checks_build_no_algebra(monkeypatch):
+    # the checks count face tuples: no subproduct algebra of a horn or
+    # kernel is built, and no map into one
+    from simal import limits, simplicial
+
+    def refused(*args, **kwargs):
+        raise AssertionError("built an algebra or a map into one")
+
+    for module in (limits, simplicial):
+        monkeypatch.setattr(module, "subproduct_algebra", refused)
+        monkeypatch.setattr(module, "tuple_map", refused)
+    for name, X in CORPUS["objects"]:
+        kan_check(X)
+        for level in range(X.truncation):
+            exactness_check(X, level)
+    for name, F in CORPUS["extensions"]:
+        kan_fibration_check(F)
+
+
+def test_an_empty_object_fills_every_horn():
+    # over a signature without constants the empty algebra is allowed;
+    # its horns and kernels are empty, and so is every level
+    from simal.algebra import FiniteAlgebra, Signature, identity_hom
+    from simal.simplicial import SimplicialMorphism, constant_simplicial
+
+    empty = FiniteAlgebra("empty", 0, Signature([("p", 3)]),
+                          {"p": np.zeros((0, 0, 0), dtype=np.int64)},
+                          "p(x,y,z)")
+    X = constant_simplicial(empty, 3)
+    report = kan_check(X)
+    assert report.all_pass and len(report.entries) == 7
+    assert {e["horn_size"] for e in report.entries} == {0}
+    assert exactness_check(X, 2) == (
+        True, {"kernel_size": 0, "image_size": 0})
+    F = SimplicialMorphism(X, X, [identity_hom(lvl) for lvl in X.levels])
+    assert all(e["bijective"] and e["pullback_size"] == 0
+               for e in kan_fibration_check(F).entries)
+
+
+def test_fibration_check_looks_up_every_tuple_in_the_codomain_horn():
+    # Y's horn is never enumerated, but Y's faces and F's images of X's
+    # horn tuples must still satisfy Y's face equations
+    from simal.algebra import Homomorphism
+    from simal.errors import InvalidParameters
+    from simal.simplicial import SimplicialMorphism, TruncatedSimplicialAlgebra
+
+    F = dict(CORPUS["extensions"])["pairC4-pairC2"]
+    X, Y = F.dom, F.cod
+    # d0 and d1 swapped on Y's arrows
+    faces = [list(fs) for fs in Y.faces]
+    faces[1].reverse()
+    swapped = TruncatedSimplicialAlgebra(Y.levels, faces, Y.degeneracies)
+    # F's arrow component rotated, so F sends horns of X off Y's horns
+    comps = list(F.components)
+    comps[1] = Homomorphism(X.levels[1], Y.levels[1],
+                            np.roll(comps[1].map, 1), check=False)
+    for G in (SimplicialMorphism(X, swapped, F.components, check=False),
+              SimplicialMorphism(X, Y, comps, check=False)):
+        with pytest.raises(InvalidParameters,
+                           match="^tuple outside the carrier$"):
+            kan_fibration_check(G)
