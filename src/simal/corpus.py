@@ -364,7 +364,7 @@ def inner_coset_groupoid(grp, subgroup):
     """
     n = grp.size
     sub = np.sort(int_array(subgroup, "subgroup"))
-    if len(np.unique(sub)) != len(sub):
+    if len(cg.distinct(sub)) != len(sub):
         raise InvalidParameters("subgroup lists an element twice")
     mul = grp.table("mul").astype(np.int64)
     inv = grp.table("inv").astype(np.int64)

@@ -52,7 +52,7 @@ def _require_extension(F):
 
 def _kernel_meets_homotopy_trivially(F, h):
     """Whether ker F meets the homotopy family h of F.dom trivially."""
-    return all(cg.meet(cg.kernel_pair(F.components[n]), h[n]).is_diagonal()
+    return all(cg.meets_trivially(cg.kernel_pair(F.components[n]), h[n])
                for n in range(1, F.dom.truncation + 1))
 
 
@@ -76,7 +76,7 @@ def _central_by_lattice(F):
         Fn = cg.kernel_pair(F.components[n])
         for j in range(1, n + 1):
             for i in range(j):
-                if not cg.meet(Fn, face_meet(X, n, i, j)).is_diagonal():
+                if not cg.meets_trivially(Fn, face_meet(X, n, i, j)):
                     return False
     return True
 
@@ -137,11 +137,11 @@ def classify_extension(F, budget=None, name=None):
 # -- homotopy relations ----------------------------------------------------
 
 def _code_set(a, b, modulus):
-    return np.unique(a.astype(np.int64) * modulus + b)
+    return cg.distinct(a.astype(np.int64) * modulus + b)
 
 
 def _degenerate_mask(values, s0_map):
-    img = np.unique(s0_map)
+    img = cg.distinct(s0_map)
     pos = np.searchsorted(img, values)
     pos = np.clip(pos, 0, len(img) - 1)
     return img[pos] == values

@@ -86,7 +86,8 @@ class TupleCarrier:
         )
 
     def index_of_codes(self, codes):
-        if not len(self.codes):
+        # an empty carrier holds no code, but a lookup of no codes succeeds
+        if not len(self.codes) and np.size(codes):
             raise InvalidParameters("tuple outside the carrier")
         pos = self.codes.searchsorted(codes)
         # a scalar code gives a scalar position, which cannot be clipped
@@ -261,7 +262,7 @@ def is_double_extension(f, g, h, j, budget=None):
         f.map.astype(np.int64) * pb.carrier.weights[0]
         + g.map.astype(np.int64) * pb.carrier.weights[1]
     )
-    surj = len(np.unique(comparison_codes)) == pb.size
+    surj = len(cg.distinct(comparison_codes)) == pb.size
     eqg_image = cg.image(f, cg.kernel_pair(g))
     route2a = eqg_image == cg.kernel_pair(h)
     eqf_image = cg.image(g, cg.kernel_pair(f))

@@ -212,7 +212,7 @@ def is_internal_groupoid(X, with_report=False):
         fb = np.bincount(X.faces[n - 1][0].map, minlength=lower)
         pb_size = int((fa * fb).sum())
         codes = a.astype(np.int64) * X.levels[n - 1].size + b
-        image = len(np.unique(codes))
+        image = len(cg.distinct(codes))
         bij = image == pb_size and image == X.levels[n].size
         entries.append(
             {

@@ -232,7 +232,7 @@ def _image_subobject(F, name):
     Y = F.cod
     sels, poss, levels = [], [], []
     for n in range(Y.truncation + 1):
-        sel = np.unique(F.components[n].map)
+        sel = cg.distinct(F.components[n].map)
         pos = -np.ones(Y.levels[n].size, dtype=np.int64)
         pos[sel] = np.arange(len(sel))
         sels.append(sel)
@@ -715,7 +715,7 @@ def _coskeletal_commutator_suite(ctx):
             R.groupoid.d0.map.astype(np.int64) * R.groupoid.objects.size
             + R.groupoid.d1.map
         )
-        if len(np.unique(codes)) != R.groupoid.arrows.size:
+        if len(cg.distinct(codes)) != R.groupoid.arrows.size:
             raise PropertyViolation(
                 f"Heyting reflection of {X.name} is not an equivalence "
                 "relation"

@@ -28,6 +28,8 @@ from simal.corpus import (
     symmetric_group,
     zk_module,
 )
+from simal.limits import TupleCarrier
+from simal.simplicial import coskeleton, constant_simplicial
 
 SMALL = [
     cyclic_group(4),
@@ -288,6 +290,22 @@ def test_generated_on_the_empty_carrier_and_from_no_pairs():
             assert cg.congruence_generated(alg, [], initial=theta) == theta
 
 
+def test_an_empty_carrier_finds_no_codes_and_rejects_any():
+    # the coskeleton of an empty object looks up no tuples in its empty
+    # kernels, and is empty at every level
+    X = coskeleton(constant_simplicial(EMPTY, 1), 2)
+    assert X.truncation == 2
+    assert [lvl.size for lvl in X.levels] == [0, 0, 0]
+    carrier = TupleCarrier([EMPTY, EMPTY], np.zeros((0, 2), dtype=np.int64))
+    assert carrier.index_of_codes(np.zeros(0, dtype=np.int64)).shape == (0,)
+    for codes in (np.array([0]), 0):
+        with pytest.raises(InvalidParameters,
+                           match="tuple outside the carrier"):
+            carrier.index_of_codes(codes)
+    with pytest.raises(InvalidParameters, match="tuple outside the carrier"):
+        carrier.index_of(np.zeros((1, 2), dtype=np.int64))
+
+
 @functools.lru_cache(maxsize=None)
 def bare_set(n):
     """range(n) with only the identity operation: every equivalence is a
@@ -314,6 +332,11 @@ def labels_and_map(draw):
 @example(([], [], [], [2, -1, 2]))
 @example(([5, -3, 5, 40], [0, 0, 1, 1], [0, 1, 0, 1], [7, 7]))
 @example(([0, 0, 2, 2], [0, 1, 1, 3], [0, 1, 1, 2], [0, 1, 2]))
+# theta < psi, psi < theta and theta = psi under other labels: join and
+# meet return an argument without merging or sorting
+@example(([0, 1, 2, 2, 4], [0, 0, 2, 2, 4], [0, 1, 1, 2, 2], [0, 1, 2]))
+@example(([7, 7, 2, 2, 7], [0, 1, 2, 2, 4], [0, 1, 1, 2, 2], [0, 1, 2]))
+@example(([3, 3, 1, 1], [9, 9, -2, -2], [0, 0, 1, 1], [5, 6]))
 def test_label_arithmetic_matches_the_unique_oracle(case):
     raw_theta, raw_psi, fmap, raw_sigma = case
     A, B = bare_set(len(raw_theta)), bare_set(len(raw_sigma))
@@ -327,8 +350,10 @@ def test_label_arithmetic_matches_the_unique_oracle(case):
 
     built = [theta, psi, sigma, cg.diagonal(A), cg.full(A), cg.full(B)]
     built.append(cg.meet(theta, psi))
-    assert np.array_equal(built[-1].part,
-                          oracles.least_members(theta.part, psi.part))
+    met = oracles.least_members(theta.part, psi.part)
+    assert np.array_equal(built[-1].part, met)
+    assert cg.meets_trivially(theta, psi) == np.array_equal(
+        met, np.arange(A.size))
     built.append(cg.kernel_pair(f))
     assert np.array_equal(built[-1].part, oracles.least_members(fmap))
     built.append(cg.preimage(f, sigma))

@@ -385,7 +385,18 @@ def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
     cg.image(F, theta)
     psi = cg.congruence_generated(F.dom, [(0, 1)], initial=cg.diagonal(F.dom))
     assert not calls
-    cg.join(theta, psi)
+    # C8's congruences form a chain: a comparable join or meet returns
+    # one of its arguments and sorts nothing
+    assert cg.leq(theta, psi)
+    assert cg.join(theta, psi) is psi and cg.meet(theta, psi) is theta
+    assert not calls
+    # ker F_2 and ker d_0 on C8 x C8 are not comparable: the join is
+    # certified, and sorts once, in meet
+    E = extensions["deloop-C8-C4"]
+    kernel = cg.kernel_pair(E.components[2])
+    face = cg.kernel_pair(E.dom.faces[2][0])
+    assert not cg.leq(kernel, face) and not cg.leq(face, kernel)
+    cg.join(kernel, face)
     assert dict(calls) == {("meet", None): 1}
     cg.Congruence(F.dom, theta.part)
     assert dict(calls) == {("meet", None): 1, ("__init__", True): 1}

@@ -134,3 +134,22 @@ def test_library_has_no_assert_statement():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unique_call_takes_the_hash_path():
+    """Under numpy 2.4, np.unique without a return_* keyword counts by
+    hashing, which is several times slower than a sort on the library's
+    int64 codes; congruences.distinct sorts instead.  Every np.unique
+    call in src/simal must ask for an index, inverse or counts."""
+    hashing = []
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "unique"
+                    and not any((k.arg or "").startswith("return_")
+                                and not (isinstance(k.value, ast.Constant)
+                                         and not k.value.value)
+                                for k in node.keywords)):
+                hashing.append(f"{path.name}:{node.lineno}")
+    assert hashing == []
