@@ -289,15 +289,6 @@ def meets_trivially(theta, psi):
     return len(distinct(theta.part * (n + 1) + psi.part)) == n
 
 
-def meet_all(congs):
-    if not congs:
-        raise InvalidParameters("meet of empty list")
-    out = congs[0]
-    for c in congs[1:]:
-        out = meet(out, c)
-    return out
-
-
 def _composite_pair_count(theta, psi):
     """Number of pairs in the relational composite theta o psi: a theta
     block T reaches, through psi, every psi block P that meets it, and

@@ -21,7 +21,7 @@ from .errors import (
     PreconditionUnmet,
     PropertyViolation,
 )
-from .algebra import Homomorphism
+from .algebra import Homomorphism, identity_hom
 from . import congruences as cg
 from .limits import tuple_map
 from .simplicial import (
@@ -260,16 +260,23 @@ def _quotient_cofactor(X, F, fam):
 
 def _obstruction_seeds(X, kernels, fam):
     """Pairs of ker F_n /\\ d_i^-1(fam[n-1]) /\\ d_j^-1(fam[n-1]) for all
-    n >= 2 and i < j: the cofactor's triple meets, pulled back to X."""
+    n >= 2 and i < j: the cofactor's triple meets, pulled back to X.
+    Over the diagonal the pullbacks are the face kernels, and their meets
+    are read through face_meet's per-object cache."""
     seeds = {}
     for n in range(2, X.truncation + 1):
-        pulled = [cg.preimage(d, fam[n - 1]) for d in X.faces[n]]
+        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
+        below = fam[n - 1]
+        if below.is_diagonal():
+            face_meets = [face_meet(X, n, i, j) for i, j in pairs]
+        else:
+            pulled = [cg.preimage(d, below) for d in X.faces[n]]
+            face_meets = [cg.meet(pulled[i], pulled[j]) for i, j in pairs]
         seeds[n] = []
-        for j in range(1, n + 1):
-            for i in range(j):
-                part = cg.meet_all([kernels[n], pulled[i], pulled[j]]).part
-                src = np.nonzero(part != np.arange(len(part)))[0]
-                seeds[n] += zip(src.tolist(), part[src].tolist())
+        for Dij in face_meets:
+            part = cg.meet(kernels[n], Dij).part
+            src = np.nonzero(part != np.arange(len(part)))[0]
+            seeds[n] += zip(src.tolist(), part[src].tolist())
     return seeds
 
 
@@ -287,6 +294,15 @@ def ml_factorization(F):
     the kernel contains its own pulled-back triple meets, hence by
     induction every stage: the limit is the least central family.
 
+    Round one starts from the diagonal, whose pullback through d_i is
+    ker d_i, so its triple meets are ker F_n /\\ face_meet(X, n, i, j),
+    read through the per-object cache that reflection.face_meet keeps;
+    later rounds pull their family back through the faces.  A fixpoint
+    that is the diagonal at every level means F is already central: the
+    answer is then (F.dom, identity, F), and the final centrality check
+    of m = F reads the same cached meets.  Any other fixpoint gets the
+    quotient X/fam and the map F induces on it.
+
     Returns (middle object, e, m) with m central.
     """
     _require_extension(F)
@@ -302,7 +318,11 @@ def ml_factorization(F):
             raise PropertyViolation(
                 "kernel family is not closed under the structure maps"
             )
-    Z, e, m = _quotient_cofactor(X, F, fam)
+    if all(c.is_diagonal() for c in fam):
+        identity = [identity_hom(lvl) for lvl in X.levels]
+        Z, e, m = X, SimplicialMorphism(X, X, identity, check=False), F
+    else:
+        Z, e, m = _quotient_cofactor(X, F, fam)
     if not m.is_levelwise_surjective():
         raise PropertyViolation("cofactor lost surjectivity")
     if not _central_by_lattice(m):

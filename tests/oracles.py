@@ -5,11 +5,13 @@ library: set-based transitive closures, np.unique relabellings of
 label arrays, brute-force partition sweeps, the matrix-closure
 description of the commutator, the level-by-level closure of
 simplicial congruences by gathers over whole tables, horn, kernel and
-fibration counts by a sweep of whole products, and a search of the
-congruence lattice for the monotone-light factorization.  Kept
+fibration counts by a sweep of whole products, the monotone-light
+fixpoint's seeds with every face pulled back by preimage, and a search
+of the congruence lattice for the monotone-light factorization.  Kept
 deliberately naive; only run on small carriers.
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -451,6 +453,28 @@ def _family_leq(fam_a, fam_b):
     return all(cg.leq(a, b) for a, b in zip(fam_a, fam_b))
 
 
+def meet_all(congs):
+    """The meet of a nonempty list of congruences, folded left to right."""
+    return functools.reduce(cg.meet, congs)
+
+
+def obstruction_seeds_by_pullback(X, kernels, fam):
+    """The seeds of one round of the monotone-light fixpoint, with every
+    face pulled back by cg.preimage, over the diagonal too: for n >= 2
+    and i < j, the pairs (x, least member of its class) of
+    ker F_n /\\ d_i^-1(fam[n-1]) /\\ d_j^-1(fam[n-1]), met left to
+    right."""
+    seeds = {}
+    for n in range(2, X.truncation + 1):
+        pulled = [cg.preimage(d, fam[n - 1]) for d in X.faces[n]]
+        seeds[n] = []
+        for j in range(1, n + 1):
+            for i in range(j):
+                seeds[n] += _family_pairs(
+                    meet_all([kernels[n], pulled[i], pulled[j]]))
+    return seeds
+
+
 def ml_walk(F):
     """Monotone-light factorization by search: walk the join lattice of
     the single-pair closures below the kernel breadth-first, stop each
@@ -501,7 +525,7 @@ def ml_walk(F):
                    _family_key(other) != _family_key(fam)
                    for other in successes)
     ]
-    meet_fam = [cg.meet_all([fam[n] for fam in minimal]) for n in range(N + 1)]
+    meet_fam = [meet_all([fam[n] for fam in minimal]) for n in range(N + 1)]
     assert is_closed_family(X, meet_fam)
     assert central(meet_fam), "meet of minimal successes is not central"
     assert all(_family_key(fam) == _family_key(meet_fam) for fam in minimal), \

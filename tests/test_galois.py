@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from simal import congruences as cg
-from simal import galois, reflection
+from simal import galois, reflection, simplicial
 from simal.algebra import FiniteAlgebra, Homomorphism
 from simal.corpus import (
     congruence_nerve_extension,
@@ -220,6 +220,87 @@ def test_ml_fixpoint_matches_lattice_walk():
     assert not classify_extension(pulled).central
     Z, _, _ = ml_factorization(pulled)
     assert [lvl.size for lvl in Z.levels] == [4, 4, 4]
+
+
+# The deep extensions that are not central, so that their least central
+# family is not the diagonal, with the middle level sizes of their ml.
+ML_QUOTIENTS = {"augment-cosk-loops": [2, 2, 2, 2],
+                "unit-cosk-loops": [2, 2, 2]}
+
+
+def test_ml_of_a_central_extension_is_the_extension_itself(monkeypatch):
+    calls = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    spy(cg, "quotient")
+    spy(simplicial, "transport")
+    extensions = default_corpus("deep")["extensions"]
+    assert len(extensions) == 40
+    for name, F in extensions:
+        assert galois._central_by_lattice(F) == (name not in ML_QUOTIENTS)
+        calls.clear()
+        Z, e, m = ml_factorization(F)
+        if name in ML_QUOTIENTS:
+            assert calls["quotient"] and calls["transport"], name
+            assert [lvl.size for lvl in Z.levels] == ML_QUOTIENTS[name]
+            assert Z is not F.dom and m is not F, name
+            continue
+        assert not calls, name
+        assert Z is F.dom and m is F, name
+        assert e.dom is F.dom and e.cod is F.dom, name
+        for c in e.components:
+            assert np.array_equal(c.map, np.arange(c.dom.size)), name
+
+
+def test_obstruction_seeds_match_the_pullback_oracle(monkeypatch):
+    real = galois._obstruction_seeds
+    rounds = collections.Counter()
+
+    def checked(X, kernels, fam):
+        seeds = real(X, kernels, fam)
+        assert seeds == oracles.obstruction_seeds_by_pullback(X, kernels, fam)
+        diagonal = all(c.is_diagonal() for c in fam)
+        rounds["diagonal" if diagonal else "pulled"] += 1
+        rounds["seeded"] += any(seeds.values())
+        return seeds
+    monkeypatch.setattr(galois, "_obstruction_seeds", checked)
+    for profile in ("desk", "deep"):
+        for _, F in default_corpus(profile)["extensions"]:
+            ml_factorization(F)
+    # one round from the diagonal per extension; the four quotient cases
+    # (two per corpus) take one more round, pulled back through the
+    # faces, and both rounds of theirs have seeds
+    assert rounds == {"diagonal": 72, "pulled": 4, "seeded": 8}
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+def test_ml_builds_each_face_meet_of_its_domain_once():
+    for profile in ("desk", "deep"):
+        for name, F in default_corpus(profile)["extensions"]:
+            X = F.dom
+            X._derived = _CountingDict()
+            ml_factorization(F)
+            built = {k: c for k, c in X._derived.stores.items()
+                     if k[0] == "meet"}
+            assert built == {
+                ("meet", n, i, j): 1 for n in range(2, X.truncation + 1)
+                for j in range(1, n + 1) for i in range(j)}, name
 
 
 def test_homotopy_relation_matches_level1_congruence():

@@ -450,6 +450,44 @@ def test_cli_classify_and_factorize(tmp_path):
                                           "second.json"]
 
 
+def test_cli_ml_of_the_readme_extension_writes_its_domain(
+    tmp_path, monkeypatch
+):
+    # quot.json from the README session is central, so its ml middle is
+    # its domain and the second map is the extension itself
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = run([
+        "gen", "quotient_extension",
+        'of={"kind":"pair","algebra":"C4","truncation":2}',
+        'pairs={"0":[[0,2]]}', "--out", "quot.json"])
+    assert code == 0
+    code, report, _ = run(["factorize", "quot.json", "--mode", "ml",
+                           "--out", "DIR"])
+    assert code == 0
+    paths = [os.path.join("DIR", f"{part}.json")
+             for part in ("middle", "first", "second")]
+    code, checked, _ = run(["validate"] + paths)
+    assert code == 0
+    assert [f["kind"] for f in checked["results"]["files"]] == [
+        "simplicial", "simplicial_morphism", "simplicial_morphism"]
+    quot = sio.load_json("quot.json")
+    middle, first, second = (sio.load_json(p) for p in paths)
+    assert middle == quot["dom"]
+    assert first["dom"] == first["cod"] == quot["dom"]
+    assert first["components"] == [
+        list(range(len(c))) for c in quot["components"]]
+    assert second == quot
+    assert [w["sha256"] for w in report["results"]["written"]] == [
+        sio.content_hash(data) for data in (middle, first, second)]
+    # the report of a run without --out holds no artifact hash, so it
+    # depends only on the input and the middle's level sizes
+    code, report, _ = run(["factorize", "quot.json", "--mode", "ml"])
+    assert code == 0
+    assert report["results"]["middle_levels"] == [4, 16, 64]
+    assert report["report_hash"] == (
+        "3f7c67f9ed969a7a73025e4891e88953b740a0431607628914071cb37507be84")
+
+
 def test_cli_kan_and_cosk_and_commutators(tmp_path):
     _, obj_path, ext_path = _write_artifacts(tmp_path)
     code, report, _ = run(["kan", obj_path])
