@@ -17,10 +17,13 @@ checks read the rows of an operation, first builds tables of at most
 OP_TABLE_CELLS cells in all, so memory stays near a slab; p, the
 Mal'tsev term, builds none.  Every table build and exhaustive check
 walks its argument grid through slabs, or first_failure for the first
-failing tuple in row-major order, so none holds more than a slab.
+failing tuple in row-major order, so none holds more than a slab; the
+index grids of each size tuple are built once, and a grid that fits in
+one slab is handed over whole.
 All objects are treated as immutable once validated.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -152,17 +155,29 @@ class FiniteAlgebra:
         return f"FiniteAlgebra({self.name!r}, size={self.size})"
 
 
+@functools.lru_cache(maxsize=256)
+def _axes(sizes):
+    """The read-only np.ix_ grids over range(m) for each m in sizes, and
+    the first axis flat: built once per size tuple."""
+    k = len(sizes)
+    grids = tuple(np.arange(m).reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
+                  for i, m in enumerate(sizes))
+    for g in grids:
+        g.flags.writeable = False
+    return grids, grids[0].ravel()
+
+
 def slabs(sizes):
     """The row-major grid over range(m) for each m in sizes, in slabs of
-    whole first-argument rows of about TABLE_CHUNK_CELLS cells: yields the
-    slab's first arguments and the np.ix_ grids of those and the rest."""
-    k = len(sizes)
-    grids = [np.arange(m).reshape((1,) * i + (-1,) + (1,) * (k - 1 - i))
-             for i, m in enumerate(sizes)]
+    whole first-argument rows of about TABLE_CHUNK_CELLS cells: each slab
+    is the slab's first arguments and the np.ix_ grids of those and the
+    rest.  A grid that fits in one slab is handed over whole."""
+    grids, firsts = _axes(sizes)
     chunk = max(1, TABLE_CHUNK_CELLS // max(math.prod(sizes[1:]), 1))
-    for s in range(0, sizes[0], chunk):
-        first = grids[0][s:s + chunk]
-        yield first.ravel(), (first, *grids[1:])
+    if 0 < sizes[0] <= chunk:
+        return ((firsts, grids),)
+    return ((grids[0][s:s + chunk].ravel(), (grids[0][s:s + chunk], *grids[1:]))
+            for s in range(0, sizes[0], chunk))
 
 
 def first_failure(sizes, fails):

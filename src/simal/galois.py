@@ -8,7 +8,9 @@ a side.
 
 Each derived structure has one builder: reflection.homotopy_family (or
 a reflection's R.h), induced_groupoid_nerve_map for the functor between
-reflections, and simplicial.exactness_check for exactness.
+reflections, and simplicial.exactness_check for exactness.  A morphism
+that is already its own factorization, a trivial extension for em or a
+central one for ml, is returned as (F.dom, identity, F) by one helper.
 """
 
 import numpy as np
@@ -216,14 +218,18 @@ def _induced_isomorphism(RX, RY, F):
         raise PropertyViolation("induced functor is not an isomorphism")
 
 
-def em_factorization(F, budget=None):
-    """Factor through the pullback of the reflected morphism.
+def _own_factorization(F):
+    """(F.dom, identity, F): F as its own factorization, the identity
+    being the SimplicialMorphism of identity_hom components."""
+    X = F.dom
+    identity = [identity_hom(lvl) for lvl in X.levels]
+    return X, SimplicialMorphism(X, X, identity, check=False), F
 
-    Returns (middle object, e, m) with e inverted by the reflection and
-    m a trivial covering; both facts are verified, not assumed.
-    """
-    if F.dom.truncation < 2:
-        raise PreconditionUnmet("factorization needs truncation >= 2")
+
+def _pullback_factorization(F, budget=None):
+    """(P, e, m) through P, the pullback of the reflection unit of F.cod
+    along the nerve of the functor F induces between the reflections;
+    checks that e is inverted by the reflection and that m is trivial."""
     X, Y = F.dom, F.cod
     RX, RY = pi1(X, budget=budget), pi1(Y, budget=budget)
     nf = induced_groupoid_nerve_map(RX, RY, F)
@@ -241,6 +247,32 @@ def em_factorization(F, budget=None):
     if not _kernel_meets_homotopy_trivially(m, RP.h):
         raise PropertyViolation("projection from the pullback is not trivial")
     return P, e, m
+
+
+def em_factorization(F, budget=None):
+    """Factor F as m after e, with e inverted by the reflection and m a
+    trivial covering, along one of two paths chosen by the input alone.
+
+    A trivial extension, levelwise surjective with ker F_n meeting the
+    homotopy family of X = F.dom trivially at every level (the family
+    kept on X, as classify_extension leaves it), is its own answer
+    (X, identity, F).  Every functor inverts the identity, and the test
+    that picks this path is the kernel-meet check the other path applies
+    to its m.  Nothing is reflected, pulled back or enumerated, so the
+    budget is not spent.
+
+    Every other morphism, the non-trivial extensions and criterion 9's
+    probes (which are not levelwise surjective) among them, factors
+    through P, the pullback of the reflection unit of F.cod along the
+    reflected F; there both facts are verified, not assumed.
+
+    Returns (middle object, e, m).
+    """
+    if F.dom.truncation < 2:
+        raise PreconditionUnmet("factorization needs truncation >= 2")
+    if F.is_levelwise_surjective() and is_trivial_extension(F):
+        return _own_factorization(F)
+    return _pullback_factorization(F, budget=budget)
 
 
 def _quotient_cofactor(X, F, fam):
@@ -319,8 +351,7 @@ def ml_factorization(F):
                 "kernel family is not closed under the structure maps"
             )
     if all(c.is_diagonal() for c in fam):
-        identity = [identity_hom(lvl) for lvl in X.levels]
-        Z, e, m = X, SimplicialMorphism(X, X, identity, check=False), F
+        Z, e, m = _own_factorization(F)
     else:
         Z, e, m = _quotient_cofactor(X, F, fam)
     if not m.is_levelwise_surjective():

@@ -85,6 +85,29 @@ def test_maltsev_witness_names_the_failing_identity(monkeypatch):
             assert str(err.value) == f"Z2: {witness}"
 
 
+def test_slabs_cover_the_grid_in_row_order(monkeypatch):
+    # whole first-argument rows, at most a slab of cells each unless one
+    # row is larger; a grid in one slab is handed over whole, from grids
+    # built once and read-only
+    sizes = (5, 3, 2)
+    for chunk_cells, rows in ((algebra.TABLE_CHUNK_CELLS, [5]),
+                              (13, [2, 2, 1]), (1, [1] * 5)):
+        monkeypatch.setattr(algebra, "TABLE_CHUNK_CELLS", chunk_cells)
+        walk = list(algebra.slabs(sizes))
+        assert [len(first) for first, _ in walk] == rows
+        assert np.concatenate([first for first, _ in walk]).tolist() == [
+            0, 1, 2, 3, 4]
+        for first, grids in walk:
+            assert [g.shape for g in grids] == [
+                (len(first), 1, 1), (1, 3, 1), (1, 1, 2)]
+            assert grids[0].ravel().tolist() == first.tolist()
+    monkeypatch.undo()
+    (_, once), = algebra.slabs(sizes)
+    (_, again), = algebra.slabs(sizes)
+    assert all(a is b and not a.flags.writeable for a, b in zip(once, again))
+    assert list(algebra.slabs((0, 3))) == []
+
+
 def test_maltsev_check_on_corpus():
     for alg in [
         cyclic_group(5),

@@ -16,6 +16,8 @@ from simal.corpus import (
     loops_graph,
     one_object_groupoid,
     pair_groupoid,
+    probe_kit,
+    product_group,
 )
 from simal.errors import (
     NotLevelwiseSurjective,
@@ -146,21 +148,22 @@ def test_em_factorization_composes_to_original():
         assert is_trivial_extension(m), name
 
 
-def test_em_first_part_is_iso_exactly_for_trivial_coverings():
-    def bijective(G):
-        return all(
-            c.is_surjective() and len(set(c.map.tolist())) == len(c.map)
-            for c in G.components
-        )
+def _bijective(G):
+    return all(
+        c.is_surjective() and len(set(c.map.tolist())) == len(c.map)
+        for c in G.components
+    )
 
+
+def test_em_first_part_is_iso_exactly_for_trivial_coverings():
     Z, e, _ = em_factorization(EXTS["pairC4-pairC2"])
-    assert bijective(e)
+    assert _bijective(e)
     assert [lvl.size for lvl in Z.levels] == [4, 16, 64]
     Z, e, _ = em_factorization(EXTS["unit-cosk-loops"])
-    assert not bijective(e)
+    assert not _bijective(e)
     assert [lvl.size for lvl in Z.levels] == [2, 2, 2]
     Z, e, _ = em_factorization(EXTS["quotient-cosk-fibers"])
-    assert not bijective(e)
+    assert not _bijective(e)
 
 
 def test_ml_factorization_of_central_extension_is_lazy():
@@ -392,21 +395,85 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
             Homomorphism(c4, c2, [0, 1, 0, 1]), 3),
         "quotient-cosk-fibers": quotient_simplicial(cosk, fibers)[1],
     }
+    # the trivial ones are their own em factorization: only X's family
+    # is built, for the triviality test; the other reflects X, Y and the
+    # middle P
+    trivial = {"pairC4-pairC2": True, "deloop-C4-C2": True,
+               "quotient-cosk-fibers": False}
     for name, F in fresh.items():
         levels = F.dom.truncation - 1
         calls.clear()
         P, _, _ = em_factorization(F)
-        # one family each for the reflections of X, Y and the middle P
-        assert len(calls) == 3 * levels, name
+        if trivial[name]:
+            assert P is F.dom, name
+            assert len(calls) == levels, name
+            assert {id(X) for X in calls} == {id(F.dom)}, name
+        else:
+            assert len(calls) == 3 * levels, name
         assert pi1(P).h == reflection.homotopy_family(P)
         for _ in range(2):
             calls.clear()
             classify_extension(F)
             em_factorization(F)
-            # X and Y keep their families: only the self-pullback and the
-            # middle object, both built anew by each call, get theirs
-            assert len(calls) == 2 * levels, name
+            # X and Y keep their families: only the self-pullback and, off
+            # the trivial case, the middle object, both built anew by each
+            # call, get theirs
+            assert len(calls) == (1 if trivial[name] else 2) * levels, name
             assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
+
+
+def test_the_pullback_route_is_an_isomorphism_exactly_on_trivial_extensions():
+    # em takes the trivial case on its own: there the pullback route's
+    # comparison e is bijective, and nowhere else, and em's middle object
+    # has the pullback's level sizes on every extension
+    cases = CORPUS["extensions"] + default_corpus("deep")["extensions"]
+    assert len(cases) == 72
+    for name, F in cases:
+        P, e, _ = galois._pullback_factorization(F)
+        assert _bijective(e) == is_trivial_extension(F), name
+        Z, _, _ = em_factorization(F)
+        assert [lvl.size for lvl in Z.levels] == [
+            lvl.size for lvl in P.levels], name
+
+
+def _criterion9_probes():
+    """The four pulled-back morphisms that criterion 9 em-factors."""
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    pulled = []
+    for alg, incl_map in ((c4, [0, 2]), (product_group(c2, c2), [0, 1])):
+        f, exts = probe_kit(alg, Homomorphism(c2, alg, incl_map), c2)
+        pulled += [simplicial_pullback(f, g)[2] for _, g in exts]
+    return pulled
+
+
+def test_em_of_a_trivial_extension_reflects_and_pulls_back_nothing(
+    monkeypatch
+):
+    calls = collections.Counter()
+    for fn in ("pi1", "simplicial_pullback"):
+        def counted(*args, _fn=getattr(galois, fn), _name=fn, **kw):
+            calls[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(galois, fn, counted)
+    trivial = [(name, F) for name, F in CORPUS["extensions"]
+               if is_trivial_extension(F)]
+    assert len(trivial) == 29
+    for name, F in trivial:
+        calls.clear()
+        Z, e, m = em_factorization(F)
+        assert not calls, name
+        assert Z is F.dom and m is F, name
+        assert all(np.array_equal(c.map, np.arange(c.dom.size))
+                   for c in e.components), name
+    # criterion 9's probes are not levelwise surjective, so they still
+    # take the pullback route
+    probes = _criterion9_probes()
+    assert len(probes) == 4
+    for F in probes:
+        assert not F.is_levelwise_surjective()
+        calls.clear()
+        em_factorization(F)
+        assert calls["pi1"] == 3 and calls["simplicial_pullback"] == 1
 
 
 def test_deep_classify_and_em_pass_builds_few_table_cells(monkeypatch):

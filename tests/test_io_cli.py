@@ -488,6 +488,36 @@ def test_cli_ml_of_the_readme_extension_writes_its_domain(
         "3f7c67f9ed969a7a73025e4891e88953b740a0431607628914071cb37507be84")
 
 
+def test_cli_em_of_a_trivial_extension_enumerates_nothing(tmp_path):
+    # ext.json is a trivial extension, so em returns it as its own
+    # factorization and builds nothing: a budget of 1 is enough
+    _, _, ext_path = _write_artifacts(tmp_path)
+    outdir = str(tmp_path / "em")
+    code, report, _ = run(["factorize", ext_path, "--mode", "em",
+                           "--budget", "1", "--out", outdir])
+    assert code == 0
+    ext = sio.load_json(ext_path)
+    middle, first, second = (
+        sio.load_json(os.path.join(outdir, f"{part}.json"))
+        for part in ("middle", "first", "second"))
+    assert middle == ext["dom"]
+    assert first["dom"] == first["cod"] == ext["dom"]
+    assert first["components"] == [
+        list(range(len(c))) for c in ext["components"]]
+    assert second == ext
+    # quotient-cosk-fibers is not trivial, so em still builds a pullback
+    c2 = cyclic_group(2)
+    cosk = coskeleton(loops_graph(c2, c2), 3)
+    _, q = quotient_simplicial(
+        cosk, simplicial_congruence_generated(cosk, {1: [(0, 1)]}))
+    path = str(tmp_path / "fibers.json")
+    sio.save_json(sio.morphism_to_json(q), path)
+    code, report, _ = run(["factorize", path, "--mode", "em",
+                           "--budget", "1"])
+    assert code == 3
+    assert report["violations"][0]["property"] == "LevelTooLarge"
+
+
 def test_cli_kan_and_cosk_and_commutators(tmp_path):
     _, obj_path, ext_path = _write_artifacts(tmp_path)
     code, report, _ = run(["kan", obj_path])
