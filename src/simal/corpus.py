@@ -11,7 +11,6 @@ import numpy as np
 
 from .errors import InvalidParameters, UnsupportedVariety
 from .algebra import (
-    FiniteAlgebra,
     Homomorphism,
     Signature,
     check_maltsev,
@@ -175,7 +174,6 @@ def zk_module(k, copies=1):
 
 def product_group(a, b):
     alg, _ = limits.product(f"{a.name}x{b.name}", [a, b])
-    alg.tables  # materialize and implicitly sanity-check closure
     check_tables(alg)
     check_maltsev(alg)
     return alg
@@ -183,14 +181,9 @@ def product_group(a, b):
 
 def terminal_algebra(signature, term):
     """One-element algebra of the signature."""
-    tables = {}
-    for opname, arity in signature.ops:
-        shape = (1,) * max(arity, 1)
-        tables[opname] = np.zeros(shape, dtype=np.int64)
-    alg = FiniteAlgebra("terminal", 1, signature, tables, term)
-    check_tables(alg)
-    check_maltsev(alg)
-    return alg
+    tables = {opname: np.zeros((1,) * max(arity, 1), dtype=np.int64)
+              for opname, arity in signature.ops}
+    return make_algebra("terminal", signature, tables, term)
 
 
 # -- Heyting algebras from posets ------------------------------------------
@@ -477,17 +470,11 @@ def sk1_two_truncation(graph):
     neg_t = X1.table("neg")
     zero = int(X1.table("zero")[0])
     P, _ = limits.product(f"{X1.name}+{X1.name}", [X1, X1])
-
-    def idx(u, v):
-        return int(P.carrier.index_of_codes(
-            np.array([u * X1.size + v], dtype=np.int64)
-        )[0])
-
-    gens = [
-        (idx(int(s0m[a]), int(neg_t[s0m[a]])), idx(zero, zero))
-        for a in range(X0.size)
-    ]
-    theta = cg.congruence_generated(P, gens)
+    degenerate = P.carrier.index_of(np.stack([s0m, neg_t[s0m]], axis=1))
+    origin = P.carrier.index_of([zero, zero])
+    theta = cg.congruence_generated(
+        P, np.stack([degenerate, np.full_like(degenerate, origin)], axis=1)
+    )
     X2, proj2 = cg.quotient(P, theta)
     reps = theta.reps()
     R = P.carrier.rows[reps]
@@ -497,13 +484,14 @@ def sk1_two_truncation(graph):
         Homomorphism(X2, X1, add_t[u, v], check=False),
         Homomorphism(X2, X1, add_t[s0m[d1m[u]], v], check=False),
     ]
-    all_u = np.arange(X1.size, dtype=np.int64)
+    all_u = np.arange(X1.size)
+    zeros = np.full(X1.size, zero)
     s0_2 = Homomorphism(
-        X1, X2, proj2.map[P.carrier.index_of_codes(all_u * X1.size + zero)],
+        X1, X2, proj2.map[limits.tuple_map(X1, P, [all_u, zeros]).map],
         check=False,
     )
     s1_2 = Homomorphism(
-        X1, X2, proj2.map[P.carrier.index_of_codes(zero * X1.size + all_u)],
+        X1, X2, proj2.map[limits.tuple_map(X1, P, [zeros, all_u]).map],
         check=False,
     )
     obj = TruncatedSimplicialAlgebra(

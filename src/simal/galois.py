@@ -36,6 +36,7 @@ from .simplicial import (
     simplicial_pullback,
 )
 from .reflection import (
+    face_kernels,
     face_meet,
     homotopy_congruence_level1,
     homotopy_family,
@@ -190,7 +191,7 @@ def fiber_connectivity_relation(F):
     equals the first-face image of a kernel meet."""
     X, Y = F.dom, F.cod
     killed = _degenerate_mask(F.components[1].map, Y.degeneracies[0][0].map)
-    D1 = cg.kernel_pair(X.faces[1][1])
+    D1 = face_kernels(X, 1)[1]
     F1 = cg.kernel_pair(F.components[1])
     return _collected_equals(cg.image(X.faces[1][0], cg.meet(D1, F1)),
                              X.faces[1], killed, "kernel-arrow connectivity")

@@ -208,8 +208,7 @@ def load_simplicial(data, base_dir=None):
             f"truncation {trunc} does not match {len(level_names)} levels"
         )
     algebras = _algebra_table(data.get("algebras", {}), base_dir)
-    levels = [algebras[name] if isinstance(name, str) and name in algebras
-              else _resolve_algebra(name, None, base_dir)
+    levels = [_resolve_algebra(name, algebras, base_dir)
               for name in level_names]
     # faces start at level 1, degeneracies at level 0; rows the file
     # leaves out are empty

@@ -11,6 +11,11 @@ evaluator gives both the rows a closure reads, building no table of the
 limit, and the table itself, as the rows of slot 0 over the carrier.  A
 map into a limit is given by its component columns, and tuple_map looks
 its tuples up in the carrier, so callers never address rows by hand.
+Carrier codes are computed in this module alone: TupleCarrier codes
+and looks up tuples (codes_of, index_of) and tuple_map builds maps by
+them.  A subalgebra is a one-factor subproduct, on the rows of its
+elements.  The one other mixed-radix code, simplicial._face_codes,
+codes the faces of horns that are never built, by tuple_weights.
 
 Enumeration fills the slots left to right, each by one vectorized
 sort-based equi-join.  The rows so far and the new slot's elements are
@@ -258,11 +263,7 @@ def is_double_extension(f, g, h, j, budget=None):
         if not leg.is_surjective():
             raise NotRegularEpi(f"square side {tag} is not surjective")
     pb, _ = pullback(h, j, budget=budget)
-    comparison_codes = (
-        f.map.astype(np.int64) * pb.carrier.weights[0]
-        + g.map.astype(np.int64) * pb.carrier.weights[1]
-    )
-    surj = len(cg.distinct(comparison_codes)) == pb.size
+    surj = len(cg.distinct(pb.carrier.codes_of([f.map, g.map]))) == pb.size
     eqg_image = cg.image(f, cg.kernel_pair(g))
     route2a = eqg_image == cg.kernel_pair(h)
     eqf_image = cg.image(g, cg.kernel_pair(f))

@@ -11,10 +11,19 @@ The unit is simplicial.nerve_map of the identity on objects and the
 quotient on arrows; spines and nerve maps live in simplicial.  The
 homotopy congruences have one builder, homotopy_family, which pi1 keeps
 as R.h; coskeletality is read off simplicial.exactness_check.  The face
-kernels, their pairwise meets (face_meet) and the homotopy family are
-computed once per object and kept on it, so the lattice route of a
-classification, the triviality check and the reflections of em share
-them.
+kernels (face_kernels), their pairwise meets (face_meet), the level-1
+homotopy congruence h1 and the homotopy family are computed once per
+object and kept on it.  Their readers share them:
+  family     pi1 and galois.is_trivial_extension;
+  face_meet  homotopy_congruence, groupoid_injectivity_conditions, and
+             in galois the lattice route of a classification, the
+             relative homotopy relation, ml's obstruction seeds and the
+             exactness lemma, and the suite's criteria 3 and 10;
+  level 1    graph_reflection, commutator_chain_check,
+             galois.fiber_connectivity_relation and criterion 10 read
+             face_kernels(X, 1) and face_meet(X, 1, 0, 1);
+  h1         homotopy_family, commutator_chain_check,
+             galois.homotopy_relation and the suite's criteria 3 and 10.
 """
 
 import numpy as np
@@ -38,7 +47,7 @@ from .simplicial import (
 )
 
 
-# Face kernels, their meets and the homotopy family depend on an
+# Face kernels, their meets, h1 and the homotopy family depend on an
 # object's structure maps alone, so each is computed once and kept in
 # the object's own dict, X._derived, which goes with it.  A computation
 # that raises keeps nothing.  Each function tests the dict itself: one
@@ -66,15 +75,17 @@ def homotopy_congruence_level1(X):
     computed as the image of a face-kernel meet."""
     if X.truncation < 2:
         raise PreconditionUnmet("level-1 homotopy needs two levels of faces")
-    h1 = cg.image(X.faces[2][1], face_meet(X, 2, 0, 2))
-    if X.truncation >= 3:
-        alt0 = cg.image(X.faces[2][0], face_meet(X, 2, 1, 2))
-        alt2 = cg.image(X.faces[2][2], face_meet(X, 2, 0, 1))
-        if alt0 != h1 or alt2 != h1:
-            raise TripleEqualityViolated(
-                "face images of the kernel meets at level 2 disagree"
-            )
-    return h1
+    if "h1" not in X._derived:
+        h1 = cg.image(X.faces[2][1], face_meet(X, 2, 0, 2))
+        if X.truncation >= 3:
+            alt0 = cg.image(X.faces[2][0], face_meet(X, 2, 1, 2))
+            alt2 = cg.image(X.faces[2][2], face_meet(X, 2, 0, 1))
+            if alt0 != h1 or alt2 != h1:
+                raise TripleEqualityViolated(
+                    "face images of the kernel meets at level 2 disagree"
+                )
+        X._derived["h1"] = h1
+    return X._derived["h1"]
 
 
 def homotopy_congruence(X, n):
@@ -249,7 +260,7 @@ def graph_reflection(X):
     X0, X1 = X.levels[0], X.levels[1]
     d0, d1 = X.faces[1]
     s0 = X.degeneracies[0][0]
-    theta = tc_commutator(cg.kernel_pair(d0), cg.kernel_pair(d1))
+    theta = tc_commutator(*face_kernels(X, 1))
     Q, proj = cg.quotient(X1, theta)
     reps = theta.reps()
     # validate_groupoid checks that these three are homomorphisms
@@ -272,10 +283,8 @@ def is_two_coskeletal_at_top(X, budget=None):
 def commutator_chain_check(X):
     """Sandwich the level-1 homotopy congruence between the commutator
     of the face kernels and their meet; reports the three class counts."""
-    d0, d1 = X.faces[1]
-    E0, E1 = cg.kernel_pair(d0), cg.kernel_pair(d1)
-    low = tc_commutator(E0, E1)
-    high = cg.meet(E0, E1)
+    low = tc_commutator(*face_kernels(X, 1))
+    high = face_meet(X, 1, 0, 1)
     h1 = homotopy_congruence_level1(X)
     report = {
         "commutator_below": cg.leq(low, h1),

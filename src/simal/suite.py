@@ -13,7 +13,7 @@ import itertools
 import numpy as np
 
 from . import congruences as cg
-from .algebra import Homomorphism, make_algebra
+from .algebra import Homomorphism
 from .config import resolve_budget
 from .commutator import tc_commutator
 from .corpus import (
@@ -42,7 +42,7 @@ from .galois import (
     stabilizing_probe,
 )
 from .groupoid import validate_groupoid
-from .limits import is_double_extension
+from .limits import is_double_extension, subproduct_algebra, tuple_map
 from .reflection import (
     commutator_chain_check,
     face_meet,
@@ -206,40 +206,23 @@ def _nerve_morphisms(X, G, NG):
     return morphisms
 
 
-def _subalgebra_on(alg, sel, name):
-    sel = np.asarray(sel, dtype=np.int64)
-    pos = -np.ones(alg.size, dtype=np.int64)
-    pos[sel] = np.arange(len(sel))
-    tables = {}
-    for opname, arity in alg.signature.ops:
-        t = alg.table(opname)
-        if arity == 0:
-            v = int(pos[t[0]])
-            if v < 0:
-                raise PropertyViolation("subset misses a constant")
-            tables[opname] = np.array([v])
-        else:
-            vals = pos[t[np.ix_(*([sel] * arity))] if arity > 1 else t[sel]]
-            if (vals < 0).any():
-                raise PropertyViolation("subset is not closed")
-            tables[opname] = vals
-    return make_algebra(name, alg.signature, tables, alg.maltsev_term)
-
-
 def _image_subobject(F, name):
     """The levelwise image of a simplicial morphism, as a subobject of
-    its codomain."""
+    its codomain: level n is the one-factor subproduct of Y_n on the
+    image of F_n."""
     Y = F.cod
-    sels, poss, levels = [], [], []
-    for n in range(Y.truncation + 1):
-        sel = cg.distinct(F.components[n].map)
-        pos = -np.ones(Y.levels[n].size, dtype=np.int64)
-        pos[sel] = np.arange(len(sel))
-        sels.append(sel)
-        poss.append(pos)
-        levels.append(_subalgebra_on(Y.levels[n], sel, f"{name}{n}"))
-    S = transport(Y, levels, lambda n, m, key, f: poss[m][f.map[sels[n]]],
-                  name)
+    levels = [
+        subproduct_algebra(f"{name}{n}", [Y.levels[n]],
+                           cg.distinct(F.components[n].map)[:, None])[0]
+        for n in range(Y.truncation + 1)
+    ]
+    S = transport(
+        Y, levels,
+        lambda n, m, key, f: tuple_map(
+            levels[n], levels[m], [f.map[levels[n].carrier.rows[:, 0]]]
+        ).map,
+        name,
+    )
     return validate_simplicial(S, check_homs=True)
 
 
@@ -619,8 +602,7 @@ def _coskeletal_commutator_suite(ctx):
         exact, _ = exactness_check(X, 1, budget=ctx["budget"])
         if not exact:
             continue
-        d0, d1 = X.faces[1]
-        meet01 = cg.meet(cg.kernel_pair(d0), cg.kernel_pair(d1))
+        meet01 = face_meet(X, 1, 0, 1)
         lhs = cg.image(X.faces[2][0], face_meet(X, 2, 1, 2))
         if lhs != meet01 or homotopy_congruence_level1(X) != meet01:
             raise PropertyViolation(
@@ -661,9 +643,7 @@ def _coskeletal_commutator_suite(ctx):
     for graph, targets in graph_cases:
         G, proj = graph_reflection(graph)
         validate_groupoid(G)
-        reps = np.zeros(G.arrows.size, dtype=np.int64)
-        order = np.arange(proj.map.shape[0] - 1, -1, -1)
-        reps[proj.map[order]] = order
+        reps = cg.kernel_pair(proj).reps()
         for H in targets:
             for f0, f1 in _graph_morphisms(graph, H):
                 g1 = f1[reps]
@@ -704,9 +684,7 @@ def _coskeletal_commutator_suite(ctx):
     hey_objects.append(decalage(hey_objects[1])[0])
     hey_checked = 0
     for X in hey_objects:
-        d0, d1 = X.faces[1]
-        h1 = homotopy_congruence_level1(X)
-        if h1 != cg.meet(cg.kernel_pair(d0), cg.kernel_pair(d1)):
+        if homotopy_congruence_level1(X) != face_meet(X, 1, 0, 1):
             raise PropertyViolation(
                 f"Heyting object {X.name} misses the meet identity"
             )

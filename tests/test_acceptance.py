@@ -6,6 +6,9 @@ pass/fail line per criterion.  Every check is an exact equality of
 finite structures; there are no tolerances anywhere.
 """
 
+import pytest
+
+from simal.cli import run
 from simal.corpus import default_corpus
 from simal import suite
 from simal.errors import SimalError
@@ -130,3 +133,17 @@ def test_every_budgeted_call_of_the_suite_gets_the_run_budget(monkeypatch):
     assert all(r["passed"] for r in records)
     assert {name for name, _ in seen} == set(BUDGETED)
     assert [call for call in seen if call[1] != budget] == []
+
+
+@pytest.mark.parametrize("profile, digest", [
+    ("desk",
+     "54f92662c8f6d291e398f1f3fe88943c9e98833530d61f3fd93c3be269fa58bc"),
+    ("deep",
+     "c84fea7815427fad19e0dbf37da63aa3cd64b93ee9fe645efad155e6a30dff36"),
+])
+def test_suite_report_hash_is_pinned(profile, digest):
+    # every verdict and detail of the battery goes into report_hash, so
+    # a change that keeps the verdicts keeps both digests
+    code, report, _ = run(["suite", "--profile", profile])
+    assert code == 0
+    assert report["report_hash"] == digest

@@ -440,6 +440,19 @@ def test_pullback_is_componentwise(data):
 
 @LIMIT_SETTINGS
 @given(st.data())
+def test_image_is_a_componentwise_one_factor_subproduct(data):
+    # the representation of a subalgebra: the rows of one factor that a
+    # homomorphism hits, often a proper subset of it
+    family = data.draw(st.sampled_from(LIMIT_FAMILIES))
+    a, c = (data.draw(st.sampled_from(family)) for _ in range(2))
+    f = Homomorphism(a, c, data.draw(st.sampled_from(list(_hom_maps(a, c)))))
+    alg, projs = subproduct_algebra("im", [c], cg.distinct(f.map)[:, None])
+    want_rows = [(y,) for y in sorted(set(int(v) for v in f.map))]
+    _assert_limit(alg, projs, [c], want_rows)
+
+
+@LIMIT_SETTINGS
+@given(st.data())
 def test_quotient_is_blockwise(data):
     family = data.draw(st.sampled_from(LIMIT_FAMILIES))
     factors = data.draw(st.lists(st.sampled_from(family), min_size=1,

@@ -23,6 +23,7 @@ from simal.errors import (
     PreconditionUnmet,
     PropertyViolation,
 )
+from simal.galois import fiber_connectivity_relation, homotopy_relation
 from simal.groupoid import maltsev_groupoid, validate_groupoid
 from simal.reflection import (
     commutator_chain_check,
@@ -38,6 +39,8 @@ from simal.reflection import (
 from simal.simplicial import (
     coskeleton,
     nerve,
+    quotient_simplicial,
+    simplicial_congruence_generated,
     spine_maps,
 )
 
@@ -220,6 +223,41 @@ def test_commutator_chain_patterns():
     assert rep["classes"] == {"commutator": 4, "homotopy": 2, "meet": 2}
     rep = commutator_chain_check(nerve(pair_groupoid(C2), 2))
     assert rep["meet_equal"] and rep["commutator_equal"]
+
+
+def _calls_on(calls, maps):
+    """The calls whose map is one of maps (a loops graph's two faces are
+    one map)."""
+    return sum(any(f is m for m in maps) for f in calls)
+
+
+def test_level1_readers_take_face_data_from_the_object_cache(monkeypatch):
+    """The level-1 readers take both face kernels and h1 from the
+    object's cache: over two passes the two face kernels are built once,
+    and h1, an image under each level-2 face, once."""
+    X = cosk_loops()
+    F = quotient_simplicial(
+        X, simplicial_congruence_generated(X, {1: [(0, 1)]}))[1]
+    kernels, images = [], []
+    kernel_pair, image = cg.kernel_pair, cg.image
+
+    def spy_kernel_pair(f):
+        kernels.append(f)
+        return kernel_pair(f)
+
+    def spy_image(f, theta):
+        images.append(f)
+        return image(f, theta)
+
+    monkeypatch.setattr(cg, "kernel_pair", spy_kernel_pair)
+    monkeypatch.setattr(cg, "image", spy_image)
+    for _ in range(2):
+        graph_reflection(X)
+        commutator_chain_check(X)
+        homotopy_relation(X)
+        fiber_connectivity_relation(F)
+        assert _calls_on(kernels, X.faces[1]) == 2
+        assert _calls_on(images, X.faces[2]) == 3
 
 
 def test_graph_reflection_of_groupoid_nerve():

@@ -127,6 +127,20 @@ def test_only_slabs_reads_the_slab_size():
     assert readers == {"algebra.py slabs"}
 
 
+def test_only_limits_computes_carrier_codes():
+    """Tuples become carrier indices only through limits (TupleCarrier
+    and tuple_map): no other library module reads a carrier's weights
+    or looks codes up by index_of_codes.  simplicial._face_codes codes
+    the faces of horns that are never built by tuple_weights, which is
+    no carrier's."""
+    found = [f"{path.name}:{node.lineno} {node.attr}"
+             for path in SRC.glob("*.py") if path.name != "limits.py"
+             for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+             if isinstance(node, ast.Attribute)
+             and node.attr in ("weights", "index_of_codes")]
+    assert found == []
+
+
 def test_library_has_no_assert_statement():
     # python -O strips assert statements, so no check may rely on one
     found = [f"{path.name}:{node.lineno}"
