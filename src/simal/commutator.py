@@ -26,10 +26,13 @@ lookups.  The constants before the slot are only the theta-pairs whose
 codes are roots of Delta when the wave starts, those after it every
 theta-pair, which is all close needs: for a binary operation the pool
 is |P| plus the roots instead of 2 |P|.  A block holds about
-SLAB_CELLS // n tuples, one alg.op call per row table; the work pairs
-go in chunks of about MERGE_CELLS // block, pure gathers, so each image
-array is one merge step of close, at most 128 KiB, whatever |P| or the
-arity.
+SLAB_CELLS // n tuples, one alg.op call per row table.  The absorbed
+codes go in runs of about MERGE_CELLS // block, pure gathers, each with
+the images of the roots it touches; a root's images are computed when
+the runs reach it and yielded again while they stay on it, so a root
+that absorbed many codes is translated once per block.  Each image
+array is one comparison step of close, at most 128 KiB, whatever |P|
+or the arity.
 
 The readout merges the pairs read off; their count must equal the
 partition's pair count, which certifies that the relation was already
@@ -72,14 +75,16 @@ def tc_commutator(theta, psi):
     return result
 
 
-def _pair_translations(alg, pa, pb, xs, ys, roots):
-    """The images of every pair (xs[k], ys[k]) of codes under every basic
-    translation whose constants are the theta-pairs (pa[i], pb[i]), those
-    before its slot only the pairs whose codes are roots."""
+def _pair_translations(alg, pa, pb, xs, heads, at, roots):
+    """close's provider for the basic translations of P whose constants
+    are the theta-pairs (pa[i], pb[i]), those before its slot only the
+    pairs whose codes are roots: the images of each run of absorbed codes
+    and of the heads it touches, a head's images computed when the runs
+    reach it and yielded again while they stay on it."""
     n = alg.size
     every = np.arange(n)[:, None]
     x0, x1 = np.divmod(xs, n)
-    y0, y1 = np.divmod(ys, n)
+    h0, h1 = np.divmod(heads, n)
     rooted = np.flatnonzero(roots[pa * n + pb])
     for opname, consts, slot in cg.translation_slabs(alg, len(pa), rooted, n):
         high = np.multiply(
@@ -87,7 +92,9 @@ def _pair_translations(alg, pa, pb, xs, ys, roots):
             n, dtype=np.int64,
         )
         low = alg.op(opname, *cg.in_slot([pb[c] for c in consts], slot, every))
-        chunk = max(1, cg.MERGE_CELLS // high.shape[1])
-        for s in range(0, len(xs), chunk):
-            w = slice(s, s + chunk)
-            yield high[x0[w]] + low[x1[w]], high[y0[w]] + low[y1[w]]
+        held = None
+        for w, h, ta in cg.runs(at, max(1, cg.MERGE_CELLS // high.shape[1])):
+            if h != held:
+                held = h
+                th = high.take(h0[h], axis=0) + low.take(h1[h], axis=0)
+            yield high.take(x0[w], axis=0) + low.take(x1[w], axis=0), th, ta

@@ -29,29 +29,38 @@ equivalence is a congruence exactly when every basic translation (an
 operation with its argument in one slot and constants in the others)
 keeps it.  close merges the seeds into a closed start; each wave then
 translates the pairs (r, root of r) for the roots r that the last wave
-absorbed and merges the images.  With the start these pairs generate
-all merged so far, and each element enters at most once, as the root
-it loses, so a closure that merges nothing computes nothing.  A wave
+absorbed and merges the images.  It groups those r by their root, so
+each root, a head, is translated once per wave however many elements
+it absorbed, and merge gets only the image cells whose labels differ
+from their head's image's.  With the start these pairs generate all
+merged so far, and each element enters at most once, as the root it
+loses, so a closure that merges nothing computes nothing.  A wave
 needs only the translations whose constants before the argument's slot
 are roots when it starts (close's docstring says why): the final roots
 were roots at every wave, and replacing arguments by their roots in
 slot order reaches every translation.  When a wave absorbs nothing,
 every translation keeps the relation, and every merged pair was
 forced, so it is the least congruence.  A provider yields the
-translations: congruence_generated reads them off alg.op, which
-computes a derived algebra's rows from the algebras it was built from
-rather than build its table; the simplicial closure adds faces and
-degeneracies as unary translations between levels; the commutator
-reads them off pair codes.  check_compatibility is a check, not a
-closure: one first_failure walk per operation, finding nothing to merge.
+translations, for each run of absorbed elements the images of the run
+and of the heads it touches under one block of translations (close's
+docstring gives the contract): congruence_generated reads them off
+alg.op, which computes a derived algebra's rows from the algebras it
+was built from rather than build its table; the simplicial closure
+adds the faces and degeneracies leaving a level as one stacked array
+of unary translations between levels; the commutator reads them off
+pair codes.  check_compatibility is a check, not a closure: one
+first_failure walk per operation, finding nothing to merge.
 
 Two sizes bound a wave's work.  translation_slabs hands a provider
 about SLAB_CELLS // rows constant tuples per alg.op call, so a derived
-algebra makes few evaluator calls.  close merges each image array in
-steps of MERGE_CELLS = 16,384 int64 cells, 128 KiB, so that merge's
-gathers and masks stay at glibc's mmap threshold instead of each being
-a fresh mapping that page-faults on first touch.  Slabs of MERGE_CELLS
-would make derived algebras pay many more evaluator calls instead.
+algebra makes few evaluator calls.  close compares each absorbed-image
+array with its heads' labels in steps of MERGE_CELLS = 16,384 int64
+cells, 128 KiB, and the commutator, which computes its images per run
+rather than per slab, makes each absorbed-image and head-image array at
+most that size, so that the gathers and masks stay at glibc's mmap
+threshold instead of each being a fresh mapping that page-faults on
+first touch.  Slabs of MERGE_CELLS would make derived algebras pay many
+more evaluator calls instead.
 
 The closures of join and image are certified, not trusted:
 
@@ -88,8 +97,9 @@ ENUMERATION_LIMIT = 16
 # alg.op call, about SLAB_CELLS // rows of them.
 SLAB_CELLS = 250_000
 
-# Cells of one image array handed to merge: at most 128 KiB of int64,
-# glibc's default mmap threshold.  On the C16..C48, D8..D24 commutator
+# Cells of absorbed images close compares at a time, and of each image
+# array the commutator computes: at most 128 KiB of int64, glibc's
+# default mmap threshold.  On the C16..C48, D8..D24 commutator
 # ladder, steps of 250k cells took 95k minor page faults, these 0.8k.
 MERGE_CELLS = 16_384
 
@@ -145,7 +155,7 @@ def merge(part, a, b):
     while True:
         ra, rb = labels[a], labels[b]
         split = ra != rb
-        if not np.logical_or.reduce(split):
+        if not np.count_nonzero(split):
             return labels
         a, b, ra, rb = a[split], b[split], ra[split], rb[split]
         if not owned:
@@ -153,7 +163,7 @@ def merge(part, a, b):
         np.minimum.at(labels, np.maximum(ra, rb), np.minimum(ra, rb))
         while True:
             jumped = labels[labels]
-            if np.logical_and.reduce(jumped == labels):
+            if not np.count_nonzero(jumped != labels):
                 break
             labels = jumped
 
@@ -392,12 +402,22 @@ def quotient(alg, theta):
 def close(start, a, b, translate):
     """Least-member labels of the least equivalence that contains the
     closed labels start and the pairs (a[k], b[k]) and is closed under
-    translate(xs, ys, roots).  translate yields, in arrays of index
-    arrays, the images of every pair (xs[k], ys[k]) under every basic
-    translation f(c_1, .., x, .., c_m) whose constants before the slot
-    of x are roots of the wave (roots[c] is True) and whose constants
-    after it are any elements.  Each array is merged in pieces of at
-    most MERGE_CELLS cells.
+    translate.
+
+    Each wave hands translate(xs, heads, at, roots) the elements the
+    last one absorbed as xs, sorted by their root, the distinct roots as
+    heads, in increasing order, and at, the index into heads of each
+    one's root.  It yields triples (tx, th, ta), each for a run of
+    consecutive elements of xs under one block of basic translations
+    f(c_1, .., x, .., c_m) whose constants before the slot of x are
+    roots of the wave (roots[c] is True) and whose constants after it
+    are any elements: tx holds the images of the run, a row per element,
+    th those of the heads the run touches, a row per head in order, and
+    ta the row of th of each row of tx.  A provider may yield one th
+    again, the same array, while its runs stay on the same heads.  close
+    compares the labels of tx, MERGE_CELLS cells at a time, with those of
+    th gathered by ta, hands merge only the cells that differ, and
+    gathers the head labels afresh after every merge.
 
     That is enough.  Let E be the result and r(x) the root of x in E.
     A root of E was a root at every wave, as no merge frees a root, so
@@ -416,15 +436,45 @@ def close(start, a, b, translate):
     was_root, labels = start == codes, merge(start, a, b)
     while True:
         roots = labels == codes
-        absorbed = np.flatnonzero(was_root & ~roots)
+        absorbed = (was_root & ~roots).nonzero()[0]
         if not len(absorbed):
             return labels
         was_root = roots
-        for tx, ty in translate(absorbed, labels[absorbed], roots):
-            tx, ty = tx.ravel(), ty.ravel()
-            for s in range(0, len(tx), MERGE_CELLS):
-                labels = merge(labels, tx[s:s + MERGE_CELLS],
-                               ty[s:s + MERGE_CELLS])
+        owner = labels[absorbed]
+        order = owner.argsort()
+        absorbed, owner = absorbed[order], owner[order]
+        new = np.empty(len(owner), dtype=bool)
+        new[0] = True
+        np.not_equal(owner[1:], owner[:-1], out=new[1:])
+        heads = owner[new]
+        held = None
+        for tx, th, ta in translate(absorbed, heads, heads.searchsorted(owner),
+                                    roots):
+            if th is not held:
+                held, head_labels = th, labels[th]
+            # a run that touches as many heads as it has rows is one per head
+            one_each = len(th) == len(tx)
+            step = max(1, MERGE_CELLS // tx.shape[1])
+            for s in range(0, len(tx), step):
+                lx = labels[tx[s:s + step]]
+                ly = (head_labels[s:s + step] if one_each
+                      else head_labels.take(ta[s:s + step], axis=0))
+                split = lx != ly
+                if np.count_nonzero(split):
+                    labels = merge(labels, lx[split], ly[split])
+                    head_labels = labels[th]
+
+
+def runs(at, rows):
+    """(w, h, local) for the runs of at most rows consecutive absorbed
+    elements in turn, at as close hands it to a provider: the slice w of
+    the run, the slice h of the heads it touches, and local, the index
+    into h of each one's head."""
+    for s in range(0, len(at), rows):
+        local = at[s:s + rows]
+        first = local[0]
+        yield (slice(s, s + rows), slice(first, local[-1] + 1),
+               local - first if first else local)
 
 
 def translation_slabs(alg, pool, roots, rows):
@@ -450,18 +500,18 @@ def in_slot(consts, slot, column):
     return consts[:slot] + [column] + consts[slot:]
 
 
-def translations(alg, xs, ys, roots):
-    """The images of every pair (xs[k], ys[k]) of elements of alg under
-    every basic translation whose constants before its slot are roots,
-    read by alg.op."""
-    half = max(1, SLAB_CELLS // 2)
-    roots = np.flatnonzero(roots)
-    for s in range(0, len(xs), half):
-        both = np.concatenate([xs[s:s + half], ys[s:s + half]])[:, None]
+def translations(alg, xs, heads, at, roots):
+    """close's provider for the basic translations of alg, read by
+    alg.op: one call per block of constant tuples computes the images of
+    a run of the absorbed elements and of the heads it touches together."""
+    roots = roots.nonzero()[0]
+    for w, h, local in runs(at, max(1, SLAB_CELLS // 2)):
+        both = np.concatenate([xs[w], heads[h]])[:, None]
+        cut = len(local)
         for opname, consts, slot in translation_slabs(alg, alg.size, roots,
                                                       len(both)):
             rows = alg.op(opname, *in_slot(consts, slot, both))
-            yield rows[:len(both) // 2], rows[len(both) // 2:]
+            yield rows[:cut], rows[cut:], local
 
 
 def congruence_generated(alg, pairs, initial=None):

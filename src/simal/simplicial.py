@@ -96,8 +96,7 @@ def validate_simplicial(X, check_homs=False):
             kind = "face" if name[0] == "d" else "degeneracy"
             raise InvalidParameters(f"{kind} {name} at level {n} has wrong endpoints")
     if check_homs:
-        for _, _, _, f in _structure_maps(X):
-            check_homomorphism(f)
+        check_structure_homs(X)
     d = [[f.map for f in maps] for maps in X.faces]
     s = [[f.map for f in maps] for maps in X.degeneracies]
     for n in range(2, N + 1):
@@ -125,6 +124,13 @@ def validate_simplicial(X, check_homs=False):
                 else:
                     rhs = s[n - 1][j][d[n][i - 1]]
                     _expect(lhs, rhs, f"d{i} s{j} = s{j} d{i - 1} at level {n}")
+    return X
+
+
+def check_structure_homs(X):
+    """Check that every face and degeneracy of X is a homomorphism."""
+    for _, _, _, f in _structure_maps(X):
+        check_homomorphism(f)
     return X
 
 
@@ -555,10 +561,11 @@ def simplicial_congruence_generated(X, seeds, initial=None):
     The levels are the sorts of one multi-sorted algebra whose unary
     operations between sorts are the faces and degeneracies, closed by
     congruences.close on one label array over the disjoint union of the
-    levels, level n from offsets[n] on.  A wave sends the worklist pairs
-    of level n through every face and degeneracy out of it and through
-    the basic translations of X_n, read off X_n.op.  No pair crosses two
-    levels, so no class does.
+    levels, level n from offsets[n] on.  A wave sends the elements of
+    level n it translates, absorbed ones and their roots, through every
+    face and degeneracy out of it, as one stacked image array, and
+    through the basic translations of X_n, read off X_n.op.  No pair
+    crosses two levels, so no class does.
     """
     offsets = np.cumsum([0] + [lvl.size for lvl in X.levels])
     pairs = np.concatenate([
@@ -569,18 +576,27 @@ def simplicial_congruence_generated(X, seeds, initial=None):
              np.concatenate([c.part + offsets[n]
                              for n, c in enumerate(initial)]))
 
-    def translate(xs, ys, roots):
-        cuts = np.searchsorted(xs, offsets)
-        local = [(xs[cuts[n]:cuts[n + 1]] - offsets[n],
-                  ys[cuts[n]:cuts[n + 1]] - offsets[n],
-                  roots[offsets[n]:offsets[n + 1]])
-                 for n in range(X.truncation + 1)]
-        for n, m, _, f in _structure_maps(X):
-            yield (f.map[local[n][0]] + offsets[m],
-                   f.map[local[n][1]] + offsets[m])
+    # images[n]: X_n's images under the faces and degeneracies leaving
+    # it, one column each, built when a wave first reaches level n
+    images = [None] * len(X.levels)
+
+    def translate(xs, heads, at, roots):
+        ends = heads.searchsorted(offsets)
+        starts = at.searchsorted(ends)
         for n, lvl in enumerate(X.levels):
-            for tx, ty in cg.translations(lvl, *local[n]):
-                yield tx + offsets[n], ty + offsets[n]
+            if starts[n] == starts[n + 1]:
+                continue
+            a, o = slice(starts[n], starts[n + 1]), offsets[n]
+            xs_n, heads_n = xs[a] - o, heads[ends[n]:ends[n + 1]] - o
+            at_n = at[a] - ends[n]
+            if images[n] is None:
+                images[n] = np.array([f.map + offsets[m] for k, m, _, f
+                                      in _structure_maps(X) if k == n]).T
+            if images[n].size:  # a truncation-0 object has no such maps
+                yield images[n][xs_n], images[n][heads_n], at_n
+            for tx, th, ta in cg.translations(lvl, xs_n, heads_n, at_n,
+                                              roots[o:offsets[n + 1]]):
+                yield tx + o, th + o, ta
 
     labels = cg.close(start, pairs[:, 0], pairs[:, 1], translate)
     return [cg.Congruence(lvl, labels[offsets[n]:offsets[n + 1]] - offsets[n],

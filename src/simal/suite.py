@@ -57,6 +57,7 @@ from .reflection import (
 from .simplicial import (
     SimplicialMorphism,
     check_simplicial_morphism,
+    check_structure_homs,
     decalage,
     exactness_check,
     kan_check,
@@ -67,7 +68,6 @@ from .simplicial import (
     spine_maps,
     transport,
     truncate,
-    validate_simplicial,
 )
 
 
@@ -223,7 +223,7 @@ def _image_subobject(F, name):
         ).map,
         name,
     )
-    return validate_simplicial(S, check_homs=True)
+    return check_structure_homs(S)
 
 
 # -- criterion 1: congruence lattices --------------------------------------
@@ -432,7 +432,7 @@ def _characterization_suite(ctx):
             continue
         parts = simplicial_congruence_generated(X, seeds)
         Q, _ = quotient_simplicial(X, parts)
-        validate_simplicial(Q, check_homs=True)
+        check_structure_homs(Q)
         if not is_internal_groupoid(Q):
             raise PropertyViolation(
                 f"quotient of the groupoid nerve {name} lost the "

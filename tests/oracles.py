@@ -22,6 +22,10 @@ from simal.galois import _central_by_lattice, _quotient_cofactor
 # Families the lattice walk may visit before it gives up.
 WALK_NODE_LIMIT = 20_000
 
+# Argument tuples of one step of the matrix closure, so that the C48
+# commutators stay under 100 MB.
+MATRIX_TUPLES = 1 << 18
+
 
 def pairs_of_partition(part):
     """All ordered related pairs of a least-member partition array."""
@@ -341,13 +345,21 @@ def matrix_closure_commutator(alg, theta_part, psi_part):
         for opname, arity in alg.signature.ops:
             t = alg.table(opname)
             if arity == 0:
-                cand = np.asarray([[int(t[0])] * 4])
+                found = [encode(np.asarray([[int(t[0])] * 4]))]
             else:
-                args = np.indices((len(mat),) * arity).reshape(arity, -1)
-                cand = np.stack(
-                    [t[tuple(mat[a, c] for a in args)] for c in range(4)], axis=1
-                ).astype(np.int64)
-            new = decode(np.setdiff1d(encode(cand), encode(mat)))
+                # every tuple of matrices, MATRIX_TUPLES at a time
+                total, found = len(mat) ** arity, []
+                for s in range(0, total, MATRIX_TUPLES):
+                    args = np.unravel_index(
+                        np.arange(s, min(s + MATRIX_TUPLES, total)),
+                        (len(mat),) * arity,
+                    )
+                    cand = np.stack(
+                        [t[tuple(mat[a, c] for a in args)] for c in range(4)],
+                        axis=1,
+                    ).astype(np.int64)
+                    found.append(np.unique(encode(cand)))
+            new = decode(np.setdiff1d(np.concatenate(found), encode(mat)))
             if len(new):
                 mat = np.concatenate([mat, new])
                 added = True

@@ -10,7 +10,7 @@ import pytest
 
 from simal.cli import run
 from simal.corpus import default_corpus
-from simal import suite
+from simal import simplicial, suite
 from simal.errors import SimalError
 from simal.suite import CRITERIA, run_suite
 
@@ -69,6 +69,46 @@ def test_criterion_05_groupoid_characterization_and_closure():
     assert details["levels_compared"] > 0
     assert details["quotients"] > 0
     assert details["subobjects"] > 0
+
+
+def test_criterion_05_checks_each_rebuilt_object_once(monkeypatch):
+    """transport checks the simplicial identities of every quotient and
+    image subobject criterion 5 rebuilds, and the criterion checks only
+    that their faces and degeneracies are homomorphisms."""
+    rebuilt, validated, checked = [], [], []
+    quotient, image = suite.quotient_simplicial, suite._image_subobject
+    validate = simplicial.validate_simplicial
+    check = simplicial.check_homomorphism
+
+    def spy_quotient(*args):
+        out = quotient(*args)
+        rebuilt.append(out[0])
+        return out
+
+    def spy_image(*args):
+        rebuilt.append(image(*args))
+        return rebuilt[-1]
+
+    def spy_validate(X, *args, **kwargs):
+        validated.append(X)
+        return validate(X, *args, **kwargs)
+
+    def spy_check(h):
+        checked.append(h)
+        return check(h)
+
+    monkeypatch.setattr(suite, "quotient_simplicial", spy_quotient)
+    monkeypatch.setattr(suite, "_image_subobject", spy_image)
+    for module in (simplicial, suite):
+        monkeypatch.setattr(module, "validate_simplicial", spy_validate,
+                            raising=False)
+        monkeypatch.setattr(module, "check_homomorphism", spy_check,
+                            raising=False)
+    details = _run(5)
+    assert len(rebuilt) == details["quotients"] + details["subobjects"] == 12
+    assert [sum(X is Y for Y in validated) for X in rebuilt] == [1] * 12
+    assert all(any(f is h for h in checked)
+               for X in rebuilt for _, _, _, f in simplicial._structure_maps(X))
 
 
 def test_criterion_06_kan_property_and_fibrations():

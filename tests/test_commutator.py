@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from simal import congruences as cg
+from simal import commutator, congruences as cg
 from simal.algebra import Signature, make_algebra
 from simal.commutator import tc_commutator
 from simal.errors import InvalidParameters
@@ -209,28 +209,60 @@ def test_full_commutator_on_d24_stays_under_24_mb_traced():
     assert peak < 24e6, peak
 
 
-@pytest.mark.parametrize("make, n, cells, full_pools", [
-    (cyclic_group, 48, 5_412_286, 10_397_999),
-    (dihedral_group, 24, 5_441_876, 10_601_323),
+def test_commutator_with_a_head_per_pair_stays_under_24_mb_traced():
+    # the last wave absorbs 1,128 pair codes, each under a root of its
+    # own, so no temporary may hold the images of every head under a
+    # block of translations
+    alg = cyclic_group(48)
+    alg.tables
+    psi = cg.principal_congruence(alg, 0, 24)
+    tracemalloc.start()
+    try:
+        result = tc_commutator(cg.full(alg), psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(result.part) == oracles.matrix_closure_commutator(
+        alg, cg.full(alg).part, psi.part
+    )
+    assert peak < 24e6, peak
+
+
+@pytest.mark.parametrize("make, n, computed, handed, full_pools", [
+    (cyclic_group, 48, 5_711_952, 15_887, 10_397_999),
+    (dihedral_group, 24, 5_535_935, 34_655, 10_601_323),
 ])
 def test_full_commutator_merges_at_most_55_percent_of_full_pools(
-    monkeypatch, make, n, cells, full_pools
+    monkeypatch, make, n, computed, handed, full_pools
 ):
-    # the cells handed to merge, a count that no slab or step size moves;
-    # with all |theta| constants in every slot of every translation the
-    # closure handed it full_pools, and roots before the slot halve that
+    # the image cells the provider computes, each run's and each head's
+    # (a head yielded again is not computed again), and the cells close
+    # hands to merge; with all |theta| constants in every slot of every
+    # translation the closure computed full_pools on each side of its
+    # pairs, and roots before the slot and roots translated once each
+    # bring both sides together under 55% of one
     alg = make(n)
-    handed = []
-    merge = cg.merge
+    cells, merged = [], []
+    pair_translations, merge = commutator._pair_translations, cg.merge
 
-    def counting(part, a, b):
-        handed.append(len(a))
+    def counting_translations(*args):
+        held = None
+        for tx, th, ta in pair_translations(*args):
+            cells.append(tx.size + (th.size if th is not held else 0))
+            held = th
+            yield tx, th, ta
+
+    def counting_merge(part, a, b):
+        merged.append(len(a))
         return merge(part, a, b)
 
-    monkeypatch.setattr(cg, "merge", counting)
+    monkeypatch.setattr(commutator, "_pair_translations",
+                        counting_translations)
+    monkeypatch.setattr(cg, "merge", counting_merge)
     tc_commutator(cg.full(alg), cg.full(alg))
-    assert sum(handed) == cells
-    assert sum(handed) <= 0.55 * full_pools
+    assert sum(cells) == computed
+    assert sum(cells) <= 0.55 * full_pools
+    assert sum(merged) == handed
 
 
 def _latin_squares(n):

@@ -442,10 +442,31 @@ def _closing(sizes):
         yield
 
 
+def _draw_work_pairs(data, X):
+    """A level of X and one to eight pairs of its elements, more than one
+    run of the 7-cell slab takes."""
+    n = data.draw(st.integers(0, X.truncation), label="level")
+    element = st.integers(0, X.levels[n].size - 1)
+    pairs = data.draw(st.lists(st.tuples(element, element), min_size=1,
+                               max_size=8), label="pairs")
+    xs, ys = np.asarray(pairs).T
+    return n, xs, ys
+
+
 def _translation_pairs(alg, xs, ys, roots, sizes):
+    """The image pairs of every (xs[k], ys[k]) under cg.translations, which
+    takes the xs grouped by their y and the distinct ys as heads: each row
+    of a run's images paired with the row of its head's.  Every run's head
+    rows are the heads it touches, each one at least once."""
+    order = np.argsort(ys, kind="stable")
+    heads = np.unique(ys)
+    got = []
     with _closing(sizes):
-        got = [np.stack([tx.ravel(), ty.ravel()], axis=1)
-               for tx, ty in cg.translations(alg, xs, ys, roots)]
+        for tx, th, ta in cg.translations(alg, xs[order], heads,
+                                          np.searchsorted(heads, ys[order]),
+                                          roots):
+            assert np.array_equal(np.unique(ta), np.arange(len(th)))
+            got.append(np.stack([tx.ravel(), th[ta].ravel()], axis=1))
     return sorted(map(tuple, np.concatenate(got).tolist()))
 
 
@@ -455,9 +476,8 @@ def test_translations_are_every_basic_translation_across_slabs(data):
     # with every element a root: the image pairs of each work pair, one
     # per operation, slot and constant tuple, whatever the slabs; the
     # twin reads them off rows of its tables
-    X, dense, seeds, sizes = _draw_closure_case(data)
-    n, pairs = next(iter(seeds.items()))
-    xs, ys = np.asarray(pairs).T
+    X, dense, _, sizes = _draw_closure_case(data)
+    n, xs, ys = _draw_work_pairs(data, X)
     got = _translation_pairs(X.levels[n], xs, ys,
                              np.ones(X.levels[n].size, dtype=bool), sizes)
     want = []
@@ -489,9 +509,8 @@ def _root_translations_twin(dense, xs, ys, roots):
 def test_translations_take_earlier_constants_from_the_roots(data):
     # a drawn root mask: exactly the translations whose constants in the
     # slots before the argument are roots
-    X, dense, seeds, sizes = _draw_closure_case(data)
-    n, pairs = next(iter(seeds.items()))
-    xs, ys = np.asarray(pairs).T
+    X, dense, _, sizes = _draw_closure_case(data)
+    n, xs, ys = _draw_work_pairs(data, X)
     size = X.levels[n].size
     roots = np.array(data.draw(
         st.lists(st.booleans(), min_size=size, max_size=size), label="roots"
@@ -506,8 +525,9 @@ def test_root_constants_go_before_the_slot_in_a_noncommutative_group():
     # the translations themselves tell the slot order apart
     xs, ys = np.arange(6), np.roll(np.arange(6), 1)
     roots = np.arange(6) % 2 == 0
-    got = _translation_pairs(S3, xs, ys, roots, (cg.SLAB_CELLS, cg.MERGE_CELLS))
-    assert got == _root_translations_twin(S3, xs, ys, roots)
+    want = _root_translations_twin(S3, xs, ys, roots)
+    for sizes in [(cg.SLAB_CELLS, cg.MERGE_CELLS), (100, 100), (7, 7)]:
+        assert _translation_pairs(S3, xs, ys, roots, sizes) == want, sizes
 
 
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
