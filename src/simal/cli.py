@@ -132,15 +132,12 @@ def _need(obj, cls, what):
 
 
 def _artifact_json(obj):
+    """The JSON of an algebra, simplicial object or morphism: generate's."""
     if isinstance(obj, FiniteAlgebra):
         return sio.algebra_to_json(obj)
     if isinstance(obj, TruncatedSimplicialAlgebra):
         return sio.simplicial_to_json(obj)
-    if isinstance(obj, SimplicialMorphism):
-        return sio.morphism_to_json(obj)
-    if isinstance(obj, InternalGroupoid):
-        return sio.groupoid_to_json(obj)
-    raise InputError(f"cannot serialize a {type(obj).__name__}")
+    return sio.morphism_to_json(obj)
 
 
 def _write_dir(out, artifacts, results):

@@ -188,21 +188,12 @@ def terminal_algebra(signature, term):
 
 # -- Heyting algebras from posets ------------------------------------------
 
-def _poset_chain(n):
-    less = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            less[i, j] = i <= j
-    return less
-
-
 def _poset_grid(rows, cols):
-    n = rows * cols
-    less = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(n):
-            less[i, j] = (i // cols <= j // cols) and (i % cols <= j % cols)
-    return less
+    """The product order on a rows x cols grid, numbered row by row; a
+    negative size gives the empty matrix, which heyting_from_poset rejects."""
+    r, c = np.divmod(np.arange(rows * cols if min(rows, cols) > 0 else 0),
+                     max(cols, 1))
+    return (r[:, None] <= r) & (c[:, None] <= c)
 
 
 def heyting_from_poset(poset):
@@ -213,7 +204,7 @@ def heyting_from_poset(poset):
     """
     if isinstance(poset, dict):
         if poset.get("kind") == "chain":
-            leq_mat = _poset_chain(_int_param(poset, "n"))
+            leq_mat = _poset_grid(1, _int_param(poset, "n"))
             name = f"H-chain{poset['n']}"
         elif poset.get("kind") == "grid":
             leq_mat = _poset_grid(
@@ -308,7 +299,13 @@ def discrete_groupoid(alg):
     return congruence_groupoid(alg, cg.diagonal(alg), name=f"{alg.name}-disc")
 
 
+def _check_group(grp):
+    if not _is_group(grp):
+        raise UnsupportedVariety(f"{grp.name} is not in the group signature")
+
+
 def is_abelian_group(grp):
+    _check_group(grp)
     mul = grp.table("mul")
     return bool(np.array_equal(mul, mul.T))
 
@@ -355,6 +352,7 @@ def inner_coset_groupoid(grp, subgroup):
     Arrows are pairs (t, g) with t in the subgroup, running from g to
     t*g; they form the semidirect product under conjugation.
     """
+    _check_group(grp)
     n = grp.size
     sub = np.sort(int_array(subgroup, "subgroup"))
     if len(cg.distinct(sub)) != len(sub):
@@ -404,17 +402,8 @@ def graph_object(X0, X1, d0, d1, s0, name="graph"):
 def loops_graph(base, fiber):
     """Every edge is a loop: X1 = base x fiber with both faces the base
     projection."""
-    e_f = _neutral_index(fiber)
-    X1, projections = limits.product(
-        f"{base.name}*{fiber.name}", [base, fiber]
-    )
-    pi = projections[0]
-    s0 = limits.tuple_map(
-        base, X1, [np.arange(base.size), np.full(base.size, e_f)]
-    )
-    return graph_object(
-        base, X1, pi, pi, s0, name=f"loops({base.name},{fiber.name})"
-    )
+    return _product_graph(base, fiber, None,
+                          f"loops({base.name},{fiber.name})")
 
 
 def translation_graph(base, fiber, delta):
@@ -425,23 +414,25 @@ def translation_graph(base, fiber, delta):
         )
     if any(not 0 <= d < base.size for d in delta):
         raise InvalidParameters(f"delta must list elements of {base.name}")
-    ops = dict(base.signature.ops)
-    plus = "add" if "add" in ops else "mul"
+    return _product_graph(base, fiber, np.asarray(delta),
+                          f"transl({base.name},{fiber.name})")
+
+
+def _product_graph(base, fiber, delta, name):
+    """The reflexive graph on X1 = base x fiber with d0 the base
+    projection, d1 (a, b) = a + delta(b), or d1 = d0 when delta is None,
+    and s0 a = (a, e)."""
     e_f = _neutral_index(fiber)
-    X1, projections = limits.product(
-        f"{base.name}*{fiber.name}", [base, fiber]
-    )
-    pi = projections[0]
-    R = X1.carrier.rows
-    d1_map = base.table(plus)[R[:, 0], np.asarray(delta)[R[:, 1]]]
-    d1 = Homomorphism(X1, base, d1_map, check=True)
+    X1, (pi, _) = limits.product(f"{base.name}*{fiber.name}", [base, fiber])
+    d1 = pi
+    if delta is not None:
+        plus = "add" if "add" in dict(base.signature.ops) else "mul"
+        a, b = X1.carrier.rows.T
+        d1 = Homomorphism(X1, base, base.table(plus)[a, delta[b]], check=True)
     s0 = limits.tuple_map(
         base, X1, [np.arange(base.size), np.full(base.size, e_f)]
     )
-    return graph_object(
-        base, X1, pi, d1, s0,
-        name=f"transl({base.name},{fiber.name})",
-    )
+    return graph_object(base, X1, pi, d1, s0, name=name)
 
 
 def _neutral_index(alg):

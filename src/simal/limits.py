@@ -16,6 +16,9 @@ and looks up tuples (codes_of, index_of) and tuple_map builds maps by
 them.  A subalgebra is a one-factor subproduct, on the rows of its
 elements.  The one other mixed-radix code, simplicial._face_codes,
 codes the faces of horns that are never built, by tuple_weights.
+Binary limits are built only by product and pullback, which
+simplicial._levelwise_limit calls level by level; is_double_extension
+counts the pullback of its cospan by fibers and builds none.
 
 Enumeration fills the slots left to right, each by one vectorized
 sort-based equi-join.  The rows so far and the new slot's elements are
@@ -254,16 +257,24 @@ def is_double_extension(f, g, h, j, budget=None):
 
     f: X -> Y, g: X -> Z, h: Y -> W, j: Z -> W, with h f = j g.
     Route one: the comparison <f, g> into the pullback of (h, j) is
-    surjective.  Route two: f maps Eq[g] onto Eq[h] (and symmetrically g
-    maps Eq[f] onto Eq[j]).  The routes must agree.
+    surjective, its distinct images as many as the pullback's elements;
+    both are counted, and no pullback is built.  Route two: f maps Eq[g]
+    onto Eq[h] (and symmetrically g maps Eq[f] onto Eq[j]).  The routes
+    must agree.
     """
     if not np.array_equal(h.map[f.map], j.map[g.map]):
         raise NotCommuting("square does not commute")
     for leg, tag in ((f, "f"), (g, "g"), (h, "h"), (j, "j")):
         if not leg.is_surjective():
             raise NotRegularEpi(f"square side {tag} is not surjective")
-    pb, _ = pullback(h, j, budget=budget)
-    surj = len(cg.distinct(pb.carrier.codes_of([f.map, g.map]))) == pb.size
+    # |Y x_W Z| counted by fibers; j is onto, so it is never below |Y|
+    # and passes the budget exactly when enumerating the pullback would
+    budget = resolve_budget(budget)
+    pb_size = int(np.bincount(h.map) @ np.bincount(j.map))
+    if pb_size > budget:
+        raise LevelTooLarge(f"tuple enumeration exceeds budget {budget}")
+    codes = f.map.astype(np.int64) * g.cod.size + g.map
+    surj = len(cg.distinct(codes)) == pb_size
     eqg_image = cg.image(f, cg.kernel_pair(g))
     route2a = eqg_image == cg.kernel_pair(h)
     eqf_image = cg.image(g, cg.kernel_pair(f))

@@ -8,7 +8,10 @@ the quotient through the Mal'tsev term (groupoid.maltsev_groupoid).
 The lattice formulas for the homotopy congruences at every level
 are computed separately from the unit map so the two can be compared.
 The unit is simplicial.nerve_map of the identity on objects and the
-quotient on arrows; spines and nerve maps live in simplicial.  The
+quotient on arrows; spines and nerve maps live in simplicial.  Both
+routes quotient the level-1 graph through _graph_quotient, which builds
+X1/theta and its induced faces and degeneracy: pi1 with theta = h1 and
+graph_reflection with the commutator; each composes its own way.  The
 homotopy congruences have one builder, homotopy_family, which pi1 keeps
 as R.h; coskeletality is read off simplicial.exactness_check.  The face
 kernels (face_kernels), their pairwise meets (face_meet), the level-1
@@ -106,6 +109,22 @@ def homotopy_family(X):
     return list(X._derived["family"])
 
 
+def _graph_quotient(X, theta):
+    """The quotient Q = X1/theta of the level-1 reflexive graph of X, for
+    theta below both face kernels: Q, the projection X1 -> Q, and the
+    induced d0, d1: Q -> X0 and s0: X0 -> Q, which the caller's
+    validate_groupoid checks to be homomorphisms."""
+    X0, X1 = X.levels[0], X.levels[1]
+    if any(not np.array_equal(d.map, d.map[theta.part]) for d in X.faces[1]):
+        raise PropertyViolation("homotopic arrows must share both faces")
+    Q, proj = cg.quotient(X1, theta)
+    reps = theta.reps()
+    d0b, d1b = (Homomorphism(Q, X0, d.map[reps], check=False)
+                for d in X.faces[1])
+    s0b = Homomorphism(X0, Q, proj.map[X.degeneracies[0][0].map], check=False)
+    return Q, proj, d0b, d1b, s0b
+
+
 class ReflectionResult:
     def __init__(self, groupoid, nerve_obj, unit, h):
         self.groupoid = groupoid
@@ -124,23 +143,9 @@ def pi1(X, budget=None):
     N = X.truncation
     if N < 2:
         raise PreconditionUnmet("reflection needs truncation >= 2")
-    X0, X1 = X.levels[0], X.levels[1]
-    d0m = X.faces[1][0].map
-    d1m = X.faces[1][1].map
+    X0 = X.levels[0]
     h = homotopy_family(X)
-    h1 = h[1]
-    if not np.array_equal(d0m, d0m[h1.part]) or not np.array_equal(
-        d1m, d1m[h1.part]
-    ):
-        raise PropertyViolation("homotopic arrows must share both faces")
-    Q, eta1 = cg.quotient(X1, h1)
-    reps = h1.reps()
-    # validate_groupoid checks that these three are homomorphisms
-    d0b = Homomorphism(Q, X0, d0m[reps], check=False)
-    d1b = Homomorphism(Q, X0, d1m[reps], check=False)
-    s0b = Homomorphism(
-        X0, Q, eta1.map[X.degeneracies[0][0].map], check=False
-    )
+    Q, eta1, d0b, d1b, s0b = _graph_quotient(X, h[1])
 
     spins = spine_maps(X, 2)
     qa = eta1.map[spins[0]]
@@ -257,17 +262,10 @@ def graph_reflection(X):
     """
     if X.truncation < 1:
         raise PreconditionUnmet("graph reflection needs a level of arrows")
-    X0, X1 = X.levels[0], X.levels[1]
-    d0, d1 = X.faces[1]
-    s0 = X.degeneracies[0][0]
-    theta = tc_commutator(*face_kernels(X, 1))
-    Q, proj = cg.quotient(X1, theta)
-    reps = theta.reps()
-    # validate_groupoid checks that these three are homomorphisms
-    d0b = Homomorphism(Q, X0, d0.map[reps], check=False)
-    d1b = Homomorphism(Q, X0, d1.map[reps], check=False)
-    s0b = Homomorphism(X0, Q, proj.map[s0.map], check=False)
-    return validate_groupoid(maltsev_groupoid(X0, Q, d0b, d1b, s0b)), proj
+    Q, proj, d0b, d1b, s0b = _graph_quotient(
+        X, tc_commutator(*face_kernels(X, 1)))
+    return (validate_groupoid(maltsev_groupoid(X.levels[0], Q, d0b, d1b, s0b)),
+            proj)
 
 
 def is_two_coskeletal_at_top(X, budget=None):

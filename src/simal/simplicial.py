@@ -45,6 +45,8 @@ from .algebra import Homomorphism, check_homomorphism, identity_hom
 from . import congruences as cg
 from .limits import (
     compatible_tuples,
+    product,
+    pullback,
     subproduct_algebra,
     tuple_map,
     tuple_weights,
@@ -496,16 +498,12 @@ def nerve_map(X, NY, f0, f1):
 
 # -- products, pullbacks, quotients ---------------------------------------
 
-def _levelwise_limit(X, Y, constraints_per_level, budget, name):
-    """Levelwise subproduct of X and Y cut out by the fiber constraints of
-    each level, with componentwise structure maps and both projections."""
-    levels, projections = [], []
-    for n in range(X.truncation + 1):
-        factors = [X.levels[n], Y.levels[n]]
-        rows = compatible_tuples(factors, constraints_per_level[n], budget=budget)
-        alg, projs = subproduct_algebra(f"{name}_{n}", factors, rows)
-        levels.append(alg)
-        projections.append(projs)
+def _levelwise_limit(X, Y, limit_at, name):
+    """The levelwise limit of X and Y, with componentwise structure maps
+    and both projections; level n and its projections to X_n and Y_n are
+    limit_at(n, level_name), a limits.product or limits.pullback."""
+    levels, projections = zip(*(limit_at(n, f"{name}_{n}")
+                                for n in range(X.truncation + 1)))
     by_key = {(n, key): g for n, _, key, g in _structure_maps(Y)}
 
     def move(n, m, key, f):
@@ -525,7 +523,8 @@ def simplicial_product(X, Y, budget=None, name=None):
     if X.truncation != Y.truncation:
         raise InvalidParameters("product needs equal truncations")
     return _levelwise_limit(
-        X, Y, [[]] * (X.truncation + 1), budget,
+        X, Y, lambda n, level_name: product(
+            level_name, [X.levels[n], Y.levels[n]], budget=budget),
         name or f"({X.name}x{Y.name})",
     )
 
@@ -535,10 +534,10 @@ def simplicial_pullback(F, G, budget=None, name=None):
     X, Y = F.dom, G.dom
     if F.cod is not G.cod:
         raise InvalidParameters("pullback needs a shared codomain")
-    constraints = [[(0, F.components[n].map, 1, G.components[n].map)]
-                   for n in range(X.truncation + 1)]
     return _levelwise_limit(
-        X, Y, constraints, budget, name or f"pb({X.name},{Y.name})"
+        X, Y, lambda n, level_name: pullback(
+            F.components[n], G.components[n], level_name, budget=budget),
+        name or f"pb({X.name},{Y.name})",
     )
 
 

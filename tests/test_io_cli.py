@@ -11,6 +11,7 @@ from simal.algebra import Homomorphism, identity_hom
 from simal import cli
 from simal.cli import main, run
 from simal.corpus import (
+    augmentation_extension,
     cyclic_group,
     loops_graph,
     one_object_groupoid,
@@ -18,6 +19,7 @@ from simal.corpus import (
 )
 from simal.errors import InputError, InvalidParameters
 from simal.simplicial import (
+    TruncatedSimplicialAlgebra,
     coskeleton,
     nerve,
     quotient_simplicial,
@@ -61,6 +63,42 @@ def test_morphism_round_trip():
     assert back.is_levelwise_surjective()
     assert sio.content_hash(sio.morphism_to_json(back)) == \
         sio.content_hash(data)
+
+
+def test_a_repeated_level_is_written_once_and_loaded_as_one_instance(
+    tmp_path
+):
+    # the desk corpus's augment-cosk-loops: its constant codomain has
+    # the one algebra C2 at every level
+    C2 = cyclic_group(2)
+    F = augmentation_extension(coskeleton(loops_graph(C2, C2), 3),
+                               identity_hom(C2))
+    data = sio.morphism_to_json(F)
+    assert data["cod"]["levels"] == ["C2"] * 4
+    assert list(data["cod"]["algebras"]) == ["C2"]
+    path = str(tmp_path / "augment.json")
+    sio.save_json(data, path)
+    kind, back = sio.load_any(path)
+    assert kind == "simplicial_morphism"
+    assert all(level is back.cod.levels[0] for level in back.cod.levels)
+    assert sio.morphism_to_json(back) == data
+
+
+def test_distinct_levels_sharing_a_name_round_trip(tmp_path):
+    a, b = cyclic_group(2), cyclic_group(2)
+    d = Homomorphism(b, a, [0, 1])
+    X = TruncatedSimplicialAlgebra(
+        [a, b], [[], [d, d]], [[Homomorphism(a, b, [0, 1])], []],
+        name="twin")
+    data = sio.simplicial_to_json(X)
+    assert data["levels"] == ["C2", "C2#2"]
+    path = str(tmp_path / "twin.json")
+    sio.save_json(data, path)
+    kind, back = sio.load_any(path)
+    assert kind == "simplicial"
+    assert back.levels[0] is not back.levels[1]
+    assert [level.name for level in back.levels] == ["C2", "C2"]
+    assert sio.simplicial_to_json(back) == data
 
 
 def test_groupoid_round_trip():
@@ -373,10 +411,12 @@ def test_cli_gen_writes_a_loadable_artifact(tmp_path):
     assert [lvl.size for lvl in obj.levels] == [1, 4, 16]
 
 
-# The artifact sha256 of `gen` for every simplicial and morphism kind.  A
-# construction that changes a level's element order, a structure map or a
-# name changes these bytes.
+# The artifact sha256 of `gen` for every simplicial and morphism kind, and
+# of the README session's algebra.  A construction that changes a level's
+# element order, a structure map or a name changes these bytes.
 GEN_PINS = [
+    (['cyclic_group', 'n=6'],
+     "8df18b52247d6ef3d0cbd10db04711af6e4022a19ed6c413af5fd1b765b011c8"),
     (['pair', 'algebra=C4', 'truncation=3'],
      "c3df7433ddffc2091ab9f4e842e8bf55199f49d6075e5e73889672727fab3b04"),
     (['discrete', 'algebra=S3', 'truncation=3'],
@@ -691,6 +731,11 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
      "coskeleton truncation 0 is below the truncation 1 of loops(C2,C2)"),
     (["coset", "group=S3", "subgroup=[0,0,3,4]"],
      "subgroup lists an element twice"),
+    (["heyting_from_poset", 'poset={"kind":"chain","n":-3}'], POSET_WITNESS),
+    (["heyting_from_poset", 'poset={"kind":"grid","rows":-1,"cols":2}'],
+     POSET_WITNESS),
+    (["heyting_from_poset", 'poset={"kind":"grid","rows":-1,"cols":-2}'],
+     POSET_WITNESS),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)
@@ -698,6 +743,73 @@ def test_cli_gen_rejects_malformed_parameters(params, witness):
     assert report["violations"] == [
         {"property": "InvalidParameters", "witness": witness}
     ]
+
+
+@pytest.mark.parametrize("params, witness", [
+    (["delooping", "algebra=Z4"], "Z4 is not in the group signature"),
+    (["delooping", "algebra=chain3"], "H-chain3 is not in the group signature"),
+    (["delooping", "algebra=Z2^0"], "Z2^0 is not in the group signature"),
+    (["bundle", "fiber=Z4", "base=C2"], "Z4 is not in the group signature"),
+    (["coset", "group=Z4", "subgroup=[0,2]"],
+     "Z4 is not in the group signature"),
+])
+def test_cli_gen_rejects_an_algebra_outside_the_group_signature(
+    params, witness
+):
+    code, report, _ = run(["gen"] + params)
+    assert code == 1
+    assert report["violations"] == [
+        {"property": "UnsupportedVariety", "witness": witness}
+    ]
+
+
+# A valid small spec of every README generator kind, by its long name.
+GEN_SPECS = {
+    "cyclic_group": {"n": 3},
+    "dihedral_group": {"n": 3},
+    "symmetric_group_3": {},
+    "zk_module": {"k": 2, "copies": 1},
+    "heyting_from_poset": {"poset": {"kind": "chain", "n": 3}},
+    "pair_groupoid": {"algebra": "C2"},
+    "discrete_groupoid": {"algebra": "C2"},
+    "delooping": {"algebra": "C2"},
+    "bundle": {"fiber": "C2", "base": "C2"},
+    "congruence_nerve": {"algebra": "C4", "generators": [[0, 2]]},
+    "random_congruence": {"algebra": "C4", "seed": 1},
+    "crossed_module_groupoid": {"group": "C4", "subgroup": [0, 2]},
+    "sk1_loops": {"base": "Z2", "fiber": "Z2"},
+    "sk1_translation": {"base": "Z4", "fiber": "Z2", "delta": [0, 2]},
+    "coskeleton_of_graph": {"base": "C2", "fiber": "C2"},
+    "decalage_of": {"of": {"kind": "pair", "algebra": "C2"}},
+    "quotient_extension": {"of": {"kind": "pair", "algebra": "C4"},
+                           "pairs": {"0": [[0, 2]]}},
+    "product_projection": {"left": {"kind": "pair", "algebra": "C2"},
+                           "right": {"kind": "delooping", "algebra": "C2"}},
+}
+
+
+def test_no_bad_generator_parameter_makes_gen_fail_internally():
+    # every parameter of every README kind, truncation included, set to
+    # each small bad value in turn; bad input is exit 1 (or a result),
+    # never an internal error
+    values = [-1, 0, "x", [1], {}, None, 1.5, True,
+              {"kind": "chain", "n": -3},
+              {"kind": "grid", "rows": -1, "cols": 2},
+              "Z4", "chain3", "S3", "C1", "Z2^0"]
+    cases, internal = 0, []
+    for kind, spec in GEN_SPECS.items():
+        assert run(["gen", kind] + [f"{key}={json.dumps(value)}"
+                                    for key, value in spec.items()])[0] == 0
+        for key in list(spec) + ["truncation"]:
+            for value in values:
+                params = dict(spec, **{key: value})
+                code, report, _ = run(["gen", kind] + [
+                    f"{k}={json.dumps(v)}" for k, v in params.items()])
+                cases += 1
+                if code == 4:
+                    internal.append((kind, key, value, report["violations"]))
+    assert cases == 690
+    assert internal == []
 
 
 @pytest.mark.parametrize("argv, witness", [

@@ -38,11 +38,12 @@ from simal.corpus import (
     cyclic_group,
     default_corpus,
     heyting_from_poset,
+    loops_graph,
     pair_groupoid,
     symmetric_group,
 )
 from simal.galois import classify_extension, em_factorization
-from simal.simplicial import nerve
+from simal.simplicial import coskeleton, nerve
 from simal.suite import _hom_maps
 
 
@@ -279,6 +280,43 @@ def test_double_extension_rejects_non_surjective_side():
     double = Homomorphism(z4, z4, [0, 2, 0, 2])
     with pytest.raises(NotRegularEpi):
         is_double_extension(identity_hom(z4), identity_hom(z4), double, double)
+
+
+def test_double_extension_counts_its_pullback_without_building_it(
+    monkeypatch
+):
+    # the verdicts of the squares above and of every face square of a
+    # nerve and a coskeleton, with the two tuple builders made to raise;
+    # the budget binds exactly at the pullback's size
+    z4, z2, z6 = cyclic_group(4), cyclic_group(2), cyclic_group(6)
+    f = Homomorphism(z4, z2, [0, 1, 0, 1])
+    one = cyclic_group(1)
+    q2 = Homomorphism(z6, z2, [x % 2 for x in range(6)])
+    q3 = Homomorphism(z6, cyclic_group(3), [x % 3 for x in range(6)])
+    squares = [
+        ((f, f, identity_hom(z2), identity_hom(z2)), True),
+        ((identity_hom(z4), identity_hom(z4), f, f), False),
+        ((q2, q3, Homomorphism(z2, one, [0, 0]),
+          Homomorphism(q3.cod, one, [0, 0, 0])), True),
+    ]
+    for X in (nerve(pair_groupoid(z2), 3),
+              coskeleton(loops_graph(z2, z2), 3)):
+        squares += [((X.faces[n][i], X.faces[n][j],
+                      X.faces[n - 1][j - 1], X.faces[n - 1][i]), True)
+                    for n in range(2, 4)
+                    for j in range(1, n + 1) for i in range(j)]
+    sizes = [pullback(legs[2], legs[3])[0].size for legs, _ in squares]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("is_double_extension built a tuple algebra")
+
+    monkeypatch.setattr(limits, "compatible_tuples", refuse)
+    monkeypatch.setattr(limits, "subproduct_algebra", refuse)
+    for (legs, verdict), size in zip(squares, sizes):
+        assert is_double_extension(*legs) is verdict
+        assert is_double_extension(*legs, budget=size) is verdict
+        with pytest.raises(LevelTooLarge):
+            is_double_extension(*legs, budget=size - 1)
 
 
 def _read_constants(alg):
