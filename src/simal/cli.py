@@ -28,6 +28,7 @@ import sys
 import time
 import traceback
 
+from . import errors
 from . import io as sio
 from .algebra import FiniteAlgebra
 from .corpus import generate
@@ -404,6 +405,15 @@ _COMMANDS = {
 _ARTIFACT_OUT = {"gen", "reflect", "factorize"}
 
 
+def _suite_exit_code(failed):
+    """The exit code of the errors of the failed criteria when they all
+    share one, such as 3 when each ran past the budget; else 2, as for
+    any property violation."""
+    codes = {getattr(errors, r["details"]["error"],
+                     PropertyViolation).exit_code for r in failed}
+    return codes.pop() if len(codes) == 1 else PropertyViolation.exit_code
+
+
 def run(argv):
     """Parse and dispatch a command line; returns (exit code, report, lines)."""
     return execute(argv)[:3]
@@ -426,7 +436,7 @@ def execute(argv):
         if args.command == "suite":
             results, failed = outcome
             if failed:
-                code = 2
+                code = _suite_exit_code(failed)
                 violations = [
                     {"property": f"criterion {r['id']}",
                      "witness": r["details"].get("message", r["title"])}

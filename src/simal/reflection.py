@@ -27,6 +27,10 @@ object and kept on it.  Their readers share them:
              face_kernels(X, 1) and face_meet(X, 1, 0, 1);
   h1         homotopy_family, commutator_chain_check,
              galois.homotopy_relation and the suite's criteria 3 and 10.
+Morphisms keep results the same way, per resolved budget, in their
+own F.derived: simplicial.kan_fibration_check its entries and
+galois.classify_extension its flags, so the suite's criteria 6, 7 and 9
+check and classify each extension once.
 """
 
 import numpy as np

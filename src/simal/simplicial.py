@@ -21,7 +21,9 @@ with its endpoints and its name d_i or s_i.  Validation, the morphism
 check, the closure and the JSON writer go through it, and so does
 transport, the one rebuild: it carries each structure map over to
 new levels by a per-map move, for quotients, images, products and
-pullbacks alike.
+pullbacks alike.  The face identities are checked by one helper,
+check_face_identities, which validate_simplicial calls and so does the
+faces-only self-pullback of galois.classify_extension.
 
 Face conventions: d1 is the source and d0 the target of a 1-simplex,
 matching the nerve of a groupoid where composition g after f requires
@@ -35,6 +37,7 @@ congruences.close.  Checking a family is one gather per structure map.
 
 import numpy as np
 
+from .config import resolve_budget
 from .errors import (
     IdentityViolated,
     InvalidParameters,
@@ -100,13 +103,8 @@ def validate_simplicial(X, check_homs=False):
     if check_homs:
         check_structure_homs(X)
     d = [[f.map for f in maps] for maps in X.faces]
+    check_face_identities(d)
     s = [[f.map for f in maps] for maps in X.degeneracies]
-    for n in range(2, N + 1):
-        for j in range(n + 1):
-            for i in range(j):
-                lhs = d[n - 1][i][d[n][j]]
-                rhs = d[n - 1][j - 1][d[n][i]]
-                _expect(lhs, rhs, f"d{i} d{j} = d{j - 1} d{i} at level {n}")
     for n in range(N - 1):
         for j in range(n + 1):
             for i in range(j + 1):
@@ -127,6 +125,18 @@ def validate_simplicial(X, check_homs=False):
                     rhs = s[n - 1][j][d[n][i - 1]]
                     _expect(lhs, rhs, f"d{i} s{j} = s{j} d{i - 1} at level {n}")
     return X
+
+
+def check_face_identities(d):
+    """Check d_i d_j = d_{j-1} d_i for i < j at every level n >= 2, the
+    one simplicial identity that reads the faces alone; d[n][i] is the
+    index array of the face d_i on level n."""
+    for n in range(2, len(d)):
+        for j in range(n + 1):
+            for i in range(j):
+                lhs = d[n - 1][i][d[n][j]]
+                rhs = d[n - 1][j - 1][d[n][i]]
+                _expect(lhs, rhs, f"d{i} d{j} = d{j - 1} d{i} at level {n}")
 
 
 def check_structure_homs(X):
@@ -157,6 +167,13 @@ class SimplicialMorphism:
                 raise InvalidParameters(f"component {n} has wrong endpoints")
         if check:
             check_simplicial_morphism(self)
+
+    @property
+    def derived(self):
+        """Results kept on the morphism per resolved budget, by
+        kan_fibration_check and galois.classify_extension.  The dict is
+        made on first use, so building a morphism allocates none."""
+        return self.__dict__.setdefault("_derived", {})
 
     def is_levelwise_surjective(self):
         return all(f.is_surjective() for f in self.components)
@@ -311,7 +328,18 @@ def kan_fibration_check(F, budget=None):
     of Y whose horn is the tuple's image under F, so the pullback size
     sums, over X's horn tuples, how many horns of Y's n-simplices share
     that image's code.
+
+    The entries are kept on F per resolved budget (F.derived), so a
+    repeat at that budget enumerates nothing; a check that raises keeps
+    nothing, and every call gets its own copies of the entry dicts.
     """
+    key = ("fibration", resolve_budget(budget))
+    if key not in F.derived:
+        F.derived[key] = _fibration_entries(F, key[1])
+    return KanReport([dict(e) for e in F.derived[key]])
+
+
+def _fibration_entries(F, budget):
     X, Y = F.dom, F.cod
     entries = []
     for n in range(2, X.truncation + 1):
@@ -342,7 +370,7 @@ def kan_fibration_check(F, budget=None):
                     ),
                 }
             )
-    return KanReport(entries)
+    return entries
 
 
 # -- decalage and coskeleton ----------------------------------------------

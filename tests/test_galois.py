@@ -6,8 +6,9 @@ import pytest
 
 import oracles
 from simal import congruences as cg
-from simal import galois, reflection, simplicial
+from simal import galois, limits, reflection, simplicial
 from simal.algebra import FiniteAlgebra, Homomorphism
+from simal.config import resolve_budget
 from simal.corpus import (
     congruence_nerve_extension,
     cyclic_group,
@@ -20,6 +21,8 @@ from simal.corpus import (
     product_group,
 )
 from simal.errors import (
+    IdentityViolated,
+    LevelTooLarge,
     NotLevelwiseSurjective,
     PreconditionUnmet,
     PropertyViolation,
@@ -37,12 +40,15 @@ from simal.galois import (
 )
 from simal.reflection import homotopy_congruence_level1, pi1
 from simal.simplicial import (
+    SimplicialMorphism,
     coskeleton,
+    kan_check,
     nerve,
     simplicial_congruence_generated,
     simplicial_product,
     simplicial_pullback,
     quotient_simplicial,
+    validate_simplicial,
 )
 
 CORPUS = default_corpus("desk")
@@ -384,6 +390,12 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
         return original(X, n)
 
     monkeypatch.setattr(reflection, "homotopy_congruence", counted)
+    tuples = []
+    for module in (limits, simplicial):
+        def enumerated(*args, _real=module.compatible_tuples, **kwargs):
+            tuples.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, "compatible_tuples", enumerated)
     # built here, so no earlier test or corpus step has touched them
     c2, c4 = cyclic_group(2), cyclic_group(4)
     cosk = coskeleton(loops_graph(c2, c2), 3)
@@ -411,15 +423,140 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
         else:
             assert len(calls) == 3 * levels, name
         assert pi1(P).h == reflection.homotopy_family(P)
-        for _ in range(2):
-            calls.clear()
-            classify_extension(F)
-            em_factorization(F)
-            # X and Y keep their families: only the self-pullback and, off
-            # the trivial case, the middle object, both built anew by each
-            # call, get theirs
-            assert len(calls) == (1 if trivial[name] else 2) * levels, name
-            assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
+        # X and Y keep their families: the first classification builds
+        # only its self-pullback's, once per level
+        calls.clear()
+        first = classify_extension(F)
+        assert len(calls) == levels, name
+        assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
+        # F keeps its classification: a repeat builds no family and
+        # enumerates nothing
+        tuples.clear()
+        calls.clear()
+        again = classify_extension(F)
+        assert not calls and not tuples, name
+        assert again.to_json() == first.to_json(), name
+        # off the trivial case, em builds its middle object, and its
+        # family, anew on every call
+        em_factorization(F)
+        assert len(calls) == (0 if trivial[name] else 1) * levels, name
+        assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
+
+
+def _fresh(F):
+    """A copy of F that keeps no classification or fibration entries."""
+    return SimplicialMorphism(F.dom, F.cod, F.components, check=False)
+
+
+def test_a_classification_is_kept_per_budget():
+    F = _fresh(EXTS["quotient-cosk-fibers"])
+    first = classify_extension(F)
+    b = max(e["horn_size"] for e in kan_check(F.dom).entries) - 1
+    with pytest.raises(LevelTooLarge) as fresh:
+        classify_extension(_fresh(F), budget=b)
+    with pytest.raises(LevelTooLarge) as kept:
+        classify_extension(F, budget=b)
+    assert str(kept.value) == str(fresh.value)
+    # the raising call keeps nothing, and a kept result is not shared
+    default = resolve_budget(None)
+    assert set(F.derived) == {("classification", default),
+                              ("fibration", default)}
+    again = classify_extension(F, name="renamed")
+    assert again.name == "renamed" and first.name == "extension"
+    assert again.fibration_entries == first.fibration_entries
+    assert all(a is not b for a, b in zip(again.fibration_entries,
+                                          first.fibration_entries))
+    assert (again.trivial, again.central, again.normal) == (
+        first.trivial, first.central, first.normal)
+
+
+def _patched_self_pullback(monkeypatch, fault):
+    """Route the self-pullback's tuple_map calls through fault(dom, cod,
+    cols, levels), levels being the pullback levels built so far."""
+    levels = []
+
+    def recorded(*args, **kwargs):
+        built = limits.pullback(*args, **kwargs)
+        levels.append(built[0])
+        return built
+
+    def faulty(dom, cod, cols):
+        return limits.tuple_map(dom, cod, fault(dom, cod, cols, levels))
+
+    monkeypatch.setattr(galois, "pullback", recorded)
+    monkeypatch.setattr(galois, "tuple_map", faulty)
+
+
+def test_the_self_pullback_route_checks_the_face_identities_of_p(
+        monkeypatch):
+    # d0 on P_2 keeps its first component and repeats it as the second,
+    # so p1 still commutes with every face, and P's face identities fail
+    F = EXTS["pairC4-pairC2"]
+    d0 = F.dom.faces[2][0].map
+
+    def fault(dom, cod, cols, levels):
+        if dom is levels[2] and np.array_equal(
+                cols[0], d0[dom.carrier.rows[:, 0]]):
+            return [cols[0], cols[0]]
+        return cols
+
+    full, _, _ = simplicial_pullback(F, F)
+    x = full.levels[2].carrier.rows[:, 0]
+    full.faces[2][0] = limits.tuple_map(full.levels[2], full.levels[1],
+                                        [d0[x], d0[x]])
+    with pytest.raises(IdentityViolated) as expected:
+        validate_simplicial(full)
+    _patched_self_pullback(monkeypatch, fault)
+    with pytest.raises(IdentityViolated) as got:
+        classify_extension(_fresh(F))
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith("d0 d1 = d0 d0 at level 2")
+
+
+def test_the_self_pullback_route_checks_that_p1_commutes_with_the_faces(
+        monkeypatch):
+    # every face into P_0 swaps its components: P's face identities still
+    # hold, and p1 no longer commutes with the level-1 faces
+    def fault(dom, cod, cols, levels):
+        return cols[::-1] if cod is levels[0] else cols
+
+    _patched_self_pullback(monkeypatch, fault)
+    with pytest.raises(IdentityViolated,
+                       match="^morphism must commute with d0 at level 1"):
+        classify_extension(_fresh(EXTS["pairC4-pairC2"]))
+
+
+def test_the_self_pullback_route_checks_that_p1_is_onto(monkeypatch):
+    # the top level of P loses the pairs whose first component is the
+    # last simplex: P still has its faces and constants, and p1 misses
+    # that simplex
+    F = _fresh(EXTS["pairC4-pairC2"])
+    top = F.dom.levels[F.dom.truncation]
+
+    def thinned(f, g, name=None, budget=None):
+        alg, _ = limits.pullback(f, g, name, budget=budget)
+        rows = alg.carrier.rows
+        if f.dom is top:
+            rows = rows[rows[:, 0] != top.size - 1]
+        return limits.subproduct_algebra(name, [f.dom, g.dom], rows)
+
+    monkeypatch.setattr(galois, "pullback", thinned)
+    with pytest.raises(NotLevelwiseSurjective):
+        classify_extension(F)
+
+
+def test_the_self_pullback_route_stops_at_the_budget():
+    # |X_3 x_Y3 X_3| = 65,536 * 16 passes the default budget of 1M; the
+    # horn counts before it do not
+    c16 = cyclic_group(16)
+    F = congruence_nerve_extension(
+        c16, cg.full(c16), cg.principal_congruence(c16, 0, 8), 3)
+    with pytest.raises(LevelTooLarge) as raised:
+        classify_extension(F, budget=10 ** 6)
+    frames = [entry.name for entry in raised.traceback]
+    assert frames[-2:] == ["pullback", "compatible_tuples"]
+    assert "_normal_by_self_pullback" in frames
+    assert ("classification", 10 ** 6) not in F.derived
 
 
 def test_the_pullback_route_is_an_isomorphism_exactly_on_trivial_extensions():

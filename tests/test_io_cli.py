@@ -17,7 +17,8 @@ from simal.corpus import (
     one_object_groupoid,
     pair_groupoid,
 )
-from simal.errors import InputError, InvalidParameters
+from simal import suite
+from simal.errors import InputError, InvalidParameters, PropertyViolation
 from simal.simplicial import (
     TruncatedSimplicialAlgebra,
     coskeleton,
@@ -463,6 +464,20 @@ def test_cli_gen_artifact_bytes_are_pinned(params, digest):
     assert report["results"]["artifact_sha256"] == digest
 
 
+def test_cli_gen_seed_flag_feeds_the_spec_unless_a_parameter_sets_it():
+    def digest(*params):
+        code, report, _ = run(["gen", "random_congruence", "algebra=C4",
+                               *params])
+        assert code == 0
+        return report["results"]["artifact_sha256"]
+
+    by_flag = digest("--seed", "1")
+    assert by_flag == digest("seed=1")
+    assert by_flag.startswith("83c1affc0f05")
+    # an explicit seed parameter wins over the flag
+    assert digest("seed=2", "--seed", "1") == digest("seed=2") != by_flag
+
+
 def test_cli_reflect_emits_artifacts(tmp_path):
     _, obj_path, _ = _write_artifacts(tmp_path)
     outdir = str(tmp_path / "refl")
@@ -898,6 +913,32 @@ def test_cli_suite_prints_one_line_per_criterion(capsys):
     marks = [ln for ln in out_lines if ln.startswith("criterion")]
     assert len(marks) == 10
     assert all("PASS" in ln for ln in marks)
+
+
+def test_cli_suite_exits_with_the_code_its_failures_share(monkeypatch):
+    argv = ["suite", "--profile", "desk", "--budget", "20"]
+    code, report, _ = run(argv)
+    failed = [r["id"] for r in report["results"]["criteria"]
+              if not r["passed"]]
+    assert failed == [2, 4, 5, 6, 7, 9, 10]
+    # every failure ran past the budget, so the suite exits as one does
+    assert code == 3
+    assert report["violations"] == [
+        {"property": f"criterion {cid}",
+         "witness": "tuple enumeration exceeds budget 20"}
+        for cid in failed]
+
+    def violated(ctx):
+        raise PropertyViolation("criterion 1 fails on purpose")
+
+    cid, title, _ = suite.CRITERIA[0]
+    monkeypatch.setattr(suite, "CRITERIA",
+                        [(cid, title, violated)] + suite.CRITERIA[1:])
+    code, report, _ = run(argv)
+    assert code == 2
+    assert report["violations"][0] == {
+        "property": "criterion 1", "witness": "criterion 1 fails on purpose"}
+    assert len(report["violations"]) == 8
 
 
 def test_cli_suite_passes_with_asserts_stripped():

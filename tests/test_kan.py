@@ -6,9 +6,11 @@ import pytest
 
 import oracles
 
+from simal.config import resolve_budget
 from simal.corpus import default_corpus
-from simal.errors import BudgetError
+from simal.errors import BudgetError, LevelTooLarge
 from simal.simplicial import (
+    SimplicialMorphism,
     exactness_check,
     kan_check,
     kan_fibration_check,
@@ -153,7 +155,29 @@ def test_kan_and_exactness_checks_build_no_algebra(monkeypatch):
         for level in range(X.truncation):
             exactness_check(X, level)
     for name, F in CORPUS["extensions"]:
-        kan_fibration_check(F)
+        # a copy, since F keeps the entries of an earlier check
+        kan_fibration_check(_fresh(F))
+
+
+def _fresh(F):
+    """A copy of F that keeps no fibration entries."""
+    return SimplicialMorphism(F.dom, F.cod, F.components, check=False)
+
+
+def test_fibration_entries_are_kept_per_budget():
+    F = _fresh(dict(CORPUS["extensions"])["quotient-cosk-fibers"])
+    first = kan_fibration_check(F)
+    b = max(e["horn_size"] for e in kan_check(F.dom).entries) - 1
+    with pytest.raises(LevelTooLarge) as fresh:
+        kan_fibration_check(_fresh(F), budget=b)
+    with pytest.raises(LevelTooLarge) as kept:
+        kan_fibration_check(F, budget=b)
+    assert str(kept.value) == str(fresh.value)
+    # the raising call keeps nothing, and every call gets its own entries
+    assert set(F.derived) == {("fibration", resolve_budget(None))}
+    again = kan_fibration_check(F)
+    assert again.entries == first.entries
+    assert all(a is not b for a, b in zip(again.entries, first.entries))
 
 
 def test_an_empty_object_fills_every_horn():
