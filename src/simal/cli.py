@@ -31,7 +31,7 @@ import traceback
 from . import errors
 from . import io as sio
 from .algebra import FiniteAlgebra
-from .corpus import generate
+from .corpus import generate, spec_from_params
 from .errors import (
     InputError,
     InternalError,
@@ -177,22 +177,8 @@ def _cmd_validate(args, inputs, out_lines):
     return {"files": entries}
 
 
-def _parse_params(pairs):
-    params = {}
-    for item in pairs:
-        if "=" not in item:
-            raise InvalidParameters(f"parameter {item!r} is not KEY=VALUE")
-        key, raw = item.split("=", 1)
-        try:
-            params[key] = json.loads(raw)
-        except json.JSONDecodeError:
-            params[key] = raw
-    return params
-
-
 def _cmd_gen(args, inputs, out_lines):
-    spec = {"kind": args.kind}
-    spec.update(_parse_params(args.params))
+    spec = spec_from_params(args.kind, args.params)
     if args.seed is not None:
         spec.setdefault("seed", args.seed)
     obj = generate(spec)

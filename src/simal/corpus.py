@@ -6,6 +6,7 @@ and platforms.  Generated objects are validated before being returned.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -551,6 +552,18 @@ def bundle_collapse_extension(fiber, base, M):
     return groupoid_functor_nerve_map(GX, GY, identity_hom(base), f1, M)
 
 
+def coset_sign_extension(grp, M):
+    """The sign of a permutation group as a functor from the coset
+    groupoid of its even permutations onto the discrete groupoid of C2."""
+    coset = inner_coset_groupoid(grp, alternating_indices(grp))
+    sign = sign_homomorphism(grp)
+    disc = discrete_groupoid(sign.cod)
+    f1 = Homomorphism(
+        coset.arrows, disc.arrows, sign.map[coset.d1.map], check=False
+    )
+    return groupoid_functor_nerve_map(coset, disc, sign, f1, M)
+
+
 def augmentation_extension(X, q):
     """Map a simplicial object onto a constant one along an augmentation
     q: X_0 -> A with q d0 = q d1."""
@@ -607,6 +620,10 @@ def named_algebra(name):
 
     if not isinstance(name, str):
         raise InvalidParameters(f"algebra name {name!r} is not a string")
+    if m := re.fullmatch(r"C(\d+)xC(\d+)", name):
+        return product_group(
+            cyclic_group(int(m.group(1))), cyclic_group(int(m.group(2)))
+        )
     if m := re.fullmatch(r"C(\d+)", name):
         return cyclic_group(int(m.group(1)))
     if m := re.fullmatch(r"D(\d+)", name):
@@ -626,6 +643,21 @@ def named_algebra(name):
     raise InvalidParameters(f"unknown algebra name {name!r}")
 
 
+def spec_from_params(kind, params):
+    """The generator spec of `simal gen KIND KEY=VALUE...`: each value is
+    read as JSON when it parses, else kept as a string."""
+    spec = {"kind": kind}
+    for item in params:
+        if "=" not in item:
+            raise InvalidParameters(f"parameter {item!r} is not KEY=VALUE")
+        key, raw = item.split("=", 1)
+        try:
+            spec[key] = json.loads(raw)
+        except json.JSONDecodeError:
+            spec[key] = raw
+    return spec
+
+
 def _field(spec, key, default=None):
     """spec[key], or the default when it is absent; a missing required
     field raises InvalidParameters."""
@@ -634,9 +666,18 @@ def _field(spec, key, default=None):
     return spec.get(key, default)
 
 
-def _named(spec, key):
-    """The algebra named by the required field spec[key]."""
-    return named_algebra(_field(spec, key))
+def _shared(memo, raw, build):
+    """build(raw), made once per canonical JSON of raw within one build,
+    so that a spec, an algebra name or a product met twice yields one
+    instance; raw that is not plain JSON data, such as a numpy integer,
+    is not shared."""
+    try:
+        key = json.dumps(raw, sort_keys=True)
+    except TypeError:
+        return build(raw)
+    if key not in memo:
+        memo[key] = build(raw)
+    return memo[key]
 
 
 def _int_params(spec, key, default=None):
@@ -662,13 +703,11 @@ def _elements(spec, key, alg, what, pairs=False):
     return arr.reshape(-1, 2) if pairs else arr.reshape(-1)
 
 
-def _simplicial(spec, key):
-    """The simplicial object generated from the required spec field
-    spec[key]; any other artifact raises InvalidParameters."""
-    X = generate(_field(spec, key))
-    if not isinstance(X, TruncatedSimplicialAlgebra):
-        raise InvalidParameters(f"parameter {key!r} must give a simplicial object")
-    return X
+def _generated(spec, key, alg):
+    """The congruence of alg generated by the pairs spec[key]."""
+    return cg.congruence_generated(
+        alg, _elements(spec, key, alg, key, pairs=True)
+    )
 
 
 def _level_seeds(X, raw):
@@ -692,15 +731,38 @@ def _level_seeds(X, raw):
 
 
 def generate(spec):
-    """Build an artifact from a JSON-style description.
+    """Build an artifact from a JSON description.
 
     Returns an algebra, a simplicial object, or a simplicial morphism
     depending on the kind. Identical spec and seed give identical output.
     """
+    return _generate(spec, {})
+
+
+def _generate(spec, memo):
+    """generate(spec) within the build whose instances memo holds."""
     if not isinstance(spec, dict) or "kind" not in spec:
         raise InvalidParameters("generator spec needs a 'kind' field")
+    return _shared(memo, spec, lambda raw: _build(raw, memo))
+
+
+def _build(spec, memo):
     kind = spec["kind"]
     M = _int_param(spec, "truncation", 2)
+
+    def named(key):
+        """The algebra named by the required field spec[key]."""
+        return _shared(memo, _field(spec, key), named_algebra)
+
+    def simplicial(key):
+        """The simplicial object generated from the required field
+        spec[key]; any other artifact raises InvalidParameters."""
+        X = _generate(_field(spec, key), memo)
+        if not isinstance(X, TruncatedSimplicialAlgebra):
+            raise InvalidParameters(
+                f"parameter {key!r} must give a simplicial object"
+            )
+        return X
 
     if kind == "cyclic_group":
         return cyclic_group(_int_param(spec, "n"))
@@ -714,302 +776,181 @@ def generate(spec):
         return heyting_from_poset(_field(spec, "poset"))
 
     if kind in ("pair", "pair_groupoid"):
-        return nerve(pair_groupoid(_named(spec, "algebra")), M)
+        return nerve(pair_groupoid(named("algebra")), M)
     if kind in ("discrete", "discrete_groupoid"):
-        return nerve(discrete_groupoid(_named(spec, "algebra")), M)
+        return nerve(discrete_groupoid(named("algebra")), M)
     if kind == "delooping":
-        return nerve(one_object_groupoid(_named(spec, "algebra")), M)
+        return nerve(one_object_groupoid(named("algebra")), M)
     if kind == "bundle":
-        return nerve(
-            bundle_groupoid(
-                _named(spec, "fiber"), _named(spec, "base")
-            ),
-            M,
-        )
+        return nerve(bundle_groupoid(named("fiber"), named("base")), M)
     if kind in ("congruence", "congruence_nerve"):
-        alg = _named(spec, "algebra")
-        pairs = _elements(spec, "generators", alg, "generators", pairs=True)
-        theta = cg.congruence_generated(alg, pairs)
-        return congruence_nerve(alg, theta, M)
+        alg = named("algebra")
+        return congruence_nerve(alg, _generated(spec, "generators", alg), M)
     if kind == "random_congruence":
-        alg = _named(spec, "algebra")
+        alg = named("algebra")
         rng = SplitMix(_int_param(spec, "seed", 0))
         a = rng.randrange(alg.size)
         b = rng.randrange(alg.size)
         theta = cg.congruence_generated(alg, [(a, b)])
         return congruence_nerve(alg, theta, M)
     if kind in ("coset", "crossed_module_groupoid"):
-        grp = _named(spec, "group")
+        grp = named("group")
         if spec.get("subgroup") is None:
             sub = alternating_indices(grp)
         else:
             sub = _elements(spec, "subgroup", grp, "subgroup")
         return nerve(inner_coset_groupoid(grp, sub), M)
     if kind == "sk1_loops":
-        return sk1_two_truncation(
-            loops_graph(
-                _named(spec, "base"), _named(spec, "fiber")
-            )
-        )
+        return sk1_two_truncation(loops_graph(named("base"), named("fiber")))
     if kind == "sk1_translation":
-        base, fiber = _named(spec, "base"), _named(spec, "fiber")
+        base, fiber = named("base"), named("fiber")
         return sk1_two_truncation(translation_graph(
             base, fiber, _elements(spec, "delta", base, "delta")
         ))
     if kind in ("cosk_loops", "coskeleton_of_graph"):
-        return coskeleton(
-            loops_graph(
-                _named(spec, "base"), _named(spec, "fiber")
-            ),
-            M,
-        )
+        return coskeleton(loops_graph(named("base"), named("fiber")), M)
 
     if kind == "decalage_of":
-        return decalage(_simplicial(spec, "of"))[0]
+        return decalage(simplicial("of"))[0]
+    if kind == "decalage_counit":
+        return decalage(simplicial("of"))[1]
     if kind == "quotient_extension":
-        X = _simplicial(spec, "of")
+        X = simplicial("of")
         seeds = _level_seeds(X, spec.get("pairs"))
         parts = simplicial_congruence_generated(X, seeds)
         return quotient_simplicial(X, parts)[1]
     if kind == "product_projection":
-        X = _simplicial(spec, "left")
-        Y = _simplicial(spec, "right")
-        return simplicial_product(X, Y)[1]
+        X, Y = simplicial("left"), simplicial("right")
+        side = _field(spec, "side", "left")
+        if side not in ("left", "right"):
+            raise InvalidParameters("parameter 'side' must be left or right")
+        # both projections of one product come from one instance of it
+        product = _shared(
+            memo, ["product", spec["left"], spec["right"]],
+            lambda _: simplicial_product(X, Y),
+        )
+        return product[1 if side == "left" else 2]
+    if kind == "augmentation":
+        X = simplicial("of")
+        return augmentation_extension(X, identity_hom(X.levels[0]))
+    if kind == "pi1_unit":
+        return pi1(simplicial("of")).unit
+    if kind == "congruence_extension":
+        alg = named("algebra")
+        return congruence_nerve_extension(
+            alg, _generated(spec, "theta", alg), _generated(spec, "psi", alg), M
+        )
+    if kind == "delooping_extension":
+        dom, cod = named("dom"), named("cod")
+        hom = Homomorphism(dom, cod, _elements(spec, "map", cod, "map"))
+        return delooping_extension(hom, M)
+    if kind == "bundle_collapse":
+        return bundle_collapse_extension(named("fiber"), named("base"), M)
+    if kind == "coset_sign":
+        return coset_sign_extension(named("group"), M)
     raise InvalidParameters(f"unknown generator kind {kind!r}")
 
 
 # -- the default corpus ----------------------------------------------------
 
+# One member per line: `name profile kind KEY=VALUE...`, where kind and
+# the parameters are the arguments of `simal gen` for that member.  A
+# nested spec equal to an earlier row's spec reads that row's instance,
+# so augment-*, quotient-*, unit-* and dec-counit-* extend the named
+# objects.  quotient-cosk-fibers glues the two loops at a base point: its
+# kernel sits inside the loop congruence, so it is central, not trivial.
+CORPUS = tuple("""\
+pair-C2-t3 desk pair algebra=C2 truncation=3
+pair-C4-t3 desk pair algebra=C4 truncation=3
+disc-C4-t3 desk discrete algebra=C4 truncation=3
+B-C4-t3 desk delooping algebra=C4 truncation=3
+B-V4-t3 desk delooping algebra=C2xC2 truncation=3
+bundle-C2-C3-t3 desk bundle fiber=C2 base=C3 truncation=3
+cong-Z6-t3 desk congruence algebra=C6 generators=[[0,3]] truncation=3
+coset-S3-t2 desk coset group=S3
+sk1-loops-Z2 desk sk1_loops base=Z2 fiber=Z2
+sk1-transl-Z4 desk sk1_translation base=Z4 fiber=Z2 delta=[0,2]
+cosk-loops-C2-t3 desk cosk_loops base=C2 fiber=C2 truncation=3
+pair-S3-t3 deep pair algebra=S3 truncation=3
+pair-D4-t2 deep pair algebra=D4
+B-C6-t3 deep delooping algebra=C6 truncation=3
+bundle-V4-C4-t2 deep bundle fiber=C2xC2 base=C4
+cosk-loops-C4-t3 deep cosk_loops base=C4 fiber=C2 truncation=3
+sk1-loops-Z3 deep sk1_loops base=Z3 fiber=Z3
+pairC4-pairC2 desk congruence_extension algebra=C4 theta=[[0,1]] psi=[[0,2]]
+congC4-discC2 desk congruence_extension algebra=C4 theta=[[0,2]] psi=[[0,2]]
+discC4-discC2 desk congruence_extension algebra=C4 theta=[] psi=[[0,2]]
+congZ6-mix desk congruence_extension algebra=C6 theta=[[0,3]] psi=[[0,2]]
+pairZ6-pairC3 desk congruence_extension algebra=C6 theta=[[0,1]] psi=[[0,3]]
+pairS3-pairC2 desk congruence_extension algebra=S3 theta=[[0,1],[0,3]] psi=[[0,3],[0,4]]
+congS3-discC2 desk congruence_extension algebra=S3 theta=[[0,3],[0,4]] psi=[[0,3],[0,4]]
+pairZ22-pairZ2 desk congruence_extension algebra=Z2^2 theta=[[0,1],[0,2]] psi=[[0,1]]
+pairD4-center desk congruence_extension algebra=D4 theta=[[0,1],[0,2]] psi=[[0,5]]
+heyting-chain3 desk congruence_extension algebra=chain3 theta=[[0,2]] psi=[[0,1]]
+deloop-C4-C2 desk delooping_extension dom=C4 cod=C2 map=[0,1,0,1] truncation=3
+deloop-V4-C2 desk delooping_extension dom=C2xC2 cod=C2 map=[0,0,1,1] truncation=3
+deloop-C6-C3 desk delooping_extension dom=C6 cod=C3 map=[0,1,2,0,1,2] truncation=3
+deloop-C6-C2 desk delooping_extension dom=C6 cod=C2 map=[0,1,0,1,0,1] truncation=3
+deloop-C4-id desk delooping_extension dom=C4 cod=C4 map=[0,1,2,3] truncation=3
+bundle-C2-C3-collapse desk bundle_collapse fiber=C2 base=C3 truncation=3
+bundle-C2-S3-collapse desk bundle_collapse fiber=C2 base=S3
+bundle-V4-C2-collapse desk bundle_collapse fiber=C2xC2 base=C2 truncation=3
+product-proj-left desk product_projection left={"kind":"pair","algebra":"C2"} right={"kind":"delooping","algebra":"C4"}
+product-proj-right desk product_projection left={"kind":"pair","algebra":"C2"} right={"kind":"delooping","algebra":"C4"} side=right
+dec-counit-pairC4 desk decalage_counit of={"kind":"pair","algebra":"C4","truncation":3}
+dec-counit-B-C4 desk decalage_counit of={"kind":"delooping","algebra":"C4","truncation":3}
+augment-cosk-loops desk augmentation of={"kind":"cosk_loops","base":"C2","fiber":"C2","truncation":3}
+augment-sk1-loops desk augmentation of={"kind":"sk1_loops","base":"Z2","fiber":"Z2"}
+quotient-sk1-transl desk quotient_extension of={"kind":"sk1_translation","base":"Z4","fiber":"Z2","delta":[0,2]} pairs={"1":[[0,4]]}
+quotient-cosk-fibers desk quotient_extension of={"kind":"cosk_loops","base":"C2","fiber":"C2","truncation":3} pairs={"1":[[0,1]]}
+coset-disc-C2 desk coset_sign group=S3
+unit-pair-C2 desk pi1_unit of={"kind":"pair","algebra":"C2","truncation":3}
+unit-bundle-C2-C3 desk pi1_unit of={"kind":"bundle","fiber":"C2","base":"C3"}
+unit-sk1-loops desk pi1_unit of={"kind":"sk1_loops","base":"Z2","fiber":"Z2"}
+unit-cosk-loops desk pi1_unit of={"kind":"cosk_loops","base":"C2","fiber":"C2"}
+unit-coset-S3 desk pi1_unit of={"kind":"coset","group":"S3"}
+pairC6-pairC2 deep congruence_extension algebra=C6 theta=[[0,1]] psi=[[0,2]]
+pairC6-pairC3-t3 deep congruence_extension algebra=C6 theta=[[0,1]] psi=[[0,3]] truncation=3
+pairC4-pairC2-t3 deep congruence_extension algebra=C4 theta=[[0,1]] psi=[[0,2]] truncation=3
+deloop-C8-C4 deep delooping_extension dom=C8 cod=C4 map=[0,1,2,3,0,1,2,3] truncation=3
+heyting-grid-ext deep congruence_extension algebra=grid2x2 theta=[[0,3]] psi=[[0,1]]
+bundle-C3-C4-collapse deep bundle_collapse fiber=C3 base=C4
+unit-pair-C4 deep pi1_unit of={"kind":"pair","algebra":"C4"}
+unit-bundle-V4-C4 deep pi1_unit of={"kind":"bundle","fiber":"C2xC2","base":"C4"}
+""".splitlines())
+
+
 def default_corpus(profile="desk"):
-    """Deterministic collection of simplicial objects and extensions.
+    """Deterministic collection of simplicial objects and extensions, one
+    per CORPUS row read through generate.
 
     The desk profile stays small enough for an interactive run; deep
     adds larger instances of the same families.
     """
     if profile not in ("desk", "deep"):
         raise InvalidParameters("profile must be desk or deep")
-    deep = profile == "deep"
-    c2, c3, c4, c6 = (cyclic_group(k) for k in (2, 3, 4, 6))
-    z2m, z4m, z22 = zk_module(2), zk_module(4), zk_module(2, 2)
-    s3 = symmetric_group(3)
-    d4 = dihedral_group(4)
-    chain3 = heyting_from_poset({"kind": "chain", "n": 3})
-    v4 = product_group(c2, c2)
-    algebras = {
-        a.name: a for a in (c2, c3, c4, c6, z2m, z4m, z22, s3, d4, chain3, v4)
-    }
-
-    objects = []
-
-    def add_obj(name, X):
-        X.name = name
-        objects.append((name, X))
-        return X
-
-    pair_c2_t3 = add_obj("pair-C2-t3", nerve(pair_groupoid(c2), 3))
-    pair_c4_t3 = add_obj("pair-C4-t3", nerve(pair_groupoid(c4), 3))
-    add_obj("disc-C4-t3", nerve(discrete_groupoid(c4), 3))
-    b_c4_t3 = add_obj("B-C4-t3", nerve(one_object_groupoid(c4), 3))
-    add_obj("B-V4-t3", nerve(one_object_groupoid(v4), 3))
-    add_obj("bundle-C2-C3-t3", nerve(bundle_groupoid(c2, c3), 3))
-    add_obj(
-        "cong-Z6-t3",
-        congruence_nerve(c6, cg.principal_congruence(c6, 0, 3), 3),
-    )
-    coset_s3_t2 = add_obj(
-        "coset-S3-t2", nerve(inner_coset_groupoid(s3, alternating_indices(s3)), 2)
-    )
-    sk_loops = add_obj(
-        "sk1-loops-Z2", sk1_two_truncation(loops_graph(z2m, z2m))
-    )
-    sk_transl = add_obj(
-        "sk1-transl-Z4",
-        sk1_two_truncation(translation_graph(z4m, z2m, [0, 2])),
-    )
-    cosk_loops = add_obj(
-        "cosk-loops-C2-t3", coskeleton(loops_graph(c2, c2), 3)
-    )
-    if deep:
-        add_obj("pair-S3-t3", nerve(pair_groupoid(s3), 3))
-        add_obj("pair-D4-t2", nerve(pair_groupoid(d4), 2))
-        add_obj("B-C6-t3", nerve(one_object_groupoid(c6), 3))
-        add_obj("bundle-V4-C4-t2", nerve(bundle_groupoid(v4, c4), 2))
-        add_obj(
-            "cosk-loops-C4-t3", coskeleton(loops_graph(c4, c2), 3)
-        )
-        add_obj(
-            "sk1-loops-Z3", sk1_two_truncation(loops_graph(zk_module(3), zk_module(3)))
-        )
-
-    groupoids = [
-        ("pairs(C4)", pair_groupoid(c4)),
-        ("disc(C4)", discrete_groupoid(c4)),
-        ("B(C4)", one_object_groupoid(c4)),
-        ("bundle(C2,C3)", bundle_groupoid(c2, c3)),
-        ("coset(S3,A3)", inner_coset_groupoid(s3, alternating_indices(s3))),
-    ]
-
-    extensions = []
-
-    def add_ext(name, F):
-        F.name = name
-        if not F.is_levelwise_surjective():
+    memo = {}
+    algebras = {}
+    for name in "C2 C3 C4 C6 Z2 Z4 Z2^2 S3 D4 chain3 C2xC2".split():
+        alg = _shared(memo, name, named_algebra)
+        algebras[alg.name] = alg
+    objects, extensions = [], []
+    for line in CORPUS:
+        name, row_profile, kind, *params = line.split()
+        if profile == "desk" and row_profile != "desk":
+            continue
+        member = _generate(spec_from_params(kind, params), memo)
+        member.name = name
+        if isinstance(member, TruncatedSimplicialAlgebra):
+            objects.append((name, member))
+        elif member.is_levelwise_surjective():
+            extensions.append((name, member))
+        else:
             raise InvalidParameters(f"corpus extension {name} is not surjective")
-        extensions.append((name, F))
-        return F
-
-    mod2_c4 = cg.principal_congruence(c4, 0, 2)
-    add_ext("pairC4-pairC2", congruence_nerve_extension(c4, cg.full(c4), mod2_c4, 2))
-    add_ext("congC4-discC2", congruence_nerve_extension(c4, mod2_c4, mod2_c4, 2))
-    add_ext(
-        "discC4-discC2",
-        congruence_nerve_extension(c4, cg.diagonal(c4), mod2_c4, 2),
-    )
-    add_ext(
-        "congZ6-mix",
-        congruence_nerve_extension(
-            c6, cg.principal_congruence(c6, 0, 3),
-            cg.principal_congruence(c6, 0, 2), 2,
-        ),
-    )
-    add_ext(
-        "pairZ6-pairC3",
-        congruence_nerve_extension(
-            c6, cg.full(c6), cg.principal_congruence(c6, 0, 3), 2
-        ),
-    )
-    a3_cong = cg.congruence_generated(
-        s3, [(0, t) for t in alternating_indices(s3)]
-    )
-    add_ext("pairS3-pairC2", congruence_nerve_extension(s3, cg.full(s3), a3_cong, 2))
-    add_ext("congS3-discC2", congruence_nerve_extension(s3, a3_cong, a3_cong, 2))
-    add_ext(
-        "pairZ22-pairZ2",
-        congruence_nerve_extension(
-            z22, cg.full(z22), cg.principal_congruence(z22, 0, 1), 2
-        ),
-    )
-    center_d4 = [
-        th for th in cg.enumerate_congruences(d4) if th.class_count() == 4
-    ][0]
-    add_ext(
-        "pairD4-center",
-        congruence_nerve_extension(d4, cg.full(d4), center_d4, 2),
-    )
-    add_ext(
-        "heyting-chain3",
-        congruence_nerve_extension(
-            chain3, cg.full(chain3), cg.principal_congruence(chain3, 0, 1), 2
-        ),
-    )
-
-    add_ext(
-        "deloop-C4-C2",
-        delooping_extension(Homomorphism(c4, c2, [0, 1, 0, 1]), 3),
-    )
-    add_ext(
-        "deloop-V4-C2",
-        delooping_extension(Homomorphism(v4, c2, [0, 0, 1, 1]), 3),
-    )
-    add_ext(
-        "deloop-C6-C3",
-        delooping_extension(Homomorphism(c6, c3, [0, 1, 2, 0, 1, 2]), 3),
-    )
-    add_ext(
-        "deloop-C6-C2",
-        delooping_extension(Homomorphism(c6, c2, [0, 1, 0, 1, 0, 1]), 3),
-    )
-    add_ext("deloop-C4-id", delooping_extension(identity_hom(c4), 3))
-
-    add_ext("bundle-C2-C3-collapse", bundle_collapse_extension(c2, c3, 3))
-    add_ext("bundle-C2-S3-collapse", bundle_collapse_extension(c2, s3, 2))
-    add_ext("bundle-V4-C2-collapse", bundle_collapse_extension(v4, c2, 3))
-
-    pair_c2_t2 = nerve(pair_groupoid(c2), 2)
-    b_c4_t2 = nerve(one_object_groupoid(c4), 2)
-    _, prj1, prj2 = simplicial_product(pair_c2_t2, b_c4_t2)
-    add_ext("product-proj-left", prj1)
-    add_ext("product-proj-right", prj2)
-
-    add_ext("dec-counit-pairC4", decalage(pair_c4_t3)[1])
-    add_ext("dec-counit-B-C4", decalage(b_c4_t3)[1])
-
-    add_ext(
-        "augment-cosk-loops", augmentation_extension(cosk_loops, identity_hom(c2))
-    )
-    add_ext(
-        "augment-sk1-loops", augmentation_extension(sk_loops, identity_hom(z2m))
-    )
-
-    parts = simplicial_congruence_generated(sk_transl, {1: [(0, 4)]})
-    add_ext("quotient-sk1-transl", quotient_simplicial(sk_transl, parts)[1])
-
-    # Glue the two loops at a single base point; the kernel then sits inside
-    # the loop congruence, so the projection is central without being trivial.
-    fiber_parts = simplicial_congruence_generated(cosk_loops, {1: [(0, 1)]})
-    add_ext(
-        "quotient-cosk-fibers", quotient_simplicial(cosk_loops, fiber_parts)[1]
-    )
-
-    coset_g = inner_coset_groupoid(s3, alternating_indices(s3))
-    sign = sign_homomorphism(s3)
-    disc_c2 = discrete_groupoid(sign.cod)
-    f1 = Homomorphism(
-        coset_g.arrows, disc_c2.arrows, sign.map[coset_g.d1.map], check=False
-    )
-    add_ext(
-        "coset-disc-C2",
-        groupoid_functor_nerve_map(coset_g, disc_c2, sign, f1, 2),
-    )
-
-    for label, source in (
-        ("unit-pair-C2", pair_c2_t3),
-        ("unit-bundle-C2-C3", nerve(bundle_groupoid(c2, c3), 2)),
-        ("unit-sk1-loops", sk_loops),
-        ("unit-cosk-loops", coskeleton(loops_graph(c2, c2), 2)),
-        ("unit-coset-S3", coset_s3_t2),
-    ):
-        add_ext(label, pi1(source).unit)
-
-    if deep:
-        add_ext(
-            "pairC6-pairC2",
-            congruence_nerve_extension(
-                c6, cg.full(c6), cg.principal_congruence(c6, 0, 2), 2
-            ),
-        )
-        add_ext(
-            "pairC6-pairC3-t3",
-            congruence_nerve_extension(
-                c6, cg.full(c6), cg.principal_congruence(c6, 0, 3), 3
-            ),
-        )
-        add_ext(
-            "pairC4-pairC2-t3",
-            congruence_nerve_extension(c4, cg.full(c4), mod2_c4, 3),
-        )
-        add_ext(
-            "deloop-C8-C4",
-            delooping_extension(
-                Homomorphism(cyclic_group(8), c4, [x % 4 for x in range(8)]), 3
-            ),
-        )
-        grid = heyting_from_poset({"kind": "grid", "rows": 2, "cols": 2})
-        add_ext(
-            "heyting-grid-ext",
-            congruence_nerve_extension(
-                grid, cg.full(grid), cg.principal_congruence(grid, 0, 1), 2
-            ),
-        )
-        add_ext("bundle-C3-C4-collapse", bundle_collapse_extension(c3, c4, 2))
-        add_ext("unit-pair-C4", pi1(nerve(pair_groupoid(c4), 2)).unit)
-        add_ext("unit-bundle-V4-C4", pi1(nerve(bundle_groupoid(v4, c4), 2)).unit)
-
     return {
         "profile": profile,
         "algebras": algebras,
         "objects": objects,
-        "groupoids": groupoids,
         "extensions": extensions,
     }
 
@@ -1030,11 +971,7 @@ def probe_kit(alg, inclusion, companion, M=2):
         name="probed", target=target,
     )
 
-    prod = product_group(alg, companion) if _is_group(alg) and _is_group(
-        companion
-    ) else None
-    if prod is None:
-        raise UnsupportedVariety("probe kit needs group-signature inputs")
+    prod = product_group(alg, companion)
     GZ = pair_groupoid(prod)
     pi0 = Homomorphism(
         prod, alg, prod.carrier.rows[:, 0].copy(), check=True

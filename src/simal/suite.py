@@ -19,15 +19,14 @@ from .commutator import tc_commutator
 from .corpus import (
     congruence_nerve,
     default_corpus,
+    delooping_extension,
     discrete_groupoid,
-    groupoid_functor_nerve_map,
     heyting_from_poset,
     loops_graph,
     named_algebra,
     one_object_groupoid,
     pair_groupoid,
     probe_kit,
-    product_group,
     translation_graph,
 )
 from .errors import PreconditionUnmet, PropertyViolation, SimalError
@@ -444,13 +443,10 @@ def _characterization_suite(ctx):
     c4 = named_algebra("C4")
     incl = Homomorphism(c2, c4, [0, 2])
     probed, _ = probe_kit(c4, incl, c2, M=2)
-    inclusions = [("pair-C2-in-C4", probed)]
-    GX, GY = one_object_groupoid(c2), one_object_groupoid(c4)
-    f0 = Homomorphism(GX.objects, GY.objects, [0], check=False)
-    f1 = Homomorphism(GX.arrows, GY.arrows, incl.map, check=False)
-    inclusions.append(
-        ("B-C2-in-B-C4", groupoid_functor_nerve_map(GX, GY, f0, f1, 3))
-    )
+    inclusions = [
+        ("pair-C2-in-C4", probed),
+        ("B-C2-in-B-C4", delooping_extension(incl, 3)),
+    ]
     for label, F in inclusions:
         S = _image_subobject(F, f"im-{label}")
         if not is_internal_groupoid(S):
@@ -572,7 +568,7 @@ def _factorization_suite(ctx):
         })
 
     c2, c4 = named_algebra("C2"), named_algebra("C4")
-    v4 = product_group(c2, c2)
+    v4 = named_algebra("C2xC2")
     probes = []
     for alg, incl_map, companion in (
         (c4, [0, 2], c2),

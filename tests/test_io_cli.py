@@ -751,6 +751,10 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
      POSET_WITNESS),
     (["heyting_from_poset", 'poset={"kind":"grid","rows":-1,"cols":-2}'],
      POSET_WITNESS),
+    (["coset_sign", "group=C4"], "C4 is not a permutation group"),
+    (["product_projection", 'left={"kind":"pair","algebra":"C2"}',
+      'right={"kind":"pair","algebra":"C2"}', "side=middle"],
+     "parameter 'side' must be left or right"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)
@@ -799,7 +803,17 @@ GEN_SPECS = {
     "quotient_extension": {"of": {"kind": "pair", "algebra": "C4"},
                            "pairs": {"0": [[0, 2]]}},
     "product_projection": {"left": {"kind": "pair", "algebra": "C2"},
-                           "right": {"kind": "delooping", "algebra": "C2"}},
+                           "right": {"kind": "delooping", "algebra": "C2"},
+                           "side": "right"},
+    "decalage_counit": {"of": {"kind": "pair", "algebra": "C2"}},
+    "augmentation": {"of": {"kind": "sk1_loops", "base": "Z2",
+                            "fiber": "Z2"}},
+    "pi1_unit": {"of": {"kind": "pair", "algebra": "C2"}},
+    "congruence_extension": {"algebra": "C4", "theta": [[0, 1]],
+                             "psi": [[0, 2]]},
+    "delooping_extension": {"dom": "C4", "cod": "C2", "map": [0, 1, 0, 1]},
+    "bundle_collapse": {"fiber": "C2", "base": "C2"},
+    "coset_sign": {"group": "S3"},
 }
 
 
@@ -823,7 +837,7 @@ def test_no_bad_generator_parameter_makes_gen_fail_internally():
                 cases += 1
                 if code == 4:
                     internal.append((kind, key, value, report["violations"]))
-    assert cases == 690
+    assert cases == 990
     assert internal == []
 
 
