@@ -435,9 +435,10 @@ def stabilizing_probe(f, extensions, budget=None):
     """Pull an arbitrary morphism back along sampled extensions and
     re-run the reflective factorization each time.
 
-    The factorization's internal checks (comparison inverted by the
-    reflection, projection trivial) are the pass condition; the probe
-    reports one entry per sampled extension.
+    The factorization's own checks (comparison inverted by the
+    reflection, projection trivial) are the pass condition: a failing
+    one raises through the probe.  The probe reports one entry per
+    sampled extension, naming it, in the order given.
     """
     X = f.cod
     if not all(exactness_check(X, lvl, budget=budget)[0]
@@ -449,5 +450,5 @@ def stabilizing_probe(f, extensions, budget=None):
             raise InvalidParameters(f"extension {name} has a different base")
         _, _, pulled = simplicial_pullback(f, g, budget=budget)
         em_factorization(pulled, budget=budget)
-        results.append({"along": name, "ok": True})
+        results.append({"along": name})
     return results

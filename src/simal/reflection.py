@@ -285,6 +285,8 @@ def is_two_coskeletal_at_top(X, budget=None):
 def commutator_chain_check(X):
     """Sandwich the level-1 homotopy congruence between the commutator
     of the face kernels and their meet; reports the three class counts."""
+    if X.truncation < 2:
+        raise PreconditionUnmet("commutator chain needs two levels of faces")
     low = tc_commutator(*face_kernels(X, 1))
     high = face_meet(X, 1, 0, 1)
     h1 = homotopy_congruence_level1(X)

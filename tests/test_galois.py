@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from simal import congruences as cg
-from simal import galois, limits, reflection, simplicial
+from simal import galois, limits, reflection, simplicial, suite
 from simal.algebra import FiniteAlgebra, Homomorphism
 from simal.config import resolve_budget
 from simal.corpus import (
@@ -21,6 +21,7 @@ from simal.corpus import (
     product_group,
 )
 from simal.errors import (
+    CrossRouteMismatch,
     IdentityViolated,
     LevelTooLarge,
     NotLevelwiseSurjective,
@@ -119,6 +120,56 @@ def test_classification_rejects_non_surjections():
                          check=False),
         ], check=False)
         classify_extension(F)
+
+
+def _wrong_fibration(route, extensions):
+    def wrong(F, budget):
+        central, report = route(F, budget=budget)
+        return not central, report
+    return wrong
+
+
+def _wrong_self_pullback(route, extensions):
+    return lambda F, budget: not route(F, budget)
+
+
+def _every_member_trivial(route, extensions):
+    # p1 of the self-pullback route is no member, so that route still
+    # agrees with the lattice
+    return lambda F: any(F is G for G in extensions) or route(F)
+
+
+def _criterion_record(monkeypatch, cid, corpus):
+    monkeypatch.setattr(suite, "CRITERIA",
+                        [c for c in suite.CRITERIA if c[0] == cid])
+    monkeypatch.setattr(suite, "default_corpus", lambda profile: corpus)
+    [record] = suite.run_suite("desk")
+    return record
+
+
+@pytest.mark.parametrize("route, fault, member, message", [
+    ("_central_by_fibration", _wrong_fibration, "pairC4-pairC2",
+     "lattice and horn-comparison centrality disagree"),
+    ("_normal_by_self_pullback", _wrong_self_pullback, "pairC4-pairC2",
+     "self-pullback triviality"),
+    ("is_trivial_extension", _every_member_trivial, "augment-cosk-loops",
+     "trivial extension classified non-central"),
+])
+def test_a_route_answering_wrong_fails_classification_and_criterion_7(
+    monkeypatch, route, fault, member, message
+):
+    # the three cross-route raises of galois._classification are the
+    # only guard criterion 7 has on its flags
+    corpus = default_corpus("desk")
+    extensions = [F for _, F in corpus["extensions"]]
+    monkeypatch.setattr(galois, route, fault(getattr(galois, route),
+                                             extensions))
+    with pytest.raises(CrossRouteMismatch, match=message):
+        classify_extension(dict(corpus["extensions"])[member])
+    record = _criterion_record(monkeypatch, 7, corpus)
+    assert not record["passed"]
+    assert record["details"]["error"] == "CrossRouteMismatch"
+    assert message in record["details"]["message"]
 
 
 def test_central_extension_trivializes_along_itself():
@@ -299,6 +350,40 @@ class _CountingDict(dict):
         super().__setitem__(key, value)
 
 
+@pytest.mark.parametrize("builder, member", [
+    ("_own_factorization", "quotient-cosk-fibers"),
+    ("_quotient_cofactor", "unit-cosk-loops"),
+])
+def test_ml_rejects_a_cofactor_that_lost_surjectivity(
+    monkeypatch, builder, member
+):
+    original = getattr(galois, builder)
+
+    def lossy(*args):
+        Z, e, m = original(*args)
+        m.is_levelwise_surjective = lambda: False
+        return Z, e, m
+
+    monkeypatch.setattr(galois, builder, lossy)
+    with pytest.raises(PropertyViolation, match="cofactor lost surjectivity"):
+        ml_factorization(dict(default_corpus("desk")["extensions"])[member])
+
+
+def test_ml_rejects_a_fixpoint_cofactor_that_is_not_central(monkeypatch):
+    # with the suite's own re-check gone, this raise is criterion 9's
+    # guard for the monotone-light middle
+    monkeypatch.setattr(galois, "_central_by_lattice", lambda F: False)
+    corpus = default_corpus("desk")
+    with pytest.raises(PropertyViolation,
+                       match="fixpoint cofactor is not central"):
+        ml_factorization(dict(corpus["extensions"])["unit-cosk-loops"])
+    record = _criterion_record(monkeypatch, 9, corpus)
+    assert record["details"] == {
+        "error": "PropertyViolation",
+        "message": "fixpoint cofactor is not central",
+    }
+
+
 def test_ml_builds_each_face_meet_of_its_domain_once():
     for profile in ("desk", "deep"):
         for name, F in default_corpus(profile)["extensions"]:
@@ -369,8 +454,28 @@ def test_stabilizing_probe_runs_over_probe_kit():
     incl = Homomorphism(c2, c4, [0, 2])
     probed, extensions = probe_kit(c4, incl, c2)
     report = stabilizing_probe(probed, extensions)
-    assert len(report) == 2
-    assert all(entry["ok"] for entry in report)
+    assert report == [{"along": "collapse"}, {"along": "projection"}]
+
+
+def _refuse_isomorphism(RX, RY, F):
+    raise PropertyViolation("induced functor is not an isomorphism")
+
+
+@pytest.mark.parametrize("check, fault, message", [
+    ("_induced_isomorphism", _refuse_isomorphism,
+     "induced functor is not an isomorphism"),
+    ("_kernel_meets_homotopy_trivially", lambda m, h: False,
+     "projection from the pullback is not trivial"),
+])
+def test_a_failing_em_check_raises_through_the_probe(
+    monkeypatch, check, fault, message
+):
+    # em's own checks are the probe's pass condition
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    probed, extensions = probe_kit(c4, Homomorphism(c2, c4, [0, 2]), c2)
+    monkeypatch.setattr(galois, check, fault)
+    with pytest.raises(PropertyViolation, match=message):
+        stabilizing_probe(probed, extensions)
 
 
 def test_em_comparison_check_rejects_a_non_isomorphism():

@@ -21,6 +21,7 @@ from simal import suite
 from simal.errors import InputError, InvalidParameters, PropertyViolation
 from simal.simplicial import (
     TruncatedSimplicialAlgebra,
+    constant_simplicial,
     coskeleton,
     nerve,
     quotient_simplicial,
@@ -476,6 +477,19 @@ def test_cli_gen_seed_flag_feeds_the_spec_unless_a_parameter_sets_it():
     assert by_flag.startswith("83c1affc0f05")
     # an explicit seed parameter wins over the flag
     assert digest("seed=2", "--seed", "1") == digest("seed=2") != by_flag
+
+
+@pytest.mark.parametrize("top", [0, 1])
+def test_cli_commutators_needs_two_levels_of_faces(tmp_path, top):
+    path = str(tmp_path / "const.json")
+    X = constant_simplicial(cyclic_group(2), top)
+    sio.save_json(sio.simplicial_to_json(X), path)
+    code, report, _ = run(["commutators", path])
+    assert code == 1
+    assert report["violations"] == [{
+        "property": "PreconditionUnmet",
+        "witness": "commutator chain needs two levels of faces",
+    }]
 
 
 def test_cli_reflect_emits_artifacts(tmp_path):
