@@ -22,7 +22,6 @@ included), 2 property violation, 3 budget exhausted, 4 internal error
 """
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -118,10 +117,7 @@ def build_parser():
 # -- input handling --------------------------------------------------------
 
 def _load(path, inputs):
-    try:
-        kind, obj = sio.load_any(path)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    kind, obj = sio.load_any(path)
     inputs.append({"path": path, "sha256": sio.file_hash(path)})
     return kind, obj
 

@@ -52,8 +52,6 @@ def tc_commutator(theta, psi):
         raise InvalidParameters("commutator arguments live on different algebras")
     alg = theta.on
     n = alg.size
-    if n == 0:
-        return cg.diagonal(alg)
     pairs = theta.pairs()
     a_col, b_col = pairs[:, 0], pairs[:, 1]
     moved = np.flatnonzero(psi.part != np.arange(n))

@@ -216,11 +216,9 @@ def homotopy_relation(X):
     The collection route must coincide with the image of the kernel
     meet; the congruence is returned.
     """
-    if X.truncation < 2:
-        raise PreconditionUnmet("homotopy relation needs 2-simplices")
+    h1 = homotopy_congruence_level1(X)
     thin = _degenerate_mask(X.faces[2][2].map, X.degeneracies[0][0].map)
-    return _collected_equals(homotopy_congruence_level1(X), X.faces[2][:2],
-                             thin, "thin-simplex relation")
+    return _collected_equals(h1, X.faces[2][:2], thin, "thin-simplex relation")
 
 
 def relative_homotopy_relation(F):
@@ -314,12 +312,11 @@ def em_factorization(F, budget=None):
     Every other morphism, the non-trivial extensions and criterion 9's
     probes (which are not levelwise surjective) among them, factors
     through P, the pullback of the reflection unit of F.cod along the
-    reflected F; there both facts are verified, not assumed.
+    reflected F; there both facts are verified, not assumed.  Below
+    truncation 2, is_trivial_extension or pi1 raises PreconditionUnmet.
 
     Returns (middle object, e, m).
     """
-    if F.dom.truncation < 2:
-        raise PreconditionUnmet("factorization needs truncation >= 2")
     if F.is_levelwise_surjective() and is_trivial_extension(F):
         return _own_factorization(F)
     return _pullback_factorization(F, budget=budget)

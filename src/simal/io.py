@@ -153,26 +153,27 @@ def load_homomorphism(data, algebras=None, base_dir=None, check=True):
 
 # -- simplicial objects ----------------------------------------------------
 
-def _level_names(X):
-    """Stable unique name per distinct level algebra instance."""
+def _algebra_names(algebras, defaults):
+    """Stable unique name per distinct algebra instance: its own name, or
+    its default, with #2, #3, ... appended on a clash."""
     names = {}
     taken = set()
-    for level in X.levels:
-        if id(level) in names:
+    for alg, default in zip(algebras, defaults):
+        if id(alg) in names:
             continue
-        base = level.name or "level"
+        base = alg.name or default
         name = base
         k = 1
         while name in taken:
             k += 1
             name = f"{base}#{k}"
-        names[id(level)] = name
+        names[id(alg)] = name
         taken.add(name)
     return names
 
 
 def simplicial_to_json(X):
-    names = _level_names(X)
+    names = _algebra_names(X.levels, ["level"] * len(X.levels))
     algebras = {names[id(level)]: algebra_to_json(level) for level in X.levels}
     faces = [[] for _ in range(X.truncation)]
     degeneracies = [[] for _ in range(X.truncation)]
@@ -250,10 +251,11 @@ def load_morphism(data, base_dir=None):
         raise InvalidParameters(f"morphism name {name!r} is not a string")
     if not isinstance(raw_comps, list) or len(raw_comps) != dom.truncation + 1:
         raise InvalidParameters("morphism needs one component per level")
+    # a codomain of another truncation gets components for the levels
+    # both have, which SimplicialMorphism rejects
     comps = [
-        Homomorphism(dom.levels[n], cod.levels[n],
-                     int_array(raw_comps[n], f"component {n}"), check=False)
-        for n in range(dom.truncation + 1)
+        Homomorphism(d, c, int_array(raw, f"component {n}"), check=False)
+        for n, (d, c, raw) in enumerate(zip(dom.levels, cod.levels, raw_comps))
     ]
     F = SimplicialMorphism(dom, cod, comps, check=True)
     F.name = name
@@ -263,17 +265,11 @@ def load_morphism(data, base_dir=None):
 # -- groupoids and congruences ---------------------------------------------
 
 def groupoid_to_json(G):
-    names = {id(G.objects): G.objects.name or "objects"}
-    if id(G.arrows) not in names:
-        arrow_name = G.arrows.name or "arrows"
-        if arrow_name == names[id(G.objects)]:
-            arrow_name += "#2"
-        names[id(G.arrows)] = arrow_name
-    algebras = {names[id(G.objects)]: algebra_to_json(G.objects)}
-    algebras.setdefault(names[id(G.arrows)], algebra_to_json(G.arrows))
+    pair = [G.objects, G.arrows]
+    names = _algebra_names(pair, ["objects", "arrows"])
     return {
         "kind": "groupoid",
-        "algebras": algebras,
+        "algebras": {names[id(alg)]: algebra_to_json(alg) for alg in pair},
         "objects": names[id(G.objects)],
         "arrows": names[id(G.arrows)],
         "d0": G.d0.map.tolist(),

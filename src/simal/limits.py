@@ -168,17 +168,15 @@ def compatible_tuples(slots, constraints, budget=None):
     """Rows (x_0..x_{k-1}) with map_i(x_i) = map_j(x_j) for each constraint,
     in lexicographic order.
 
-    Constraints are (i, map_i, j, map_j); each map has one entry per
-    element of its slot.  Slot j is one equi-join of the rows so far with
-    range(slots[j].size), keyed by the values the constraints between j
-    and earlier slots read.  Raises LevelTooLarge, before allocating, when
-    a slot's rows would pass the budget.
+    Constraints are (i, map_i, j, map_j) on slots i != j; each map has
+    one entry per element of its slot.  Slot j is one equi-join of the
+    rows so far with range(slots[j].size), keyed by the values the
+    constraints between j and earlier slots read.  Raises LevelTooLarge,
+    before allocating, when a slot's rows would pass the budget.
     """
     budget = resolve_budget(budget)
     by_slot = [[] for _ in slots]
     for (i, mi, j, mj) in constraints:
-        if i == j:
-            raise InvalidParameters("constraint on a single slot")
         if i > j:
             i, j, mi, mj = j, i, mj, mi
         mi, mj = np.asarray(mi, dtype=np.int64), np.asarray(mj, dtype=np.int64)
@@ -241,9 +239,7 @@ def product(name, factors, budget=None):
 def pullback(f, g, name=None, budget=None):
     """Pullback of f: A -> C and g: B -> C; rows (a, b) with f a = g b."""
     if f.cod is not g.cod:
-        same_signature(f.cod, g.cod)
-        if f.cod.size != g.cod.size:
-            raise InvalidParameters("pullback cospan codomain mismatch")
+        raise InvalidParameters("pullback needs a shared codomain")
     rows = compatible_tuples(
         [f.dom, g.dom], [(0, f.map, 1, g.map)], budget=budget
     )

@@ -97,8 +97,6 @@ def homotopy_congruence_level1(X):
 
 def homotopy_congruence(X, n):
     """Join of all pairwise face-kernel meets at a level n >= 2."""
-    if n < 2 or n > X.truncation:
-        raise PreconditionUnmet("join formula applies to levels >= 2")
     return cg.join_all([face_meet(X, n, i, j)
                         for j in range(1, n + 1) for i in range(j)])
 

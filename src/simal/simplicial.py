@@ -32,7 +32,7 @@ d1(g) = d0(f).
 One closure serves every level of a simplicial congruence at once: the
 faces and degeneracies are unary operations between the levels of one
 multi-sorted algebra, closed by the translation worklist of
-congruences.close.  Checking a family is one gather per structure map.
+congruences.close.
 """
 
 import numpy as np
@@ -42,7 +42,6 @@ from .errors import (
     IdentityViolated,
     InvalidParameters,
     PreconditionUnmet,
-    PropertyViolation,
 )
 from .algebra import Homomorphism, check_homomorphism, identity_hom
 from . import congruences as cg
@@ -158,10 +157,10 @@ class SimplicialMorphism:
         self.dom = dom
         self.cod = cod
         self.components = list(components)
-        if len(self.components) != dom.truncation + 1:
-            raise InvalidParameters("one component per level required")
         if dom.truncation != cod.truncation:
             raise InvalidParameters("truncations differ")
+        if len(self.components) != dom.truncation + 1:
+            raise InvalidParameters("one component per level required")
         for n, f in enumerate(self.components):
             if f.dom is not dom.levels[n] or f.cod is not cod.levels[n]:
                 raise InvalidParameters(f"component {n} has wrong endpoints")
@@ -505,8 +504,6 @@ def spine_maps(X, n):
         for _ in range(i - 1):
             m = X.faces[level][0].map[m]
             level -= 1
-        if level != 1:
-            raise PropertyViolation(f"spine edge {i} ends at level {level}")
         maps.append(m)
     return maps
 
@@ -631,13 +628,6 @@ def simplicial_congruence_generated(X, seeds, initial=None):
             for n, lvl in enumerate(X.levels)]
 
 
-def is_simplicial_congruence(X, parts):
-    """Faces and degeneracies must send each level's relation into the next."""
-    return all(np.array_equal(parts[m].part[f.map],
-                              parts[m].part[f.map[parts[n].part]])
-               for n, m, _, f in _structure_maps(X))
-
-
 def transport(X, levels, move, name):
     """The simplicial object on new levels with X's structure carried over.
 
@@ -656,9 +646,13 @@ def transport(X, levels, move, name):
 
 
 def quotient_simplicial(X, parts, name=None):
-    """Quotient by a simplicial congruence; returns (object, projection)."""
-    if not is_simplicial_congruence(X, parts):
-        raise InvalidParameters("family is not closed under the structure maps")
+    """Quotient by a simplicial congruence; returns (object, projection).
+
+    The projection is checked to commute with every structure map f,
+    which holds exactly when f(x) and f(rep x) lie in one class: a family
+    not closed under the faces and degeneracies raises IdentityViolated
+    there, if the quotient's simplicial identities have not already.
+    """
     levels, projs = zip(*(cg.quotient(lvl, p) for lvl, p in zip(X.levels, parts)))
     reps = [p.reps() for p in parts]
     Y = transport(X, list(levels),

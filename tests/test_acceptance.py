@@ -8,10 +8,16 @@ finite structures; there are no tolerances anywhere.
 
 import pytest
 
+from simal.algebra import Homomorphism
 from simal.cli import run
-from simal.corpus import default_corpus
+from simal.corpus import (
+    cyclic_group,
+    default_corpus,
+    loops_graph,
+    one_object_groupoid,
+)
 from simal import simplicial, suite
-from simal.errors import SimalError
+from simal.errors import IdentityViolated, SimalError
 from simal.suite import CRITERIA, run_suite
 
 _BY_ID = {cid: (title, fn) for cid, title, fn in CRITERIA}
@@ -62,6 +68,26 @@ def test_criterion_04_unit_kernels_and_universal_property():
     details = _run(4)
     assert details["unit_kernel_levels"] > 0
     assert sum(details["morphisms_factored"].values()) > 0
+
+
+def test_criterion_04_keeps_the_graph_morphisms_that_extend_alone():
+    # a 2-simplex of the coskeleton of C2's loops is any three loops at
+    # one base point, so the graph morphism reading each loop's C2
+    # coordinate does not respect the 2-simplices: nerve_map turns it
+    # down, and the zero morphism is the one candidate kept
+    C2 = cyclic_group(2)
+    X = simplicial.coskeleton(loops_graph(C2, C2), 2)
+    G = one_object_groupoid(C2)
+    NG = simplicial.nerve(G, 2)
+    fiber = X.levels[1].carrier.rows[:, 1]
+    candidates = [f1.tolist() for _, f1 in suite._graph_morphisms(X, G)]
+    assert sorted(candidates) == [[0] * 4, fiber.tolist()]
+    with pytest.raises(IdentityViolated):
+        simplicial.nerve_map(
+            X, NG, Homomorphism(X.levels[0], NG.levels[0], [0, 0]),
+            Homomorphism(X.levels[1], NG.levels[1], fiber))
+    kept = suite._nerve_morphisms(X, G, NG)
+    assert [F.components[1].map.tolist() for F in kept] == [[0] * 4]
 
 
 def test_criterion_05_groupoid_characterization_and_closure():

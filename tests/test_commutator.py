@@ -9,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from simal import commutator, congruences as cg
-from simal.algebra import Signature, make_algebra
+from simal.algebra import FiniteAlgebra, Signature, make_algebra
 from simal.commutator import tc_commutator
-from simal.errors import InvalidParameters
+from simal.errors import InvalidParameters, PropertyViolation
 from simal.corpus import (
     cyclic_group,
     dihedral_group,
@@ -347,3 +347,36 @@ def test_quasigroup_closures_match_the_oracles(data):
     ), (alg.name, theta.part, psi.part)
     assert list(generated) == oracles.cg_closure_pure(alg, pairs), \
         (alg.name, pairs)
+
+
+def test_commutator_on_the_empty_algebra_is_empty():
+    empty = FiniteAlgebra("empty", 0, Signature([("mul", 2)]),
+                          {"mul": np.zeros((0, 0))}, "x")
+    for theta in (cg.full(empty), cg.diagonal(empty)):
+        assert tc_commutator(theta, theta).part.shape == (0,)
+
+
+def _closing_to(monkeypatch, labels):
+    """Make the closure of Delta answer labels, whatever it is given."""
+    monkeypatch.setattr(cg, "close", lambda *args: np.asarray(labels))
+
+
+def test_commutator_certifies_an_equivalence_relation(monkeypatch):
+    # on C2, Delta joining (0, 1) with (1, 1) alone reads off the pair
+    # (0, 1) without (1, 0); their merge is the full congruence
+    c2 = cyclic_group(2)
+    labels = np.arange(4)
+    labels[0 * 2 + 1] = labels[1 * 2 + 1]
+    _closing_to(monkeypatch, labels)
+    with pytest.raises(PropertyViolation,
+                       match="not already an equivalence relation"):
+        tc_commutator(cg.full(c2), cg.full(c2))
+
+
+def test_commutator_certifies_it_is_below_the_meet(monkeypatch):
+    # one Delta class reads off every theta-pair: the full relation,
+    # above the diagonal psi
+    c3 = cyclic_group(3)
+    _closing_to(monkeypatch, np.zeros(9, dtype=np.int64))
+    with pytest.raises(PropertyViolation, match="exceeded the meet"):
+        tc_commutator(cg.full(c3), cg.diagonal(c3))

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from simal import congruences as cg
 from simal import galois, limits, reflection, simplicial, suite
-from simal.algebra import FiniteAlgebra, Homomorphism
+from simal.algebra import FiniteAlgebra, Homomorphism, identity_hom
 from simal.config import resolve_budget
 from simal.corpus import (
     congruence_nerve_extension,
@@ -22,7 +22,9 @@ from simal.corpus import (
 )
 from simal.errors import (
     CrossRouteMismatch,
+    HomotopyMismatch,
     IdentityViolated,
+    InvalidParameters,
     LevelTooLarge,
     NotLevelwiseSurjective,
     PreconditionUnmet,
@@ -49,6 +51,7 @@ from simal.simplicial import (
     simplicial_product,
     simplicial_pullback,
     quotient_simplicial,
+    truncate,
     validate_simplicial,
 )
 
@@ -820,3 +823,89 @@ def test_closures_build_no_table_of_the_levels_they_close():
     assert not parts[3].is_diagonal()
     assert N.levels[3]._tables is None
     assert parts == oracles.simplicial_closure_by_levels(N, {3: [(0, 1)]})
+
+
+# -- the guards and checks of galois, fired one by one ---------------------
+
+def _truncated(F, M):
+    """F restricted to levels 0..M of its domain and codomain."""
+    return SimplicialMorphism(truncate(F.dom, M), truncate(F.cod, M),
+                              F.components[:M + 1], check=False)
+
+
+def _identity(X):
+    return SimplicialMorphism(X, X, [identity_hom(lvl) for lvl in X.levels],
+                              check=False)
+
+
+def _probe_at_level_one():
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    probed, _ = probe_kit(c4, Homomorphism(c2, c4, [0, 2]), c2)
+    return _truncated(probed, 1)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: classify_extension(_truncated(EXTS["pairC4-pairC2"], 1)),
+     "classification needs truncation >= 2"),
+    # em has no guard of its own: a levelwise surjection stops in
+    # is_trivial_extension, any other morphism in pi1
+    (lambda: em_factorization(_truncated(EXTS["pairC4-pairC2"], 1)),
+     "classification needs truncation >= 2"),
+    (lambda: em_factorization(_probe_at_level_one()),
+     "reflection needs truncation >= 2"),
+    (lambda: homotopy_relation(truncate(EXTS["pairC4-pairC2"].dom, 1)),
+     "level-1 homotopy needs two levels of faces"),
+    (lambda: relative_homotopy_relation(_truncated(EXTS["pairC4-pairC2"], 1)),
+     "relative relation needs 2-simplices"),
+], ids=["classify", "em-surjective", "em-probe", "homotopy", "relative"])
+def test_galois_refuses_objects_below_truncation_two(call, message):
+    with pytest.raises(PreconditionUnmet, match=message):
+        call()
+
+
+def test_homotopy_relation_checks_the_lattice_value(monkeypatch):
+    # the loops of the coskeleton at one base point are all homotopic, so
+    # a diagonal lattice value misses the collected pairs
+    X = coskeleton(loops_graph(cyclic_group(2), cyclic_group(2)), 2)
+    monkeypatch.setattr(galois, "homotopy_congruence_level1",
+                        lambda X: cg.diagonal(X.levels[1]))
+    with pytest.raises(HomotopyMismatch,
+                       match="thin-simplex relation differs"):
+        homotopy_relation(X)
+
+
+def test_a_morphism_must_descend_to_the_arrow_classes():
+    # a reflection that claims every arrow of X homotopic: the identity
+    # of X does not descend to its one class, since pi1(X) keeps two
+    X = coskeleton(loops_graph(cyclic_group(2), cyclic_group(2)), 2)
+    R = pi1(X)
+    assert R.h[1].class_count() == 2
+    lumped = reflection.ReflectionResult(
+        R.groupoid, R.nerve, R.unit,
+        [R.h[0], cg.full(X.levels[1])] + R.h[2:])
+    with pytest.raises(PropertyViolation, match="does not descend"):
+        galois.induced_groupoid_nerve_map(lumped, R, _identity(X))
+
+
+def test_ml_rejects_a_fixpoint_above_the_kernel_family(monkeypatch):
+    # a closure that answers the full congruences leaves the kernel of
+    # the unit, which is the diagonal on objects
+    monkeypatch.setattr(
+        galois, "simplicial_congruence_generated",
+        lambda X, seeds, initial: [cg.full(lvl) for lvl in X.levels])
+    with pytest.raises(PropertyViolation,
+                       match="kernel family is not closed"):
+        ml_factorization(EXTS["unit-cosk-loops"])
+
+
+def test_stabilizing_probe_needs_an_exact_target_and_one_base():
+    # the delooping's base is not exact at level 1
+    with pytest.raises(PreconditionUnmet, match="probe target must be exact"):
+        stabilizing_probe(EXTS["deloop-C4-C2"], [])
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    incl = Homomorphism(c2, c4, [0, 2])
+    probed, _ = probe_kit(c4, incl, c2)
+    _, elsewhere = probe_kit(c4, incl, c2)
+    with pytest.raises(InvalidParameters,
+                       match="extension collapse has a different base"):
+        stabilizing_probe(probed, elsewhere)

@@ -27,6 +27,7 @@ from simal.simplicial import (
     quotient_simplicial,
     simplicial_congruence_generated,
     simplicial_kernel,
+    truncate,
 )
 
 
@@ -205,6 +206,8 @@ def _malformed(kind, path, value):
         "algebra": lambda: sio.algebra_to_json(C4),
         "simplicial": lambda: sio.simplicial_to_json(nerve(pair_groupoid(C4), 2)),
         "groupoid": lambda: sio.groupoid_to_json(pair_groupoid(C4)),
+        "group": lambda: sio.groupoid_to_json(
+            one_object_groupoid(cyclic_group(2))),
         "morphism": lambda: sio.morphism_to_json(_quotient_map()),
     }[kind]()
     return _set_entry(data, path, value)
@@ -272,6 +275,19 @@ def _set_entry(data, path, value):
      "arity must be a single integer"),
     ("morphism", ["name"], [1], "InvalidParameters",
      "morphism name [1] is not a string"),
+    # the pair groupoid on C4 has arrows (a, b) = 4a + b from a to b, so
+    # a -> (0, a) is a homomorphism that d0 takes back to a, not d1
+    ("groupoid", ["s0"], [0, 1, 2, 3], "IdentityViolated",
+     "d1 s0 is not the identity"),
+    ("groupoid", ["comp", 0, 0], -1, "IdentityViolated",
+     "composition defined somewhere other than exactly the composable pairs"),
+    ("groupoid", ["comp", 0, 0], 1, "IdentityViolated",
+     "target of a composite is wrong"),
+    ("groupoid", ["comp", 0, 0], 4, "IdentityViolated",
+     "source of a composite is wrong"),
+    # C2 as a one-object groupoid: every composite has the right ends
+    ("group", ["comp", 0, 1], 0, "IdentityViolated", "left unit law fails"),
+    ("group", ["comp", 1, 0], 0, "IdentityViolated", "right unit law fails"),
 ])
 def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
                                               error, witness):
@@ -280,6 +296,27 @@ def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
     code, report, _ = run(["validate", p])
     assert code == 1
     assert report["violations"] == [{"property": error, "witness": witness}]
+
+
+@pytest.mark.parametrize("command", ["validate", "classify", "kan"])
+@pytest.mark.parametrize("side", ["dom", "cod"])
+def test_cli_rejects_a_morphism_whose_ends_differ_in_truncation(
+    tmp_path, side, command
+):
+    # one end of a truncation-3 quotient cut down to truncation 2, and
+    # the components with it when that end is the domain
+    _, _, ext_path = _write_artifacts(tmp_path)
+    q = sio.load_morphism(ext_path)
+    data = sio.morphism_to_json(q)
+    data[side] = sio.simplicial_to_json(truncate(getattr(q, side), 2))
+    if side == "dom":
+        data["components"] = data["components"][:3]
+    path = str(tmp_path / "cut.json")
+    sio.save_json(data, path)
+    code, report, _ = run([command, path])
+    assert code == 1
+    assert report["violations"] == [
+        {"property": "InvalidParameters", "witness": "truncations differ"}]
 
 
 def _entry_paths(node, path=()):

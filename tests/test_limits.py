@@ -20,6 +20,7 @@ from simal.algebra import (
 from simal import congruences as cg
 from simal import limits
 from simal.errors import (
+    CrossRouteMismatch,
     InvalidParameters,
     LevelTooLarge,
     NotCommuting,
@@ -33,6 +34,7 @@ from simal.limits import (
     pullback,
     subproduct_algebra,
     tuple_map,
+    tuple_weights,
 )
 from simal.corpus import (
     cyclic_group,
@@ -242,6 +244,26 @@ def test_subproduct_rejects_duplicate_rows():
         subproduct_algebra("dup", [z2, z2], [[0, 0], [0, 0]])
 
 
+def test_tuple_codes_stop_at_62_bits():
+    assert list(tuple_weights([2 ** 31, 2 ** 31 - 1])) == [2 ** 31 - 1, 1]
+    with pytest.raises(LevelTooLarge, match="exceeds 62 bits"):
+        tuple_weights([2 ** 31, 2 ** 31])
+
+
+def test_subproduct_needs_a_factor():
+    with pytest.raises(InvalidParameters, match="at least one factor"):
+        subproduct_algebra("none", [], np.zeros((0, 0), dtype=np.int64))
+
+
+def test_pullback_needs_one_codomain_instance():
+    # two copies of C2 are equal in size and table, but not one cospan
+    z4 = cyclic_group(4)
+    f = Homomorphism(z4, cyclic_group(2), [0, 1, 0, 1])
+    g = Homomorphism(z4, cyclic_group(2), [0, 1, 0, 1])
+    with pytest.raises(InvalidParameters, match="shared codomain"):
+        pullback(f, g)
+
+
 def test_double_extension_collapsing_square_true():
     z4, z2 = cyclic_group(4), cyclic_group(2)
     f = Homomorphism(z4, z2, [0, 1, 0, 1])
@@ -256,7 +278,8 @@ def test_double_extension_kernel_pair_square_false():
     assert is_double_extension(identity_hom(z4), identity_hom(z4), f, f) is False
 
 
-def test_double_extension_crt_square_true():
+def _crt_square():
+    """Z6 onto Z2 and Z3, both onto the one-element group."""
     z6 = cyclic_group(6)
     z2, z3 = cyclic_group(2), cyclic_group(3)
     one = cyclic_group(1)
@@ -264,7 +287,21 @@ def test_double_extension_crt_square_true():
     q3 = Homomorphism(z6, z3, [x % 3 for x in range(6)])
     t2 = Homomorphism(z2, one, [0, 0])
     t3 = Homomorphism(z3, one, [0, 0, 0])
-    assert is_double_extension(q2, q3, t2, t3) is True
+    return q2, q3, t2, t3
+
+
+def test_double_extension_crt_square_true():
+    assert is_double_extension(*_crt_square()) is True
+
+
+def test_double_extension_routes_must_agree(monkeypatch):
+    # the CRT square with images that come out diagonal: the kernel-pair
+    # route then says no while the comparison is onto
+    monkeypatch.setattr(limits, "cg", SimpleNamespace(
+        **{**vars(cg), "image": lambda f, theta: cg.diagonal(f.cod)}))
+    with pytest.raises(CrossRouteMismatch,
+                       match="comparison-surjective=True"):
+        is_double_extension(*_crt_square())
 
 
 def test_double_extension_rejects_non_commuting():

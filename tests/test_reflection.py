@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import oracles
-from simal.algebra import Homomorphism
+from simal.algebra import Homomorphism, identity_hom
 from simal import congruences as cg
+from simal import reflection
 from simal.commutator import tc_commutator
 from simal.corpus import (
     cyclic_group,
@@ -18,10 +19,12 @@ from simal.corpus import (
     zk_module,
 )
 from simal.errors import (
+    CompositionIllDefined,
     InvalidParameters,
     LevelTooLarge,
     PreconditionUnmet,
     PropertyViolation,
+    TripleEqualityViolated,
 )
 from simal.galois import fiber_connectivity_relation, homotopy_relation
 from simal.groupoid import maltsev_groupoid, validate_groupoid
@@ -37,11 +40,14 @@ from simal.reflection import (
     universal_property_check,
 )
 from simal.simplicial import (
+    SimplicialMorphism,
     coskeleton,
     nerve,
+    nerve_map,
     quotient_simplicial,
     simplicial_congruence_generated,
     spine_maps,
+    truncate,
 )
 
 C2 = cyclic_group(2)
@@ -309,3 +315,113 @@ def test_maltsev_composite_on_a_graph_that_is_no_groupoid_is_rejected():
     G = maltsev_groupoid(X.levels[0], X.levels[1], d0, d1, X.degeneracies[0][0])
     with pytest.raises(InvalidParameters, match="does not preserve 'mul'"):
         validate_groupoid(G)
+
+
+# -- the guards and checks of reflection, fired one by one -----------------
+
+def test_level1_homotopy_checks_the_other_face_images(monkeypatch):
+    # the coskeleton's h1 joins the loops at each base point; a diagonal
+    # meet of d1 and d2 makes the d0 route disagree with it
+    meet = reflection.face_meet
+    monkeypatch.setattr(
+        reflection, "face_meet",
+        lambda X, n, i, j: cg.diagonal(X.levels[2]) if (n, i, j) == (2, 1, 2)
+        else meet(X, n, i, j))
+    with pytest.raises(TripleEqualityViolated,
+                       match="face images of the kernel meets"):
+        homotopy_congruence_level1(cosk_loops())
+
+
+def test_pi1_quotients_only_arrows_with_shared_faces(monkeypatch):
+    # a family that lumps every arrow of the pair groupoid on C3
+    family = reflection.homotopy_family
+    monkeypatch.setattr(
+        reflection, "homotopy_family",
+        lambda X: [h if n != 1 else cg.full(h.on)
+                   for n, h in enumerate(family(X))])
+    with pytest.raises(PropertyViolation,
+                       match="homotopic arrows must share both faces"):
+        pi1(nerve(pair_groupoid(C3), 2))
+
+
+def _first_edges_doubled(X, n):
+    """Spines whose second edge repeats the first."""
+    first = spine_maps(X, n)[0]
+    return [first, first]
+
+
+def _identity_then_composite(X, n):
+    """Spines that compose each simplex's d1 after the identity at its
+    source, so no other pair of arrows is composed."""
+    d1 = X.faces[2][1].map
+    return [X.degeneracies[0][0].map[X.faces[1][1].map[d1]], d1]
+
+
+@pytest.mark.parametrize("spines, message", [
+    (_first_edges_doubled, "simplices give conflicting composites"),
+    (_identity_then_composite, "no simplex composes the class pair"),
+])
+def test_pi1_reads_one_composite_for_each_composable_pair(
+    monkeypatch, spines, message
+):
+    # C2's nerve: the 2-simplices with first edge g have the composites
+    # g and g + 1, and the spines of the second route leave (1, 1)
+    # uncomposed
+    monkeypatch.setattr(reflection, "spine_maps", spines)
+    with pytest.raises(CompositionIllDefined, match=message):
+        pi1(nerve(one_object_groupoid(C2), 2))
+
+
+def test_universal_property_checks_its_reflection():
+    X = cosk_loops()
+    R = pi1(X)
+    with pytest.raises(PreconditionUnmet, match="different object"):
+        universal_property_check(pi1(nerve(pair_groupoid(C2), 3)), R.unit)
+    # a unit that sends every simplex of the nerve Y of C2 to the
+    # degenerate one at its one object is not onto at level 1
+    Y = nerve(one_object_groupoid(C2), 3)
+    RY = pi1(Y)
+    flat = nerve_map(
+        Y, RY.nerve,
+        Homomorphism(Y.levels[0], RY.nerve.levels[0], [0], check=False),
+        Homomorphism(Y.levels[1], RY.nerve.levels[1], [0, 0], check=False))
+    lost = reflection.ReflectionResult(RY.groupoid, RY.nerve, flat, RY.h)
+    with pytest.raises(PropertyViolation,
+                       match="unit is not surjective at level 1"):
+        universal_property_check(lost, RY.unit)
+
+
+def test_universal_property_checks_the_factorization(monkeypatch):
+    # a reflection that claims no arrows homotopic lets the identity of X
+    # through the kernel check; the mediator read off the unit's sections
+    # (its morphism check off) then misses the identity on the loops
+    X = cosk_loops()
+    R = pi1(X)
+    liar = reflection.ReflectionResult(
+        R.groupoid, R.nerve, R.unit, [cg.diagonal(lvl) for lvl in X.levels])
+    identity = SimplicialMorphism(
+        X, X, [identity_hom(lvl) for lvl in X.levels])
+    monkeypatch.setattr(
+        reflection, "SimplicialMorphism",
+        lambda dom, cod, comps, check: SimplicialMorphism(dom, cod, comps,
+                                                          check=False))
+    with pytest.raises(PropertyViolation,
+                       match="factorization misses the original morphism "
+                             "at level 1"):
+        universal_property_check(liar, identity)
+
+
+def test_reflection_routes_refuse_objects_below_their_levels():
+    X = nerve(pair_groupoid(C2), 2)
+    with pytest.raises(PreconditionUnmet, match="needs a level of arrows"):
+        graph_reflection(truncate(X, 0))
+    with pytest.raises(PreconditionUnmet, match="needs at least two levels"):
+        is_two_coskeletal_at_top(truncate(X, 1))
+
+
+def test_commutator_chain_checks_its_sandwich(monkeypatch):
+    # the full congruence is not below the coskeleton's h1
+    monkeypatch.setattr(reflection, "tc_commutator",
+                        lambda theta, psi: cg.full(theta.on))
+    with pytest.raises(PropertyViolation, match="escapes its sandwich"):
+        commutator_chain_check(cosk_loops())

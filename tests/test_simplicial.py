@@ -38,7 +38,6 @@ from simal.simplicial import (
     coskeleton,
     decalage,
     exactness_check,
-    is_simplicial_congruence,
     nerve,
     nerve_map,
     quotient_simplicial,
@@ -136,6 +135,19 @@ def test_broken_unit_rejected():
                        [int(G.s0.map[0])] * G.objects.size, check=False)
     H = InternalGroupoid(G.objects, G.arrows, G.d0, G.d1, bad, G.comp)
     with pytest.raises(IdentityViolated):
+        validate_groupoid(H)
+
+
+@pytest.mark.parametrize("slot", ["d0", "d1", "s0"])
+def test_structure_maps_with_wrong_endpoints_rejected(slot):
+    # no file gives these: the loader builds each map between the
+    # algebras its slot names
+    G = pair_groupoid(C2)
+    maps = {"d0": G.d0, "d1": G.d1, "s0": G.s0}
+    maps[slot] = G.d0 if slot == "s0" else G.s0
+    H = InternalGroupoid(G.objects, G.arrows, maps["d0"], maps["d1"],
+                         maps["s0"], G.comp)
+    with pytest.raises(InvalidParameters, match=f"{slot} endpoints wrong"):
         validate_groupoid(H)
 
 
@@ -394,13 +406,17 @@ def test_simplicial_closure_matches_level_by_level_oracle(data):
         seeds.setdefault(n, []).append(data.draw(st.tuples(element, element)))
     got = simplicial_congruence_generated(X, seeds)
     assert got == oracles.simplicial_closure_by_levels(X, seeds)
-    assert is_simplicial_congruence(X, got)
+    assert oracles.is_closed_family(X, got)
     # the seeds closed at their own levels only are closed under the
-    # structure maps exactly when the oracle says so
+    # structure maps exactly when the oracle says so, and quotient_simplicial
+    # rejects exactly the families that are not
     levelwise = [cg.congruence_generated(lvl, seeds.get(n, []))
                  for n, lvl in enumerate(X.levels)]
-    assert is_simplicial_congruence(X, levelwise) == \
-        oracles.is_closed_family(X, levelwise)
+    if oracles.is_closed_family(X, levelwise):
+        quotient_simplicial(X, levelwise)
+    else:
+        with pytest.raises(IdentityViolated):
+            quotient_simplicial(X, levelwise)
 
 
 @functools.lru_cache(maxsize=None)

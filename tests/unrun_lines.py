@@ -7,13 +7,15 @@ and threading.settrace for threads) records every line run in a file
 under src/simal while pytest runs the tier-1 suite in this process.  A
 module's executable lines are the line numbers of its compiled code
 objects, nested ones included (co_lines).  The unrun ones are printed
-grouped by module, as ranges, then their total; the exit status is
-pytest's.  Tracing slows the suite several times over, and the
-subprocesses some tests start are not traced.
+grouped by module, as ranges, then their total; then, by module, the
+first lines of the raise statements among them, and their count.  The
+exit status is pytest's.  Tracing slows the suite several times over,
+and the subprocesses some tests start are not traced.
 
 The name has no test_ prefix, so pytest does not collect this file.
 """
 
+import ast
 import os
 import sys
 import threading
@@ -32,6 +34,14 @@ def executable_lines(path):
         lines.update(line for _, _, line in co.co_lines() if line)
         stack.extend(c for c in co.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def raise_lines(path):
+    """The first line of every raise statement in the file."""
+    with open(path) as fh:
+        tree = ast.parse(fh.read(), path)
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)}
 
 
 def ranges(numbers):
@@ -81,6 +91,7 @@ def trace_tier1(args):
 def main(args):
     status, hits = trace_tier1(args)
     total = counted = 0
+    raises = {}
     print("unrun executable lines of src/simal under tier-1:")
     for name in sorted(os.listdir(PACKAGE)):
         if not name.endswith(".py"):
@@ -92,7 +103,14 @@ def main(args):
         counted += len(lines)
         if unrun:
             print(f"  simal/{name}: {len(unrun)}: {ranges(unrun)}")
+        raises[name] = sorted(unrun & raise_lines(path))
     print(f"{total} of {counted} executable lines unrun")
+    print("unrun raise statements of src/simal, by first line:")
+    for name, unrun in raises.items():
+        if unrun:
+            print(f"  simal/{name}: {len(unrun)}: "
+                  + ", ".join(map(str, unrun)))
+    print(f"{sum(map(len, raises.values()))} raise statements unrun")
     return int(status)
 
 
