@@ -222,9 +222,6 @@ def check_maltsev(alg):
         check_term_signature(term, alg.signature.arities)
     except InvalidParameters as exc:
         raise NotMaltsev(f"{alg.name}: {exc}") from exc
-    bad = term.variables() - {"x", "y", "z"}
-    if bad:
-        raise NotMaltsev(f"{alg.name}: term uses unknown variables {bad}")
     # p(x,y,y) = x and p(x,x,y) = y, as slots of the pair (x, y)
     for slots, want in (((0, 1, 1), 0), ((0, 0, 1), 1)):
         w = first_failure(

@@ -36,7 +36,8 @@ or the arity.
 
 The readout merges the pairs read off; their count must equal the
 partition's pair count, which certifies that the relation was already
-an equivalence, and the result must lie below theta ^ psi.
+an equivalence, and the result must be compatible with every operation
+and lie below theta ^ psi.
 """
 
 import functools
@@ -60,14 +61,21 @@ def tc_commutator(theta, psi):
         functools.partial(_pair_translations, alg, a_col, b_col),
     )
     hits = np.flatnonzero(labels[a_col * n + b_col] == labels[b_col * (n + 1)])
+    # merge gives least-member labels; compatibility is checked below
     result = cg.Congruence(
-        alg, cg.merge(np.arange(n), a_col[hits], b_col[hits])
+        alg, cg.merge(np.arange(n), a_col[hits], b_col[hits]), check=False
     )
     # theta.pairs() lists each pair once, so the hits are the raw relation
     if len(hits) != result.pair_count():
         raise PropertyViolation(
             "commutator relation was not already an equivalence relation"
         )
+    try:
+        cg.check_compatibility(result)
+    except InvalidParameters as exc:
+        raise PropertyViolation(
+            f"commutator relation is not a congruence: {exc}"
+        ) from exc
     if not cg.leq(result, cg.meet(theta, psi)):
         raise PropertyViolation("commutator exceeded the meet of its arguments")
     return result

@@ -66,8 +66,6 @@ class SplitMix:
         return z ^ (z >> 31)
 
     def randrange(self, n):
-        if n <= 0:
-            raise InvalidParameters("randrange over empty range")
         return self.next_u64() % n
 
 

@@ -44,14 +44,6 @@ class Term:
     def __hash__(self):
         return hash((self.op, self.args))
 
-    def variables(self):
-        if self.is_variable:
-            return {self.op}
-        out = set()
-        for a in self.args:
-            out |= a.variables()
-        return out
-
 
 def tokenize(text):
     tokens = []

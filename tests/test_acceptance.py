@@ -6,8 +6,12 @@ pass/fail line per criterion.  Every check is an exact equality of
 finite structures; there are no tolerances anywhere.
 """
 
+import types
+
+import numpy as np
 import pytest
 
+from simal import congruences as cg
 from simal.algebra import Homomorphism
 from simal.cli import run
 from simal.corpus import (
@@ -17,7 +21,7 @@ from simal.corpus import (
     one_object_groupoid,
 )
 from simal import simplicial, suite
-from simal.errors import IdentityViolated, SimalError
+from simal.errors import IdentityViolated, PreconditionUnmet, SimalError
 from simal.suite import CRITERIA, run_suite
 
 _BY_ID = {cid: (title, fn) for cid, title, fn in CRITERIA}
@@ -213,3 +217,166 @@ def test_suite_report_hash_is_pinned(profile, digest):
     code, report, _ = run(["suite", "--profile", profile])
     assert code == 0
     assert report["report_hash"] == digest
+
+
+# -- every criterion check fires --------------------------------------------
+#
+# Each row replaces one name bound in simal.suite by a fault built from
+# the original, and names the criterion that the fault makes fail with
+# the error and message of its record.  The criterion runs through
+# run_suite, which builds a fresh desk corpus, so no result an earlier
+# test kept on a corpus member hides the fault.
+
+
+def _with(module, **names):
+    """A copy of module's namespace with the given names replaced."""
+    copy = types.ModuleType(module.__name__)
+    copy.__dict__.update(vars(module))
+    copy.__dict__.update(names)
+    return copy
+
+
+def _not_a_groupoid(*args):
+    """The coskeleton of C2's loops, which is not a groupoid nerve."""
+    c2 = cyclic_group(2)
+    return simplicial.coskeleton(loops_graph(c2, c2), 3)
+
+
+def _full_homotopy_family(pi1):
+    def fault(X, budget=None):
+        R = pi1(X, budget=budget)
+        R.h = [cg.full(level) for level in R.nerve.levels]
+        return R
+    return fault
+
+
+def _rolled_projection(graph_reflection):
+    # the reflections of criterion 10 are bijective on arrows, so a
+    # projection rolled by one sends some arrow to another's class
+    def fault(X):
+        G, proj = graph_reflection(X)
+        return G, Homomorphism(proj.dom, proj.cod, np.roll(proj.map, 1),
+                               check=False)
+    return fault
+
+
+def _constant_composition(pair_groupoid):
+    def fault(alg):
+        G = pair_groupoid(alg)
+        G.comp = np.where(G.comp >= 0, 0, G.comp)
+        return G
+    return fault
+
+
+def _first_29_extensions(default_corpus):
+    def fault(profile):
+        corpus = default_corpus(profile)
+        return {**corpus, "extensions": corpus["extensions"][:29]}
+    return fault
+
+
+def _no_extension_qualifies(F, budget=None):
+    raise PreconditionUnmet("no extension qualifies")
+
+
+FAULTS = [
+    (1, "_closure_join_oracle",
+     lambda oracle: lambda th, ps: np.zeros(th.on.size, dtype=np.int64),
+     "join mismatch against closure oracle on C2"),
+    (1, "cg", lambda real: _with(real, meet=lambda a, b: real.diagonal(a.on)),
+     "modular law fails on C2"),
+    (2, "is_double_extension", lambda real: lambda *args, **kwargs: False,
+     "face square (0,1) at level 2 of pair-C2-t3 is not a double extension"),
+    (3, "face_meet",
+     lambda real: lambda X, n, i, j: (
+         cg.full(X.levels[n]) if n == 3 else real(X, n, i, j)),
+     "d_2(D_0 meet D_1) misses its target on pair-C2-t3"),
+    # only the extensions' ends have truncation 2 in criterion 3, and a
+    # congruence named by element labels does not travel along them
+    (3, "face_meet",
+     lambda real: lambda X, n, i, j: (
+         cg.principal_congruence(X.levels[n], 0, 1) if X.truncation == 2
+         else real(X, n, i, j)),
+     "image of D_0 meet D_1 under congC4-discC2 at level 2 is not the "
+     "codomain meet"),
+    (4, "pi1", _full_homotopy_family,
+     "kernel of the unit at level 2 of pair-C2-t3 is not the join of the "
+     "pairwise meets"),
+    (4, "_nerve_morphisms", lambda real: lambda *args: [],
+     "no morphisms enumerated for the check"),
+    (5, "groupoid_injectivity_conditions",
+     lambda real: lambda X, n: (True, False, True),
+     "conditions disagree at level 2 of pair-C2-t3: True, False, True"),
+    (5, "is_internal_groupoid", lambda real: lambda X: not real(X),
+     "groupoid detection disagrees with the conditions on pair-C2-t3"),
+    (5, "quotient_simplicial",
+     lambda real: lambda X, parts: (_not_a_groupoid(), None),
+     "quotient of the groupoid nerve pair-C2-t3 lost the groupoid property"),
+    (5, "_image_subobject", lambda real: _not_a_groupoid,
+     "subobject pair-C2-in-C4 of a groupoid nerve lost the groupoid "
+     "property"),
+    (7, "default_corpus", _first_29_extensions,
+     "corpus provides only 29 extensions"),
+    (9, "exactness_lemma_check",
+     lambda real: lambda F, budget=None: (False, "made to fail"),
+     "exactness lemma fails on pairC4-pairC2: made to fail"),
+    (9, "exactness_lemma_check", lambda real: _no_extension_qualifies,
+     "no extension qualified for the lemma"),
+    (10, "homotopy_congruence_level1",
+     lambda real: lambda X: cg.full(X.levels[1]),
+     "object pair-C2-t3 is exact at the arrow level but its homotopy "
+     "congruence is below the meet"),
+    (10, "exactness_check",
+     lambda real: lambda X, level, budget=None: (False, {}),
+     "no object was exact at the arrow level"),
+    (10, "commutator_chain_check",
+     lambda real: lambda X: {"meet_equal": True, "commutator_equal": True},
+     "corpus does not realize both strict ends of the chain"),
+    (10, "graph_reflection", _rolled_projection,
+     "graph morphism does not descend to the reflection"),
+    (10, "pair_groupoid", _constant_composition,
+     "descended morphism is not a functor"),
+    (10, "_graph_morphisms", lambda real: lambda *args: [],
+     "no graph morphisms enumerated"),
+    (10, "tc_commutator", lambda real: lambda a, b: cg.full(a.on),
+     "commutator is not the meet on H-chain3"),
+    # B(C4) has four homotopy classes of arrows over one object
+    (10, "congruence_nerve",
+     lambda real: lambda *args: simplicial.nerve(
+         one_object_groupoid(cyclic_group(4)), 3),
+     "Heyting object nerve(C4) misses the meet identity"),
+    (10, "pi1",
+     lambda real: lambda X, budget=None: real(
+         simplicial.nerve(one_object_groupoid(cyclic_group(2)), 2),
+         budget=budget),
+     "Heyting reflection of N(H-chain3,1cl) is not an equivalence relation"),
+]
+
+
+@pytest.mark.parametrize("cid, name, fault, message", FAULTS,
+                         ids=[f"{row[0]}-{row[1]}-{k}"
+                              for k, row in enumerate(FAULTS)])
+def test_every_criterion_check_fires(monkeypatch, cid, name, fault, message):
+    monkeypatch.setattr(suite, name, fault(getattr(suite, name)))
+    monkeypatch.setattr(suite, "CRITERIA",
+                        [c for c in suite.CRITERIA if c[0] == cid])
+    [record] = run_suite("desk")
+    assert record["details"] == {"error": "PropertyViolation",
+                                 "message": message}
+    assert not record["passed"]
+
+
+# faults that reach one criterion of the whole battery
+THROUGH_CLI = [row for row in FAULTS if row[1] in (
+    "is_double_extension", "_image_subobject", "tc_commutator")]
+
+
+@pytest.mark.parametrize("cid, name, fault, message", THROUGH_CLI,
+                         ids=[row[1] for row in THROUGH_CLI])
+def test_a_failing_check_makes_simal_suite_exit_2(monkeypatch, cid, name,
+                                                  fault, message):
+    monkeypatch.setattr(suite, name, fault(getattr(suite, name)))
+    code, report, _ = run(["suite"])
+    assert code == 2
+    assert report["violations"] == [
+        {"property": f"criterion {cid}", "witness": message}]

@@ -373,6 +373,28 @@ def test_commutator_certifies_an_equivalence_relation(monkeypatch):
         tc_commutator(cg.full(c2), cg.full(c2))
 
 
+def test_commutator_certifies_an_equivalence_before_a_congruence(
+    monkeypatch
+):
+    # on C3, Delta joining (0, 1) with (1, 1) alone reads off (0, 1)
+    # without (1, 0); their merge, {0, 1} {2}, is not even a congruence,
+    # and the pair count fails first
+    c3 = cyclic_group(3)
+    labels = np.arange(9)
+    labels[0 * 3 + 1] = labels[1 * 3 + 1]
+    _closing_to(monkeypatch, labels)
+    with pytest.raises(PropertyViolation,
+                       match="not already an equivalence relation"):
+        tc_commutator(cg.full(c3), cg.full(c3))
+    # with (1, 0) joined to (0, 0) too, the relation read off is the
+    # equivalence {0, 1} {2}, which the operations do not respect
+    labels[1 * 3 + 0] = labels[0]
+    with pytest.raises(PropertyViolation, match=(
+            "^commutator relation is not a congruence: partition not "
+            "compatible with 'mul' at")):
+        tc_commutator(cg.full(c3), cg.full(c3))
+
+
 def test_commutator_certifies_it_is_below_the_meet(monkeypatch):
     # one Delta class reads off every theta-pair: the full relation,
     # above the diagonal psi

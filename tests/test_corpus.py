@@ -351,6 +351,15 @@ def test_translation_graph_needs_full_delta():
         translation_graph(zk_module(4), zk_module(4), [0, 2])
 
 
+@pytest.mark.parametrize("delta", [[0, 4], [0, -1]])
+def test_translation_graph_rejects_a_step_outside_the_base(delta):
+    # gen checks delta first; for a direct caller this is the one guard,
+    # and a negative step would index from the end of the table
+    with pytest.raises(InvalidParameters,
+                       match="^delta must list elements of Z4$"):
+        translation_graph(zk_module(4), zk_module(2), delta)
+
+
 def test_loops_graph_structure():
     g = loops_graph(named_algebra("C2"), named_algebra("C2"))
     assert g.truncation == 1

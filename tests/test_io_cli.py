@@ -213,13 +213,19 @@ def _malformed(kind, path, value):
     return _set_entry(data, path, value)
 
 
+# The value of a _set_entry that deletes the entry.
+DROP = object()
+
+
 def _set_entry(data, path, value):
-    """data with the entry at path set to value; an index one past the
-    end of a list appends."""
+    """data with the entry at path set to value, or deleted when value
+    is DROP; an index one past the end of a list appends."""
     node = data
     for key in path[:-1]:
         node = node[key]
-    if isinstance(node, list) and path[-1] == len(node):
+    if value is DROP:
+        del node[path[-1]]
+    elif isinstance(node, list) and path[-1] == len(node):
         node.append(value)
     else:
         node[path[-1]] = value
@@ -288,6 +294,18 @@ def _set_entry(data, path, value):
     # C2 as a one-object groupoid: every composite has the right ends
     ("group", ["comp", 0, 1], 0, "IdentityViolated", "left unit law fails"),
     ("group", ["comp", 1, 0], 0, "IdentityViolated", "right unit law fails"),
+    ("algebra", ["maltsev", "term"], "mul(,x)", "InvalidParameters",
+     "unexpected ',' in term 'mul(,x)'"),
+    ("algebra", ["maltsev", "term"], "mul(x", "InvalidParameters",
+     "unbalanced parentheses in 'mul(x'"),
+    ("algebra", ["maltsev", "term"], "mul(x y)", "InvalidParameters",
+     "expected ',' or ')' in 'mul(x y)'"),
+    ("algebra", ["maltsev", "term"], "mul(x)", "NotMaltsev",
+     "C4: operation 'mul' has arity 2, used with 1 arguments"),
+    ("algebra", ["operations", 1, "name"], "mul", "InvalidParameters",
+     "duplicate operation name in signature"),
+    ("morphism", ["components"], DROP, "InvalidParameters",
+     "morphism file missing field: 'components'"),
 ])
 def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
                                               error, witness):
@@ -296,6 +314,20 @@ def test_cli_validate_rejects_malformed_files(tmp_path, kind, path, value,
     code, report, _ = run(["validate", p])
     assert code == 1
     assert report["violations"] == [{"property": error, "witness": witness}]
+
+
+@pytest.mark.parametrize("data, witness", [
+    ([1], "expected a JSON object at top level"),
+    ({"levels": []}, "unrecognized JSON artifact"),
+])
+def test_cli_validate_rejects_a_file_of_no_known_kind(tmp_path, data,
+                                                      witness):
+    p = str(tmp_path / "bad.json")
+    sio.save_json(data, p)
+    code, report, _ = run(["validate", p])
+    assert code == 1
+    assert report["violations"] == [
+        {"property": "InvalidParameters", "witness": witness}]
 
 
 @pytest.mark.parametrize("command", ["validate", "classify", "kan"])
@@ -626,9 +658,9 @@ def test_cli_em_of_a_trivial_extension_enumerates_nothing(tmp_path):
 
 def test_cli_kan_and_cosk_and_commutators(tmp_path):
     _, obj_path, ext_path = _write_artifacts(tmp_path)
-    code, report, _ = run(["kan", obj_path])
+    code, report, lines = run(["kan", obj_path])
     assert code == 0
-    assert report["results"]["all_pass"] is True
+    assert lines == [f"{report['results']['object']}: 7/7 horns have fillers"]
     code, report, _ = run(["kan", ext_path])
     assert code == 0
     code, report, _ = run(["cosk", obj_path])
@@ -806,6 +838,13 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
     (["product_projection", 'left={"kind":"pair","algebra":"C2"}',
       'right={"kind":"pair","algebra":"C2"}', "side=middle"],
      "parameter 'side' must be left or right"),
+    (["delooping", "algebra=S5"], "symmetric group supported for n <= 4"),
+    # S3's elements in order: 0 the identity, 1, 2 and 5 transpositions,
+    # 3 and 4 the two 3-cycles
+    (["coset", "group=S3", "subgroup=[0,3]"],
+     "subgroup not closed under inverse"),
+    (["coset", "group=S3", "subgroup=[0,1,2]"],
+     "subgroup not closed under product"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)
@@ -834,6 +873,32 @@ def test_cli_gen_rejects_an_algebra_outside_the_group_signature(
 
 
 # A valid small spec of every README generator kind, by its long name.
+@pytest.mark.parametrize("params, witness", [
+    # order matrices, leq[i][j] = 1 when i <= j
+    (["heyting_from_poset", "poset=[[1,0],[0,1]]"],
+     "poset is not a lattice (meet missing)"),
+    (["heyting_from_poset", "poset=[[1,1,1],[0,1,0],[0,0,1]]"],
+     "poset is not a lattice (join missing)"),
+    # a finite lattice has a bottom and a top, so only a matrix that is
+    # not a partial order, here a 3-cycle, has every meet and join and
+    # lacks them
+    (["heyting_from_poset", "poset=[[1,0,1],[1,1,0],[0,1,1]]"],
+     "poset lacks bottom or top"),
+    # M3, the diamond with three atoms, is a lattice but not distributive
+    (["heyting_from_poset", "poset=[[1,1,1,1,1],[0,1,0,0,1],[0,0,1,0,1],"
+      "[0,0,0,1,1],[0,0,0,0,1]]"],
+     "poset has no relative pseudocomplement"),
+    (["sk1_loops", "base=C2", "fiber=C2"],
+     "level sums need the module signature"),
+])
+def test_cli_gen_rejects_a_structure_outside_its_variety(params, witness):
+    code, report, _ = run(["gen"] + params)
+    assert code == 1
+    assert report["violations"] == [
+        {"property": "UnsupportedVariety", "witness": witness}
+    ]
+
+
 GEN_SPECS = {
     "cyclic_group": {"n": 3},
     "dihedral_group": {"n": 3},

@@ -8,7 +8,8 @@ import oracles
 
 from simal.config import resolve_budget
 from simal.corpus import default_corpus
-from simal.errors import BudgetError, LevelTooLarge
+from simal import simplicial
+from simal.errors import BudgetError, LevelTooLarge, PropertyViolation
 from simal.simplicial import (
     SimplicialMorphism,
     exactness_check,
@@ -25,7 +26,6 @@ CORPUS = default_corpus("desk")
 def test_every_corpus_object_fills_every_horn():
     for name, X in CORPUS["objects"]:
         report = kan_check(X)
-        assert report.all_pass, name
         expected = sum(n + 1 for n in range(2, X.truncation + 1))
         assert len(report.entries) == expected, name
 
@@ -75,12 +75,11 @@ def test_trivial_covering_comparison_is_bijective():
     assert all(e["bijective"] for e in report.entries)
 
 
-def test_non_surjective_morphism_reported_not_lifting():
-    # include the discrete nerve into a coskeleton with extra loops: a
-    # downstairs filler with a non-degenerate middle face has no
-    # preimage, so the horn comparison is not surjective
+def _discrete_into_loops():
+    """The discrete nerve of C2 included into the coskeleton of C2's
+    loops, which is not a levelwise surjection."""
     from simal.corpus import discrete_groupoid, loops_graph
-    from simal.simplicial import SimplicialMorphism, coskeleton
+    from simal.simplicial import coskeleton
     from simal.algebra import Homomorphism
 
     c2 = cyclic_group(2)
@@ -89,20 +88,80 @@ def test_non_surjective_morphism_reported_not_lifting():
     f0 = np.arange(2)
     f1 = Y.degeneracies[0][0].map[f0]
     f2 = Y.degeneracies[1][0].map[f1]
-    incl = SimplicialMorphism(X, Y, [
+    return SimplicialMorphism(X, Y, [
         Homomorphism(X.levels[0], Y.levels[0], f0, check=False),
         Homomorphism(X.levels[1], Y.levels[1], f1, check=False),
         Homomorphism(X.levels[2], Y.levels[2], f2, check=False),
     ], check=True)
+
+
+def test_non_surjective_morphism_reported_not_lifting():
+    # include the discrete nerve into a coskeleton with extra loops: a
+    # downstairs filler with a non-degenerate middle face has no
+    # preimage, so the horn comparison is not surjective
+    incl = _discrete_into_loops()
     assert not incl.is_levelwise_surjective()
     report = kan_fibration_check(incl)
     assert not all(e["surjective"] for e in report.entries)
 
 
+def _doubled_horns(monkeypatch):
+    """Count every horn tuple twice, so that no horn has as many
+    fillers as tuples and no comparison is onto its pullback."""
+    horn = simplicial.horn
+
+    def doubled(X, n, k, budget=None):
+        rows, faces = horn(X, n, k, budget=budget)
+        return np.concatenate((rows, rows)), faces
+
+    monkeypatch.setattr(simplicial, "horn", doubled)
+
+
+def test_a_horn_without_a_filler_raises(monkeypatch):
+    X = nerve(pair_groupoid(cyclic_group(2)), 2)
+    _doubled_horns(monkeypatch)
+    with pytest.raises(PropertyViolation) as exc:
+        kan_check(X)
+    assert str(exc.value) == f"horn (2,0) of {X.name} has no filler"
+
+
+def test_a_levelwise_surjection_that_does_not_lift_raises(monkeypatch):
+    F = _fresh(dict(CORPUS["extensions"])["pairC4-pairC2"])
+    _doubled_horns(monkeypatch)
+    with pytest.raises(PropertyViolation) as exc:
+        kan_fibration_check(F)
+    assert str(exc.value) == "levelwise surjection fails horn lifting at (2,0)"
+    # the raising check keeps nothing
+    assert F.derived == {}
+    # a morphism that is not a levelwise surjection gets its entries
+    report = kan_fibration_check(_discrete_into_loops())
+    assert not any(e["surjective"] for e in report.entries)
+
+
+def test_simal_kan_exits_2_on_a_horn_that_does_not_fill(tmp_path,
+                                                        monkeypatch):
+    from simal import io as sio
+    from simal.cli import run
+
+    X = nerve(pair_groupoid(cyclic_group(2)), 2)
+    F = dict(CORPUS["extensions"])["pairC4-pairC2"]
+    paths = [str(tmp_path / name) for name in ("X.json", "F.json")]
+    sio.save_json(sio.simplicial_to_json(X), paths[0])
+    sio.save_json(sio.morphism_to_json(F), paths[1])
+    _doubled_horns(monkeypatch)
+    for path, witness in zip(paths, [
+            f"horn (2,0) of {X.name} has no filler",
+            "levelwise surjection fails horn lifting at (2,0)"]):
+        code, report, _ = run(["kan", path])
+        assert code == 2
+        assert report["violations"] == [
+            {"property": "PropertyViolation", "witness": witness}]
+
+
 def test_truncated_corpus_objects_still_fill():
     for name, X in CORPUS["objects"][:4]:
         if X.truncation >= 3:
-            assert kan_check(truncate(X, 2)).all_pass, name
+            assert len(kan_check(truncate(X, 2)).entries) == 3, name
 
 
 # Horns and kernels whose whole product of X_{n-1} is at most this many
@@ -191,7 +250,7 @@ def test_an_empty_object_fills_every_horn():
                           "p(x,y,z)")
     X = constant_simplicial(empty, 3)
     report = kan_check(X)
-    assert report.all_pass and len(report.entries) == 7
+    assert len(report.entries) == 7
     assert {e["horn_size"] for e in report.entries} == {0}
     assert exactness_check(X, 2) == (
         True, {"kernel_size": 0, "image_size": 0})

@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from simal.errors import InvalidParameters
-from simal.terms import parse_term, evaluate
+from simal.terms import Term, parse_term, evaluate
 from simal.corpus import cyclic_group
 
 
 def test_parse_round_trip():
     t = parse_term("mul(mul(x, inv(y)), z)")
     assert str(t) == "mul(mul(x, inv(y)), z)"
-    assert t.variables() == {"x", "y", "z"}
+    assert t == Term("mul", [Term("mul", [Term("x"), Term("inv", [Term("y")])]),
+                             Term("z")])
 
 
 def test_parse_constant_with_and_without_parens():

@@ -9,8 +9,10 @@ module's executable lines are the line numbers of its compiled code
 objects, nested ones included (co_lines).  The unrun ones are printed
 grouped by module, as ranges, then their total; then, by module, the
 first lines of the raise statements among them, and their count.  The
-exit status is pytest's.  Tracing slows the suite several times over,
-and the subprocesses some tests start are not traced.
+exit status is pytest's when that is not 0, else 1 if a module of
+CLOSED has an unrun raise statement, else 0.  Tracing slows the suite
+several times over, and the subprocesses some tests start are not
+traced.
 
 The name has no test_ prefix, so pytest does not collect this file.
 """
@@ -22,6 +24,11 @@ import threading
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "simal")
+
+# Modules whose every raise statement runs in tier-1 (ROADMAP item 11):
+# a check added to one of them comes with a test that fires it.
+CLOSED = ("galois", "reflection", "limits", "commutator", "groupoid",
+          "suite", "terms", "io", "corpus")
 
 
 def executable_lines(path):
@@ -111,7 +118,11 @@ def main(args):
             print(f"  simal/{name}: {len(unrun)}: "
                   + ", ".join(map(str, unrun)))
     print(f"{sum(map(len, raises.values()))} raise statements unrun")
-    return int(status)
+    reopened = [name for name in CLOSED if raises.get(f"{name}.py")]
+    if reopened:
+        print("unrun raise statements in closed modules: "
+              + ", ".join(reopened))
+    return int(status) or int(bool(reopened))
 
 
 if __name__ == "__main__":
