@@ -13,10 +13,14 @@ that part already holds least-member labels of a congruence.
 join and meet first test whether one argument lies below the other,
 by one gather each way, and return the larger or the smaller one.
 Only when neither does, meet relabels its pair codes by one sort and
-join merges and certifies.  No other operation relabels by a sort:
-meets_trivially only counts the distinct pair codes, by distinct, the
-library's one way to take the distinct values of an array, which sorts
-where np.unique would hash.
+join merges and certifies.  kernel_pair of several maps on one domain,
+the kernel of x -> (f(x), g(x), ..), relabels their mixed-radix image
+codes by one sort too, and so makes a meet of kernels without building
+either kernel.  No other operation relabels by a sort: kernel_pair of
+one map scatters each element onto its image, and meets_trivially only
+counts the distinct pair codes, by distinct, the library's one way to
+take the distinct values of an array, which sorts where np.unique would
+hash.
 
 merge(part, a, b) is the only closure primitive: it hooks the larger
 root of each pair onto the smaller and pointer-jumps to a fixpoint, so
@@ -340,9 +344,25 @@ def join_all(congs):
     return out
 
 
-def kernel_pair(f):
-    """Congruence on the domain identifying elements with equal image."""
-    return Congruence(f.dom, _least_members(f.map, f.cod.size), check=False)
+def kernel_pair(f, *others):
+    """Congruence on the domain identifying elements with equal image
+    under every map given, the kernel of x -> (f(x), g(x), ..).  One
+    map's labels are scattered onto their least members; several maps'
+    codes in mixed radix over their codomains are relabelled by one
+    sort.  The maps are folded in one at a time, and should the next
+    code pass 2^62 the labels so far are first relabelled by a sort."""
+    if any(g.dom is not f.dom for g in others):
+        raise InvalidParameters("kernel pair of maps on different domains")
+    if not others:
+        return Congruence(f.dom, _least_members(f.map, f.cod.size),
+                          check=False)
+    labels, bound = f.map, f.cod.size
+    for g in others:
+        if bound * g.cod.size > 2 ** 62:
+            labels, bound = canonical_partition(labels), f.dom.size
+        labels = labels * g.cod.size + g.map
+        bound *= g.cod.size
+    return Congruence(f.dom, canonical_partition(labels), check=False)
 
 
 def preimage(f, theta):

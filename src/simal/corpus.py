@@ -195,6 +195,28 @@ def _poset_grid(rows, cols):
     return (r[:, None] <= r) & (c[:, None] <= c)
 
 
+def _require_partial_order(leq):
+    """Raise InvalidParameters naming the first law of a partial order
+    that the boolean matrix leq breaks, and its first failing entry."""
+    loose = np.flatnonzero(~leq.diagonal())
+    if len(loose):
+        i = loose[0]
+        raise InvalidParameters(f"poset is not reflexive: entry ({i},{i}) is 0")
+    two_way = np.argwhere(leq & leq.T & ~np.eye(len(leq), dtype=bool))
+    if len(two_way):
+        i, j = two_way[0]
+        raise InvalidParameters(
+            f"poset is not antisymmetric: entries ({i},{j}) and ({j},{i}) "
+            f"are 1")
+    gaps = np.argwhere(~leq & (leq.astype(np.int64) @ leq > 0))
+    if len(gaps):
+        i, j = gaps[0]
+        k = np.flatnonzero(leq[i] & leq[:, j])[0]
+        raise InvalidParameters(
+            f"poset is not transitive: entries ({i},{k}) and ({k},{j}) are "
+            f"1, ({i},{j}) is 0")
+
+
 def heyting_from_poset(poset):
     """Heyting algebra on a finite lattice given by its order relation.
 
@@ -226,6 +248,7 @@ def heyting_from_poset(poset):
             "0/1 order matrix"
         )
     leq_mat = leq_mat.astype(bool)
+    _require_partial_order(leq_mat)
     name = name or f"H-poset{n}"
 
     def glb(i, j):
@@ -248,10 +271,9 @@ def heyting_from_poset(poset):
         for j in range(n):
             meet_t[i, j] = glb(i, j)
             join_t[i, j] = lub(i, j)
+    # the meet and the join of all elements: a finite lattice has both
     bots = [z for z in range(n) if all(leq_mat[z, w] for w in range(n))]
     tops = [z for z in range(n) if all(leq_mat[w, z] for w in range(n))]
-    if len(bots) != 1 or len(tops) != 1:
-        raise UnsupportedVariety("poset lacks bottom or top")
     imp_t = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(n):

@@ -20,19 +20,21 @@ Binary limits are built only by product and pullback, which
 simplicial._levelwise_limit calls level by level; is_double_extension
 counts the pullback of its cospan by fibers and builds none.
 
-Enumeration fills the slots left to right, each by one vectorized
-sort-based equi-join.  The rows so far and the new slot's elements are
-keyed in mixed radix over the value spans of the constraints between
-that slot and earlier ones.  Only when the next key could pass 2^62 are
-the keys so far ranked by np.unique, which leaves fewer of them than
-rows and elements, and the values too if they alone are that wide.  The
-elements are sorted stably by key, and each row
-is extended by its run of equal keys, found with searchsorted, into one
-array of the slot's rows.  Rows stay in lexicographic order, a slot
-without constraints is the same join on a constant key, and the budget
-is checked before a slot's rows are allocated, so the full product is
-never enumerated unless it is the requested object.  Each slot costs a
-fixed number of numpy calls, whatever the number of its rows.
+Enumeration starts from range(size) at slot 0, which no constraint is
+filed under, as each goes under its later slot.  It fills the later
+slots left to right, each by one vectorized sort-based equi-join.  The
+rows so far and the new slot's elements are keyed in mixed radix over
+the value spans of the constraints between that slot and earlier ones.
+Only when the next key could pass 2^62 are the keys so far ranked by
+np.unique, which leaves fewer of them than rows and elements, and the
+values too if they alone are that wide.  The elements are sorted stably
+by key, and each row is extended by its run of equal keys, found with
+searchsorted, into one array of the slot's rows.  Rows stay in
+lexicographic order, a later slot without constraints is the same join
+on a constant key, and the budget is checked before a slot's rows are
+allocated, so the full product is never enumerated unless it is the
+requested object.  Each slot costs a fixed number of numpy calls,
+whatever the number of its rows.
 """
 
 import numpy as np
@@ -166,17 +168,20 @@ def tuple_map(dom, cod, cols):
 
 def compatible_tuples(slots, constraints, budget=None):
     """Rows (x_0..x_{k-1}) with map_i(x_i) = map_j(x_j) for each constraint,
-    in lexicographic order.
+    in lexicographic order, over k >= 1 slots.
 
     Constraints are (i, map_i, j, map_j) on slots i != j; each map has
-    one entry per element of its slot.  Slot j is one equi-join of the
-    rows so far with range(slots[j].size), keyed by the values the
+    one entry per element of its slot.  Slot 0's rows are
+    range(slots[0].size); each later slot j is one equi-join of the rows
+    so far with range(slots[j].size), keyed by the values the
     constraints between j and earlier slots read.  Raises LevelTooLarge,
     before allocating, when a slot's rows would pass the budget.
     """
     budget = resolve_budget(budget)
     by_slot = [[] for _ in slots]
     for (i, mi, j, mj) in constraints:
+        if i == j:
+            raise InvalidParameters(f"constraint on slot {i} alone")
         if i > j:
             i, j, mi, mj = j, i, mj, mi
         mi, mj = np.asarray(mi, dtype=np.int64), np.asarray(mj, dtype=np.int64)
@@ -184,8 +189,13 @@ def compatible_tuples(slots, constraints, budget=None):
         low = int(np.minimum.reduce(both, initial=0))
         span = int(np.maximum.reduce(both, initial=0)) - low + 1
         by_slot[j].append((i, mi - low, mj - low, span))
-    rows = np.zeros((1, len(slots)), dtype=np.int64)
-    for j, slot in enumerate(slots):
+    # each constraint is filed under its later slot, so slot 0 has none
+    # and its rows are range(its size)
+    if slots[0].size > budget:
+        raise LevelTooLarge(f"tuple enumeration exceeds budget {budget}")
+    rows = np.zeros((slots[0].size, len(slots)), dtype=np.int64)
+    rows[:, 0] = np.arange(slots[0].size)
+    for j, slot in enumerate(slots[1:], 1):
         # the key of each row and of each element, in mixed radix over
         # the constraints' spans, lies in range(bound): equal keys read
         # equal values (all 0 without constraints)

@@ -16,7 +16,9 @@ homotopy congruences have one builder, homotopy_family, which pi1 keeps
 as R.h; coskeletality is read off simplicial.exactness_check.  The face
 kernels (face_kernels), their pairwise meets (face_meet), the level-1
 homotopy congruence h1 and the homotopy family are computed once per
-object and kept on it.  Their readers share them:
+object and kept on it.  face_meet does not read face_kernels: the meet
+of ker d_i and ker d_j is the kernel of the pair (d_i, d_j), one
+cg.kernel_pair of both faces.  Their readers share them:
   family     pi1 and galois.is_trivial_extension;
   face_meet  homotopy_congruence, groupoid_injectivity_conditions, and
              in galois the lattice route of a classification, the
@@ -69,11 +71,11 @@ def face_kernels(X, n):
 
 
 def face_meet(X, n, i, j):
-    """The meet of the kernels of the faces d_i and d_j at level n."""
+    """The meet of the kernels of the faces d_i and d_j at level n, as
+    the kernel of the pair (d_i, d_j)."""
     key = ("meet", n, i, j)
     if key not in X._derived:
-        D = face_kernels(X, n)
-        X._derived[key] = cg.meet(D[i], D[j])
+        X._derived[key] = cg.kernel_pair(X.faces[n][i], X.faces[n][j])
     return X._derived[key]
 
 

@@ -152,6 +152,14 @@ def least_members(*columns):
     return first[inverse.reshape(-1)]
 
 
+def kernel_by_images(*maps):
+    """Least-member labels of the kernel of x -> (f(x), g(x), ..), by a
+    dict from each image tuple to the first element that has it."""
+    first = {}
+    return np.array([first.setdefault(tuple(int(f.map[x]) for f in maps), x)
+                     for x in range(len(maps[0].map))], dtype=np.int64)
+
+
 def block_statistics(part):
     """(representatives, block number of each element, ordered pair
     count) of a label array, read off np.unique."""

@@ -1,4 +1,5 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -399,3 +400,73 @@ def test_label_arithmetic_matches_the_unique_oracle(case):
         # the quotient reads its operations at the representatives
         assert np.array_equal(q.op("id", np.arange(q.size)),
                               np.arange(q.size))
+
+
+@st.composite
+def maps_on_one_domain(draw):
+    """One to four maps on range(n), each into a codomain of one size of
+    a few, so that three maps into 2^31 elements pass the 2^62 code
+    bound; maps carry only what kernel_pair reads.  One map alone has a
+    small codomain, as its kernel scatters onto an array of that size."""
+    dom = bare_set(draw(st.integers(0, 12)))
+    count = draw(st.integers(1, 4))
+    sizes = [1, 2, 3] + ([2 ** 31] if count > 1 else [])
+    maps = []
+    for _ in range(count):
+        size = draw(st.sampled_from(sizes))
+        values = st.integers(0, 3).map(lambda v: v * (size - 1) // 3)
+        fmap = draw(st.lists(values, min_size=dom.size, max_size=dom.size))
+        maps.append(SimpleNamespace(dom=dom, cod=SimpleNamespace(size=size),
+                                    map=np.asarray(fmap, dtype=np.int64)))
+    return maps
+
+
+@PROPERTY_SETTINGS
+@given(maps_on_one_domain())
+def test_kernel_of_several_maps_groups_by_image_tuples(maps):
+    kernel = cg.kernel_pair(*maps)
+    assert kernel.on is maps[0].dom
+    assert np.array_equal(kernel.part, oracles.kernel_by_images(*maps))
+
+
+def test_kernel_of_wide_maps_relabels_before_passing_62_bits(monkeypatch):
+    # three maps into 2^31 elements: the codes of the first two fill 62
+    # bits, so they are relabelled before the third is folded in
+    sorts = []
+    original = cg.canonical_partition
+    monkeypatch.setattr(cg, "canonical_partition",
+                        lambda labels: sorts.append(labels) or original(labels))
+    wide = SimpleNamespace(size=2 ** 31)
+    maps = [SimpleNamespace(dom=SET4, cod=wide, map=np.asarray(m) * 2 ** 29)
+            for m in ([0, 1, 1, 3], [2, 2, 2, 2], [3, 0, 0, 3])]
+    assert list(cg.kernel_pair(*maps).part) == [0, 1, 1, 3]
+    assert len(sorts) == 2
+
+
+# -- the guards of congruences, fired one by one ----------------------------
+
+C2, C3 = cyclic_group(2), cyclic_group(3)
+GUARDS = [
+    (lambda: cg.Congruence(C2, [0, 0, 0]), "partition array has wrong length"),
+    (lambda: cg.join_all([]), "join of empty list"),
+    (lambda: cg.preimage(Homomorphism(C2, C2, [0, 1]), cg.diagonal(C3)),
+     "preimage congruence lives on the wrong algebra"),
+    (lambda: cg.image(Homomorphism(C2, C2, [0, 1]), cg.diagonal(C3)),
+     "image congruence lives on the wrong algebra"),
+    (lambda: cg.quotient(C2, cg.diagonal(C3)),
+     "congruence lives on a different algebra"),
+    (lambda: cg.meet(cg.full(C2), cg.full(cyclic_group(2))),
+     "congruences live on different algebras"),
+    (lambda: cg.kernel_pair(Homomorphism(C2, C2, [0, 1]),
+                            Homomorphism(C3, C2, [0, 0, 0])),
+     "kernel pair of maps on different domains"),
+]
+
+
+@pytest.mark.parametrize("call, witness", GUARDS,
+                         ids=[w for _, w in GUARDS])
+def test_congruence_guards(call, witness):
+    # every guard is against a call that mixes up algebras or lengths;
+    # outside input reaches them only through such a call
+    with pytest.raises(InvalidParameters, match=witness):
+        call()

@@ -757,6 +757,7 @@ def _sorting_callers(monkeypatch):
 
 
 def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
+    # meet, the kernel of several maps and a checked construction sort;
     # every other constructor makes least-member labels without a sort
     calls = _sorting_callers(monkeypatch)
     counts = []
@@ -766,8 +767,9 @@ def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
         for name in ("augment-cosk-loops", "unit-cosk-loops", "deloop-C8-C4"):
             classify_extension(extensions[name])
             em_factorization(extensions[name])
-        assert set(calls) <= {("meet", None), ("__init__", True)}
-        assert calls["meet", None] > 0
+        assert set(calls) <= {("meet", None), ("kernel_pair", None),
+                              ("__init__", True)}
+        assert calls["meet", None] > 0 and calls["kernel_pair", None] > 0
         counts.append(dict(calls))
     assert counts[0] == counts[1]
 
@@ -793,6 +795,11 @@ def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
     assert dict(calls) == {("meet", None): 1}
     cg.Congruence(F.dom, theta.part)
     assert dict(calls) == {("meet", None): 1, ("__init__", True): 1}
+    # the kernel of two maps sorts their pair codes once
+    assert cg.kernel_pair(*E.dom.faces[2][:2]) == cg.meet(
+        cg.kernel_pair(E.dom.faces[2][0]), cg.kernel_pair(E.dom.faces[2][1]))
+    assert dict(calls) == {("meet", None): 2, ("__init__", True): 1,
+                           ("kernel_pair", None): 1}
 
 
 def _unbuilt(X):

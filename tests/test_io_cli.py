@@ -845,6 +845,14 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
      "subgroup not closed under inverse"),
     (["coset", "group=S3", "subgroup=[0,1,2]"],
      "subgroup not closed under product"),
+    # 0/1 matrices that are no partial order
+    (["heyting_from_poset", "poset=[[0,1],[1,1]]"],
+     "poset is not reflexive: entry (0,0) is 0"),
+    (["heyting_from_poset", "poset=[[1,1],[1,1]]"],
+     "poset is not antisymmetric: entries (0,1) and (1,0) are 1"),
+    # a 3-cycle has every meet and join, and no bottom or top
+    (["heyting_from_poset", "poset=[[1,0,1],[1,1,0],[0,1,1]]"],
+     "poset is not transitive: entries (0,2) and (2,1) are 1, (0,1) is 0"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)
@@ -879,11 +887,11 @@ def test_cli_gen_rejects_an_algebra_outside_the_group_signature(
      "poset is not a lattice (meet missing)"),
     (["heyting_from_poset", "poset=[[1,1,1],[0,1,0],[0,0,1]]"],
      "poset is not a lattice (join missing)"),
-    # a finite lattice has a bottom and a top, so only a matrix that is
-    # not a partial order, here a 3-cycle, has every meet and join and
-    # lacks them
-    (["heyting_from_poset", "poset=[[1,0,1],[1,1,0],[0,1,1]]"],
-     "poset lacks bottom or top"),
+    # 2 and 3 both lie below 0 and 1, so 0 and 1 have two greatest
+    # lower bounds
+    (["heyting_from_poset", "poset=[[1,0,0,0,0],[0,1,0,0,0],[1,1,1,0,0],"
+      "[1,1,0,1,0],[1,1,1,1,1]]"],
+     "poset is not a lattice (meet missing)"),
     # M3, the diamond with three atoms, is a lattice but not distributive
     (["heyting_from_poset", "poset=[[1,1,1,1,1],[0,1,0,0,1],[0,0,1,0,1],"
       "[0,0,0,1,1],[0,0,0,0,1]]"],

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import oracles
 from simal import algebra
@@ -157,6 +157,34 @@ def test_compatible_tuples_matches_the_product_filter(problem):
     for budget in {peak - 1, len(want) - 1} - {-1}:
         with pytest.raises(LevelTooLarge):
             compatible_tuples(slots, constraints, budget=budget)
+
+
+@JOIN_SETTINGS
+@given(tuple_joins())
+@example(([0, 3], [(0, np.zeros(0, np.int64), 1, np.array([0, 1, 0]))]))
+@example(([0, 2, 1], []))
+def test_compatible_tuples_start_from_slot_0s_range(problem):
+    # no constraint is filed under slot 0, so its rows are range(size),
+    # under the same budget as every slot's rows; an empty first slot
+    # leaves no rows
+    sizes, constraints = problem
+    slots = [SimpleNamespace(size=n) for n in sizes]
+    rows = compatible_tuples(slots, constraints)
+    assert [tuple(int(v) for v in r) for r in rows] == \
+        oracles.brute_tuples(sizes, constraints)
+    assert np.array_equal(compatible_tuples(slots[:1], [], budget=sizes[0]),
+                          np.arange(sizes[0])[:, None])
+    if sizes[0]:
+        for k in (1, len(sizes)):
+            with pytest.raises(LevelTooLarge):
+                compatible_tuples(slots[:k], constraints if k > 1 else [],
+                                  budget=sizes[0] - 1)
+
+
+def test_a_constraint_needs_two_slots():
+    z2 = SimpleNamespace(size=2)
+    with pytest.raises(InvalidParameters, match="constraint on slot 1 alone"):
+        compatible_tuples([z2, z2], [(1, np.arange(2), 1, np.arange(2))])
 
 
 def _unique_calls_in_limits(monkeypatch):

@@ -31,6 +31,7 @@ from simal.groupoid import maltsev_groupoid, validate_groupoid
 from simal.reflection import (
     commutator_chain_check,
     face_kernels,
+    face_meet,
     graph_reflection,
     homotopy_congruence,
     homotopy_congruence_level1,
@@ -46,6 +47,7 @@ from simal.simplicial import (
     nerve_map,
     quotient_simplicial,
     simplicial_congruence_generated,
+    simplicial_pullback,
     spine_maps,
     truncate,
 )
@@ -73,6 +75,26 @@ def test_spine_maps_recover_carrier_columns():
 def test_face_kernels_count():
     X = nerve(pair_groupoid(C3), 2)
     assert len(face_kernels(X, 2)) == 3
+
+
+@pytest.mark.parametrize("profile", ["desk", "deep"])
+def test_face_meet_is_the_meet_of_the_face_kernels(profile):
+    # face_meet is one kernel of the paired faces; the meet of the two
+    # face kernels is the oracle, on every corpus object and, in deep,
+    # on the self-pullback F x_Y F of every extension
+    corpus = default_corpus(profile)
+    objects = [X for _, X in corpus["objects"]]
+    if profile == "deep":
+        objects += [simplicial_pullback(F, F)[0]
+                    for _, F in corpus["extensions"]]
+    for X in objects:
+        for n in range(1, X.truncation + 1):
+            d = X.faces[n]
+            for j in range(1, n + 1):
+                for i in range(j):
+                    assert face_meet(X, n, i, j) == cg.meet(
+                        cg.kernel_pair(d[i]), cg.kernel_pair(d[j])), \
+                        (X.name, n, i, j)
 
 
 def test_homotopy_congruence_level1_formula():
@@ -238,18 +260,19 @@ def _calls_on(calls, maps):
 
 
 def test_level1_readers_take_face_data_from_the_object_cache(monkeypatch):
-    """The level-1 readers take both face kernels and h1 from the
-    object's cache: over two passes the two face kernels are built once,
-    and h1, an image under each level-2 face, once."""
+    """The level-1 readers take both face kernels, their meet and h1 from
+    the object's cache: over two passes the two face kernels are built
+    once, their meet once, as the kernel of both faces, and h1, an image
+    under each level-2 face, once."""
     X = cosk_loops()
     F = quotient_simplicial(
         X, simplicial_congruence_generated(X, {1: [(0, 1)]}))[1]
     kernels, images = [], []
     kernel_pair, image = cg.kernel_pair, cg.image
 
-    def spy_kernel_pair(f):
-        kernels.append(f)
-        return kernel_pair(f)
+    def spy_kernel_pair(*maps):
+        kernels.append(maps)
+        return kernel_pair(*maps)
 
     def spy_image(f, theta):
         images.append(f)
@@ -262,7 +285,10 @@ def test_level1_readers_take_face_data_from_the_object_cache(monkeypatch):
         commutator_chain_check(X)
         homotopy_relation(X)
         fiber_connectivity_relation(F)
-        assert _calls_on(kernels, X.faces[1]) == 2
+        assert _calls_on([m for m, *more in kernels if not more],
+                         X.faces[1]) == 2
+        assert [m for m in kernels if len(m) > 1
+                and m[0].dom is X.levels[1]] == [tuple(X.faces[1])]
         assert _calls_on(images, X.faces[2]) == 3
 
 
