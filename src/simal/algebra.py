@@ -93,8 +93,6 @@ class FiniteAlgebra:
                 k: np.asarray(v, dtype=np.int32) for k, v in tables.items()
             }
         else:
-            if evaluator is None:
-                raise InvalidParameters("algebra needs tables or an evaluator")
             # evaluator(op, args) is op of positive arity at the broadcast
             # index arrays args; constants maps every nullary operation to
             # its carrier index
@@ -200,8 +198,6 @@ def check_tables(alg):
             f"{alg.name}: empty carrier with constants in the signature"
         )
     for opname, arity in alg.signature.ops:
-        if opname not in alg.tables:
-            raise MalformedTable(f"{alg.name}: missing table for {opname!r}")
         t = alg.tables[opname]
         want = (1,) if arity == 0 else (n,) * arity
         if t.shape != want:
@@ -210,9 +206,6 @@ def check_tables(alg):
             )
         if t.size and (t.min() < 0 or t.max() >= max(n, 1)):
             raise MalformedTable(f"{alg.name}: table {opname!r} entry out of range")
-    extra = set(alg.tables) - set(alg.signature.arities)
-    if extra:
-        raise MalformedTable(f"{alg.name}: tables for unknown operations {extra}")
 
 
 def check_maltsev(alg):

@@ -6,9 +6,15 @@ Every classification is computed along at least two independent routes
 routes are required to agree; a disagreement raises instead of picking
 a side.
 
-Each derived structure has one builder: reflection.homotopy_family (or
-a reflection's R.h), induced_groupoid_nerve_map for the functor between
-reflections, and simplicial.exactness_check for exactness.  A morphism
+The top level N >= 2 decides triviality and lattice centrality, which
+read level N alone (the proofs are in their docstrings); the horn and
+self-pullback routes keep their own data, so they would catch a false
+proof.
+
+Each derived structure has one builder: reflection.homotopy_congruence
+for the top-level homotopy congruence (pi1's R.h lists every level),
+induced_groupoid_nerve_map for the functor between reflections, and
+simplicial.exactness_check for exactness.  A morphism
 that is already its own factorization, a trivial extension for em or a
 central one for ml, is returned as (F.dom, identity, F) by one helper.
 The self-pullback route builds P = X x_Y X with its levels and faces
@@ -43,10 +49,9 @@ from .simplicial import (
     simplicial_pullback,
 )
 from .reflection import (
-    face_kernels,
     face_meet,
+    homotopy_congruence,
     homotopy_congruence_level1,
-    homotopy_family,
     pi1,
 )
 
@@ -61,39 +66,52 @@ def _require_extension(F):
 
 
 def _kernel_meets_homotopy_trivially(F, h):
-    """Whether ker F meets the homotopy family h of F.dom trivially."""
-    return all(cg.meets_trivially(cg.kernel_pair(F.components[n]), h[n])
-               for n in range(1, F.dom.truncation + 1))
+    """Whether ker F_N meets h, the homotopy congruence of F.dom at its
+    top level N, trivially."""
+    return cg.meets_trivially(cg.kernel_pair(F.components[-1]), h)
 
 
 def is_trivial_extension(F):
-    """Kernel meets the homotopy congruence trivially at every level."""
+    """Whether ker F_n meets the homotopy congruence h_n of X = F.dom
+    trivially at every level n, read off the top level N >= 2 alone.
+
+    The top level decides, given h_n = ker eta_n at every level for the
+    unit eta of pi1 (so built at levels 0 and 1; criterion 4 checks it
+    at levels 2 and 3).  Let
+    n < N and s = s_0 ... s_0: X_n -> X_N.  s is injective, since
+    d_0 s_0 = id, and F s = s F, F being simplicial.  eta is simplicial
+    too, so eta_N(s a) = s eta_n(a): s carries h_n = ker eta_n into
+    ker eta_N = h_N.  A pair a != b of ker F_n /\\ h_n therefore goes to
+    the pair s a != s b of ker F_N /\\ h_N.
+    """
     _require_extension(F)
-    return _kernel_meets_homotopy_trivially(F, homotopy_family(F.dom))
-
-
-def _relative_level1(F):
-    """d1(ker F_2 /\\ D_0 /\\ D_2): arrows joined by a thin 2-simplex
-    that F sends to a degenerate one."""
     X = F.dom
-    F2 = cg.kernel_pair(F.components[2])
-    return cg.image(X.faces[2][1], cg.meet(F2, face_meet(X, 2, 0, 2)))
+    return _kernel_meets_homotopy_trivially(
+        F, homotopy_congruence(X, X.truncation))
 
 
 def _central_by_lattice(F):
+    """Whether ker F_n /\\ D_i /\\ D_j is trivial for every level n >= 2
+    and faces i < j, D_i being ker d_i, read off the top level N alone.
+
+    The top level decides, with no premise.  Take n < N and i < j <= n,
+    and pick k in {0..n} other than i and j, which exists as n + 1 >= 3.
+    Let i' = i if i < k, else i + 1, and j' likewise, so i' < j'.  The
+    simplicial identities give d_i' s_k = s d_i and d_j' s_k = s d_j,
+    s being s_(k-1) or s_k.  s_k is injective, since d_k s_k = id, and
+    commutes with F, so it embeds ker F_n /\\ D_i /\\ D_j into
+    ker F_(n+1) /\\ D_i' /\\ D_j'.
+    """
     X = F.dom
-    for n in range(2, X.truncation + 1):
-        Fn = cg.kernel_pair(F.components[n])
-        for j in range(1, n + 1):
-            for i in range(j):
-                if not cg.meets_trivially(Fn, face_meet(X, n, i, j)):
-                    return False
-    return True
+    N = X.truncation
+    FN = cg.kernel_pair(F.components[N])
+    return all(cg.meets_trivially(FN, face_meet(X, N, i, j))
+               for j in range(1, N + 1) for i in range(j))
 
 
 def _central_by_fibration(F, budget=None):
-    report = kan_fibration_check(F, budget=budget)
-    return all(e["bijective"] for e in report.entries), report
+    entries = kan_fibration_check(F, budget=budget)
+    return all(e["bijective"] for e in entries), entries
 
 
 class ExtensionReport:
@@ -124,7 +142,9 @@ def _normal_by_self_pullback(F, budget):
     that raise on an image outside P, and its face identities are
     checked.  P has no degeneracies, so checking p1, the first
     projection, as a SimplicialMorphism compares it with every face;
-    is_trivial_extension then checks that it is onto at every level.
+    is_trivial_extension then checks that it is onto at every level and
+    reads the top level, which decides: its proof needs only that P has
+    degeneracies, which are componentwise, not that they are built.
     """
     X = F.dom
     name = f"pb({X.name},{X.name})"
@@ -145,7 +165,7 @@ def _normal_by_self_pullback(F, budget):
 
 def _classification(F, budget):
     central_lattice = _central_by_lattice(F)
-    central_fib, fib_report = _central_by_fibration(F, budget=budget)
+    central_fib, fib_entries = _central_by_fibration(F, budget=budget)
     if central_lattice != central_fib:
         raise CrossRouteMismatch(
             "lattice and horn-comparison centrality disagree: "
@@ -159,7 +179,7 @@ def _classification(F, budget):
     trivial = is_trivial_extension(F)
     if trivial and not central_lattice:
         raise CrossRouteMismatch("trivial extension classified non-central")
-    return trivial, central_lattice, normal, fib_report.entries
+    return trivial, central_lattice, normal, fib_entries
 
 
 def classify_extension(F, budget=None, name=None):
@@ -223,14 +243,16 @@ def homotopy_relation(X):
 
 def relative_homotopy_relation(F):
     """Arrows joined by a 2-simplex whose last face is degenerate and
-    whose image simplex is degenerate; equals an image of kernel meets."""
+    whose image simplex is degenerate; equals d1(ker F_2 /\\ D_0 /\\ D_2)."""
     X, Y = F.dom, F.cod
     if X.truncation < 2:
         raise PreconditionUnmet("relative relation needs 2-simplices")
-    thin = (_degenerate_mask(X.faces[2][2].map, X.degeneracies[0][0].map)
+    d = X.faces[2]
+    thin = (_degenerate_mask(d[2].map, X.degeneracies[0][0].map)
             & _degenerate_mask(F.components[2].map, Y.degeneracies[1][0].map))
-    return _collected_equals(_relative_level1(F), X.faces[2][:2], thin,
-                             "relative thin-simplex relation")
+    return _collected_equals(
+        cg.image(d[1], cg.kernel_pair(F.components[2], d[0], d[2])),
+        d[:2], thin, "relative thin-simplex relation")
 
 
 def fiber_connectivity_relation(F):
@@ -238,10 +260,10 @@ def fiber_connectivity_relation(F):
     equals the first-face image of a kernel meet."""
     X, Y = F.dom, F.cod
     killed = _degenerate_mask(F.components[1].map, Y.degeneracies[0][0].map)
-    D1 = face_kernels(X, 1)[1]
-    F1 = cg.kernel_pair(F.components[1])
-    return _collected_equals(cg.image(X.faces[1][0], cg.meet(D1, F1)),
-                             X.faces[1], killed, "kernel-arrow connectivity")
+    connected = cg.image(X.faces[1][0],
+                         cg.kernel_pair(X.faces[1][1], F.components[1]))
+    return _collected_equals(connected, X.faces[1], killed,
+                             "kernel-arrow connectivity")
 
 
 # -- factorizations --------------------------------------------------------
@@ -292,7 +314,7 @@ def _pullback_factorization(F, budget=None):
     e = SimplicialMorphism(X, P, comps, check=True)
     RP = pi1(P, budget=budget)
     _induced_isomorphism(RX, RP, e)
-    if not _kernel_meets_homotopy_trivially(m, RP.h):
+    if not _kernel_meets_homotopy_trivially(m, RP.h[-1]):
         raise PropertyViolation("projection from the pullback is not trivial")
     return P, e, m
 
@@ -301,13 +323,14 @@ def em_factorization(F, budget=None):
     """Factor F as m after e, with e inverted by the reflection and m a
     trivial covering, along one of two paths chosen by the input alone.
 
-    A trivial extension, levelwise surjective with ker F_n meeting the
-    homotopy family of X = F.dom trivially at every level (the family
-    kept on X, as classify_extension leaves it), is its own answer
-    (X, identity, F).  Every functor inverts the identity, and the test
-    that picks this path is the kernel-meet check the other path applies
-    to its m.  Nothing is reflected, pulled back or enumerated, so the
-    budget is not spent.
+    A trivial extension, levelwise surjective with ker F_N meeting the
+    homotopy congruence of X = F.dom at the top level N trivially (kept
+    on X, as classify_extension leaves it; is_trivial_extension proves
+    that level N decides), is its own answer (X, identity, F).  Every
+    functor inverts the identity, and the test that picks this path is
+    the top-level kernel-meet check the other path applies to its m.
+    Nothing is reflected, pulled back or enumerated, so the budget is
+    not spent.
 
     Every other morphism, the non-trivial extensions and criterion 9's
     probes (which are not levelwise surjective) among them, factors
@@ -338,43 +361,43 @@ def _quotient_cofactor(X, F, fam):
 
 
 def _obstruction_seeds(X, kernels, fam):
-    """Pairs of ker F_n /\\ d_i^-1(fam[n-1]) /\\ d_j^-1(fam[n-1]) for all
-    n >= 2 and i < j: the cofactor's triple meets, pulled back to X.
-    Over the diagonal the pullbacks are the face kernels, and their meets
-    are read through face_meet's per-object cache."""
-    seeds = {}
-    for n in range(2, X.truncation + 1):
-        pairs = [(i, j) for j in range(1, n + 1) for i in range(j)]
-        below = fam[n - 1]
-        if below.is_diagonal():
-            face_meets = [face_meet(X, n, i, j) for i, j in pairs]
-        else:
-            pulled = [cg.preimage(d, below) for d in X.faces[n]]
-            face_meets = [cg.meet(pulled[i], pulled[j]) for i, j in pairs]
-        seeds[n] = []
-        for Dij in face_meets:
-            part = cg.meet(kernels[n], Dij).part
-            src = np.nonzero(part != np.arange(len(part)))[0]
-            seeds[n] += zip(src.tolist(), part[src].tolist())
-    return seeds
+    """Pairs of ker F_N /\\ d_i^-1(fam[N-1]) /\\ d_j^-1(fam[N-1]) at the
+    top level N, for all i < j: the cofactor's top triple meets, pulled
+    back to X.  Over the diagonal the pullbacks are the face kernels,
+    and their meets are read through face_meet's per-object cache."""
+    N = X.truncation
+    pairs = [(i, j) for j in range(1, N + 1) for i in range(j)]
+    below = fam[N - 1]
+    if below.is_diagonal():
+        face_meets = [face_meet(X, N, i, j) for i, j in pairs]
+    else:
+        pulled = [cg.preimage(d, below) for d in X.faces[N]]
+        face_meets = [cg.meet(pulled[i], pulled[j]) for i, j in pairs]
+    seeds = []
+    for Dij in face_meets:
+        part = cg.meet(kernels[N], Dij).part
+        src = np.nonzero(part != np.arange(len(part)))[0]
+        seeds += zip(src.tolist(), part[src].tolist())
+    return {N: seeds}
 
 
 def ml_factorization(F):
     """Least simplicial congruence below the kernel whose cofactor is
     central, computed as a monotone fixpoint on X = F.dom.
 
-    From the diagonal, each round closes the pulled-back triple meets
-    under faces and degeneracies.  The rounds grow (each meet contains
-    fam[n], and closing level 2 recovers levels 0 and 1), so each round
-    closes from the last family and works only on the pairs it adds.
-    They stay below the kernel family, so they stop; at the limit every
-    triple meet of the cofactor is diagonal, and the d1-image condition
-    follows from the level-2 (0, 2) meet.  Any central family G below
-    the kernel contains its own pulled-back triple meets, hence by
-    induction every stage: the limit is the least central family.
+    A cofactor X/G -> Y is central iff its triple meets at the top level
+    N are diagonal (_central_by_lattice), that is iff G[N] contains
+    ker F_N /\\ d_i^-1(G[N-1]) /\\ d_j^-1(G[N-1]) for all i < j.  From
+    the diagonal, each round closes these pulled-back meets under faces
+    and degeneracies, starting from the last family, so the rounds grow
+    and each works only on the pairs it adds.  They stay below the
+    kernel family, so they stop, at a family with a central cofactor.
+    Any central family G below the kernel contains its own pulled-back
+    top meets, hence by induction every stage: the limit is the least
+    central family.
 
     Round one starts from the diagonal, whose pullback through d_i is
-    ker d_i, so its triple meets are ker F_n /\\ face_meet(X, n, i, j),
+    ker d_i, so its triple meets are ker F_N /\\ face_meet(X, N, i, j),
     read through the per-object cache that reflection.face_meet keeps;
     later rounds pull their family back through the faces.  A fixpoint
     that is the diagonal at every level means F is already central: the
@@ -419,11 +442,10 @@ def exactness_lemma_check(F, budget=None):
     X, Y = F.dom, F.cod
     if not exactness_check(Y, 2, budget=budget)[0]:
         raise PreconditionUnmet("codomain is not exact one level down")
-    D12 = face_meet(X, 2, 1, 2)
-    F1 = cg.kernel_pair(F.components[1])
-    F2 = cg.kernel_pair(F.components[2])
-    lhs = cg.meet(cg.image(X.faces[2][0], D12), F1)
-    rhs = cg.image(X.faces[2][0], cg.meet(D12, F2))
+    d = X.faces[2]
+    lhs = cg.meet(cg.image(d[0], face_meet(X, 2, 1, 2)),
+                  cg.kernel_pair(F.components[1]))
+    rhs = cg.image(d[0], cg.kernel_pair(d[1], d[2], F.components[2]))
     return lhs == rhs, {"lhs_classes": lhs.class_count(),
                         "rhs_classes": rhs.class_count()}
 

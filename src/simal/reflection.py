@@ -11,24 +11,24 @@ The unit is simplicial.nerve_map of the identity on objects and the
 quotient on arrows; spines and nerve maps live in simplicial.  Both
 routes quotient the level-1 graph through _graph_quotient, which builds
 X1/theta and its induced faces and degeneracy: pi1 with theta = h1 and
-graph_reflection with the commutator; each composes its own way.  The
-homotopy congruences have one builder, homotopy_family, which pi1 keeps
-as R.h; coskeletality is read off simplicial.exactness_check.  The face
-kernels (face_kernels), their pairwise meets (face_meet), the level-1
-homotopy congruence h1 and the homotopy family are computed once per
-object and kept on it.  face_meet does not read face_kernels: the meet
-of ker d_i and ker d_j is the kernel of the pair (d_i, d_j), one
-cg.kernel_pair of both faces.  Their readers share them:
-  family     pi1 and galois.is_trivial_extension;
-  face_meet  homotopy_congruence, groupoid_injectivity_conditions, and
-             in galois the lattice route of a classification, the
-             relative homotopy relation, ml's obstruction seeds and the
-             exactness lemma, and the suite's criteria 3 and 10;
-  level 1    graph_reflection, commutator_chain_check,
-             galois.fiber_connectivity_relation and criterion 10 read
-             face_kernels(X, 1) and face_meet(X, 1, 0, 1);
+graph_reflection with the commutator of the two level-1 face kernels;
+each composes its own way.  homotopy_family, which pi1 keeps as R.h,
+lists the homotopy congruences of every level; coskeletality is read
+off simplicial.exactness_check.  The pairwise face-kernel meets
+(face_meet), the level-1 homotopy congruence h1 and the homotopy
+congruence h_n of each level n >= 2 (homotopy_congruence) are computed
+once per object and kept on it.  face_meet is the kernel of the pair
+(d_i, d_j), one cg.kernel_pair of both faces.  Their readers share them:
+  face_meet  homotopy_congruence, groupoid_injectivity_conditions,
+             commutator_chain_check (level 1), and in galois the lattice
+             route of a classification and ml's obstruction seeds (both
+             at the top level), the exactness lemma, and the suite's
+             criteria 3 and 10;
   h1         homotopy_family, commutator_chain_check,
-             galois.homotopy_relation and the suite's criteria 3 and 10.
+             galois.homotopy_relation and the suite's criteria 3 and 10;
+  h_n        homotopy_family and, at the top level,
+             galois.is_trivial_extension, so a classification, em's
+             triviality test and pi1 join it once.
 Morphisms keep results the same way, per resolved budget, in their
 own F.derived: simplicial.kan_fibration_check its entries and
 galois.classify_extension its flags, so the suite's criteria 6, 7 and 9
@@ -56,19 +56,12 @@ from .simplicial import (
 )
 
 
-# Face kernels, their meets, h1 and the homotopy family depend on an
+# Face-kernel meets, h1 and the homotopy congruences depend on an
 # object's structure maps alone, so each is computed once and kept in
 # the object's own dict, X._derived, which goes with it.  A computation
 # that raises keeps nothing.  Each function tests the dict itself: one
 # helper taking the computation as a closure made the lattice check of
 # ml-deep's cases, each run once in a fresh process, about 10% slower.
-
-def face_kernels(X, n):
-    key = ("kernels", n)
-    if key not in X._derived:
-        X._derived[key] = [cg.kernel_pair(d) for d in X.faces[n]]
-    return list(X._derived[key])
-
 
 def face_meet(X, n, i, j):
     """The meet of the kernels of the faces d_i and d_j at level n, as
@@ -99,18 +92,18 @@ def homotopy_congruence_level1(X):
 
 def homotopy_congruence(X, n):
     """Join of all pairwise face-kernel meets at a level n >= 2."""
-    return cg.join_all([face_meet(X, n, i, j)
-                        for j in range(1, n + 1) for i in range(j)])
+    key = ("h", n)
+    if key not in X._derived:
+        X._derived[key] = cg.join_all([
+            face_meet(X, n, i, j) for j in range(1, n + 1) for i in range(j)])
+    return X._derived[key]
 
 
 def homotopy_family(X):
     """Homotopy congruence at every level: the diagonal on objects, the
     level-1 congruence on arrows, then the joins of pairwise meets."""
-    if "family" not in X._derived:
-        X._derived["family"] = [
-            cg.diagonal(X.levels[0]), homotopy_congruence_level1(X)] + [
-            homotopy_congruence(X, n) for n in range(2, X.truncation + 1)]
-    return list(X._derived["family"])
+    return [cg.diagonal(X.levels[0]), homotopy_congruence_level1(X)] + [
+        homotopy_congruence(X, n) for n in range(2, X.truncation + 1)]
 
 
 def _graph_quotient(X, theta):
@@ -267,7 +260,7 @@ def graph_reflection(X):
     if X.truncation < 1:
         raise PreconditionUnmet("graph reflection needs a level of arrows")
     Q, proj, d0b, d1b, s0b = _graph_quotient(
-        X, tc_commutator(*face_kernels(X, 1)))
+        X, tc_commutator(*[cg.kernel_pair(d) for d in X.faces[1]]))
     return (validate_groupoid(maltsev_groupoid(X.levels[0], Q, d0b, d1b, s0b)),
             proj)
 
@@ -287,7 +280,7 @@ def commutator_chain_check(X):
     of the face kernels and their meet; reports the three class counts."""
     if X.truncation < 2:
         raise PreconditionUnmet("commutator chain needs two levels of faces")
-    low = tc_commutator(*face_kernels(X, 1))
+    low = tc_commutator(*[cg.kernel_pair(d) for d in X.faces[1]])
     high = face_meet(X, 1, 0, 1)
     h1 = homotopy_congruence_level1(X)
     report = {

@@ -89,8 +89,6 @@ def validate_simplicial(X, check_homs=False):
     for n in range(1, N + 1):
         if len(X.faces[n]) != n + 1:
             raise InvalidParameters(f"level {n} needs {n + 1} faces")
-    if X.faces[0]:
-        raise InvalidParameters("level 0 admits no faces")
     for n in range(N):
         if len(X.degeneracies[n]) != n + 1:
             raise InvalidParameters(f"level {n} needs {n + 1} degeneracies")
@@ -288,18 +286,11 @@ def exactness_check(X, at_level, budget=None):
     return hit == len(rows), {"kernel_size": len(rows), "image_size": hit}
 
 
-class KanReport:
-    def __init__(self, entries):
-        self.entries = entries
-
-    def to_json(self):
-        return {"entries": self.entries}
-
-
 def kan_check(X, budget=None):
-    """Horn-filling at every level and index.  Over a Mal'tsev signature
-    every horn has a filler (Carboni, Kelly and Pedicchio), so the first
-    horn (n, k) without one raises PropertyViolation."""
+    """Horn-filling at every level and index, one entry per horn (n, k).
+    Over a Mal'tsev signature every horn has a filler (Carboni, Kelly and
+    Pedicchio), so the first horn (n, k) without one raises
+    PropertyViolation."""
     entries = []
     for n in range(2, X.truncation + 1):
         for k in range(n + 1):
@@ -318,7 +309,7 @@ def kan_check(X, budget=None):
                     "surjective": True,
                 }
             )
-    return KanReport(entries)
+    return entries
 
 
 def kan_fibration_check(F, budget=None):
@@ -341,7 +332,7 @@ def kan_fibration_check(F, budget=None):
     key = ("fibration", resolve_budget(budget))
     if key not in F.derived:
         F.derived[key] = _fibration_entries(F, key[1])
-    return KanReport([dict(e) for e in F.derived[key]])
+    return [dict(e) for e in F.derived[key]]
 
 
 def _fibration_entries(F, budget):

@@ -426,9 +426,9 @@ def _kan_suite(ctx):
     """kan_check raises at a horn without a filler, and
     kan_fibration_check at a horn that a levelwise surjection, as every
     corpus extension is, does not lift."""
-    horns = sum(len(kan_check(X, budget=ctx["budget"]).entries)
+    horns = sum(len(kan_check(X, budget=ctx["budget"]))
                 for _, X in ctx["corpus"]["objects"])
-    thetas = sum(len(kan_fibration_check(F, budget=ctx["budget"]).entries)
+    thetas = sum(len(kan_fibration_check(F, budget=ctx["budget"]))
                  for _, F in ctx["corpus"]["extensions"])
     return {"horn_maps": horns, "comparison_maps": thetas}
 

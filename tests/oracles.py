@@ -6,9 +6,11 @@ label arrays, brute-force partition sweeps, the matrix-closure
 description of the commutator, the level-by-level closure of
 simplicial congruences by gathers over whole tables, horn, kernel and
 fibration counts by a sweep of whole products, the monotone-light
-fixpoint's seeds with every face pulled back by preimage, and a search
-of the congruence lattice for the monotone-light factorization.  Kept
-deliberately naive; only run on small carriers.
+fixpoint's seeds with every face pulled back by preimage, a search
+of the congruence lattice for the monotone-light factorization, the
+classification verdicts read off every level instead of the top one,
+and the coskeleton lift of a morphism.  Kept deliberately naive; only
+run on small carriers.
 """
 
 import functools
@@ -17,7 +19,10 @@ import itertools
 import numpy as np
 
 from simal import congruences as cg
-from simal.galois import _central_by_lattice, _quotient_cofactor
+from simal.galois import _quotient_cofactor
+from simal.limits import tuple_map
+from simal.reflection import homotopy_family
+from simal.simplicial import SimplicialMorphism, coskeleton, truncate
 
 # Families the lattice walk may visit before it gives up.
 WALK_NODE_LIMIT = 20_000
@@ -514,7 +519,7 @@ def ml_walk(F):
     def central(fam):
         Z, e, m = _quotient_cofactor(X, F, fam)
         assert m.is_levelwise_surjective()
-        return _central_by_lattice(m)
+        return central_by_levels(m)
 
     bottom = [cg.diagonal(lvl) for lvl in X.levels]
     if central(bottom):
@@ -551,3 +556,44 @@ def ml_walk(F):
     assert all(_family_key(fam) == _family_key(meet_fam) for fam in minimal), \
         "minimal central quotient is not unique"
     return _quotient_cofactor(X, F, meet_fam)
+
+
+# -- verdicts at every level, and a morphism one level up or down ----------
+
+def central_by_levels(F):
+    """Whether ker F_n /\\ ker d_i /\\ ker d_j is the diagonal at every
+    level n >= 2 and for all faces i < j, each kernel taken alone."""
+    X = F.dom
+    return all(
+        meet_all([cg.kernel_pair(F.components[n]),
+                  cg.kernel_pair(X.faces[n][i]),
+                  cg.kernel_pair(X.faces[n][j])]).is_diagonal()
+        for n in range(2, X.truncation + 1)
+        for j in range(1, n + 1) for i in range(j))
+
+
+def verdicts_by_levels(F):
+    """(trivial, central) of an extension F, read off every level:
+    ker F_n meets the homotopy congruence h_n trivially at every n, and
+    central_by_levels."""
+    trivial = all(cg.meet(cg.kernel_pair(c), h).is_diagonal()
+                  for c, h in zip(F.components, homotopy_family(F.dom)))
+    return trivial, central_by_levels(F)
+
+
+def coskeleton_lift(F, budget=None):
+    """F: X -> Y one level up: the (N+1)-coskeleta of both ends, and at
+    level N+1 the map sending a simplicial-kernel tuple (x_0..x_{N+1}) of
+    N-simplices to (F_N x_0, ..., F_N x_{N+1})."""
+    N = F.dom.truncation
+    X, Y = (coskeleton(Z, N + 1, budget=budget) for Z in (F.dom, F.cod))
+    rows = X.levels[N + 1].carrier.rows
+    top = tuple_map(X.levels[N + 1], Y.levels[N + 1],
+                    [F.components[N].map[rows[:, c]] for c in range(N + 2)])
+    return SimplicialMorphism(X, Y, F.components + [top], check=True)
+
+
+def truncated_morphism(F, M):
+    """F: X -> Y cut down to its levels 0..M."""
+    return SimplicialMorphism(truncate(F.dom, M), truncate(F.cod, M),
+                              F.components[:M + 1], check=True)

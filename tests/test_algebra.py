@@ -23,6 +23,8 @@ from simal.corpus import (
     zk_module,
     GROUP_SIG,
     GROUP_TERM,
+    MODULE_SIG,
+    MODULE_TERM,
 )
 
 
@@ -186,3 +188,27 @@ def test_terminal_algebra():
     assert t.size == 1
     s3 = symmetric_group(3)
     assert Homomorphism(s3, t, np.zeros(s3.size, dtype=np.int64)).is_surjective()
+
+
+# -- the guards of make_algebra, fired one by one ---------------------------
+
+GUARDS = [
+    # size 2 is read off the first positive-arity table, 'add'
+    (lambda: algebra.make_algebra(
+        "bad", MODULE_SIG,
+        {"add": [[0, 1], [1, 0]], "neg": [0, 1, 0], "zero": [0]},
+        MODULE_TERM),
+     MalformedTable, r"table 'neg' has shape \(3,\), expected \(2,\)"),
+    (lambda: algebra.make_algebra(
+        "points", algebra.Signature([("e", 0)]), {"e": [0]}, "x"),
+     InvalidParameters, "cannot infer size from nullary tables only"),
+]
+
+
+@pytest.mark.parametrize("call, error, witness", GUARDS,
+                         ids=[w for _, _, w in GUARDS])
+def test_make_algebra_guards(call, error, witness):
+    # a file is reshaped to its declared size before these checks, so
+    # only a direct call with hand-built tables reaches them
+    with pytest.raises(error, match=witness):
+        call()

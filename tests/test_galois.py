@@ -127,8 +127,8 @@ def test_classification_rejects_non_surjections():
 
 def _wrong_fibration(route, extensions):
     def wrong(F, budget):
-        central, report = route(F, budget=budget)
-        return not central, report
+        central, entries = route(F, budget=budget)
+        return not central, entries
     return wrong
 
 
@@ -322,13 +322,59 @@ def test_ml_of_a_central_extension_is_the_extension_itself(monkeypatch):
             assert np.array_equal(c.map, np.arange(c.dom.size)), name
 
 
+def _flags(F):
+    report = classify_extension(F)
+    return report.trivial, report.central, report.normal
+
+
+def test_top_level_verdicts_equal_the_verdicts_of_every_level():
+    # the library reads triviality and lattice centrality off the top
+    # level; the oracle reads every level, each meet from lone kernels
+    for profile in ("desk", "deep"):
+        for name, F in default_corpus(profile)["extensions"]:
+            report = classify_extension(F)
+            assert oracles.verdicts_by_levels(F) == (
+                report.trivial, report.central), name
+
+
+def test_classification_is_kept_one_level_up_and_one_down():
+    # a law: classify(F) equals classify of F's coskeleton lift, and of
+    # F cut down one level where that leaves two or more
+    lifted = 0
+    for name, F in default_corpus("desk")["extensions"]:
+        flags = _flags(F)
+        if name == "augment-cosk-loops":
+            # the lift has 2048 simplices at level 4 over a codomain of
+            # 2, so its self-pullback has 2 * 1024^2 there, past the
+            # default budget
+            with pytest.raises(LevelTooLarge,
+                               match="tuple enumeration exceeds budget"):
+                classify_extension(oracles.coskeleton_lift(F))
+        else:
+            assert _flags(oracles.coskeleton_lift(F)) == flags, name
+            lifted += 1
+    assert lifted == 31
+    cut = 0
+    for profile in ("desk", "deep"):
+        for name, F in default_corpus(profile)["extensions"]:
+            N = F.dom.truncation
+            if N >= 3:
+                lower = oracles.truncated_morphism(F, N - 1)
+                assert _flags(lower) == _flags(F), name
+                cut += 1
+    assert cut > 20
+
+
 def test_obstruction_seeds_match_the_pullback_oracle(monkeypatch):
     real = galois._obstruction_seeds
     rounds = collections.Counter()
 
     def checked(X, kernels, fam):
+        # the fixpoint seeds the top level only
         seeds = real(X, kernels, fam)
-        assert seeds == oracles.obstruction_seeds_by_pullback(X, kernels, fam)
+        N = X.truncation
+        oracle = oracles.obstruction_seeds_by_pullback(X, kernels, fam)
+        assert seeds == {N: oracle[N]}
         diagonal = all(c.is_diagonal() for c in fam)
         rounds["diagonal" if diagonal else "pulled"] += 1
         rounds["seeded"] += any(seeds.values())
@@ -388,16 +434,17 @@ def test_ml_rejects_a_fixpoint_cofactor_that_is_not_central(monkeypatch):
 
 
 def test_ml_builds_each_face_meet_of_its_domain_once():
+    # the seeds and the final check read the top level's meets only
     for profile in ("desk", "deep"):
         for name, F in default_corpus(profile)["extensions"]:
             X = F.dom
+            N = X.truncation
             X._derived = _CountingDict()
             ml_factorization(F)
             built = {k: c for k, c in X._derived.stores.items()
                      if k[0] == "meet"}
-            assert built == {
-                ("meet", n, i, j): 1 for n in range(2, X.truncation + 1)
-                for j in range(1, n + 1) for i in range(j)}, name
+            assert built == {("meet", N, i, j): 1
+                             for j in range(1, N + 1) for i in range(j)}, name
 
 
 def test_homotopy_relation_matches_level1_congruence():
@@ -490,14 +537,16 @@ def test_em_comparison_check_rejects_a_non_isomorphism():
 
 
 def test_em_builds_each_homotopy_family_once(monkeypatch):
+    # each homotopy congruence h_n (n >= 2) is one join of face meets,
+    # kept on its object; calls holds the level each join builds h on
     calls = []
-    original = reflection.homotopy_congruence
+    join_all = cg.join_all
 
-    def counted(X, n):
-        calls.append(X)
-        return original(X, n)
+    def counted(congs):
+        calls.append(congs[0].on)
+        return join_all(congs)
 
-    monkeypatch.setattr(reflection, "homotopy_congruence", counted)
+    monkeypatch.setattr(cg, "join_all", counted)
     tuples = []
     for module in (limits, simplicial):
         def enumerated(*args, _real=module.compatible_tuples, **kwargs):
@@ -515,40 +564,48 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
             Homomorphism(c4, c2, [0, 1, 0, 1]), 3),
         "quotient-cosk-fibers": quotient_simplicial(cosk, fibers)[1],
     }
-    # the trivial ones are their own em factorization: only X's family
-    # is built, for the triviality test; the other reflects X, Y and the
-    # middle P
+    # the trivial ones are their own em factorization: only X's top
+    # level is joined, for the triviality test; the other joins that
+    # too, then the rest of X's levels and all of Y's and the middle
+    # P's as it reflects them
     trivial = {"pairC4-pairC2": True, "deloop-C4-C2": True,
                "quotient-cosk-fibers": False}
     for name, F in fresh.items():
-        levels = F.dom.truncation - 1
+        X, Y = F.dom, F.cod
+        N = X.truncation
+        levels = N - 1
         calls.clear()
         P, _, _ = em_factorization(F)
         if trivial[name]:
-            assert P is F.dom, name
-            assert len(calls) == levels, name
-            assert {id(X) for X in calls} == {id(F.dom)}, name
+            assert P is X, name
+            assert calls == [X.levels[N]], name
         else:
             assert len(calls) == 3 * levels, name
+            assert calls[0] is X.levels[N], name
+            for Z in (X, Y, P):
+                assert sum(c is lvl for c in calls
+                           for lvl in Z.levels[2:]) == levels, name
         assert pi1(P).h == reflection.homotopy_family(P)
-        # X and Y keep their families: the first classification builds
-        # only its self-pullback's, once per level
+        # X and Y keep theirs: the first classification joins only its
+        # self-pullback's top level
         calls.clear()
         first = classify_extension(F)
-        assert len(calls) == levels, name
-        assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
-        # F keeps its classification: a repeat builds no family and
-        # enumerates nothing
+        assert len(calls) == 1, name
+        assert calls[0].size == sum(
+            np.bincount(F.components[N].map) ** 2), name
+        # F keeps its classification: a repeat joins and enumerates
+        # nothing
         tuples.clear()
         calls.clear()
         again = classify_extension(F)
         assert not calls and not tuples, name
         assert again.to_json() == first.to_json(), name
         # off the trivial case, em builds its middle object, and its
-        # family, anew on every call
+        # homotopy congruences, anew on every call
         em_factorization(F)
         assert len(calls) == (0 if trivial[name] else 1) * levels, name
-        assert not {id(X) for X in calls} & {id(F.dom), id(F.cod)}, name
+        assert not {id(c) for c in calls} & {
+            id(lvl) for lvl in X.levels + Y.levels}, name
 
 
 def _fresh(F):
@@ -559,7 +616,7 @@ def _fresh(F):
 def test_a_classification_is_kept_per_budget():
     F = _fresh(EXTS["quotient-cosk-fibers"])
     first = classify_extension(F)
-    b = max(e["horn_size"] for e in kan_check(F.dom).entries) - 1
+    b = max(e["horn_size"] for e in kan_check(F.dom)) - 1
     with pytest.raises(LevelTooLarge) as fresh:
         classify_extension(_fresh(F), budget=b)
     with pytest.raises(LevelTooLarge) as kept:

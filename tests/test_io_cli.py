@@ -853,6 +853,11 @@ POSET_WITNESS = ("poset must be a chain or grid kind, or a square, "
     # a 3-cycle has every meet and join, and no bottom or top
     (["heyting_from_poset", "poset=[[1,0,1],[1,1,0],[0,1,1]]"],
      "poset is not transitive: entries (0,2) and (2,1) are 1, (0,1) is 0"),
+    # a delooping has truncation 2 by default
+    (["product_projection",
+      'left={"kind":"pair","algebra":"C2","truncation":3}',
+      'right={"kind":"delooping","algebra":"C4"}'],
+     "product needs equal truncations"),
 ])
 def test_cli_gen_rejects_malformed_parameters(params, witness):
     code, report, _ = run(["gen"] + params)

@@ -30,7 +30,6 @@ from simal.galois import fiber_connectivity_relation, homotopy_relation
 from simal.groupoid import maltsev_groupoid, validate_groupoid
 from simal.reflection import (
     commutator_chain_check,
-    face_kernels,
     face_meet,
     graph_reflection,
     homotopy_congruence,
@@ -72,11 +71,6 @@ def test_spine_maps_recover_carrier_columns():
         assert np.array_equal(cols, X.levels[n].carrier.rows)
 
 
-def test_face_kernels_count():
-    X = nerve(pair_groupoid(C3), 2)
-    assert len(face_kernels(X, 2)) == 3
-
-
 @pytest.mark.parametrize("profile", ["desk", "deep"])
 def test_face_meet_is_the_meet_of_the_face_kernels(profile):
     # face_meet is one kernel of the paired faces; the meet of the two
@@ -100,7 +94,7 @@ def test_face_meet_is_the_meet_of_the_face_kernels(profile):
 def test_homotopy_congruence_level1_formula():
     # h1 = d1(D0 /\ D2) computed from level-2 data
     X = cosk_loops()
-    D = face_kernels(X, 2)
+    D = [cg.kernel_pair(d) for d in X.faces[2]]
     direct = cg.image(X.faces[2][1], cg.meet(D[0], D[2]))
     assert homotopy_congruence_level1(X) == direct
 
@@ -108,12 +102,36 @@ def test_homotopy_congruence_level1_formula():
 def test_homotopy_congruence_is_join_of_meets():
     X = cosk_loops()
     for n in (2, 3):
-        D = face_kernels(X, n)
+        D = [cg.kernel_pair(d) for d in X.faces[n]]
         meets = [
             cg.meet(D[i], D[j])
             for i in range(n + 1) for j in range(i + 1, n + 1)
         ]
         assert homotopy_congruence(X, n) == cg.join_all(meets)
+
+
+@pytest.mark.parametrize("profile", ["desk", "deep"])
+def test_degeneracies_carry_each_homotopy_congruence_into_the_next(profile):
+    # the lemma behind reading triviality off the top level: every s_k
+    # carries h_n into h_(n+1), on every corpus object of truncation
+    # >= 2, the self-pullback of every extension, and, in desk, the
+    # coskeleta of the loops graphs over C2, C3 and C4
+    corpus = default_corpus(profile)
+    objects = [X for _, X in corpus["objects"]] + [
+        simplicial_pullback(F, F)[0] for _, F in corpus["extensions"]]
+    if profile == "desk":
+        objects += [coskeleton(loops_graph(B, G), 3)
+                    for B in (C2, C3, C4) for G in (C2, C3, C4)]
+    checked = 0
+    for X in objects:
+        if X.truncation < 2:
+            continue
+        h = reflection.homotopy_family(X)
+        for n in range(X.truncation):
+            for k, s in enumerate(X.degeneracies[n]):
+                assert cg.leq(h[n], cg.preimage(s, h[n + 1])), (X.name, n, k)
+                checked += 1
+    assert checked > 100
 
 
 def test_reflection_of_groupoid_nerve_is_isomorphic():
@@ -260,10 +278,12 @@ def _calls_on(calls, maps):
 
 
 def test_level1_readers_take_face_data_from_the_object_cache(monkeypatch):
-    """The level-1 readers take both face kernels, their meet and h1 from
-    the object's cache: over two passes the two face kernels are built
-    once, their meet once, as the kernel of both faces, and h1, an image
-    under each level-2 face, once."""
+    """The level-1 readers take the meet of both face kernels and h1 from
+    the object's cache: over two passes their meet is built once, as the
+    kernel of both faces, and h1, an image under each level-2 face,
+    once.  graph_reflection and commutator_chain_check take the two face
+    kernels anew on each call, and fiber_connectivity_relation takes the
+    kernel of the pair (d_1, F_1) anew."""
     X = cosk_loops()
     F = quotient_simplicial(
         X, simplicial_congruence_generated(X, {1: [(0, 1)]}))[1]
@@ -280,15 +300,16 @@ def test_level1_readers_take_face_data_from_the_object_cache(monkeypatch):
 
     monkeypatch.setattr(cg, "kernel_pair", spy_kernel_pair)
     monkeypatch.setattr(cg, "image", spy_image)
-    for _ in range(2):
+    for passes in (1, 2):
         graph_reflection(X)
         commutator_chain_check(X)
         homotopy_relation(X)
         fiber_connectivity_relation(F)
         assert _calls_on([m for m, *more in kernels if not more],
-                         X.faces[1]) == 2
+                         X.faces[1]) == 4 * passes
         assert [m for m in kernels if len(m) > 1
-                and m[0].dom is X.levels[1]] == [tuple(X.faces[1])]
+                and m[0].dom is X.levels[1]] == [tuple(X.faces[1])] + [
+                    (X.faces[1][1], F.components[1])] * passes
         assert _calls_on(images, X.faces[2]) == 3
 
 

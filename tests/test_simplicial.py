@@ -589,3 +589,52 @@ def test_congruence_groupoid_matches_blocks():
     G = congruence_groupoid(cyclic_group(6), theta)
     validate_groupoid(G)
     assert G.arrows.size == 12
+
+
+# -- the guards of simplicial, fired one by one -----------------------------
+
+def _identity_of_pair_nerve():
+    X = nerve(pair_groupoid(C2), 2)
+    return SimplicialMorphism(X, X, [identity_hom(lvl) for lvl in X.levels])
+
+
+def _short_morphism():
+    F = _identity_of_pair_nerve()
+    return SimplicialMorphism(F.dom, F.cod, F.components[:2])
+
+
+def _misplaced_component():
+    # a second nerve of the pair groupoid shares C2, its level 0, alone
+    F = _identity_of_pair_nerve()
+    return SimplicialMorphism(F.dom, nerve(pair_groupoid(C2), 2),
+                              F.components)
+
+
+def _pullback_over_two_codomains():
+    return simplicial_pullback(_identity_of_pair_nerve(),
+                               _identity_of_pair_nerve())
+
+
+SIMPLICIAL_GUARDS = [
+    (_short_morphism, InvalidParameters, "one component per level required"),
+    (_misplaced_component, InvalidParameters,
+     "component 1 has wrong endpoints"),
+    (lambda: truncate(nerve(pair_groupoid(C2), 2), 3), InvalidParameters,
+     "truncation level out of range"),
+    (lambda: truncate(nerve(pair_groupoid(C2), 2), -1), InvalidParameters,
+     "truncation level out of range"),
+    (lambda: coskeleton(truncate(nerve(pair_groupoid(C2), 2), 0), 2),
+     PreconditionUnmet, "coskeleton extension needs truncation >= 1"),
+    (_pullback_over_two_codomains, InvalidParameters,
+     "pullback needs a shared codomain"),
+]
+
+
+@pytest.mark.parametrize("call, error, witness", SIMPLICIAL_GUARDS,
+                         ids=[f"{n}-{w}" for n, (_, _, w)
+                              in enumerate(SIMPLICIAL_GUARDS)])
+def test_simplicial_guards(call, error, witness):
+    # each guard is against a direct call that mixes up objects or
+    # levels; files and generators never make such a call
+    with pytest.raises(error, match=witness):
+        call()
