@@ -7,20 +7,22 @@ routes are required to agree; a disagreement raises instead of picking
 a side.
 
 The top level N >= 2 decides triviality and lattice centrality, which
-read level N alone (the proofs are in their docstrings); the horn and
-self-pullback routes keep their own data, so they would catch a false
-proof.
+read level N alone (the proofs are in their docstrings); so does the
+self-pullback route, by the proof of triviality applied to its
+projection.  The horn route reads every level, so it would catch a
+false proof.
 
 Each derived structure has one builder: reflection.homotopy_congruence
-for the top-level homotopy congruence (pi1's R.h lists every level),
-induced_groupoid_nerve_map for the functor between reflections, and
-simplicial.exactness_check for exactness.  A morphism
+for the top-level homotopy congruence of a built object (pi1's R.h
+lists every level), induced_groupoid_nerve_map for the functor between
+reflections, and simplicial.exactness_check for exactness.  A morphism
 that is already its own factorization, a trivial extension for em or a
 central one for ml, is returned as (F.dom, identity, F) by one helper.
-The self-pullback route builds P = X x_Y X with its levels and faces
-alone, the parts its verdict reads; simplicial_pullback builds the full
-object for em and the probes.  A classification is kept on F per
-budget, so classifying an extension again runs no route.
+The self-pullback route builds no object: it enumerates P = X x_Y X at
+the top level alone and joins P's face-kernel meets there, reading P's
+faces as X's faces through the two projections; simplicial_pullback
+builds the full object for em and the probes.  A classification is kept
+on F per budget, so classifying an extension again runs no route.
 """
 
 import numpy as np
@@ -39,8 +41,6 @@ from .config import resolve_budget
 from .limits import pullback, tuple_map
 from .simplicial import (
     SimplicialMorphism,
-    TruncatedSimplicialAlgebra,
-    check_face_identities,
     exactness_check,
     kan_fibration_check,
     nerve_map,
@@ -134,33 +134,38 @@ class ExtensionReport:
 
 def _normal_by_self_pullback(F, budget):
     """Whether the kernel-pair projection p1: P = X x_Y X -> X of F is a
-    trivial extension, X being F.dom (Janelidze and Kelly's normality).
+    trivial extension, X being F.dom (Janelidze and Kelly's normality),
+    read off P's top level N alone.
 
-    Only what the verdict reads is built.  P's levels are the pullbacks
-    of F_n along itself, in level order, so the budget stops the first
-    level too large; its faces are the componentwise ones, as tuple_maps
-    that raise on an image outside P, and its face identities are
-    checked.  P has no degeneracies, so checking p1, the first
-    projection, as a SimplicialMorphism compares it with every face;
-    is_trivial_extension then checks that it is onto at every level and
-    reads the top level, which decides: its proof needs only that P has
-    degeneracies, which are componentwise, not that they are built.
+    is_trivial_extension's proof, applied to p1, shows that level N
+    decides: it needs P's degeneracies, which are componentwise, not
+    that they are built.  So P_N, the pullback of F_N along itself, is
+    the one level enumerated, and nothing else of P is built or checked:
+    - the budget stops the same inputs as a build of every level would,
+      since the componentwise s_0 embeds P_n in P_(n+1), so |P_n| <= |P_N|;
+    - P's faces are componentwise, d_i (x, y) = (d_i x, d_i y), which
+      lies in P since F d_i = d_i F, and they satisfy the face
+      identities, as X's do;
+    - p1 commutes with the componentwise faces by definition, and it is
+      onto at every level, since (x, x) lies in P.
+    ker d_i /\\ ker d_j on P_N is then the kernel of the four maps d_i p1,
+    d_i p2, d_j p1 and d_j p2 into X_(N-1), built inside each meet, and
+    the homotopy congruence h of P_N is the join of those meets.
     """
     X = F.dom
-    name = f"pb({X.name},{X.name})"
-    built = [pullback(c, c, f"{name}_{n}", budget=budget)
-             for n, c in enumerate(F.components)]
-    levels = [lvl for lvl, _ in built]
-    faces = [[]]
-    for n in range(1, X.truncation + 1):
-        x, y = levels[n].carrier.rows.T
-        faces.append([
-            tuple_map(levels[n], levels[n - 1], [d.map[x], d.map[y]])
-            for d in X.faces[n]])
-    check_face_identities([[f.map for f in fs] for fs in faces])
-    P = TruncatedSimplicialAlgebra(levels, faces, [[] for _ in levels], name)
-    p1 = SimplicialMorphism(P, X, [projs[0] for _, projs in built], check=True)
-    return is_trivial_extension(p1)
+    N = X.truncation
+    PN, projs = pullback(F.components[N], F.components[N],
+                         f"pb({X.name},{X.name})_{N}", budget=budget)
+    below = X.levels[N - 1]
+
+    def face_meet_on_p(i, j):
+        return cg.kernel_pair(*(
+            Homomorphism(PN, below, X.faces[N][k].map[p.map], check=False)
+            for k in (i, j) for p in projs))
+
+    h = cg.join_all([face_meet_on_p(i, j)
+                     for j in range(1, N + 1) for i in range(j)])
+    return cg.meets_trivially(cg.kernel_pair(projs[0]), h)
 
 
 def _classification(F, budget):
@@ -187,8 +192,9 @@ def classify_extension(F, budget=None, name=None):
 
     Centrality is computed both from triple kernel meets and from the
     horn comparison maps; normality from triviality of the self-pullback
-    projection (_normal_by_self_pullback).  Any disagreement between
-    routes raises.
+    projection (_normal_by_self_pullback), which enumerates the top
+    level of the self-pullback alone.  Any disagreement between routes
+    raises.
 
     The flags and fibration entries are kept on F per resolved budget
     (F.derived), so a repeat at that budget runs no route; a

@@ -21,9 +21,7 @@ with its endpoints and its name d_i or s_i.  Validation, the morphism
 check, the closure and the JSON writer go through it, and so does
 transport, the one rebuild: it carries each structure map over to
 new levels by a per-map move, for quotients, images, products and
-pullbacks alike.  The face identities are checked by one helper,
-check_face_identities, which validate_simplicial calls and so does the
-faces-only self-pullback of galois.classify_extension.
+pullbacks alike.
 
 Face conventions: d1 is the source and d0 the target of a 1-simplex,
 matching the nerve of a groupoid where composition g after f requires
@@ -101,7 +99,12 @@ def validate_simplicial(X, check_homs=False):
     if check_homs:
         check_structure_homs(X)
     d = [[f.map for f in maps] for maps in X.faces]
-    check_face_identities(d)
+    for n in range(2, N + 1):
+        for j in range(n + 1):
+            for i in range(j):
+                lhs = d[n - 1][i][d[n][j]]
+                rhs = d[n - 1][j - 1][d[n][i]]
+                _expect(lhs, rhs, f"d{i} d{j} = d{j - 1} d{i} at level {n}")
     s = [[f.map for f in maps] for maps in X.degeneracies]
     for n in range(N - 1):
         for j in range(n + 1):
@@ -123,18 +126,6 @@ def validate_simplicial(X, check_homs=False):
                     rhs = s[n - 1][j][d[n][i - 1]]
                     _expect(lhs, rhs, f"d{i} s{j} = s{j} d{i - 1} at level {n}")
     return X
-
-
-def check_face_identities(d):
-    """Check d_i d_j = d_{j-1} d_i for i < j at every level n >= 2, the
-    one simplicial identity that reads the faces alone; d[n][i] is the
-    index array of the face d_i on level n."""
-    for n in range(2, len(d)):
-        for j in range(n + 1):
-            for i in range(j):
-                lhs = d[n - 1][i][d[n][j]]
-                rhs = d[n - 1][j - 1][d[n][i]]
-                _expect(lhs, rhs, f"d{i} d{j} = d{j - 1} d{i} at level {n}")
 
 
 def check_structure_homs(X):

@@ -9,8 +9,9 @@ fibration counts by a sweep of whole products, the monotone-light
 fixpoint's seeds with every face pulled back by preimage, a search
 of the congruence lattice for the monotone-light factorization, the
 classification verdicts read off every level instead of the top one,
-and the coskeleton lift of a morphism.  Kept deliberately naive; only
-run on small carriers.
+the coskeleton lift of a morphism, and an isomorphic copy of a morphism
+with every level renumbered.  Kept deliberately naive; only run on
+small carriers.
 """
 
 import functools
@@ -19,10 +20,16 @@ import itertools
 import numpy as np
 
 from simal import congruences as cg
+from simal.algebra import FiniteAlgebra, Homomorphism
 from simal.galois import _quotient_cofactor
 from simal.limits import tuple_map
 from simal.reflection import homotopy_family
-from simal.simplicial import SimplicialMorphism, coskeleton, truncate
+from simal.simplicial import (
+    SimplicialMorphism,
+    coskeleton,
+    transport,
+    truncate,
+)
 
 # Families the lattice walk may visit before it gives up.
 WALK_NODE_LIMIT = 20_000
@@ -597,3 +604,46 @@ def truncated_morphism(F, M):
     """F: X -> Y cut down to its levels 0..M."""
     return SimplicialMorphism(truncate(F.dom, M), truncate(F.cod, M),
                               F.components[:M + 1], check=True)
+
+
+# -- relabelling -----------------------------------------------------------
+
+def _renamed(fmap, perm_dom, perm_cod):
+    """The map sending perm_dom[a] to perm_cod[fmap[a]]."""
+    out = np.empty_like(fmap)
+    out[perm_dom] = perm_cod[fmap]
+    return out
+
+
+def _relabelled_algebra(alg, perm):
+    """alg with each element a renamed perm[a]: every operation is read
+    through alg's, its arguments renamed back and its value forward."""
+    back = np.argsort(perm)
+    constants = {op: int(perm[alg.op(op)])
+                 for op, arity in alg.signature.ops if arity == 0}
+    return FiniteAlgebra(
+        f"{alg.name}~", alg.size, alg.signature, None, alg.maltsev_term,
+        evaluator=lambda op, args: perm[alg.op(op, *(back[a] for a in args))],
+        constants=constants)
+
+
+def _relabelled_object(X, rng):
+    perms = [rng.permutation(lvl.size) for lvl in X.levels]
+    levels = [_relabelled_algebra(lvl, p) for lvl, p in zip(X.levels, perms)]
+    Y = transport(X, levels,
+                  lambda n, m, key, f: _renamed(f.map, perms[n], perms[m]),
+                  f"{X.name}~")
+    return Y, perms
+
+
+def relabel(F, seed):
+    """An isomorphic copy of F: every level of both ends renumbered by a
+    permutation drawn from seed, with the faces, degeneracies and
+    components conjugated to match."""
+    rng = np.random.default_rng(seed)
+    X, px = _relabelled_object(F.dom, rng)
+    Y, py = _relabelled_object(F.cod, rng)
+    comps = [Homomorphism(X.levels[n], Y.levels[n],
+                          _renamed(c.map, px[n], py[n]), check=False)
+             for n, c in enumerate(F.components)]
+    return SimplicialMorphism(X, Y, comps, check=True)

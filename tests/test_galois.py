@@ -23,7 +23,6 @@ from simal.corpus import (
 from simal.errors import (
     CrossRouteMismatch,
     HomotopyMismatch,
-    IdentityViolated,
     InvalidParameters,
     LevelTooLarge,
     NotLevelwiseSurjective,
@@ -52,7 +51,6 @@ from simal.simplicial import (
     simplicial_pullback,
     quotient_simplicial,
     truncate,
-    validate_simplicial,
 )
 
 CORPUS = default_corpus("desk")
@@ -125,21 +123,19 @@ def test_classification_rejects_non_surjections():
         classify_extension(F)
 
 
-def _wrong_fibration(route, extensions):
+def _wrong_fibration(route):
     def wrong(F, budget):
         central, entries = route(F, budget=budget)
         return not central, entries
     return wrong
 
 
-def _wrong_self_pullback(route, extensions):
+def _wrong_self_pullback(route):
     return lambda F, budget: not route(F, budget)
 
 
-def _every_member_trivial(route, extensions):
-    # p1 of the self-pullback route is no member, so that route still
-    # agrees with the lattice
-    return lambda F: any(F is G for G in extensions) or route(F)
+def _every_extension_trivial(route):
+    return lambda F: True
 
 
 def _criterion_record(monkeypatch, cid, corpus):
@@ -155,7 +151,7 @@ def _criterion_record(monkeypatch, cid, corpus):
      "lattice and horn-comparison centrality disagree"),
     ("_normal_by_self_pullback", _wrong_self_pullback, "pairC4-pairC2",
      "self-pullback triviality"),
-    ("is_trivial_extension", _every_member_trivial, "augment-cosk-loops",
+    ("is_trivial_extension", _every_extension_trivial, "augment-cosk-loops",
      "trivial extension classified non-central"),
 ])
 def test_a_route_answering_wrong_fails_classification_and_criterion_7(
@@ -164,9 +160,7 @@ def test_a_route_answering_wrong_fails_classification_and_criterion_7(
     # the three cross-route raises of galois._classification are the
     # only guard criterion 7 has on its flags
     corpus = default_corpus("desk")
-    extensions = [F for _, F in corpus["extensions"]]
-    monkeypatch.setattr(galois, route, fault(getattr(galois, route),
-                                             extensions))
+    monkeypatch.setattr(galois, route, fault(getattr(galois, route)))
     with pytest.raises(CrossRouteMismatch, match=message):
         classify_extension(dict(corpus["extensions"])[member])
     record = _criterion_record(monkeypatch, 7, corpus)
@@ -335,6 +329,42 @@ def test_top_level_verdicts_equal_the_verdicts_of_every_level():
             report = classify_extension(F)
             assert oracles.verdicts_by_levels(F) == (
                 report.trivial, report.central), name
+
+
+def test_the_self_pullback_route_equals_triviality_of_p1_at_every_level():
+    # the route enumerates the self-pullback's top level alone; the
+    # oracle reads every level of the full simplicial_pullback's p1
+    normal = collections.Counter()
+    for profile in ("desk", "deep"):
+        for name, F in default_corpus(profile)["extensions"]:
+            _, p1, _ = simplicial_pullback(F, F)
+            verdict = galois._normal_by_self_pullback(F, resolve_budget(None))
+            assert verdict == oracles.verdicts_by_levels(p1)[0], name
+            normal[verdict] += 1
+    assert normal == {True: 68, False: 4}
+
+
+def _invariants(F):
+    report = classify_extension(F)
+    return ((report.trivial, report.central, report.normal),
+            report.fibration_entries,
+            [lvl.size for lvl in em_factorization(F)[0].levels],
+            [lvl.size for lvl in ml_factorization(F)[0].levels])
+
+
+def test_verdicts_and_sizes_are_kept_under_relabelling():
+    # a law: a copy of F with every level renumbered by a seeded
+    # permutation has F's flags, fibration entries and em and ml middle
+    # level sizes
+    cases = 0
+    for profile in ("desk", "deep"):
+        for k, (name, F) in enumerate(default_corpus(profile)["extensions"]):
+            want = _invariants(F)
+            for seed in (2 * k, 2 * k + 1):
+                assert _invariants(oracles.relabel(F, seed)) == want, (
+                    name, seed)
+                cases += 1
+    assert cases == 144
 
 
 def test_classification_is_kept_one_level_up_and_one_down():
@@ -587,12 +617,19 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
                            for lvl in Z.levels[2:]) == levels, name
         assert pi1(P).h == reflection.homotopy_family(P)
         # X and Y keep theirs: the first classification joins only its
-        # self-pullback's top level
+        # self-pullback's top level, the one level of it enumerated, by
+        # one two-slot pullback of F_N along itself
         calls.clear()
+        tuples.clear()
         first = classify_extension(F)
         assert len(calls) == 1, name
         assert calls[0].size == sum(
             np.bincount(F.components[N].map) ** 2), name
+        pulled = [slots for slots, constraints in tuples
+                  if any(m is c.map for _, m, _, _ in constraints
+                         for c in F.components)]
+        assert len(pulled) == 1 and len(pulled[0]) == 2, name
+        assert all(s is X.levels[N] for s in pulled[0]), name
         # F keeps its classification: a repeat joins and enumerates
         # nothing
         tuples.clear()
@@ -633,81 +670,6 @@ def test_a_classification_is_kept_per_budget():
                                           first.fibration_entries))
     assert (again.trivial, again.central, again.normal) == (
         first.trivial, first.central, first.normal)
-
-
-def _patched_self_pullback(monkeypatch, fault):
-    """Route the self-pullback's tuple_map calls through fault(dom, cod,
-    cols, levels), levels being the pullback levels built so far."""
-    levels = []
-
-    def recorded(*args, **kwargs):
-        built = limits.pullback(*args, **kwargs)
-        levels.append(built[0])
-        return built
-
-    def faulty(dom, cod, cols):
-        return limits.tuple_map(dom, cod, fault(dom, cod, cols, levels))
-
-    monkeypatch.setattr(galois, "pullback", recorded)
-    monkeypatch.setattr(galois, "tuple_map", faulty)
-
-
-def test_the_self_pullback_route_checks_the_face_identities_of_p(
-        monkeypatch):
-    # d0 on P_2 keeps its first component and repeats it as the second,
-    # so p1 still commutes with every face, and P's face identities fail
-    F = EXTS["pairC4-pairC2"]
-    d0 = F.dom.faces[2][0].map
-
-    def fault(dom, cod, cols, levels):
-        if dom is levels[2] and np.array_equal(
-                cols[0], d0[dom.carrier.rows[:, 0]]):
-            return [cols[0], cols[0]]
-        return cols
-
-    full, _, _ = simplicial_pullback(F, F)
-    x = full.levels[2].carrier.rows[:, 0]
-    full.faces[2][0] = limits.tuple_map(full.levels[2], full.levels[1],
-                                        [d0[x], d0[x]])
-    with pytest.raises(IdentityViolated) as expected:
-        validate_simplicial(full)
-    _patched_self_pullback(monkeypatch, fault)
-    with pytest.raises(IdentityViolated) as got:
-        classify_extension(_fresh(F))
-    assert str(got.value) == str(expected.value)
-    assert str(got.value).startswith("d0 d1 = d0 d0 at level 2")
-
-
-def test_the_self_pullback_route_checks_that_p1_commutes_with_the_faces(
-        monkeypatch):
-    # every face into P_0 swaps its components: P's face identities still
-    # hold, and p1 no longer commutes with the level-1 faces
-    def fault(dom, cod, cols, levels):
-        return cols[::-1] if cod is levels[0] else cols
-
-    _patched_self_pullback(monkeypatch, fault)
-    with pytest.raises(IdentityViolated,
-                       match="^morphism must commute with d0 at level 1"):
-        classify_extension(_fresh(EXTS["pairC4-pairC2"]))
-
-
-def test_the_self_pullback_route_checks_that_p1_is_onto(monkeypatch):
-    # the top level of P loses the pairs whose first component is the
-    # last simplex: P still has its faces and constants, and p1 misses
-    # that simplex
-    F = _fresh(EXTS["pairC4-pairC2"])
-    top = F.dom.levels[F.dom.truncation]
-
-    def thinned(f, g, name=None, budget=None):
-        alg, _ = limits.pullback(f, g, name, budget=budget)
-        rows = alg.carrier.rows
-        if f.dom is top:
-            rows = rows[rows[:, 0] != top.size - 1]
-        return limits.subproduct_algebra(name, [f.dom, g.dom], rows)
-
-    monkeypatch.setattr(galois, "pullback", thinned)
-    with pytest.raises(NotLevelwiseSurjective):
-        classify_extension(F)
 
 
 def test_the_self_pullback_route_stops_at_the_budget():
