@@ -13,10 +13,13 @@ that part already holds least-member labels of a congruence.
 join and meet first test whether one argument lies below the other,
 by one gather each way, and return the larger or the smaller one.
 Only when neither does, meet relabels its pair codes by one sort and
-join merges and certifies.  kernel_pair of several maps on one domain,
-the kernel of x -> (f(x), g(x), ..), relabels their mixed-radix image
-codes by one sort too, and so makes a meet of kernels without building
-either kernel.  No other operation relabels by a sort: kernel_pair of
+join merges and certifies.  kernel_of_codes, the kernel of several
+(codes, bound) columns on one domain, folds them into mixed-radix codes
+and relabels those by one sort too, so it makes a meet of kernels
+without building either kernel; kernel_pair of several maps on one
+domain, the kernel of x -> (f(x), g(x), ..), is kernel_of_codes of their
+image columns, and galois' self-pullback route hands it pair codes of
+faces.  No other operation relabels by a sort: kernel_pair of
 one map scatters each element onto its image, and meets_trivially only
 counts the distinct pair codes, by distinct, the library's one way to
 take the distinct values of an array, which sorts where np.unique would
@@ -111,7 +114,8 @@ MERGE_CELLS = 16_384
 def canonical_partition(labels):
     """Relabel an arbitrary label array so each class is named by its least
     member: one stable argsort, whose runs of equal labels are the classes,
-    each headed by its least member."""
+    each headed by its least member.  Labels that are all distinct are
+    the diagonal, returned as range(n) without scattering the heads."""
     labels = np.asarray(labels)
     n = labels.shape[0]
     if n == 0:
@@ -121,6 +125,8 @@ def canonical_partition(labels):
     head = np.empty(n, dtype=bool)
     head[0] = True
     np.not_equal(ordered[1:], ordered[:-1], out=head[1:])
+    if np.logical_and.reduce(head):
+        return np.arange(n)
     out = np.empty(n, dtype=np.int64)
     out[order] = order[head][head.cumsum() - 1]
     return out
@@ -344,25 +350,35 @@ def join_all(congs):
     return out
 
 
+def kernel_of_codes(dom, columns):
+    """Congruence on dom identifying x and y when codes[x] == codes[y]
+    for every column (codes, bound) given, each codes an array over dom
+    of values in range(bound).  The columns are folded one at a time
+    into mixed-radix codes, and should the next code pass 2^62 the
+    labels so far are first relabelled by a sort; the codes are then
+    relabelled by one sort.  This is the library's one such fold."""
+    columns = iter(columns)
+    labels, bound = next(columns)
+    for codes, size in columns:
+        if bound * size > 2 ** 62:
+            labels, bound = canonical_partition(labels), dom.size
+        labels = labels * size + codes
+        bound *= size
+    return Congruence(dom, canonical_partition(labels), check=False)
+
+
 def kernel_pair(f, *others):
     """Congruence on the domain identifying elements with equal image
     under every map given, the kernel of x -> (f(x), g(x), ..).  One
-    map's labels are scattered onto their least members; several maps'
-    codes in mixed radix over their codomains are relabelled by one
-    sort.  The maps are folded in one at a time, and should the next
-    code pass 2^62 the labels so far are first relabelled by a sort."""
+    map's labels are scattered onto their least members; several maps
+    are kernel_of_codes of their maps, each bounded by its codomain."""
     if any(g.dom is not f.dom for g in others):
         raise InvalidParameters("kernel pair of maps on different domains")
     if not others:
         return Congruence(f.dom, _least_members(f.map, f.cod.size),
                           check=False)
-    labels, bound = f.map, f.cod.size
-    for g in others:
-        if bound * g.cod.size > 2 ** 62:
-            labels, bound = canonical_partition(labels), f.dom.size
-        labels = labels * g.cod.size + g.map
-        bound *= g.cod.size
-    return Congruence(f.dom, canonical_partition(labels), check=False)
+    return kernel_of_codes(f.dom,
+                           [(g.map, g.cod.size) for g in (f,) + others])
 
 
 def preimage(f, theta):

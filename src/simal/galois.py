@@ -19,8 +19,9 @@ reflections, and simplicial.exactness_check for exactness.  A morphism
 that is already its own factorization, a trivial extension for em or a
 central one for ml, is returned as (F.dom, identity, F) by one helper.
 The self-pullback route builds no object: it enumerates P = X x_Y X at
-the top level alone and joins P's face-kernel meets there, reading P's
-faces as X's faces through the two projections; simplicial_pullback
+the top level alone, codes each of P's faces there once, as the pair of
+X's faces through the two projections, and joins P's face-kernel meets,
+each a kernel of two such codes, as it builds them; simplicial_pullback
 builds the full object for em and the probes.  A classification is kept
 on F per budget, so classifying an extension again runs no route.
 """
@@ -149,22 +150,28 @@ def _normal_by_self_pullback(F, budget):
     - p1 commutes with the componentwise faces by definition, and it is
       onto at every level, since (x, x) lies in P.
     ker d_i /\\ ker d_j on P_N is then the kernel of the four maps d_i p1,
-    d_i p2, d_j p1 and d_j p2 into X_(N-1), built inside each meet, and
-    the homotopy congruence h of P_N is the join of those meets.
+    d_i p2, d_j p1 and d_j p2 into X_(N-1), of size m.  Each face d_k is
+    coded once, as the pair code c_k = d_k p1 * m + d_k p2 below m^2, and
+    each meet is cg.kernel_of_codes of the columns (c_i, m^2) and
+    (c_j, m^2), whose fold c_i * m^2 + c_j is the code kernel_pair of the
+    four maps would fold (relabelled first past 2^62, when m > 46,341).
+    The homotopy congruence h of P_N is the join of those meets, in the
+    order j, then i < j, each joined into h as soon as it is built, so
+    at most two meets are held at a time.
     """
     X = F.dom
     N = X.truncation
     PN, projs = pullback(F.components[N], F.components[N],
                          f"pb({X.name},{X.name})_{N}", budget=budget)
-    below = X.levels[N - 1]
-
-    def face_meet_on_p(i, j):
-        return cg.kernel_pair(*(
-            Homomorphism(PN, below, X.faces[N][k].map[p.map], check=False)
-            for k in (i, j) for p in projs))
-
-    h = cg.join_all([face_meet_on_p(i, j)
-                     for j in range(1, N + 1) for i in range(j)])
+    m = X.levels[N - 1].size
+    pair_codes = [d.map[projs[0].map] * m + d.map[projs[1].map]
+                  for d in X.faces[N]]
+    h = None
+    for j in range(1, N + 1):
+        for i in range(j):
+            meet = cg.kernel_of_codes(
+                PN, [(pair_codes[i], m * m), (pair_codes[j], m * m)])
+            h = meet if h is None else cg.join(h, meet)
     return cg.meets_trivially(cg.kernel_pair(projs[0]), h)
 
 

@@ -206,6 +206,8 @@ def test_canonical_partition_least_member():
     labels = np.asarray([7, 3, 7, 3, 9])
     part = cg.canonical_partition(labels)
     assert list(part) == [0, 1, 0, 1, 4]
+    # distinct labels are the diagonal
+    assert list(cg.canonical_partition(np.asarray([9, 3, 7]))) == [0, 1, 2]
 
 
 def test_checked_partition_rejects_labels_that_are_not_integers():
@@ -405,12 +407,13 @@ def test_label_arithmetic_matches_the_unique_oracle(case):
 @st.composite
 def maps_on_one_domain(draw):
     """One to four maps on range(n), each into a codomain of one size of
-    a few, so that three maps into 2^31 elements pass the 2^62 code
-    bound; maps carry only what kernel_pair reads.  One map alone has a
-    small codomain, as its kernel scatters onto an array of that size."""
+    a few, so that three maps into 2^31 elements, or two of which one
+    maps into 2^40, pass the 2^62 code bound; maps carry only what
+    kernel_pair reads.  One map alone has a small codomain, as its
+    kernel scatters onto an array of that size."""
     dom = bare_set(draw(st.integers(0, 12)))
     count = draw(st.integers(1, 4))
-    sizes = [1, 2, 3] + ([2 ** 31] if count > 1 else [])
+    sizes = [1, 2, 3] + ([2 ** 31, 2 ** 40] if count > 1 else [])
     maps = []
     for _ in range(count):
         size = draw(st.sampled_from(sizes))
@@ -441,6 +444,26 @@ def test_kernel_of_wide_maps_relabels_before_passing_62_bits(monkeypatch):
             for m in ([0, 1, 1, 3], [2, 2, 2, 2], [3, 0, 0, 3])]
     assert list(cg.kernel_pair(*maps).part) == [0, 1, 1, 3]
     assert len(sorts) == 2
+
+
+def test_kernel_of_two_wide_code_columns_relabels_the_first(monkeypatch):
+    # bounds 2^40 and 2^30 multiply past 2^62: the first column is
+    # relabelled by a sort before the second is folded in, then the
+    # codes are relabelled by a second sort
+    sorts = []
+    original = cg.canonical_partition
+    monkeypatch.setattr(cg, "canonical_partition",
+                        lambda labels: sorts.append(labels) or original(labels))
+    columns = [
+        (np.asarray([0, 2 ** 40 - 1, 2 ** 40 - 1, 7, 0, 7]), 2 ** 40),
+        (np.asarray([5, 2 ** 30 - 1, 2 ** 30 - 1, 5, 5, 0]), 2 ** 30),
+    ]
+    kernel = cg.kernel_of_codes(bare_set(6), columns)
+    assert list(kernel.part) == [0, 1, 1, 3, 0, 5]
+    assert np.array_equal(kernel.part, oracles.kernel_by_images(
+        *(SimpleNamespace(map=codes) for codes, _ in columns)))
+    assert len(sorts) == 2
+    assert np.array_equal(sorts[0], columns[0][0])
 
 
 # -- the guards of congruences, fired one by one ----------------------------

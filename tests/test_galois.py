@@ -344,6 +344,27 @@ def test_the_self_pullback_route_equals_triviality_of_p1_at_every_level():
     assert normal == {True: 68, False: 4}
 
 
+def test_central_and_normal_are_stable_along_the_first_projection():
+    # a law: pulling F: X -> Y back along the first projection
+    # Y x Y -> Y, a regular epi, keeps and reflects centrality and
+    # normality, and keeps triviality.  The deep extensions are left
+    # out: pairC6-pairC3-t3's pullback has 104,976 simplices at level 3,
+    # in fibres of 16, so the self-pullback route's 1,679,616 tuples
+    # there raise LevelTooLarge at the default budget
+    pulled_back = collections.Counter()
+    for name, F in default_corpus("desk")["extensions"]:
+        Y = F.cod
+        YY, first, _ = simplicial_product(Y, Y)
+        _, pulled, _ = simplicial_pullback(first, F)
+        assert pulled.cod is YY, name
+        report, along = classify_extension(F), classify_extension(pulled)
+        assert (along.central, along.normal) == (
+            report.central, report.normal), name
+        assert along.trivial or not report.trivial, name
+        pulled_back[report.central] += 1
+    assert pulled_back == {True: 30, False: 2}
+
+
 def _invariants(F):
     report = classify_extension(F)
     return ((report.trivial, report.central, report.normal),
@@ -577,6 +598,15 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
         return join_all(congs)
 
     monkeypatch.setattr(cg, "join_all", counted)
+    # joined holds the carrier of every join, join_all's steps among them
+    joined = []
+    join = cg.join
+
+    def counted_join(theta, psi):
+        joined.append(theta.on)
+        return join(theta, psi)
+
+    monkeypatch.setattr(cg, "join", counted_join)
     tuples = []
     for module in (limits, simplicial):
         def enumerated(*args, _real=module.compatible_tuples, **kwargs):
@@ -616,14 +646,18 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
                 assert sum(c is lvl for c in calls
                            for lvl in Z.levels[2:]) == levels, name
         assert pi1(P).h == reflection.homotopy_family(P)
-        # X and Y keep theirs: the first classification joins only its
-        # self-pullback's top level, the one level of it enumerated, by
-        # one two-slot pullback of F_N along itself
+        # X and Y keep theirs: the first classification joins only on
+        # its self-pullback's top level, the one level of it enumerated,
+        # by one two-slot pullback of F_N along itself, folding its
+        # N(N+1)/2 face-kernel meets into one running join
         calls.clear()
+        joined.clear()
         tuples.clear()
         first = classify_extension(F)
-        assert len(calls) == 1, name
-        assert calls[0].size == sum(
+        assert not calls, name
+        assert len(joined) == N * (N + 1) // 2 - 1, name
+        assert all(on is joined[0] for on in joined), name
+        assert joined[0].size == sum(
             np.bincount(F.components[N].map) ** 2), name
         pulled = [slots for slots, constraints in tuples
                   if any(m is c.map for _, m, _, _ in constraints
@@ -634,8 +668,9 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
         # nothing
         tuples.clear()
         calls.clear()
+        joined.clear()
         again = classify_extension(F)
-        assert not calls and not tuples, name
+        assert not calls and not joined and not tuples, name
         assert again.to_json() == first.to_json(), name
         # off the trivial case, em builds its middle object, and its
         # homotopy congruences, anew on every call
@@ -684,6 +719,49 @@ def test_the_self_pullback_route_stops_at_the_budget():
     assert frames[-2:] == ["pullback", "compatible_tuples"]
     assert "_normal_by_self_pullback" in frames
     assert ("classification", 10 ** 6) not in F.derived
+
+
+def test_the_self_pullback_route_codes_each_face_of_p_once(monkeypatch):
+    # a first classification sorts P_N's codes through kernel_of_codes at
+    # most once per face-kernel meet, N(N+1)/2 times, and builds no map
+    # on P_N but pullback's two projections
+    sorted_on = []
+    original = cg.canonical_partition
+
+    def counted(labels):
+        caller = sys._getframe(1)
+        if caller.f_code.co_name == "kernel_of_codes":
+            sorted_on.append(caller.f_locals["dom"])
+        return original(labels)
+
+    monkeypatch.setattr(cg, "canonical_partition", counted)
+    built = []
+    init = Homomorphism.__init__
+
+    def recorded(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Homomorphism, "__init__", recorded)
+    pulled = []
+    real_pullback = galois.pullback
+
+    def kept(*args, **kwargs):
+        pulled.append(real_pullback(*args, **kwargs))
+        return pulled[-1]
+
+    monkeypatch.setattr(galois, "pullback", kept)
+    for name, F in default_corpus("desk")["extensions"]:
+        N = F.dom.truncation
+        sorted_on.clear()
+        built.clear()
+        pulled.clear()
+        classify_extension(F)
+        (PN, projs), = pulled
+        assert 0 < sum(on is PN for on in sorted_on) <= N * (N + 1) // 2, name
+        on_p = [h for h in built if h.dom is PN]
+        assert len(on_p) == 2 and all(
+            h is p for h, p in zip(on_p, projs)), name
 
 
 def test_the_pullback_route_is_an_isomorphism_exactly_on_trivial_extensions():
@@ -776,8 +854,10 @@ def _sorting_callers(monkeypatch):
 
 
 def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
-    # meet, the kernel of several maps and a checked construction sort;
-    # every other constructor makes least-member labels without a sort
+    # meet, the kernel of several code columns (kernel_pair of several
+    # maps and the self-pullback route's meets) and a checked
+    # construction sort; every other constructor makes least-member
+    # labels without a sort
     calls = _sorting_callers(monkeypatch)
     counts = []
     for _ in range(2):
@@ -786,9 +866,9 @@ def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
         for name in ("augment-cosk-loops", "unit-cosk-loops", "deloop-C8-C4"):
             classify_extension(extensions[name])
             em_factorization(extensions[name])
-        assert set(calls) <= {("meet", None), ("kernel_pair", None),
+        assert set(calls) <= {("meet", None), ("kernel_of_codes", None),
                               ("__init__", True)}
-        assert calls["meet", None] > 0 and calls["kernel_pair", None] > 0
+        assert calls["meet", None] > 0 and calls["kernel_of_codes", None] > 0
         counts.append(dict(calls))
     assert counts[0] == counts[1]
 
@@ -818,7 +898,7 @@ def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
     assert cg.kernel_pair(*E.dom.faces[2][:2]) == cg.meet(
         cg.kernel_pair(E.dom.faces[2][0]), cg.kernel_pair(E.dom.faces[2][1]))
     assert dict(calls) == {("meet", None): 2, ("__init__", True): 1,
-                           ("kernel_pair", None): 1}
+                           ("kernel_of_codes", None): 1}
 
 
 def _unbuilt(X):
