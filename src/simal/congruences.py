@@ -1,9 +1,9 @@
 """Congruences on finite Mal'tsev algebras.
 
 A congruence is stored as a partition array: part[i] is the least
-element of the block containing i.  Meets, joins, images, preimages and
-quotients all work on these label arrays, and read what they need off
-the invariant rather than sort: the representatives are the i with
+element of the block containing i.  Meets, joins, images and quotients
+all work on these label arrays, and read what they need off the
+invariant rather than sort: the representatives are the i with
 part[i] == i, in increasing order, and bincount(part) is each block's
 size at its representative.  Congruence(on, part) takes any integer
 labels, relabels them by least members and checks compatibility;
@@ -18,9 +18,11 @@ join merges and certifies.  kernel_of_codes, the kernel of several
 and relabels those by one sort too, so it makes a meet of kernels
 without building either kernel; kernel_pair of several maps on one
 domain, the kernel of x -> (f(x), g(x), ..), is kernel_of_codes of their
-image columns, and galois' self-pullback route hands it pair codes of
-faces.  No other operation relabels by a sort: kernel_pair of
-one map scatters each element onto its image, and meets_trivially only
+image columns, galois' self-pullback route hands it pair codes of
+faces, and galois' top triple meet hands it a congruence's labels
+through two faces, which is how a meet of preimages is taken.  No other
+operation relabels by a sort: kernel_pair of one map scatters each
+element onto its image, and meets_trivially only
 counts the distinct pair codes, by distinct, the library's one way to
 take the distinct values of an array, which sorts where np.unique would
 hash.
@@ -379,13 +381,6 @@ def kernel_pair(f, *others):
                           check=False)
     return kernel_of_codes(f.dom,
                            [(g.map, g.cod.size) for g in (f,) + others])
-
-
-def preimage(f, theta):
-    if theta.on is not f.cod:
-        raise InvalidParameters("preimage congruence lives on the wrong algebra")
-    return Congruence(f.dom, _least_members(theta.part[f.map], f.cod.size),
-                      check=False)
 
 
 def image(f, theta):

@@ -9,7 +9,11 @@ a side.
 The top level N >= 2 decides triviality and lattice centrality, which
 read level N alone (the proofs are in their docstrings); so does the
 self-pullback route, by the proof of triviality applied to its
-projection.  The horn route reads every level, so it would catch a
+projection.  At level N one pair of faces, 0 and 1, decides lattice
+centrality, by a lemma that uses only the Mal'tsev term, so the lattice
+route and ml's seeds each read one triple meet, _top_meet, ml's pulled
+back through its last family.  The horn and self-pullback routes read
+every pair, and the horn route every level, so either would catch a
 false proof.
 
 Each derived structure has one builder: reflection.homotopy_congruence
@@ -91,9 +95,26 @@ def is_trivial_extension(F):
         F, homotopy_congruence(X, X.truncation))
 
 
+def _top_meet(F, below):
+    """ker F_N /\\ d_0^-1(below) /\\ d_1^-1(below) on X_N, X = F.dom
+    being of truncation N and below a congruence on X_(N-1), or None for
+    the diagonal, when it is ker F_N /\\ ker d_0 /\\ ker d_1: one
+    cg.kernel_of_codes of the columns F_N, below's labels through d_0
+    and below's labels through d_1."""
+    X = F.dom
+    N = X.truncation
+    m = X.levels[N - 1].size
+    part = np.arange(m) if below is None else below.part
+    d0, d1 = X.faces[N][:2]
+    FN = F.components[N]
+    return cg.kernel_of_codes(X.levels[N], [
+        (FN.map, FN.cod.size), (part[d0.map], m), (part[d1.map], m)])
+
+
 def _central_by_lattice(F):
     """Whether ker F_n /\\ D_i /\\ D_j is trivial for every level n >= 2
-    and faces i < j, D_i being ker d_i, read off the top level N alone.
+    and faces i < j, D_i being ker d_i, read off the top level N and the
+    faces 0 and 1 alone.
 
     The top level decides, with no premise.  Take n < N and i < j <= n,
     and pick k in {0..n} other than i and j, which exists as n + 1 >= 3.
@@ -102,12 +123,28 @@ def _central_by_lattice(F):
     s being s_(k-1) or s_k.  s_k is injective, since d_k s_k = id, and
     commutes with F, so it embeds ker F_n /\\ D_i /\\ D_j into
     ker F_(n+1) /\\ D_i' /\\ D_j'.
+
+    One pair of faces decides at a level n >= 2, by the Mal'tsev term p
+    alone.  Write K = ker F_n.  If i, j, k are distinct and |j - k| = 1,
+    then K /\\ D_i /\\ D_k = Delta implies K /\\ D_i /\\ D_j = Delta.
+    Take (a, b) in K /\\ D_i /\\ D_j, and let e = d_k a, e' = d_k b and
+    s = s_min(j,k), so that d_j s = d_k s = id.
+    - As i is not j or k, the simplicial identities and d_i a = d_i b
+      give d_i s e = d_i s e'.  Also F e = d_k F a = d_k F b = F e', so
+      F s e = F s e'.
+    - Put w = p(s e, a, b) and u = s e'.  Then d_i w = p(d_i s e, d_i a,
+      d_i a) = d_i s e = d_i u; d_k w = p(e, e, e') = e' = d_k u; and
+      F w = p(F s e, F a, F a) = F s e = F u.
+    - So (w, u) lies in K /\\ D_i /\\ D_k, and w = u.  Hence
+      e = p(e, d_j a, d_j b) = d_j w = d_j u = e', as d_j a = d_j b.
+    - Now (a, b) lies in K /\\ D_i /\\ D_k too, so a = b.
+    Moving one index of a pair to a neighbour outside the pair connects
+    all pairs of {0..n} when n >= 2, so every pair gives the answer of
+    (0, 1).  The proof uses only p(x, y, y) = x, p(x, x, y) = y and that
+    faces, degeneracies and F are homomorphisms.  The one meet read is
+    _top_meet(F, None).
     """
-    X = F.dom
-    N = X.truncation
-    FN = cg.kernel_pair(F.components[N])
-    return all(cg.meets_trivially(FN, face_meet(X, N, i, j))
-               for j in range(1, N + 1) for i in range(j))
+    return _top_meet(F, None).is_diagonal()
 
 
 def _central_by_fibration(F, budget=None):
@@ -373,50 +410,45 @@ def _quotient_cofactor(X, F, fam):
     return Z, e, m
 
 
-def _obstruction_seeds(X, kernels, fam):
-    """Pairs of ker F_N /\\ d_i^-1(fam[N-1]) /\\ d_j^-1(fam[N-1]) at the
-    top level N, for all i < j: the cofactor's top triple meets, pulled
-    back to X.  Over the diagonal the pullbacks are the face kernels,
-    and their meets are read through face_meet's per-object cache."""
-    N = X.truncation
-    pairs = [(i, j) for j in range(1, N + 1) for i in range(j)]
-    below = fam[N - 1]
-    if below.is_diagonal():
-        face_meets = [face_meet(X, N, i, j) for i, j in pairs]
-    else:
-        pulled = [cg.preimage(d, below) for d in X.faces[N]]
-        face_meets = [cg.meet(pulled[i], pulled[j]) for i, j in pairs]
-    seeds = []
-    for Dij in face_meets:
-        part = cg.meet(kernels[N], Dij).part
-        src = np.nonzero(part != np.arange(len(part)))[0]
-        seeds += zip(src.tolist(), part[src].tolist())
-    return {N: seeds}
+def _obstruction_seeds(F, fam):
+    """The pairs (x, least member of its class) of
+    ker F_N /\\ d_0^-1(fam[N-1]) /\\ d_1^-1(fam[N-1]) at the top level
+    N, _top_meet(F, fam[N-1]): the cofactor's top triple meet of the
+    faces 0 and 1, pulled back to X = F.dom, which decides the cofactor's
+    centrality (_central_by_lattice)."""
+    N = F.dom.truncation
+    part = _top_meet(F, fam[N - 1]).part
+    src = np.nonzero(part != np.arange(len(part)))[0]
+    return {N: list(zip(src.tolist(), part[src].tolist()))}
 
 
 def ml_factorization(F):
     """Least simplicial congruence below the kernel whose cofactor is
     central, computed as a monotone fixpoint on X = F.dom.
 
-    A cofactor X/G -> Y is central iff its triple meets at the top level
-    N are diagonal (_central_by_lattice), that is iff G[N] contains
-    ker F_N /\\ d_i^-1(G[N-1]) /\\ d_j^-1(G[N-1]) for all i < j.  From
-    the diagonal, each round closes these pulled-back meets under faces
+    A cofactor m: X/G -> Y is central iff its top triple meet of the
+    faces 0 and 1 is diagonal (_central_by_lattice), that is iff G[N]
+    contains ker F_N /\\ d_0^-1(G[N-1]) /\\ d_1^-1(G[N-1]), the meet's
+    pullback to X (e_N, through which F_N and the faces factor, pulls
+    ker m_N back to ker F_N and ker d_i back to d_i^-1(G[N-1])).  From
+    the diagonal, each round closes this pulled-back meet under faces
     and degeneracies, starting from the last family, so the rounds grow
     and each works only on the pairs it adds.  They stay below the
-    kernel family, so they stop, at a family with a central cofactor.
-    Any central family G below the kernel contains its own pulled-back
-    top meets, hence by induction every stage: the limit is the least
-    central family.
+    kernel family, so they stop.  The argument holds pair by pair:
+    - a central family G below the kernel contains its own (0, 1)
+      seeds, and the seeds grow with the family, so a stage below G has
+      seeds in G, and its closure, the next stage, lies below G: by
+      induction from the diagonal, G contains every stage;
+    - a fixpoint contains its (0, 1) seeds, so its cofactor's (0, 1)
+      top meet is trivial, and by the lemma in _central_by_lattice
+      every meet at every level is, so the cofactor is central.
+    The limit is therefore the least central family.  Round one starts
+    from the diagonal, whose pullback through d_i is ker d_i.
 
-    Round one starts from the diagonal, whose pullback through d_i is
-    ker d_i, so its triple meets are ker F_N /\\ face_meet(X, N, i, j),
-    read through the per-object cache that reflection.face_meet keeps;
-    later rounds pull their family back through the faces.  A fixpoint
-    that is the diagonal at every level means F is already central: the
-    answer is then (F.dom, identity, F), and the final centrality check
-    of m = F reads the same cached meets.  Any other fixpoint gets the
-    quotient X/fam and the map F induces on it.
+    A fixpoint that is the diagonal at every level means F is already
+    central: the answer is then (F.dom, identity, F).  Any other
+    fixpoint gets the quotient X/fam and the map F induces on it.  The
+    centrality of m is checked on the result either way.
 
     Returns (middle object, e, m) with m central.
     """
@@ -427,7 +459,7 @@ def ml_factorization(F):
     while new != fam:
         fam = new
         new = simplicial_congruence_generated(
-            X, _obstruction_seeds(X, kernels, fam), initial=fam
+            X, _obstruction_seeds(F, fam), initial=fam
         )
         if not all(cg.leq(a, b) for a, b in zip(new, kernels)):
             raise PropertyViolation(

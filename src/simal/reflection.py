@@ -20,10 +20,8 @@ congruence h_n of each level n >= 2 (homotopy_congruence) are computed
 once per object and kept on it.  face_meet is the kernel of the pair
 (d_i, d_j), one cg.kernel_pair of both faces.  Their readers share them:
   face_meet  homotopy_congruence, groupoid_injectivity_conditions,
-             commutator_chain_check (level 1), and in galois the lattice
-             route of a classification and ml's obstruction seeds (both
-             at the top level), the exactness lemma, and the suite's
-             criteria 3 and 10;
+             commutator_chain_check (level 1), galois' exactness lemma,
+             and the suite's criteria 3 and 10;
   h1         homotopy_family, commutator_chain_check,
              galois.homotopy_relation and the suite's criteria 3 and 10;
   h_n        homotopy_family and, at the top level,
@@ -243,7 +241,10 @@ def is_internal_groupoid(X, with_report=False):
 
 
 def groupoid_injectivity_conditions(X, n):
-    """Three meet conditions on the face kernels at one level."""
+    """Three meet conditions on the face kernels at one level: every
+    pair's meet is trivial, the pair (0, n)'s is, and some pair's is.
+    galois._central_by_lattice's lemma with Y = 1 (F_n then has the full
+    kernel) makes the three equal at n >= 2."""
     trivial = {(i, j): face_meet(X, n, i, j).is_diagonal()
                for j in range(1, n + 1) for i in range(j)}
     return all(trivial.values()), trivial[0, n], any(trivial.values())

@@ -5,13 +5,16 @@ library: set-based transitive closures, np.unique relabellings of
 label arrays, brute-force partition sweeps, the matrix-closure
 description of the commutator, the level-by-level closure of
 simplicial congruences by gathers over whole tables, horn, kernel and
-fibration counts by a sweep of whole products, the monotone-light
-fixpoint's seeds with every face pulled back by preimage, a search
-of the congruence lattice for the monotone-light factorization, the
-classification verdicts read off every level instead of the top one,
-the coskeleton lift of a morphism, and an isomorphic copy of a morphism
-with every level renumbered.  Kept deliberately naive; only run on
-small carriers.
+fibration counts by a sweep of whole products, preimages of
+congruences, the monotone-light fixpoint's seeds for every pair of
+faces at every level, each face pulled back by preimage, and the
+fixpoint they close, a search of the congruence lattice for the
+monotone-light factorization, the classification verdicts read off
+every level instead of the top one, the top triple meets of every pair
+of faces, the coskeleton lift of a morphism, an isomorphic copy of a
+morphism with every level renumbered, and a population of extensions
+generated by a stated rule.  Kept deliberately naive; only run on small
+carriers.
 """
 
 import functools
@@ -21,18 +24,28 @@ import numpy as np
 
 from simal import congruences as cg
 from simal.algebra import FiniteAlgebra, Homomorphism
+from simal.corpus import loops_graph, named_algebra
+from simal.errors import LevelTooLarge
 from simal.galois import _quotient_cofactor
 from simal.limits import tuple_map
 from simal.reflection import homotopy_family
 from simal.simplicial import (
     SimplicialMorphism,
     coskeleton,
+    decalage,
+    quotient_simplicial,
+    simplicial_congruence_generated,
     transport,
     truncate,
 )
 
 # Families the lattice walk may visit before it gives up.
 WALK_NODE_LIMIT = 20_000
+
+# loops_population's bound on an object's total size, and on the
+# elements of a level its principal seeds are drawn from.
+POPULATION_SIZE = 1_000
+POPULATION_SEED_CAP = 12
 
 # Argument tuples of one step of the matrix closure, so that the C48
 # commutators stay under 100 MB.
@@ -490,21 +503,47 @@ def meet_all(congs):
     return functools.reduce(cg.meet, congs)
 
 
+def preimage(f, theta):
+    """The congruence on f's domain relating a and b when f a theta f b:
+    the least members of theta's labels read through f."""
+    return cg.Congruence(f.dom, least_members(theta.part[f.map]),
+                         check=False)
+
+
 def obstruction_seeds_by_pullback(X, kernels, fam):
-    """The seeds of one round of the monotone-light fixpoint, with every
-    face pulled back by cg.preimage, over the diagonal too: for n >= 2
-    and i < j, the pairs (x, least member of its class) of
+    """The seeds of one round of the monotone-light fixpoint for every
+    level n >= 2 and every pair of faces i < j, with every face pulled
+    back by preimage, over the diagonal too: {(n, i, j): the pairs
+    (x, least member of its class) of
     ker F_n /\\ d_i^-1(fam[n-1]) /\\ d_j^-1(fam[n-1]), met left to
-    right."""
+    right}."""
     seeds = {}
     for n in range(2, X.truncation + 1):
-        pulled = [cg.preimage(d, fam[n - 1]) for d in X.faces[n]]
-        seeds[n] = []
+        pulled = [preimage(d, fam[n - 1]) for d in X.faces[n]]
         for j in range(1, n + 1):
             for i in range(j):
-                seeds[n] += _family_pairs(
+                seeds[n, i, j] = _family_pairs(
                     meet_all([kernels[n], pulled[i], pulled[j]]))
     return seeds
+
+
+def ml_fixpoint_by_levels(F):
+    """The monotone-light fixpoint seeded by every pair of faces at every
+    level: from the diagonal, close the last family together with all of
+    obstruction_seeds_by_pullback's seeds by simplicial_closure_by_levels,
+    until the family already relates every seed.  Returns the family."""
+    X = F.dom
+    kernels = [cg.kernel_pair(c) for c in F.components]
+    fam = [cg.diagonal(lvl) for lvl in X.levels]
+    while True:
+        seeds = {n: _family_pairs(c) for n, c in enumerate(fam)}
+        for (n, _, _), pairs in obstruction_seeds_by_pullback(
+                X, kernels, fam).items():
+            seeds[n] += pairs
+        if all(fam[n].part[a] == fam[n].part[b]
+               for n, pairs in seeds.items() for a, b in pairs):
+            return fam
+        fam = simplicial_closure_by_levels(X, seeds)
 
 
 def ml_walk(F):
@@ -579,6 +618,19 @@ def central_by_levels(F):
         for j in range(1, n + 1) for i in range(j))
 
 
+def top_triple_meets_trivial(F):
+    """{(i, j): whether ker F_N /\\ ker d_i /\\ ker d_j is the diagonal}
+    at the top level N, for every pair of faces i < j, each meet read
+    off np.unique of the three maps' images."""
+    X = F.dom
+    N = X.truncation
+    d = X.faces[N]
+    return {(i, j): np.array_equal(
+                least_members(F.components[N].map, d[i].map, d[j].map),
+                np.arange(X.levels[N].size))
+            for j in range(1, N + 1) for i in range(j)}
+
+
 def verdicts_by_levels(F):
     """(trivial, central) of an extension F, read off every level:
     ker F_n meets the homotopy congruence h_n trivially at every n, and
@@ -647,3 +699,44 @@ def relabel(F, seed):
                           _renamed(c.map, px[n], py[n]), check=False)
              for n, c in enumerate(F.components)]
     return SimplicialMorphism(X, Y, comps, check=True)
+
+
+# -- a generated population -------------------------------------------------
+
+def loops_population():
+    """(name, extension) pairs generated by one rule, in a fixed order:
+    - objects: X = coskeleton(loops_graph(B, F), M) for M in 2, 3, B in
+      C2, C3, C4 and F in C2, C3, C4, C2xC2, those built within a budget
+      of POPULATION_SIZE tuples and of total size (the sum of the level
+      sizes) at most POPULATION_SIZE;
+    - extensions of each X: at every level n, each principal seed (a, b)
+      with a < b < min(|X_n|, POPULATION_SEED_CAP), closed by
+      simplicial_congruence_generated, each family once, in the order
+      first met, gives the quotient projection X -> X/G; and, when
+      M = 3, the decalage counit Dec X -> X cut to level 2.
+    Nothing is sampled, so every run yields the same extensions."""
+    out = []
+    for M in (2, 3):
+        for B in ("C2", "C3", "C4"):
+            for F in ("C2", "C3", "C4", "C2xC2"):
+                graph = loops_graph(named_algebra(B), named_algebra(F))
+                try:
+                    X = coskeleton(graph, M, budget=POPULATION_SIZE)
+                except LevelTooLarge:
+                    continue
+                if sum(lvl.size for lvl in X.levels) > POPULATION_SIZE:
+                    continue
+                seen = set()
+                for n, lvl in enumerate(X.levels):
+                    cap = min(lvl.size, POPULATION_SEED_CAP)
+                    for a, b in itertools.combinations(range(cap), 2):
+                        fam = simplicial_congruence_generated(
+                            X, {n: [(a, b)]})
+                        if _family_key(fam) in seen:
+                            continue
+                        seen.add(_family_key(fam))
+                        out.append((f"{X.name}/{n}:{a},{b}",
+                                    quotient_simplicial(X, fam)[1]))
+                if M == 3:
+                    out.append((f"counit({X.name})", decalage(X)[1]))
+    return out

@@ -420,12 +420,23 @@ def test_obstruction_seeds_match_the_pullback_oracle(monkeypatch):
     real = galois._obstruction_seeds
     rounds = collections.Counter()
 
-    def checked(X, kernels, fam):
-        # the fixpoint seeds the top level only
-        seeds = real(X, kernels, fam)
+    def checked(F, fam):
+        # the fixpoint seeds the top level's faces 0 and 1 only
+        seeds = real(F, fam)
+        X = F.dom
         N = X.truncation
+        kernels = [cg.kernel_pair(c) for c in F.components]
         oracle = oracles.obstruction_seeds_by_pullback(X, kernels, fam)
-        assert seeds == {N: oracle[N]}
+        assert seeds == {N: oracle[N, 0, 1]}
+        # the lemma in _central_by_lattice, on the round's cofactor: its
+        # (0, 1) top meet is trivial, that is the seeds lie in fam, exactly
+        # when every pair's meet at every level is; and the seeds are
+        # empty exactly when every pair's at every level are
+        related = {key: all(fam[key[0]].part[a] == fam[key[0]].part[b]
+                            for a, b in pairs)
+                   for key, pairs in oracle.items()}
+        assert related[N, 0, 1] == all(related.values())
+        assert (not seeds[N]) == (not any(oracle.values()))
         diagonal = all(c.is_diagonal() for c in fam)
         rounds["diagonal" if diagonal else "pulled"] += 1
         rounds["seeded"] += any(seeds.values())
@@ -438,6 +449,45 @@ def test_obstruction_seeds_match_the_pullback_oracle(monkeypatch):
     # (two per corpus) take one more round, pulled back through the
     # faces, and both rounds of theirs have seeds
     assert rounds == {"diagonal": 72, "pulled": 4, "seeded": 8}
+
+
+@pytest.fixture(scope="module")
+def loops_population():
+    population = oracles.loops_population()
+    assert len(population) == 121
+    return population
+
+
+def test_one_pair_of_faces_decides_the_top_triple_meets(loops_population):
+    # the lemma in _central_by_lattice: on the 72 corpus extensions and
+    # the 121 of oracles.loops_population (79 central, 42 not), the
+    # N(N+1)/2 top triple meets ker F_N /\ ker d_i /\ ker d_j are all
+    # trivial or none is, each read off np.unique
+    extensions = loops_population + [
+        member for profile in ("desk", "deep")
+        for member in default_corpus(profile)["extensions"]]
+    assert len(extensions) == 193
+    verdicts = collections.Counter()
+    for name, F in extensions:
+        trivial = set(oracles.top_triple_meets_trivial(F).values())
+        assert len(trivial) == 1, name
+        verdicts[trivial.pop()] += 1
+    assert verdicts == {True: 79 + 68, False: 42 + 4}
+
+
+def test_ml_fixpoint_equals_the_fixpoint_seeded_by_every_pair(
+        loops_population):
+    # ml seeds one pair of faces at the top level; the oracle's fixpoint
+    # seeds every pair at every level, each face pulled back by
+    # preimage, and closes level by level: the kernels of e are its
+    # families, on the 121 extensions of oracles.loops_population
+    quotients = 0
+    for name, F in loops_population:
+        _, e, _ = ml_factorization(F)
+        fam = oracles.ml_fixpoint_by_levels(F)
+        assert [cg.kernel_pair(c) for c in e.components] == fam, name
+        quotients += not all(c.is_diagonal() for c in fam)
+    assert quotients == 42
 
 
 class _CountingDict(dict):
@@ -484,18 +534,32 @@ def test_ml_rejects_a_fixpoint_cofactor_that_is_not_central(monkeypatch):
     }
 
 
-def test_ml_builds_each_face_meet_of_its_domain_once():
-    # the seeds and the final check read the top level's meets only
+def test_ml_builds_each_face_meet_of_its_domain_once(monkeypatch):
+    # the seeds and the final check read one three-column kernel of the
+    # top level each, and keep no face meet on X: one seed round and the
+    # check of m = F on X_N for a central F, two seed rounds on X_N and
+    # the check of the cofactor on the middle object's top level
+    # otherwise
+    tops = collections.Counter()
+    real = cg.kernel_of_codes
+
+    def counted(dom, columns):
+        columns = list(columns)
+        tops[dom, len(columns)] += 1
+        return real(dom, columns)
+    monkeypatch.setattr(cg, "kernel_of_codes", counted)
     for profile in ("desk", "deep"):
         for name, F in default_corpus(profile)["extensions"]:
             X = F.dom
             N = X.truncation
             X._derived = _CountingDict()
-            ml_factorization(F)
-            built = {k: c for k, c in X._derived.stores.items()
-                     if k[0] == "meet"}
-            assert built == {("meet", N, i, j): 1
-                             for j in range(1, N + 1) for i in range(j)}, name
+            tops.clear()
+            Z, _, _ = ml_factorization(F)
+            assert not [k for k in X._derived.stores if k[0] == "meet"], name
+            want = {(X.levels[N], 3): 2}
+            if Z is not X:
+                want[Z.levels[N], 3] = 1
+            assert tops == want, name
 
 
 def test_homotopy_relation_matches_level1_congruence():
@@ -855,7 +919,8 @@ def _sorting_callers(monkeypatch):
 
 def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
     # meet, the kernel of several code columns (kernel_pair of several
-    # maps and the self-pullback route's meets) and a checked
+    # maps, the self-pullback route's meets and the top triple meet of
+    # the lattice route) and a checked
     # construction sort; every other constructor makes least-member
     # labels without a sort
     calls = _sorting_callers(monkeypatch)
@@ -875,7 +940,6 @@ def test_only_meet_and_checked_constructions_sort_labels(monkeypatch):
     F = extensions["deloop-C8-C4"].components[1]
     calls.clear()
     theta = cg.kernel_pair(F)
-    cg.preimage(F, cg.full(F.cod))
     cg.image(F, theta)
     psi = cg.congruence_generated(F.dom, [(0, 1)], initial=cg.diagonal(F.dom))
     assert not calls

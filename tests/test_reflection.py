@@ -129,7 +129,8 @@ def test_degeneracies_carry_each_homotopy_congruence_into_the_next(profile):
         h = reflection.homotopy_family(X)
         for n in range(X.truncation):
             for k, s in enumerate(X.degeneracies[n]):
-                assert cg.leq(h[n], cg.preimage(s, h[n + 1])), (X.name, n, k)
+                assert cg.leq(h[n], oracles.preimage(s, h[n + 1])), (
+                    X.name, n, k)
                 checked += 1
     assert checked > 100
 
