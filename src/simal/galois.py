@@ -11,10 +11,10 @@ read level N alone (the proofs are in their docstrings); so does the
 self-pullback route, by the proof of triviality applied to its
 projection.  At level N one pair of faces, 0 and 1, decides lattice
 centrality, by a lemma that uses only the Mal'tsev term, so the lattice
-route and ml's seeds each read one triple meet, _top_meet, ml's pulled
-back through its last family.  The horn and self-pullback routes read
-every pair, and the horn route every level, so either would catch a
-false proof.
+route and ml each read the one triple meet ker F_N /\\ ker d_0 /\\
+ker d_1, and ml closes it once (the proof that one closure suffices is
+in its docstring).  The horn and self-pullback routes read every pair,
+and the horn route every level, so either would catch a false proof.
 
 Each derived structure has one builder: reflection.homotopy_congruence
 for the top-level homotopy congruence of a built object (pi1's R.h
@@ -95,22 +95,6 @@ def is_trivial_extension(F):
         F, homotopy_congruence(X, X.truncation))
 
 
-def _top_meet(F, below):
-    """ker F_N /\\ d_0^-1(below) /\\ d_1^-1(below) on X_N, X = F.dom
-    being of truncation N and below a congruence on X_(N-1), or None for
-    the diagonal, when it is ker F_N /\\ ker d_0 /\\ ker d_1: one
-    cg.kernel_of_codes of the columns F_N, below's labels through d_0
-    and below's labels through d_1."""
-    X = F.dom
-    N = X.truncation
-    m = X.levels[N - 1].size
-    part = np.arange(m) if below is None else below.part
-    d0, d1 = X.faces[N][:2]
-    FN = F.components[N]
-    return cg.kernel_of_codes(X.levels[N], [
-        (FN.map, FN.cod.size), (part[d0.map], m), (part[d1.map], m)])
-
-
 def _central_by_lattice(F):
     """Whether ker F_n /\\ D_i /\\ D_j is trivial for every level n >= 2
     and faces i < j, D_i being ker d_i, read off the top level N and the
@@ -142,9 +126,10 @@ def _central_by_lattice(F):
     all pairs of {0..n} when n >= 2, so every pair gives the answer of
     (0, 1).  The proof uses only p(x, y, y) = x, p(x, x, y) = y and that
     faces, degeneracies and F are homomorphisms.  The one meet read is
-    _top_meet(F, None).
+    ker F_N /\\ D_0 /\\ D_1, one kernel_pair of three maps.
     """
-    return _top_meet(F, None).is_diagonal()
+    X = F.dom
+    return cg.kernel_pair(F.components[-1], *X.faces[-1][:2]).is_diagonal()
 
 
 def _central_by_fibration(F, budget=None):
@@ -262,11 +247,10 @@ def _code_set(a, b, modulus):
     return cg.distinct(a.astype(np.int64) * modulus + b)
 
 
-def _degenerate_mask(values, s0_map):
-    img = cg.distinct(s0_map)
-    pos = np.searchsorted(img, values)
-    pos = np.clip(pos, 0, len(img) - 1)
-    return img[pos] == values
+def _degenerate_mask(values, s):
+    """Whether each of values, elements of s's codomain, is in the image
+    of the degeneracy s."""
+    return np.bincount(s.map, minlength=s.cod.size)[values] > 0
 
 
 def _collected_equals(lattice, faces, mask, what):
@@ -287,7 +271,7 @@ def homotopy_relation(X):
     meet; the congruence is returned.
     """
     h1 = homotopy_congruence_level1(X)
-    thin = _degenerate_mask(X.faces[2][2].map, X.degeneracies[0][0].map)
+    thin = _degenerate_mask(X.faces[2][2].map, X.degeneracies[0][0])
     return _collected_equals(h1, X.faces[2][:2], thin, "thin-simplex relation")
 
 
@@ -298,8 +282,8 @@ def relative_homotopy_relation(F):
     if X.truncation < 2:
         raise PreconditionUnmet("relative relation needs 2-simplices")
     d = X.faces[2]
-    thin = (_degenerate_mask(d[2].map, X.degeneracies[0][0].map)
-            & _degenerate_mask(F.components[2].map, Y.degeneracies[1][0].map))
+    thin = (_degenerate_mask(d[2].map, X.degeneracies[0][0])
+            & _degenerate_mask(F.components[2].map, Y.degeneracies[1][0]))
     return _collected_equals(
         cg.image(d[1], cg.kernel_pair(F.components[2], d[0], d[2])),
         d[:2], thin, "relative thin-simplex relation")
@@ -309,7 +293,7 @@ def fiber_connectivity_relation(F):
     """Objects joined by an arrow that the morphism sends to an identity;
     equals the first-face image of a kernel meet."""
     X, Y = F.dom, F.cod
-    killed = _degenerate_mask(F.components[1].map, Y.degeneracies[0][0].map)
+    killed = _degenerate_mask(F.components[1].map, Y.degeneracies[0][0])
     connected = cg.image(X.faces[1][0],
                          cg.kernel_pair(X.faces[1][1], F.components[1]))
     return _collected_equals(connected, X.faces[1], killed,
@@ -410,68 +394,60 @@ def _quotient_cofactor(X, F, fam):
     return Z, e, m
 
 
-def _obstruction_seeds(F, fam):
-    """The pairs (x, least member of its class) of
-    ker F_N /\\ d_0^-1(fam[N-1]) /\\ d_1^-1(fam[N-1]) at the top level
-    N, _top_meet(F, fam[N-1]): the cofactor's top triple meet of the
-    faces 0 and 1, pulled back to X = F.dom, which decides the cofactor's
-    centrality (_central_by_lattice)."""
-    N = F.dom.truncation
-    part = _top_meet(F, fam[N - 1]).part
-    src = np.nonzero(part != np.arange(len(part)))[0]
-    return {N: list(zip(src.tolist(), part[src].tolist()))}
-
-
 def ml_factorization(F):
-    """Least simplicial congruence below the kernel whose cofactor is
-    central, computed as a monotone fixpoint on X = F.dom.
+    """Least simplicial congruence family G below the kernel whose
+    cofactor m: X/G -> Y is central, X = F.dom being of truncation N:
+    the family generated by S = ker F_N /\\ D_0 /\\ D_1, D_i being
+    ker d_i at level N, one closure from the diagonal.
 
-    A cofactor m: X/G -> Y is central iff its top triple meet of the
-    faces 0 and 1 is diagonal (_central_by_lattice), that is iff G[N]
-    contains ker F_N /\\ d_0^-1(G[N-1]) /\\ d_1^-1(G[N-1]), the meet's
-    pullback to X (e_N, through which F_N and the faces factor, pulls
-    ker m_N back to ker F_N and ker d_i back to d_i^-1(G[N-1])).  From
-    the diagonal, each round closes this pulled-back meet under faces
-    and degeneracies, starting from the last family, so the rounds grow
-    and each works only on the pairs it adds.  They stay below the
-    kernel family, so they stop.  The argument holds pair by pair:
-    - a central family G below the kernel contains its own (0, 1)
-      seeds, and the seeds grow with the family, so a stage below G has
-      seeds in G, and its closure, the next stage, lies below G: by
-      induction from the diagonal, G contains every stage;
-    - a fixpoint contains its (0, 1) seeds, so its cofactor's (0, 1)
-      top meet is trivial, and by the lemma in _central_by_lattice
-      every meet at every level is, so the cofactor is central.
-    The limit is therefore the least central family.  Round one starts
-    from the diagonal, whose pullback through d_i is ker d_i.
+    m is central iff its top triple meet of the faces 0 and 1 is
+    diagonal (_central_by_lattice), that is iff G_N contains
+    ker F_N /\\ d_0^-1(G_(N-1)) /\\ d_1^-1(G_(N-1)), the meet's pullback
+    to X (e_N, through which F_N and the faces factor, pulls ker m_N
+    back to ker F_N and ker d_i back to d_i^-1(G_(N-1))).  Every G whose
+    top level contains S contains that meet, by the Mal'tsev term p.
+    Take (a, b) in it, and write e_k = d_k a and e_k' = d_k b, k = 0, 1.
+    - Put t = p(s_0 e_0, s_1 e_0, s_1 e_1) and t' = p(s_0 e_0',
+      s_1 e_0', s_1 e_1').  As d_0 s_1 = s_0 d_0 and d_0 d_1 = d_0 d_0,
+      d_k t = e_k and d_k t' = e_k'.  (t, t') lies in G_N, as G is
+      closed under degeneracies and p, and F t = F t', as F e_k =
+      d_k F a = d_k F b = F e_k'.
+    - Put b' = p(a, t, t').  (a, b') = (p(a, t, t), p(a, t, t')) lies in
+      G_N; d_k b' = p(e_k, e_k, e_k') = e_k' = d_k b and F b' =
+      p(F a, F t, F t) = F b, so (b', b) lies in S, inside G_N.  Hence
+      (a, b) does.
+    A central G below the kernel contains its meet, and so S, since
+    d_i^-1(G_(N-1)) contains D_i; so it contains the family S generates.
+    That family lies below the kernel family, a simplicial congruence
+    containing S (which is checked), so it is central by the above, and
+    it is the least central family.
 
-    A fixpoint that is the diagonal at every level means F is already
-    central: the answer is then (F.dom, identity, F).  Any other
-    fixpoint gets the quotient X/fam and the map F induces on it.  The
-    centrality of m is checked on the result either way.
+    When S is the diagonal, F is central (_central_by_lattice reads the
+    same meet) and is its own answer (F.dom, identity, F).  Otherwise
+    the answer is the quotient X/G and the map F induces on it, whose
+    centrality is checked.
 
     Returns (middle object, e, m) with m central.
     """
     _require_extension(F)
     X = F.dom
-    kernels = [cg.kernel_pair(c) for c in F.components]
-    fam, new = None, [cg.diagonal(lvl) for lvl in X.levels]
-    while new != fam:
-        fam = new
-        new = simplicial_congruence_generated(
-            X, _obstruction_seeds(F, fam), initial=fam
-        )
-        if not all(cg.leq(a, b) for a, b in zip(new, kernels)):
+    N = X.truncation
+    part = cg.kernel_pair(F.components[N], *X.faces[N][:2]).part
+    src = np.nonzero(part != np.arange(len(part)))[0]
+    if not len(src):
+        Z, e, m = _own_factorization(F)
+    else:
+        fam = simplicial_congruence_generated(
+            X, {N: np.stack([src, part[src]], axis=1)})
+        if not all(cg.leq(a, cg.kernel_pair(c))
+                   for a, c in zip(fam, F.components)):
             raise PropertyViolation(
                 "kernel family is not closed under the structure maps"
             )
-    if all(c.is_diagonal() for c in fam):
-        Z, e, m = _own_factorization(F)
-    else:
         Z, e, m = _quotient_cofactor(X, F, fam)
     if not m.is_levelwise_surjective():
         raise PropertyViolation("cofactor lost surjectivity")
-    if not _central_by_lattice(m):
+    if Z is not X and not _central_by_lattice(m):
         raise PropertyViolation("fixpoint cofactor is not central")
     return Z, e, m
 

@@ -570,10 +570,10 @@ def _structure_maps(X):
                 yield n, n + step, f"{letter}{i}", f
 
 
-def simplicial_congruence_generated(X, seeds, initial=None):
+def simplicial_congruence_generated(X, seeds):
     """Smallest levelwise family of congruences containing the seeds
-    (level -> pair list) and the family initial, if any, and closed under
-    faces and degeneracies; initial must be such a family already.
+    (level -> pairs, a list of pairs or an array of two columns) and
+    closed under faces and degeneracies.
 
     The levels are the sorts of one multi-sorted algebra whose unary
     operations between sorts are the faces and degeneracies, closed by
@@ -589,9 +589,6 @@ def simplicial_congruence_generated(X, seeds, initial=None):
         np.asarray(seeds.get(n, []), dtype=np.int64).reshape(-1, 2)
         + offsets[n] for n in range(X.truncation + 1)
     ])
-    start = (np.arange(offsets[-1]) if initial is None else
-             np.concatenate([c.part + offsets[n]
-                             for n, c in enumerate(initial)]))
 
     # images[n]: X_n's images under the faces and degeneracies leaving
     # it, one column each, built when a wave first reaches level n
@@ -615,7 +612,8 @@ def simplicial_congruence_generated(X, seeds, initial=None):
                                               roots[o:offsets[n + 1]]):
                 yield tx + o, th + o, ta
 
-    labels = cg.close(start, pairs[:, 0], pairs[:, 1], translate)
+    labels = cg.close(np.arange(offsets[-1]), pairs[:, 0], pairs[:, 1],
+                      translate)
     return [cg.Congruence(lvl, labels[offsets[n]:offsets[n + 1]] - offsets[n],
                           check=False)
             for n, lvl in enumerate(X.levels)]

@@ -417,38 +417,40 @@ def test_classification_is_kept_one_level_up_and_one_down():
 
 
 def test_obstruction_seeds_match_the_pullback_oracle(monkeypatch):
-    real = galois._obstruction_seeds
-    rounds = collections.Counter()
+    # ml closes the top level's (0, 1) meet over the diagonal, once, and
+    # only when it is not the diagonal
+    seeded = []
 
-    def checked(F, fam):
-        # the fixpoint seeds the top level's faces 0 and 1 only
-        seeds = real(F, fam)
-        X = F.dom
-        N = X.truncation
-        kernels = [cg.kernel_pair(c) for c in F.components]
-        oracle = oracles.obstruction_seeds_by_pullback(X, kernels, fam)
-        assert seeds == {N: oracle[N, 0, 1]}
-        # the lemma in _central_by_lattice, on the round's cofactor: its
-        # (0, 1) top meet is trivial, that is the seeds lie in fam, exactly
-        # when every pair's meet at every level is; and the seeds are
-        # empty exactly when every pair's at every level are
-        related = {key: all(fam[key[0]].part[a] == fam[key[0]].part[b]
-                            for a, b in pairs)
-                   for key, pairs in oracle.items()}
-        assert related[N, 0, 1] == all(related.values())
-        assert (not seeds[N]) == (not any(oracle.values()))
-        diagonal = all(c.is_diagonal() for c in fam)
-        rounds["diagonal" if diagonal else "pulled"] += 1
-        rounds["seeded"] += any(seeds.values())
-        return seeds
-    monkeypatch.setattr(galois, "_obstruction_seeds", checked)
+    def checked(X, seeds):
+        seeded.append(seeds)
+        return simplicial_congruence_generated(X, seeds)
+    monkeypatch.setattr(galois, "simplicial_congruence_generated", checked)
+    closures = collections.Counter()
     for profile in ("desk", "deep"):
-        for _, F in default_corpus(profile)["extensions"]:
+        for name, F in default_corpus(profile)["extensions"]:
+            X = F.dom
+            N = X.truncation
+            seeded.clear()
             ml_factorization(F)
-    # one round from the diagonal per extension; the four quotient cases
-    # (two per corpus) take one more round, pulled back through the
-    # faces, and both rounds of theirs have seeds
-    assert rounds == {"diagonal": 72, "pulled": 4, "seeded": 8}
+            kernels = [cg.kernel_pair(c) for c in F.components]
+            diagonal = [cg.diagonal(lvl) for lvl in X.levels]
+            oracle = oracles.obstruction_seeds_by_pullback(
+                X, kernels, diagonal)
+            # the lemma in _central_by_lattice: the (0, 1) top meet is
+            # trivial exactly when every pair's meet at every level is
+            assert (not oracle[N, 0, 1]) == (not any(oracle.values())), name
+            if seeded:
+                [seeds] = seeded
+                assert list(seeds) == [N], name
+                assert [tuple(p) for p in seeds[N].tolist()] == \
+                    oracle[N, 0, 1], name
+                assert oracle[N, 0, 1], name
+            else:
+                assert not any(oracle.values()), name
+            closures[len(seeded)] += 1
+    # one closure on each of the four quotient cases (two per corpus),
+    # none on the 68 central extensions
+    assert closures == {0: 68, 1: 4}
 
 
 @pytest.fixture(scope="module")
@@ -477,17 +479,21 @@ def test_one_pair_of_faces_decides_the_top_triple_meets(loops_population):
 
 def test_ml_fixpoint_equals_the_fixpoint_seeded_by_every_pair(
         loops_population):
-    # ml seeds one pair of faces at the top level; the oracle's fixpoint
-    # seeds every pair at every level, each face pulled back by
-    # preimage, and closes level by level: the kernels of e are its
-    # families, on the 121 extensions of oracles.loops_population
+    # ml closes one pair of faces at the top level, once; the oracle's
+    # fixpoint seeds every pair at every level, each face pulled back by
+    # preimage, closes level by level and repeats until nothing is
+    # added: the kernels of e are its families, on the 121 extensions of
+    # oracles.loops_population and the 72 of the corpus
+    extensions = loops_population + [
+        member for profile in ("desk", "deep")
+        for member in default_corpus(profile)["extensions"]]
     quotients = 0
-    for name, F in loops_population:
+    for name, F in extensions:
         _, e, _ = ml_factorization(F)
         fam = oracles.ml_fixpoint_by_levels(F)
         assert [cg.kernel_pair(c) for c in e.components] == fam, name
         quotients += not all(c.is_diagonal() for c in fam)
-    assert quotients == 42
+    assert quotients == 42 + 4
 
 
 class _CountingDict(dict):
@@ -521,8 +527,11 @@ def test_ml_rejects_a_cofactor_that_lost_surjectivity(
 
 def test_ml_rejects_a_fixpoint_cofactor_that_is_not_central(monkeypatch):
     # with the suite's own re-check gone, this raise is criterion 9's
-    # guard for the monotone-light middle
-    monkeypatch.setattr(galois, "_central_by_lattice", lambda F: False)
+    # guard for the monotone-light middle: a closure that drops its
+    # seeds leaves the cofactor X/Delta -> Y, which is F, not central
+    monkeypatch.setattr(
+        galois, "simplicial_congruence_generated",
+        lambda X, seeds: [cg.diagonal(lvl) for lvl in X.levels])
     corpus = default_corpus("desk")
     with pytest.raises(PropertyViolation,
                        match="fixpoint cofactor is not central"):
@@ -536,10 +545,9 @@ def test_ml_rejects_a_fixpoint_cofactor_that_is_not_central(monkeypatch):
 
 def test_ml_builds_each_face_meet_of_its_domain_once(monkeypatch):
     # the seeds and the final check read one three-column kernel of the
-    # top level each, and keep no face meet on X: one seed round and the
-    # check of m = F on X_N for a central F, two seed rounds on X_N and
-    # the check of the cofactor on the middle object's top level
-    # otherwise
+    # top level each, and keep no face meet on X: the seeds alone on X_N
+    # for a central F, and the check of the cofactor on the middle
+    # object's top level too otherwise
     tops = collections.Counter()
     real = cg.kernel_of_codes
 
@@ -556,7 +564,7 @@ def test_ml_builds_each_face_meet_of_its_domain_once(monkeypatch):
             tops.clear()
             Z, _, _ = ml_factorization(F)
             assert not [k for k in X._derived.stores if k[0] == "meet"], name
-            want = {(X.levels[N], 3): 2}
+            want = {(X.levels[N], 3): 1}
             if Z is not X:
                 want[Z.levels[N], 3] = 1
             assert tops == want, name
@@ -1062,7 +1070,7 @@ def test_ml_rejects_a_fixpoint_above_the_kernel_family(monkeypatch):
     # the unit, which is the diagonal on objects
     monkeypatch.setattr(
         galois, "simplicial_congruence_generated",
-        lambda X, seeds, initial: [cg.full(lvl) for lvl in X.levels])
+        lambda X, seeds: [cg.full(lvl) for lvl in X.levels])
     with pytest.raises(PropertyViolation,
                        match="kernel family is not closed"):
         ml_factorization(EXTS["unit-cosk-loops"])
