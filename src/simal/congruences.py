@@ -18,11 +18,12 @@ join merges and certifies.  kernel_of_codes, the kernel of several
 and relabels those by one sort too, so it makes a meet of kernels
 without building either kernel; kernel_pair of several maps on one
 domain, the kernel of x -> (f(x), g(x), ..), is kernel_of_codes of their
-image columns, and galois' self-pullback route hands it pair codes of
-faces.  No other operation relabels by a sort: kernel_pair of one map
-scatters each element onto its image, and meets_trivially only counts
-the distinct pair codes, by distinct, the library's one way to take the
-distinct values of an array, which sorts where np.unique would hash.
+image columns, and galois' self-pullback route hands it face meets of
+X pulled back along the two projections.  No other operation relabels
+by a sort: kernel_pair of one map scatters each element onto its image,
+and meets_trivially only counts the distinct pair codes, by distinct,
+the library's one way to take the distinct values of an array, which
+sorts where np.unique would hash.
 
 merge(part, a, b) is the only closure primitive: it hooks the larger
 root of each pair onto the smaller and pointer-jumps to a fixpoint, so

@@ -22,12 +22,14 @@ lists every level), induced_groupoid_nerve_map for the functor between
 reflections, and simplicial.exactness_check for exactness.  A morphism
 that is already its own factorization, a trivial extension for em or a
 central one for ml, is returned as (F.dom, identity, F) by one helper.
-The self-pullback route builds no object: it enumerates P = X x_Y X at
-the top level alone, codes each of P's faces there once, as the pair of
-X's faces through the two projections, and joins P's face-kernel meets,
-each a kernel of two such codes, as it builds them; simplicial_pullback
-builds the full object for em and the probes.  A classification is kept
-on F per budget, so classifying an extension again runs no route.
+The self-pullback route builds no object: P = X x_Y X's face-kernel
+meets at the top level are X's face meets pulled back along the two
+projections, so when X's are all diagonal the route answers with no
+enumeration; otherwise it enumerates P at the top level alone and joins
+P's meets, each the kernel of two pulled-back columns, as it builds
+them; simplicial_pullback builds the full object for em and the probes.
+A classification is kept on F per budget, so classifying an extension
+again runs no route.
 """
 
 import numpy as np
@@ -36,6 +38,7 @@ from .errors import (
     CrossRouteMismatch,
     HomotopyMismatch,
     InvalidParameters,
+    LevelTooLarge,
     NotLevelwiseSurjective,
     PreconditionUnmet,
     PropertyViolation,
@@ -163,7 +166,8 @@ def _normal_by_self_pullback(F, budget):
     is_trivial_extension's proof, applied to p1, shows that level N
     decides: it needs P's degeneracies, which are componentwise, not
     that they are built.  So P_N, the pullback of F_N along itself, is
-    the one level enumerated, and nothing else of P is built or checked:
+    the one level that may be enumerated, and nothing else of P is built
+    or checked:
     - the budget stops the same inputs as a build of every level would,
       since the componentwise s_0 embeds P_n in P_(n+1), so |P_n| <= |P_N|;
     - P's faces are componentwise, d_i (x, y) = (d_i x, d_i y), which
@@ -171,30 +175,47 @@ def _normal_by_self_pullback(F, budget):
       identities, as X's do;
     - p1 commutes with the componentwise faces by definition, and it is
       onto at every level, since (x, x) lies in P.
-    ker d_i /\\ ker d_j on P_N is then the kernel of the four maps d_i p1,
-    d_i p2, d_j p1 and d_j p2 into X_(N-1), of size m.  Each face d_k is
-    coded once, as the pair code c_k = d_k p1 * m + d_k p2 below m^2, and
-    each meet is cg.kernel_of_codes of the columns (c_i, m^2) and
-    (c_j, m^2), whose fold c_i * m^2 + c_j is the code kernel_pair of the
-    four maps would fold (relabelled first past 2^62, when m > 46,341).
-    The homotopy congruence h of P_N is the join of those meets, in the
-    order j, then i < j, each joined into h as soon as it is built, so
-    at most two meets are held at a time.
+
+    P's face-kernel meets are X's, pulled back along both projections.
+    Write L_ij = ker d_i /\\ ker d_j on X_N (face_meet, kept on X).
+    - On P_N, ker d_i /\\ ker d_j relates (x, y) and (x', y') exactly when
+      x L_ij x' and y L_ij y': it is the kernel of the two columns
+      L_ij.part p1 and L_ij.part p2, each below |X_N|.
+    - It is the diagonal exactly when L_ij is: if x L_ij x' with x != x',
+      the distinct (x, x) and (x', x') of P_N are related.
+    So when every L_ij is the diagonal, so is h_P, the join of P_N's
+    meets, ker p1 /\\ h_P = Delta, and p1 is trivial: P_N is not built.
+    (_central_by_lattice's lemma, read with F constant, shows that the
+    L_ij are all diagonal or none is; the route still reads every one.)
+    Otherwise pullback enumerates P_N, each meet is cg.kernel_of_codes
+    of its two columns, and h_P is their join, in the order j, then
+    i < j, each joined into h_P as soon as it is built, so at most two
+    meets are held at a time.
+
+    |P_N|, the sum of the squared sizes of F_N's fibres, is charged to
+    the budget first, on both paths.  pullback's enumeration raises
+    exactly when |X_N| or |P_N| passes the budget, and |P_N| >= |X_N|, as
+    (x, x) lies in P_N, so the same inputs raise the same error whether
+    or not P_N is built.
     """
     X = F.dom
     N = X.truncation
-    PN, projs = pullback(F.components[N], F.components[N],
-                         f"pb({X.name},{X.name})_{N}", budget=budget)
-    m = X.levels[N - 1].size
-    pair_codes = [d.map[projs[0].map] * m + d.map[projs[1].map]
-                  for d in X.faces[N]]
+    FN = F.components[N]
+    fibres = np.bincount(FN.map)
+    if int(fibres @ fibres) > budget:
+        raise LevelTooLarge(f"tuple enumeration exceeds budget {budget}")
+    meets = [face_meet(X, N, i, j) for j in range(1, N + 1) for i in range(j)]
+    if all(L.is_diagonal() for L in meets):
+        return True
+    PN, (p1, p2) = pullback(FN, FN, f"pb({X.name},{X.name})_{N}",
+                            budget=budget)
+    n = X.levels[N].size
     h = None
-    for j in range(1, N + 1):
-        for i in range(j):
-            meet = cg.kernel_of_codes(
-                PN, [(pair_codes[i], m * m), (pair_codes[j], m * m)])
-            h = meet if h is None else cg.join(h, meet)
-    return cg.meets_trivially(cg.kernel_pair(projs[0]), h)
+    for L in meets:
+        meet = cg.kernel_of_codes(PN, [(L.part[p1.map], n),
+                                       (L.part[p2.map], n)])
+        h = meet if h is None else cg.join(h, meet)
+    return cg.meets_trivially(cg.kernel_pair(p1), h)
 
 
 def _classification(F, budget):

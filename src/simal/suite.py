@@ -499,7 +499,8 @@ def _factorization_suite(ctx):
     ml_runs = []
     for name, F in small:
         Z, e, m = ml_factorization(F)
-        classify_extension(m, budget=budget)
+        if not classify_extension(m, budget=budget).central:
+            raise PropertyViolation(f"ml cofactor of {name} is not central")
         em_factorization(F, budget=budget)
         ml_runs.append({
             "name": name,

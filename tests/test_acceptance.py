@@ -20,7 +20,7 @@ from simal.corpus import (
     loops_graph,
     one_object_groupoid,
 )
-from simal import simplicial, suite
+from simal import galois, simplicial, suite
 from simal.errors import IdentityViolated, PreconditionUnmet, SimalError
 from simal.suite import CRITERIA, run_suite
 
@@ -275,6 +275,13 @@ def _first_29_extensions(default_corpus):
     return fault
 
 
+def _non_central_own_answer(ml_factorization):
+    # an ml that answers every extension with augment-cosk-loops, which is
+    # not central, as its own factorization
+    wrong = dict(default_corpus("desk")["extensions"])["augment-cosk-loops"]
+    return lambda F: galois._own_factorization(wrong)
+
+
 def _no_extension_qualifies(F, budget=None):
     raise PreconditionUnmet("no extension qualifies")
 
@@ -350,6 +357,9 @@ FAULTS = [
          simplicial.nerve(one_object_groupoid(cyclic_group(2)), 2),
          budget=budget),
      "Heyting reflection of N(H-chain3,1cl) is not an equivalence relation"),
+    # last, so that the rows above keep their ids
+    (9, "ml_factorization", _non_central_own_answer,
+     "ml cofactor of discC4-discC2 is not central"),
 ]
 
 

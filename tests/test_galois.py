@@ -332,16 +332,21 @@ def test_top_level_verdicts_equal_the_verdicts_of_every_level():
 
 
 def test_the_self_pullback_route_equals_triviality_of_p1_at_every_level():
-    # the route enumerates the self-pullback's top level alone; the
-    # oracle reads every level of the full simplicial_pullback's p1
+    # the route reads the self-pullback's top level alone, enumerated
+    # only when X's top face meets are not diagonal; the oracle reads
+    # every level of the full simplicial_pullback's p1.  The corpus
+    # takes both of the route's paths, the loops population only the
+    # enumerating one
+    cases = (default_corpus("desk")["extensions"]
+             + default_corpus("deep")["extensions"]
+             + oracles.loops_population())
     normal = collections.Counter()
-    for profile in ("desk", "deep"):
-        for name, F in default_corpus(profile)["extensions"]:
-            _, p1, _ = simplicial_pullback(F, F)
-            verdict = galois._normal_by_self_pullback(F, resolve_budget(None))
-            assert verdict == oracles.verdicts_by_levels(p1)[0], name
-            normal[verdict] += 1
-    assert normal == {True: 68, False: 4}
+    for name, F in cases:
+        _, p1, _ = simplicial_pullback(F, F)
+        verdict = galois._normal_by_self_pullback(F, resolve_budget(None))
+        assert verdict == oracles.verdicts_by_levels(p1)[0], name
+        normal[verdict] += 1
+    assert normal == {True: 147, False: 46}
 
 
 def test_central_and_normal_are_stable_along_the_first_projection():
@@ -721,21 +726,26 @@ def test_em_builds_each_homotopy_family_once(monkeypatch):
         # X and Y keep theirs: the first classification joins only on
         # its self-pullback's top level, the one level of it enumerated,
         # by one two-slot pullback of F_N along itself, folding its
-        # N(N+1)/2 face-kernel meets into one running join
+        # N(N+1)/2 face-kernel meets into one running join; where X's
+        # top face meets are diagonal, so are P's, and the route
+        # enumerates and joins nothing
         calls.clear()
         joined.clear()
         tuples.clear()
         first = classify_extension(F)
         assert not calls, name
-        assert len(joined) == N * (N + 1) // 2 - 1, name
-        assert all(on is joined[0] for on in joined), name
-        assert joined[0].size == sum(
-            np.bincount(F.components[N].map) ** 2), name
         pulled = [slots for slots, constraints in tuples
                   if any(m is c.map for _, m, _, _ in constraints
                          for c in F.components)]
-        assert len(pulled) == 1 and len(pulled[0]) == 2, name
-        assert all(s is X.levels[N] for s in pulled[0]), name
+        if trivial[name]:
+            assert not joined and not pulled, name
+        else:
+            assert len(joined) == N * (N + 1) // 2 - 1, name
+            assert all(on is joined[0] for on in joined), name
+            assert joined[0].size == sum(
+                np.bincount(F.components[N].map) ** 2), name
+            assert len(pulled) == 1 and len(pulled[0]) == 2, name
+            assert all(s is X.levels[N] for s in pulled[0]), name
         # F keeps its classification: a repeat joins and enumerates
         # nothing
         tuples.clear()
@@ -788,25 +798,77 @@ def test_the_self_pullback_route_stops_at_the_budget():
     with pytest.raises(LevelTooLarge) as raised:
         classify_extension(F, budget=10 ** 6)
     frames = [entry.name for entry in raised.traceback]
-    assert frames[-2:] == ["pullback", "compatible_tuples"]
-    assert "_normal_by_self_pullback" in frames
+    assert frames[-1] == "_normal_by_self_pullback"
     assert ("classification", 10 ** 6) not in F.derived
 
 
+def _self_pullback_top(F):
+    """P_N = X_N x_(Y_N) X_N of F: X -> Y and its projections, built
+    by limits.pullback, with N the truncation of X."""
+    FN = F.components[F.dom.truncation]
+    return limits.pullback(FN, FN)
+
+
+def test_the_self_pullback_route_raises_exactly_below_its_pullbacks_size():
+    # the route charges |P_N| to the budget on both of its paths, where
+    # pullback's enumeration raised, so one budget stops the same inputs
+    # whether or not P_N is built
+    for profile in ("desk", "deep"):
+        for name, F in default_corpus(profile)["extensions"]:
+            size = _self_pullback_top(F)[0].size
+            with pytest.raises(LevelTooLarge,
+                               match="tuple enumeration exceeds budget"):
+                galois._normal_by_self_pullback(F, size - 1)
+            assert galois._normal_by_self_pullback(F, size) == (
+                classify_extension(F).normal), name
+
+
+def test_the_face_meets_of_the_self_pullback_are_pulled_back_from_x():
+    # the route's lemma: ker d_i /\ ker d_j on P_N, read by the oracle as
+    # the kernel of d_i p1, d_i p2, d_j p1 and d_j p2, is the kernel of
+    # L_ij p1 and L_ij p2, L_ij being ker d_i /\ ker d_j on X_N, and is
+    # the diagonal exactly when L_ij is; and X's top face meets are all
+    # diagonal or none is
+    cases = (default_corpus("desk")["extensions"]
+             + default_corpus("deep")["extensions"]
+             + oracles.loops_population())
+    assert len(cases) == 193
+    diagonal = collections.Counter()
+    for name, F in cases:
+        X = F.dom
+        N = X.truncation
+        n = X.levels[N].size
+        d = X.faces[N]
+        PN, (p1, p2) = _self_pullback_top(F)
+        seen = set()
+        for j in range(1, N + 1):
+            for i in range(j):
+                L = reflection.face_meet(X, N, i, j)
+                pulled = cg.kernel_of_codes(
+                    PN, [(L.part[p1.map], n), (L.part[p2.map], n)])
+                assert np.array_equal(pulled.part, oracles.least_members(
+                    d[i].map[p1.map], d[i].map[p2.map],
+                    d[j].map[p1.map], d[j].map[p2.map])), name
+                assert pulled.is_diagonal() == L.is_diagonal(), name
+                seen.add(L.is_diagonal())
+        assert len(seen) == 1, name
+        diagonal[seen.pop()] += 1
+    assert diagonal == {True: 66, False: 127}
+
+
 def test_the_self_pullback_route_codes_each_face_of_p_once(monkeypatch):
-    # a first classification sorts P_N's codes through kernel_of_codes at
-    # most once per face-kernel meet, N(N+1)/2 times, and builds no map
-    # on P_N but pullback's two projections
+    # a first classification enumerates P_N only when X's top face meets
+    # are not diagonal; then it takes each face-kernel meet of P_N by one
+    # kernel_of_codes, N(N+1)/2 in all, and builds no map on P_N but
+    # pullback's two projections
     sorted_on = []
-    original = cg.canonical_partition
+    original = cg.kernel_of_codes
 
-    def counted(labels):
-        caller = sys._getframe(1)
-        if caller.f_code.co_name == "kernel_of_codes":
-            sorted_on.append(caller.f_locals["dom"])
-        return original(labels)
+    def counted(dom, columns):
+        sorted_on.append(dom)
+        return original(dom, columns)
 
-    monkeypatch.setattr(cg, "canonical_partition", counted)
+    monkeypatch.setattr(cg, "kernel_of_codes", counted)
     built = []
     init = Homomorphism.__init__
 
@@ -823,17 +885,27 @@ def test_the_self_pullback_route_codes_each_face_of_p_once(monkeypatch):
         return pulled[-1]
 
     monkeypatch.setattr(galois, "pullback", kept)
+    enumerated = 0
     for name, F in default_corpus("desk")["extensions"]:
-        N = F.dom.truncation
+        X = F.dom
+        N = X.truncation
         sorted_on.clear()
         built.clear()
         pulled.clear()
         classify_extension(F)
+        if all(reflection.face_meet(X, N, i, j).is_diagonal()
+               for j in range(1, N + 1) for i in range(j)):
+            assert not pulled, name
+            assert all(any(on is lvl for lvl in X.levels + F.cod.levels)
+                       for on in sorted_on), name
+            continue
         (PN, projs), = pulled
-        assert 0 < sum(on is PN for on in sorted_on) <= N * (N + 1) // 2, name
+        assert sum(on is PN for on in sorted_on) == N * (N + 1) // 2, name
         on_p = [h for h in built if h.dom is PN]
         assert len(on_p) == 2 and all(
             h is p for h, p in zip(on_p, projs)), name
+        enumerated += 1
+    assert enumerated == 3
 
 
 def test_the_pullback_route_is_an_isomorphism_exactly_on_trivial_extensions():
